@@ -18,7 +18,7 @@ from .processes import membership, stability_check
 from .rearrange import is_comonotone, lap_upper_bound, max_correlation
 from .scenario import Scenario, ScenarioError, _num, load_scenario
 from .space import CapExceededError, DEFAULT_TOL
-from .utility import check_axioms, penalty, time_consistency_check
+from .utility import DualFiniteUtility, check_axioms, penalty, time_consistency_check
 from .worstcase import (
     AdaptedWorstProcess,
     Portfolio,
@@ -78,10 +78,25 @@ def _per_atom_rows(run: TaskRun, space, t, quantity, values, bounds=None, status
         run.row(atom, quantity, values[k], b, s)
 
 
+def _field(task: dict, key: str):
+    """A required task field; a missing one is an input error."""
+    if key not in task:
+        raise ScenarioError(f"task {task['name']!r}: missing field {key!r}")
+    return task[key]
+
+
+def _int(task: dict, key: str, default: int) -> int:
+    raw = task.get(key, default)
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"task {task['name']!r}: {key} must be an integer, got {raw!r}") from None
+
+
 def _task_seed(task: dict, scn: Scenario, override: int | None) -> int:
     if override is not None:
         return override
-    return int(task.get("seed", scn.seed))
+    return _int(task, "seed", scn.seed)
 
 
 def _tol(task: dict) -> float:
@@ -89,7 +104,7 @@ def _tol(task: dict) -> float:
 
 
 def _cap(task: dict, default: int = 1_000_000) -> int:
-    return int(task.get("cap", default))
+    return _int(task, "cap", default)
 
 
 def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int | None) -> tuple[TaskRun, str]:
@@ -106,7 +121,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS
 
     if kind == "check-membership":
-        name = task["density"]
+        name = _field(task, "density")
         if name in scn.densities:
             a = scn.densities[name]
             klass = task.get("class", "D")
@@ -121,8 +136,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         raise ScenarioError(f"unresolved density reference {name!r}")
 
     if kind == "axioms":
-        u = scn.resolve("utility", task["utility"])
-        rep = check_axioms(u, int(task.get("samples", 20)), _task_seed(task, scn, seed_override), _tol(task))
+        u = scn.resolve("utility", _field(task, "utility"))
+        rep = check_axioms(u, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
         expect = task.get("expect", {})
         status = INFO if not expect else PASS
         for axiom, res in rep.results.items():
@@ -140,16 +155,18 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, status
 
     if kind == "evaluate":
-        u = scn.resolve("utility", task["utility"])
-        X = scn.resolve("process", task["position"])
+        u = scn.resolve("utility", _field(task, "utility"))
+        X = scn.resolve("process", _field(task, "position"))
         insurance = bool(task.get("insurance", False))
         v = u.insurance(X) if insurance else u.evaluate(X)
         _per_atom_rows(run, space, u.t_start, "psi" if insurance else "phi", v.values)
         return run, INFO
 
     if kind == "penalty":
-        u = scn.resolve("utility", task["utility"])
-        a = scn.resolve("density", task["density"])
+        u = scn.resolve("utility", _field(task, "utility"))
+        if not isinstance(u, DualFiniteUtility):
+            raise ScenarioError(f"task {task['name']!r}: penalty needs a dual utility, not {type(u).__name__}")
+        a = scn.resolve("density", _field(task, "density"))
         try:
             v = penalty(u, a, solver=task.get("solver", "highs"))
         except RuntimeError as e:
@@ -159,9 +176,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "max-correlation":
-        a = scn.resolve("density", task["density"])
-        X = scn.resolve("process", task["position"])
-        t = int(task.get("t", X.t_start))
+        a = scn.resolve("density", _field(task, "density"))
+        X = scn.resolve("process", _field(task, "position"))
+        t = _int(task, "t", X.t_start)
         cap = _cap(task, 100_000)
         mc = max_correlation(a, X, t, X.t_end, cap)
         lap = lap_upper_bound(a, X, t, X.t_end)
@@ -174,8 +191,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, status
 
     if kind == "comonotone":
-        a0 = scn.resolve("density", task["density"])
-        family = [scn.resolve("process", n) for n in task["family"]]
+        a0 = scn.resolve("density", _field(task, "density"))
+        family = [scn.resolve("process", n) for n in _field(task, "family")]
         tol = _tol(task)
         cert = is_comonotone(a0, family, tol, _cap(task, 100_000))
         t = family[0].t_start
@@ -191,9 +208,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "worst-scenario":
-        u = scn.resolve("utility", task["utility"])
-        candidates = [scn.resolve("density", n) for n in task["candidates"]]
-        marginals = Portfolio([scn.resolve("process", n) for n in task["marginals"]])
+        u = scn.resolve("utility", _field(task, "utility"))
+        candidates = [scn.resolve("density", n) for n in _field(task, "candidates")]
+        marginals = Portfolio([scn.resolve("process", n) for n in _field(task, "marginals")])
         ws = worst_scenario(candidates, marginals, u, _cap(task, 100_000), task.get("solver", "highs"))
         _per_atom_rows(run, space, u.t_start, "F-max", ws.value.values)
         _per_atom_rows(run, space, u.t_start, "choice", ws.per_atom_choice)
@@ -201,8 +218,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "worst-portfolio":
-        u = scn.resolve("utility", task["utility"])
-        marginals = Portfolio([scn.resolve("process", n) for n in task["marginals"]])
+        u = scn.resolve("utility", _field(task, "utility"))
+        marginals = Portfolio([scn.resolve("process", n) for n in _field(task, "marginals")])
         wp = worst_portfolio_bruteforce(marginals, u, _cap(task), workers)
         direct = u.insurance(marginals.mean())
         tol = _tol(task)
@@ -217,8 +234,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS if all(s == PASS for s in statuses) else FAIL
 
     if kind == "verify-thm31":
-        u = scn.resolve("utility", task["utility"])
-        marginals = Portfolio([scn.resolve("process", n) for n in task["marginals"]])
+        u = scn.resolve("utility", _field(task, "utility"))
+        marginals = Portfolio([scn.resolve("process", n) for n in _field(task, "marginals")])
         tol = _tol(task)
         rep = verify_theorem_3_1(marginals, u, _cap(task), tol, workers)
         statuses = [
@@ -237,9 +254,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS if rep.passed else FAIL
 
     if kind == "verify-preservation":
-        up = scn.resolve("utility-process", task["process"])
+        up = scn.resolve("utility-process", _field(task, "process"))
         variant = task.get("variant", "thm33")
-        stage0 = Portfolio([scn.resolve("process", n) for n in task["stage0"]])
+        stage0 = Portfolio([scn.resolve("process", n) for n in _field(task, "stage0")])
         candidate = AdaptedWorstProcess.from_restrictions(stage0)
         hyp = build_preservation_hypotheses(up, variant)
         rep = verify_preservation(hyp, up, candidate, _cap(task), _tol(task), workers)
@@ -256,9 +273,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS if rep.passed else FAIL
 
     if kind == "matrix-sup":
-        u = scn.resolve("utility", task["utility"])
-        X = scn.resolve("process", task["position"])
-        matrices = [np.array([[_num(v, "matrix entry") for v in row] for row in mat]) for mat in task["matrices"]]
+        u = scn.resolve("utility", _field(task, "utility"))
+        X = scn.resolve("process", _field(task, "position"))
+        matrices = [np.array([[_num(v, "matrix entry") for v in row] for row in mat]) for mat in _field(task, "matrices")]
         res = matrix_sup(u, X, matrices)
         _per_atom_rows(run, space, u.t_start, "sup", res.value.values)
         _per_atom_rows(run, space, u.t_start, "argmax-matrix", res.per_atom_argmax)
@@ -268,11 +285,11 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "matrix-compare":
-        u = scn.resolve("utility", task["utility"])
-        A = np.array([[_num(v, "matrix entry") for v in row] for row in task["matrix"]])
-        tilde = Portfolio([scn.resolve("process", n) for n in task["tilde"]])
-        bar = Portfolio([scn.resolve("process", n) for n in task["bar"]])
-        rep = matrix_compare(A, u, tilde, bar, int(task.get("samples", 20)), _task_seed(task, scn, seed_override), _tol(task))
+        u = scn.resolve("utility", _field(task, "utility"))
+        A = np.array([[_num(v, "matrix entry") for v in row] for row in _field(task, "matrix")])
+        tilde = Portfolio([scn.resolve("process", n) for n in _field(task, "tilde")])
+        bar = Portfolio([scn.resolve("process", n) for n in _field(task, "bar")])
+        rep = matrix_compare(A, u, tilde, bar, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
         run.row("-", "ones-fixed", rep.hyp_eigenvector, None, INFO)
         run.row("-", "nonnegative", rep.hyp_nonnegative, None, INFO)
         run.row("-", "acceptance-implication", rep.hyp_acceptance, rep.acceptance_samples, INFO)
@@ -290,9 +307,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "stability":
         kind2 = task.get("kind", "concatenation")
         if kind2 == "m1":
-            items = [scn.resolve("terminal", n) for n in task["terminal"]]
+            items = [scn.resolve("terminal", n) for n in _field(task, "terminal")]
         else:
-            items = [scn.resolve("density", n) for n in task["densities"]]
+            items = [scn.resolve("density", n) for n in _field(task, "densities")]
         rep = stability_check(items, kind2, _cap(task), _tol(task))
         run.row("-", "stable", rep.stable, None, INFO)
         run.row("-", "generated", rep.generated, None, INFO)
@@ -305,10 +322,10 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "time-consistency":
-        up = scn.resolve("utility-process", task["process"])
+        up = scn.resolve("utility-process", _field(task, "process"))
         rep = time_consistency_check(
             up,
-            sample_count=int(task.get("samples", 5)),
+            sample_count=_int(task, "samples", 5),
             seed=_task_seed(task, scn, seed_override),
             tol=_tol(task),
         )

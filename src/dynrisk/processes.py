@@ -156,7 +156,9 @@ def mean_portfolio(members: Sequence[AdaptedProcess]) -> AdaptedProcess:
     total = members[0]
     for x in members[1:]:
         total = total + x
-    return total * (1.0 / len(members))
+    # a division, as in the worst-portfolio scan, which averages member
+    # features in the same order; the two then agree bit for bit
+    return AdaptedProcess._wrap(total.space, total.t_start, total.values / len(members))
 
 
 class DensityProcess(_Windowed):
@@ -174,9 +176,6 @@ class DensityProcess(_Windowed):
     def uniform(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "DensityProcess":
         L = t_end - t_start + 1
         return cls(space, t_start, np.full((L, space.n_outcomes), 1.0 / L))
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.values, axis=0)
 
     def total_mass(self) -> np.ndarray:
         """Per-outcome sum of increments over the window."""
@@ -207,10 +206,6 @@ class DensityProcess(_Windowed):
 
     def a1_norm(self) -> float:
         return float(self.space.probs @ np.abs(self.values).sum(axis=0))
-
-    def scale_by_start(self, factor: np.ndarray) -> "DensityProcess":
-        """Multiply all increments by an F_{t_start}-measurable outcome vector."""
-        return DensityProcess(self.space, self.t_start, self.values * np.asarray(factor, dtype=float)[None, :])
 
     def extend_to(self, new_start: int) -> "DensityProcess":
         """Pad with zero increments so the window starts at new_start <= t_start."""

@@ -128,11 +128,6 @@ def random_stopping_time(
     return StoppingTime(space, values)
 
 
-def random_event(space: FiniteFilteredSpace, t: int, rng: np.random.Generator) -> np.ndarray:
-    picks = rng.random(space.n_atoms(t)) < 0.5
-    return picks[space.atom_index(t)]
-
-
 def random_coherent_utility(
     space: FiniteFilteredSpace,
     t_start: int,

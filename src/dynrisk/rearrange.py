@@ -184,6 +184,11 @@ def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> Rea
     return RearrangementClass(X_hat, members, len(levels) > 1)
 
 
+def _first_near_max(table: np.ndarray) -> list[int]:
+    """Per column, the first row within 1e-15 of the column's max."""
+    return np.argmax(table >= table.max(axis=0) - 1e-15, axis=0).tolist()
+
+
 @dataclass
 class MaxCorrelationResult:
     value: ConditionalValue
@@ -207,9 +212,7 @@ def max_correlation(
         t_end = X_hat.t_end
     cls = rearrangement if rearrangement is not None else enumerate_class(X_hat, cap)
     table = np.stack([pairing(m, a, t, t_end).values for m in cls.members])
-    best = table.max(axis=0)
-    arg = [int(np.argmax(table[:, k] >= best[k] - 1e-15)) for k in range(table.shape[1])]
-    return MaxCorrelationResult(ConditionalValue(X_hat.space, t, best), arg, cls)
+    return MaxCorrelationResult(ConditionalValue(X_hat.space, t, table.max(axis=0)), _first_near_max(table), cls)
 
 
 def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int, t_end: int | None = None) -> ConditionalValue:

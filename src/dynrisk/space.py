@@ -262,29 +262,31 @@ def cond_expect(space: FiniteFilteredSpace, y, t: int) -> ConditionalValue:
     y = np.asarray(y, dtype=float)
     if y.shape != (space.n_outcomes,):
         raise ValueError(f"expected {space.n_outcomes} outcome values, got shape {y.shape}")
+    return ConditionalValue(space, t, _cond_expect(space, y, t))
+
+
+def _cond_expect(space: FiniteFilteredSpace, y: np.ndarray, t: int) -> np.ndarray:
+    """Conditional expectation along the last axis: (..., M) -> (..., atoms at t).
+
+    Every leading index is reduced on its own, so a stack of vectors gives
+    the same bits as one call per vector.
+    """
     order, starts, seg, w_ord, wsum = space.atom_layout(t)
-    y_ord = y[order]
+    y_ord = y.take(order, axis=-1)
     neg = np.isneginf(y_ord)
     if neg.any():
         y_ord = np.where(neg, 0.0, y_ord)
     # anchored at the first outcome of each atom so atom-constant inputs come
     # back bit-exact, making the operator exactly idempotent
-    ref = y_ord[starts]
-    out = ref + np.add.reduceat(w_ord * (y_ord - ref[seg]), starts) / wsum
+    ref = y_ord.take(starts, axis=-1)
+    out = ref + np.add.reduceat(w_ord * (y_ord - ref.take(seg, axis=-1)), starts, axis=-1) / wsum
     if neg.any():
-        out[np.logical_or.reduceat(neg, starts)] = NEG_INF
-    return ConditionalValue(space, t, out)
+        out[np.logical_or.reduceat(neg, starts, axis=-1)] = NEG_INF
+    return out
 
 
-def cond_expect_value(space: FiniteFilteredSpace, v: ConditionalValue, t: int) -> ConditionalValue:
-    """Tower step: condition a time-s value down to time t <= s."""
-    if t > v.time:
-        raise ValueError("can only condition to an earlier time")
-    return cond_expect(space, v.lift(), t)
-
-
-def ess_sup_family(family: Sequence[ConditionalValue]) -> ConditionalValue:
-    """Atom-wise maximum of a non-empty family at a common time."""
+def _family_values(family: Sequence[ConditionalValue]) -> tuple[ConditionalValue, np.ndarray]:
+    """First member and the stacked values of a non-empty family at a common time."""
     family = list(family)
     if not family:
         raise ValueError("empty family")
@@ -292,20 +294,18 @@ def ess_sup_family(family: Sequence[ConditionalValue]) -> ConditionalValue:
     for v in family[1:]:
         if v.space is not first.space or v.time != first.time:
             raise ValueError("family members live at different times or spaces")
-    stacked = np.stack([v.values for v in family])
+    return first, np.stack([v.values for v in family])
+
+
+def ess_sup_family(family: Sequence[ConditionalValue]) -> ConditionalValue:
+    """Atom-wise maximum of a non-empty family at a common time."""
+    first, stacked = _family_values(family)
     return ConditionalValue(first.space, first.time, stacked.max(axis=0))
 
 
 def ess_inf_family(family: Sequence[ConditionalValue]) -> ConditionalValue:
     """Atom-wise minimum of a non-empty family at a common time."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    first = family[0]
-    for v in family[1:]:
-        if v.space is not first.space or v.time != first.time:
-            raise ValueError("family members live at different times or spaces")
-    stacked = np.stack([v.values for v in family])
+    first, stacked = _family_values(family)
     return ConditionalValue(first.space, first.time, stacked.min(axis=0))
 
 
@@ -399,11 +399,10 @@ def enumerate_stopping_times(
     return [StoppingTime._wrap(space, v) for v in results]
 
 
-def enumerate_events(space: FiniteFilteredSpace, t: int, cap: int = 100_000) -> list[np.ndarray]:
-    """All unions of time-t atoms as boolean outcome masks (incl. empty and full)."""
-    atoms = space.atoms(t)
+def _unions(space: FiniteFilteredSpace, atoms: Sequence[tuple[int, ...]], cap: int, where: str) -> list[np.ndarray]:
+    """All unions of the given disjoint atoms as boolean outcome masks (incl. empty and full)."""
     if 2 ** len(atoms) > cap:
-        raise CapExceededError(f"2^{len(atoms)} events at t={t} exceed cap {cap}")
+        raise CapExceededError(f"2^{len(atoms)} events {where} exceed cap {cap}")
     events = []
     for picks in itertools.product([False, True], repeat=len(atoms)):
         mask = np.zeros(space.n_outcomes, dtype=bool)
@@ -412,6 +411,11 @@ def enumerate_events(space: FiniteFilteredSpace, t: int, cap: int = 100_000) -> 
                 mask[list(atom)] = True
         events.append(mask)
     return events
+
+
+def enumerate_events(space: FiniteFilteredSpace, t: int, cap: int = 100_000) -> list[np.ndarray]:
+    """All unions of time-t atoms as boolean outcome masks (incl. empty and full)."""
+    return _unions(space, space.atoms(t), cap, f"at t={t}")
 
 
 def stopping_atoms(space: FiniteFilteredSpace, theta: StoppingTime) -> list[tuple[int, tuple[int, ...]]]:
@@ -431,17 +435,8 @@ def enumerate_stopping_events(
     space: FiniteFilteredSpace, theta: StoppingTime, cap: int = 100_000
 ) -> list[np.ndarray]:
     """All events measurable at the stopping time, as boolean outcome masks."""
-    satoms = stopping_atoms(space, theta)
-    if 2 ** len(satoms) > cap:
-        raise CapExceededError(f"2^{len(satoms)} events at the stopping time exceed cap {cap}")
-    events = []
-    for picks in itertools.product([False, True], repeat=len(satoms)):
-        mask = np.zeros(space.n_outcomes, dtype=bool)
-        for (_, atom), take in zip(satoms, picks):
-            if take:
-                mask[list(atom)] = True
-        events.append(mask)
-    return events
+    atoms = [atom for _, atom in stopping_atoms(space, theta)]
+    return _unions(space, atoms, cap, "at the stopping time")
 
 
 def is_stopping_event(space: FiniteFilteredSpace, mask, theta: StoppingTime) -> bool:

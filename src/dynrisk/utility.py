@@ -4,6 +4,21 @@ Three families are implemented: finite dual representations (a list of
 scenario densities with penalties), entropic certainty equivalents, and the
 robust entropic variant taking a worst case over terminal densities.  The
 insurance version of any of them is X -> -phi(-X).
+
+Each family has one evaluation kernel in two steps, both accepting any
+leading batch shape:
+
+- ``_features(vals)`` is linear.  It maps ``(..., L, M)`` window slices to
+  the pairings with every scenario, ``(..., S, atoms)``, for the dual family
+  and to the terminal slice, ``(..., M)``, for the entropic families.
+- ``_combine(feats)`` is the nonlinear step: the penalised min over
+  scenarios, or the segmented log-sum-exp anchored at each atom's max.
+
+``evaluate`` is ``_combine(_features(window))`` and ``insurance`` reflects
+it.  ``argmax_density`` reads the dual features, and the worst-portfolio
+scan (``worstcase._batch_insurance``) takes the features of every class
+member once and combines their means per tuple, so a scanned value is the
+insurance value of that tuple's mean.
 """
 
 from __future__ import annotations
@@ -24,10 +39,10 @@ from .processes import (
 )
 from .space import (
     DEFAULT_TOL,
-    NEG_INF,
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
+    _cond_expect,
     cond_expect,
     enumerate_events,
     enumerate_stopping_times,
@@ -36,7 +51,8 @@ from .space import (
 
 
 class UtilityBase:
-    """Common window plumbing; subclasses provide evaluate()."""
+    """Common window plumbing; subclasses provide evaluate() through their
+    _features/_combine kernel."""
 
     def __init__(self, space: FiniteFilteredSpace, t_start: int, t_end: int):
         if not 0 <= t_start <= t_end <= space.horizon:
@@ -49,18 +65,21 @@ class UtilityBase:
     def window(self) -> tuple[int, int]:
         return (self.t_start, self.t_end)
 
-    def _check_position(self, X: AdaptedProcess) -> None:
+    def _window(self, X: AdaptedProcess) -> np.ndarray:
+        """The (L, M) slices of X on the utility's window."""
         if X.space is not self.space:
             raise ValueError("position lives on a different space")
         if X.t_start > self.t_start or X.t_end < self.t_end:
             raise ValueError(f"position window {X.window} does not contain {self.window}")
+        return X.values[self.t_start - X.t_start : self.t_end - X.t_start + 1]
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
         raise NotImplementedError
 
     def insurance(self, X: AdaptedProcess) -> ConditionalValue:
         """The insurance version -phi(-X)."""
-        return -self.evaluate(-X)
+        # 0 - phi, not -phi, so an exact zero is +0.0 and reports print "0"
+        return ConditionalValue(self.space, self.t_start, 0.0 - self.evaluate(-X).values)
 
 
 class DualFiniteUtility(UtilityBase):
@@ -100,6 +119,10 @@ class DualFiniteUtility(UtilityBase):
             gmax = ess_sup_family([g for _, g in scenarios])
             if np.any(np.abs(gmax.values) > 1e-9):
                 raise ValueError("penalties are not normalized: atom-wise max gamma must be 0")
+        # (S, L, M) density increments on the window, (S, atoms) penalties
+        self._increments = np.stack([a.values[t_start - a.t_start : t_end - a.t_start + 1] for a, _ in scenarios])
+        self._gamma = np.stack([g.values for _, g in scenarios])
+        self._dead = np.isneginf(self._gamma)
 
     @property
     def coherent(self) -> bool:
@@ -110,47 +133,61 @@ class DualFiniteUtility(UtilityBase):
         vals = [abs(v) for _, g in self.scenarios for v in g.values if np.isfinite(v)]
         return max(vals, default=0.0)
 
-    def _scenario_values(self, X: AdaptedProcess) -> np.ndarray:
-        """Row i holds pairing(X, a_i) per atom of the window start."""
-        self._check_position(X)
-        return np.stack([pairing(X, a, self.t_start, self.t_end).values for a, _ in self.scenarios])
+    def _features(self, vals: np.ndarray) -> np.ndarray:
+        """Pairings with every scenario: (..., L, M) -> (..., S, atoms)."""
+        prod = vals[..., None, :, :] * self._increments
+        total = prod[..., 0, :]
+        for k in range(1, prod.shape[-2]):  # in time order, as pairing sums
+            total = total + prod[..., k, :]
+        return _cond_expect(self.space, total, self.t_start)
+
+    def _penalised(self, feats: np.ndarray) -> np.ndarray:
+        # -(-inf) penalties knock a scenario out of the min
+        return np.where(self._dead, np.inf, feats - self._gamma)
+
+    def _combine(self, feats: np.ndarray) -> np.ndarray:
+        """Penalised min over scenarios: (..., S, atoms) -> (..., atoms)."""
+        return self._penalised(feats).min(axis=-2)
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
-        pair = self._scenario_values(X)
-        gam = np.stack([g.values for _, g in self.scenarios])
-        # -(-inf) penalties knock a scenario out of the min
-        cand = np.where(np.isneginf(gam), np.inf, pair - gam)
-        return ConditionalValue(self.space, self.t_start, cand.min(axis=0))
-
-    def insurance(self, X: AdaptedProcess) -> ConditionalValue:
-        pair = self._scenario_values(X)
-        gam = np.stack([g.values for _, g in self.scenarios])
-        cand = np.where(np.isneginf(gam), NEG_INF, pair + gam)
-        return ConditionalValue(self.space, self.t_start, cand.max(axis=0))
+        return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))
 
 
-class EntropicUtility(UtilityBase):
-    """Conditional certainty equivalent of exponential utility; only the
-    terminal slice of the position matters."""
+class _EntropicKernel(UtilityBase):
+    """Shared kernel of the entropic families: only the terminal slice of the
+    position matters, and values are conditional certainty equivalents
+    -log E_w(exp(-alpha X_T) | atom) / alpha under the weights in ``_w``."""
 
     def __init__(self, space: FiniteFilteredSpace, alpha: float, t_start: int, t_end: int | None = None):
         super().__init__(space, t_start, space.horizon if t_end is None else t_end)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
+        self._order, self._starts, self._seg, w_ord, wsum = space.atom_layout(t_start)
+        self._w, self._log_wsum = w_ord, np.log(wsum)
+
+    def _features(self, vals: np.ndarray) -> np.ndarray:
+        """Terminal slice: (..., L, M) -> (..., M)."""
+        return vals[..., -1, :]
+
+    def _combine(self, feats: np.ndarray) -> np.ndarray:
+        """Segmented log-sum-exp anchored at each atom's max: (..., M) -> (..., atoms);
+        (..., 1, M) features give one row per weight row of a (D, M) ``_w``."""
+        z = -self.alpha * feats.take(self._order, axis=-1)
+        m = np.maximum.reduceat(z, self._starts, axis=-1)
+        s = np.add.reduceat(self._w * np.exp(z - m.take(self._seg, axis=-1)), self._starts, axis=-1)
+        return -(m + np.log(s) - self._log_wsum) / self.alpha
+
+
+class EntropicUtility(_EntropicKernel):
+    """Conditional certainty equivalent of exponential utility; only the
+    terminal slice of the position matters."""
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
-        self._check_position(X)
-        order, starts, seg, w_ord, wsum = self.space.atom_layout(self.t_start)
-        # segmented logsumexp anchored at each atom's max
-        z = -self.alpha * X.slice_at(self.t_end)[order]
-        m = np.maximum.reduceat(z, starts)
-        s = np.add.reduceat(w_ord * np.exp(z - m[seg]), starts)
-        out = -(m + np.log(s) - np.log(wsum)) / self.alpha
-        return ConditionalValue(self.space, self.t_start, out)
+        return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))
 
 
-class RobustEntropicUtility(UtilityBase):
+class RobustEntropicUtility(_EntropicKernel):
     """Worst-case entropic value over a finite family of terminal densities."""
 
     def __init__(
@@ -161,26 +198,20 @@ class RobustEntropicUtility(UtilityBase):
         t_start: int,
         t_end: int | None = None,
     ):
-        super().__init__(space, t_start, space.horizon if t_end is None else t_end)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        super().__init__(space, alpha, t_start, t_end)
         if not densities:
             raise ValueError("need at least one terminal density")
-        self.alpha = float(alpha)
         self.densities = list(densities)
+        # one weight row per density, probabilities tilted by it
+        self._w = np.stack([(space.probs * f.h)[self._order] for f in self.densities])
+        self._log_wsum = np.log(np.add.reduceat(self._w, self._starts, axis=-1))
+
+    def _combine(self, feats: np.ndarray) -> np.ndarray:
+        """Worst entropic value over the densities: (..., M) -> (..., atoms)."""
+        return super()._combine(feats[..., None, :]).min(axis=-2)
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
-        self._check_position(X)
-        order, starts, seg, _, _ = self.space.atom_layout(self.t_start)
-        z = -self.alpha * X.slice_at(self.t_end)[order]
-        m = np.maximum.reduceat(z, starts)
-        e = np.exp(z - m[seg])
-        rows = []
-        for f in self.densities:
-            w = (self.space.probs * f.h)[order]
-            s = np.add.reduceat(w * e, starts)
-            rows.append(-(m + np.log(s) - np.log(np.add.reduceat(w, starts))) / self.alpha)
-        return ConditionalValue(self.space, self.t_start, np.stack(rows).min(axis=0))
+        return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))
 
 
 def penalty(
@@ -253,29 +284,20 @@ def argmax_density(
     stays normalized because the mixing events are measurable at the start.
     """
     value = u.insurance(X)
-    pair = u._scenario_values(X)
-    gam = np.stack([g.values for _, g in u.scenarios])
-    cand = np.where(np.isneginf(gam), NEG_INF, pair + gam)
-    best = cand.argmax(axis=0)  # first maximizer wins
+    # insurance is the reflected min, so the first minimizer of the reflected
+    # table is the first maximizer of pairing + gamma
+    best = u._penalised(u._features(u._window(-X))).argmin(axis=0)
 
     t, T = u.t_start, u.t_end
-    atom_of = u.space.atom_index(t)
-    incs = np.empty((T - t + 1, u.space.n_outcomes))
-    glued_gamma = np.empty(u.space.n_atoms(t))
-    for k in range(u.space.n_atoms(t)):
-        i = int(best[k])
-        a_i, g_i = u.scenarios[i]
-        cols = atom_of == k
-        for s in range(t, T + 1):
-            incs[s - t, cols] = a_i.slice_at(s)[cols]
-        glued_gamma[k] = g_i.values[k]
-    a_star = DensityProcess(u.space, t, incs)
+    outcomes = np.arange(u.space.n_outcomes)
+    choice = best[u.space.atom_index(t)]
+    a_star = DensityProcess(u.space, t, u._increments[choice, :, outcomes].T)
+    glued_gamma = u._gamma[best, np.arange(best.size)]
 
     check = pairing(X, a_star, t, T) + ConditionalValue(u.space, t, glued_gamma)
     if check.max_residual(value) > 1e-9:
         raise RuntimeError("glued density does not reproduce the insurance value")
-    attained = any(a_star.approx_eq(DensityProcess(u.space, t, [a.slice_at(s) for s in range(t, T + 1)]), tol)
-                   for a, _ in u.scenarios)
+    attained = any(float(np.abs(a_star.values - inc).max()) <= tol for inc in u._increments)
     return a_star, value, attained
 
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import parallel
 from .processes import AdaptedProcess, DensityProcess, mean_portfolio, membership, pairing
 from .rearrange import (
     RearrangementClass,
+    _first_near_max,
     enumerate_class,
     is_comonotone,
     max_correlation,
@@ -33,7 +33,6 @@ from .space import (
 from .utility import (
     DualFiniteUtility,
     EntropicUtility,
-    RobustEntropicUtility,
     UtilityBase,
     UtilityProcess,
     check_axioms,
@@ -131,18 +130,14 @@ def worst_scenario(
     space = u.space
     table = np.stack([average_risk(c, marginals, u, cap, solver).values for c in candidates])
     best = table.max(axis=0)
-    choice = [int(np.argmax(table[:, k] >= best[k] - 1e-15)) for k in range(space.n_atoms(t))]
+    choice = _first_near_max(table)
     single = any(bool(np.all(table[i] >= best - 1e-12)) for i in range(len(candidates)))
 
-    atom_of = space.atom_index(t)
-    incs = np.empty((t_end - t + 1, space.n_outcomes))
-    for k, c in enumerate(choice):
-        cols = atom_of == k
-        cand = candidates[c]
-        for s in range(t, t_end + 1):
-            incs[s - t, cols] = cand.slice_at(s)[cols]
+    # glue the chosen candidates' increments along the window-start atoms
+    incs = np.stack([c.values[c._index(t) : c._index(t_end) + 1] for c in candidates])
+    glued = incs[np.array(choice)[space.atom_index(t)], :, np.arange(space.n_outcomes)].T
     return WorstScenarioResult(
-        DensityProcess(space, t, incs), ConditionalValue(space, t, best), choice, single
+        DensityProcess(space, t, glued), ConditionalValue(space, t, best), choice, single
     )
 
 
@@ -161,62 +156,23 @@ class WorstCaseResult:
         return Portfolio([self.classes[i].members[int(j)] for i, j in enumerate(idx)])
 
 
-def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass], t: int, t_end: int):
-    """Vectorized insurance values of tuple means, as a function of index arrays."""
+def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
+    """Insurance values of tuple means, as a function of per-class index arrays.
+
+    Features are linear, so a tuple mean's features are the mean of its
+    members' features; those are computed once per class member.  Summed in
+    member order and divided by n like ``mean_portfolio``, terminal-slice
+    features equal those of the mean exactly, and the scanned value is the
+    tuple's own insurance value.
+    """
+    feats = [u._features(np.stack([u._window(m) for m in cls.members])) for cls in classes]
     n = len(classes)
-    space = u.space
-    if isinstance(u, DualFiniteUtility):
-        tables = []
-        for cls in classes:
-            per_member = [
-                [pairing(m, a_i, t, t_end).values for a_i, _ in u.scenarios] for m in cls.members
-            ]
-            tables.append(np.array(per_member))  # (size, n_scen, n_atoms)
-        gam = np.stack([g.values for _, g in u.scenarios])
-        neg = np.isneginf(gam)
-
-        def batch(idx: list[np.ndarray]) -> np.ndarray:
-            acc = tables[0][idx[0]]
-            for i in range(1, n):
-                acc = acc + tables[i][idx[i]]
-            cand = np.where(neg[None], -np.inf, acc / n + gam[None])
-            return cand.max(axis=1)
-
-        return batch
-
-    if isinstance(u, (EntropicUtility, RobustEntropicUtility)):
-        terms = [np.stack([m.slice_at(t_end) for m in cls.members]) for cls in classes]
-        alpha = u.alpha
-        weight_rows = []
-        if isinstance(u, EntropicUtility):
-            weight_rows.append(space.probs)
-        else:
-            for f in u.densities:
-                weight_rows.append(space.probs * f.h)
-        atom_ids = [list(atom) for atom in space.atoms(t)]
-
-        def batch(idx: list[np.ndarray]) -> np.ndarray:
-            meanT = terms[0][idx[0]]
-            for i in range(1, n):
-                meanT = meanT + terms[i][idx[i]]
-            meanT = meanT / n
-            out = np.full((meanT.shape[0], len(atom_ids)), -np.inf)
-            for row in weight_rows:
-                for k, ids in enumerate(atom_ids):
-                    w = row[ids]
-                    vals = (logsumexp(alpha * meanT[:, ids], b=w, axis=1) - np.log(w.sum())) / alpha
-                    out[:, k] = np.maximum(out[:, k], vals)
-            return out
-
-        return batch
 
     def batch(idx: list[np.ndarray]) -> np.ndarray:
-        chunk = idx[0].size
-        out = np.empty((chunk, space.n_atoms(t)))
-        for r in range(chunk):
-            members = [classes[i].members[int(idx[i][r])] for i in range(n)]
-            out[r] = u.insurance(mean_portfolio(members)).values
-        return out
+        acc = feats[0][idx[0]]
+        for f, i in zip(feats[1:], idx[1:]):
+            acc = acc + f[i]
+        return 0.0 - u._combine(-(acc / n))  # reflected as in insurance
 
     return batch
 
@@ -233,7 +189,7 @@ def worst_portfolio_bruteforce(
     Results are deterministic for any worker count: chunks cover the flat
     tuple index range in order and merges prefer the lower index on ties.
     """
-    t, t_end = u.t_start, u.t_end
+    t = u.t_start
     classes = [enumerate_class(X, cap) for X in marginals.members]
     sizes = [c.size for c in classes]
     total = int(np.prod(sizes))
@@ -241,7 +197,7 @@ def worst_portfolio_bruteforce(
         raise CapExceededError(
             f"{total} tuples exceed cap {cap}; prune with the assignment-problem bound first"
         )
-    evaluate = _batch_insurance(u, classes, t, t_end)
+    evaluate = _batch_insurance(u, classes)
     ranges = parallel.chunk_ranges(total, chunk_size)
 
     def scan(lo: int, hi: int):
@@ -269,11 +225,10 @@ def worst_portfolio_bruteforce(
         where = np.flatnonzero(hits)
         return int(where[0]) + lo if where.size else -1
 
-    first = -1
-    for res in parallel.map_chunks(find_uniform, ranges, workers):
-        if res >= 0:
-            first = res
-            break
+    # a uniform attainer can only sit in a chunk whose best reaches the sup
+    # on every atom
+    near = [r for r, (best, _) in zip(ranges, partials) if np.all(best >= sup - atol)]
+    first = next((res for res in parallel.map_chunks(find_uniform, near, workers) if res >= 0), -1)
 
     result = WorstCaseResult(
         ConditionalValue(u.space, t, sup),
@@ -793,7 +748,7 @@ def matrix_sup(u: UtilityBase, X: AdaptedProcess, matrices: Sequence[np.ndarray]
         raise ValueError("empty matrix list")
     table = np.stack([u.insurance(apply_matrix(A, X)).values for A in matrices])
     best = table.max(axis=0)
-    arg = [int(np.argmax(table[:, k] >= best[k] - 1e-15)) for k in range(table.shape[1])]
+    arg = _first_near_max(table)
     uniform = None
     for i in range(len(matrices)):
         if np.all(table[i] >= best - 1e-12 * np.maximum(1.0, np.abs(best))):

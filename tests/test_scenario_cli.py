@@ -212,6 +212,26 @@ class TestCLI:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def assert_input_error(self, tmp_path, capsys, task, message):
+        doc = base_doc()
+        doc["tasks"] = [task]
+        code, _ = self.run_cli(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and message in err
+
+    def test_missing_task_field_is_input_error(self, tmp_path, capsys):
+        task = {"task": "evaluate", "name": "eval", "position": "pos1"}
+        self.assert_input_error(tmp_path, capsys, task, "missing field 'utility'")
+
+    def test_penalty_on_entropic_utility_is_input_error(self, tmp_path, capsys):
+        task = {"task": "penalty", "name": "pen", "utility": "ent", "density": "gen1"}
+        self.assert_input_error(tmp_path, capsys, task, "penalty needs a dual utility")
+
+    def test_non_integer_cap_is_input_error(self, tmp_path, capsys):
+        task = {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": ["pos1", "pos2"], "cap": "lots"}
+        self.assert_input_error(tmp_path, capsys, task, "cap must be an integer, got 'lots'")
+
     def test_verification_failure_exit_code(self, tmp_path):
         doc = base_doc()
         doc["tasks"] = [
