@@ -85,6 +85,19 @@ def _field(task: dict, key: str):
     return task[key]
 
 
+def _list(task: dict, key: str) -> list:
+    """A required field holding a non-empty JSON list."""
+    raw = _field(task, key)
+    if not isinstance(raw, list) or not raw:
+        raise ScenarioError(f"task {task['name']!r}: {key} must be a non-empty list, got {raw!r}")
+    return raw
+
+
+def _refs(task: dict, key: str, scn: Scenario, kind: str) -> list:
+    """A required non-empty list of names, each resolved as a ``kind`` reference."""
+    return [scn.resolve(kind, n) for n in _list(task, key)]
+
+
 def _int(task: dict, key: str, default: int) -> int:
     raw = task.get(key, default)
     try:
@@ -122,18 +135,16 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "check-membership":
         name = _field(task, "density")
-        if name in scn.densities:
-            a = scn.densities[name]
-            klass = task.get("class", "D")
-            ok, diag = membership(a, klass, a.t_start)
-            run.row("-", f"in-{klass}", ok, None, PASS if ok else FAIL)
-            if not ok:
-                run.row("-", "diagnostic", diag, None, FAIL)
-            return run, PASS if ok else FAIL
-        if name in scn.terminal_densities:
+        if isinstance(name, str) and name not in scn.densities and name in scn.terminal_densities:
             run.row("-", "in-Drel", True, None, PASS)
             return run, PASS
-        raise ScenarioError(f"unresolved density reference {name!r}")
+        a = scn.resolve("density", name)
+        klass = task.get("class", "D")
+        ok, diag = membership(a, klass, a.t_start)
+        run.row("-", f"in-{klass}", ok, None, PASS if ok else FAIL)
+        if not ok:
+            run.row("-", "diagnostic", diag, None, FAIL)
+        return run, PASS if ok else FAIL
 
     if kind == "axioms":
         u = scn.resolve("utility", _field(task, "utility"))
@@ -192,7 +203,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "comonotone":
         a0 = scn.resolve("density", _field(task, "density"))
-        family = [scn.resolve("process", n) for n in _field(task, "family")]
+        family = _refs(task, "family", scn, "process")
         tol = _tol(task)
         cert = is_comonotone(a0, family, tol, _cap(task, 100_000))
         t = family[0].t_start
@@ -209,8 +220,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "worst-scenario":
         u = scn.resolve("utility", _field(task, "utility"))
-        candidates = [scn.resolve("density", n) for n in _field(task, "candidates")]
-        marginals = Portfolio([scn.resolve("process", n) for n in _field(task, "marginals")])
+        candidates = _refs(task, "candidates", scn, "density")
+        marginals = Portfolio(_refs(task, "marginals", scn, "process"))
         ws = worst_scenario(candidates, marginals, u, _cap(task, 100_000), task.get("solver", "highs"))
         _per_atom_rows(run, space, u.t_start, "F-max", ws.value.values)
         _per_atom_rows(run, space, u.t_start, "choice", ws.per_atom_choice)
@@ -219,7 +230,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "worst-portfolio":
         u = scn.resolve("utility", _field(task, "utility"))
-        marginals = Portfolio([scn.resolve("process", n) for n in _field(task, "marginals")])
+        marginals = Portfolio(_refs(task, "marginals", scn, "process"))
         wp = worst_portfolio_bruteforce(marginals, u, _cap(task), workers)
         direct = u.insurance(marginals.mean())
         tol = _tol(task)
@@ -235,7 +246,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "verify-thm31":
         u = scn.resolve("utility", _field(task, "utility"))
-        marginals = Portfolio([scn.resolve("process", n) for n in _field(task, "marginals")])
+        marginals = Portfolio(_refs(task, "marginals", scn, "process"))
         tol = _tol(task)
         rep = verify_theorem_3_1(marginals, u, _cap(task), tol, workers)
         statuses = [
@@ -256,7 +267,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "verify-preservation":
         up = scn.resolve("utility-process", _field(task, "process"))
         variant = task.get("variant", "thm33")
-        stage0 = Portfolio([scn.resolve("process", n) for n in _field(task, "stage0")])
+        stage0 = Portfolio(_refs(task, "stage0", scn, "process"))
         candidate = AdaptedWorstProcess.from_restrictions(stage0)
         hyp = build_preservation_hypotheses(up, variant)
         rep = verify_preservation(hyp, up, candidate, _cap(task), _tol(task), workers)
@@ -275,7 +286,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "matrix-sup":
         u = scn.resolve("utility", _field(task, "utility"))
         X = scn.resolve("process", _field(task, "position"))
-        matrices = [np.array([[_num(v, "matrix entry") for v in row] for row in mat]) for mat in _field(task, "matrices")]
+        matrices = [np.array([[_num(v, "matrix entry") for v in row] for row in mat]) for mat in _list(task, "matrices")]
         res = matrix_sup(u, X, matrices)
         _per_atom_rows(run, space, u.t_start, "sup", res.value.values)
         _per_atom_rows(run, space, u.t_start, "argmax-matrix", res.per_atom_argmax)
@@ -287,8 +298,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "matrix-compare":
         u = scn.resolve("utility", _field(task, "utility"))
         A = np.array([[_num(v, "matrix entry") for v in row] for row in _field(task, "matrix")])
-        tilde = Portfolio([scn.resolve("process", n) for n in _field(task, "tilde")])
-        bar = Portfolio([scn.resolve("process", n) for n in _field(task, "bar")])
+        tilde = Portfolio(_refs(task, "tilde", scn, "process"))
+        bar = Portfolio(_refs(task, "bar", scn, "process"))
         rep = matrix_compare(A, u, tilde, bar, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
         run.row("-", "ones-fixed", rep.hyp_eigenvector, None, INFO)
         run.row("-", "nonnegative", rep.hyp_nonnegative, None, INFO)
@@ -307,9 +318,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "stability":
         kind2 = task.get("kind", "concatenation")
         if kind2 == "m1":
-            items = [scn.resolve("terminal", n) for n in _field(task, "terminal")]
+            items = _refs(task, "terminal", scn, "terminal")
         else:
-            items = [scn.resolve("density", n) for n in _field(task, "densities")]
+            items = _refs(task, "densities", scn, "density")
         rep = stability_check(items, kind2, _cap(task), _tol(task))
         run.row("-", "stable", rep.stable, None, INFO)
         run.row("-", "generated", rep.generated, None, INFO)

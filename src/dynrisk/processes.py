@@ -15,6 +15,7 @@ import numpy as np
 
 from .space import (
     DEFAULT_TOL,
+    EXHAUSTIVE_LIMIT,
     CapExceededError,
     ConditionalValue,
     FiniteFilteredSpace,
@@ -433,7 +434,7 @@ def stability_check(
     for x in items:
         if not isinstance(x, DensityProcess):
             raise ValueError("concatenation stability applies to density processes")
-    exhaustive = space.n_outcomes <= 8 and space.horizon <= 3
+    exhaustive = space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]
     if exhaustive:
         thetas = enumerate_stopping_times(space)
         mode = "all"

@@ -83,6 +83,8 @@ class Scenario:
             "utility": self.utilities,
             "utility-process": self.utility_processes,
         }[kind]
+        if not isinstance(name, str):
+            raise ScenarioError(f"{kind} reference must be a name, got {name!r}")
         if name not in table:
             raise ScenarioError(f"unresolved {kind} reference {name!r}")
         return table[name]

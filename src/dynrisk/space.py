@@ -14,6 +14,9 @@ import numpy as np
 
 PROB_TOL = 1e-12
 DEFAULT_TOL = 1e-9
+# (outcomes, horizon) up to which the harnesses check every stopping time;
+# larger spaces get the deterministic ones only
+EXHAUSTIVE_LIMIT = (8, 3)
 
 NEG_INF = float("-inf")
 

@@ -18,7 +18,9 @@ leading batch shape:
 it.  ``argmax_density`` reads the dual features, and the worst-portfolio
 scan (``worstcase._batch_insurance``) takes the features of every class
 member once and combines their means per tuple, so a scanned value is the
-insurance value of that tuple's mean.
+insurance value of that tuple's mean.  The time-consistency recursion
+(``UtilityProcess._glue`` and ``_fold``) stacks every (stopping time, sample)
+pair and calls each stage's kernel once per step.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .processes import (
 )
 from .space import (
     DEFAULT_TOL,
+    EXHAUSTIVE_LIMIT,
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
@@ -176,7 +179,8 @@ class _EntropicKernel(UtilityBase):
         z = -self.alpha * feats.take(self._order, axis=-1)
         m = np.maximum.reduceat(z, self._starts, axis=-1)
         s = np.add.reduceat(self._w * np.exp(z - m.take(self._seg, axis=-1)), self._starts, axis=-1)
-        return -(m + np.log(s) - self._log_wsum) / self.alpha
+        # 0 - y, not -y, so an exact zero is +0.0 and reports print "0"
+        return 0.0 - (m + np.log(s) - self._log_wsum) / self.alpha
 
 
 class EntropicUtility(_EntropicKernel):
@@ -479,39 +483,46 @@ class UtilityProcess:
     def stage(self, t: int) -> UtilityBase:
         return self.stages[t]
 
-    def evaluate_at_stopping(self, theta: StoppingTime, X: AdaptedProcess) -> np.ndarray:
-        """Outcome-indexed value of the stage picked by the stopping time.
+    def _positions(self, samples: Sequence[AdaptedProcess], t0: int) -> np.ndarray:
+        """(S, L, M) slices of the positions on [t0, horizon]."""
+        if any(X.space is not self.space for X in samples):
+            raise ValueError("position lives on a different space")
+        rows = [X.values[X._index(t0):X._index(self.t_end) + 1] for X in samples]
+        return np.array(rows).reshape(len(rows), self.t_end - t0 + 1, self.space.n_outcomes)
 
-        Realizes the sum over t of phi_t(1_{theta=t} X), glued along the
-        level sets of theta.
-        """
-        if theta.min_value() < self.t_start or theta.max_value() > self.t_end:
-            raise ValueError("stopping time leaves the stage range")
-        out = np.zeros(X.space.n_outcomes)
-        for t in range(theta.min_value(), theta.max_value() + 1):
-            level = theta.values == t
-            if not level.any():
-                continue
-            # {theta == t} is a time-t event by construction, so the cut
-            # position can skip the indicator's measurability check
-            piece = AdaptedProcess._wrap(X.space, t, X.values[X._index(t):] * level[None, :])
-            val = self.stage(t).evaluate(piece).lift()
-            out[level] = val[level]
+    def _phi(self, t: int, vals: np.ndarray) -> np.ndarray:
+        """Stage t on stacked (..., L, M) slices of [t, horizon]: -> (..., atoms at t)."""
+        st = self.stage(t)
+        return st._combine(st._features(vals))
+
+    def _glue(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """phi_theta(X), the sum over t of phi_t(1_{theta=t} X) glued along the level sets
+        of theta: (K, M) stopping values x (S, L, M) slices on the last L times -> (K, S, M)."""
+        t0 = self.t_end + 1 - xs.shape[1]
+        out = np.zeros((len(thetas), len(xs), self.space.n_outcomes))
+        for t in range(t0, self.t_end + 1):
+            level = (thetas == t)[:, None, None, :]
+            val = self._phi(t, xs[:, t - t0:] * level).take(self.space.atom_index(t), axis=-1)
+            out = np.where(level[:, :, 0], val, out)
         return out
 
-    def _folded_value(self, t: int, theta: StoppingTime, X: AdaptedProcess, v: np.ndarray) -> ConditionalValue:
-        """phi_t of X frozen at theta and continued by the glued value v."""
-        rows = X.values[X._index(t):X._index(self.t_end) + 1]
+    def _fold(self, t: int, thetas: np.ndarray, xs: np.ndarray, glued: np.ndarray) -> np.ndarray:
+        """phi_t of each position frozen at theta and continued by its glued
+        value: (K, M), (S, L, M) slices on [t, horizon], (K, S, M) -> (K, S, atoms)."""
         srange = np.arange(t, self.t_end + 1)[:, None]
-        vals = np.where(srange < theta.values[None, :], rows, v[None, :])
-        return self.stage(t).evaluate(AdaptedProcess._wrap(self.space, t, vals))
+        return self._phi(t, np.where(srange < thetas[:, None, None, :], xs, glued[:, :, None, :]))
+
+    def evaluate_at_stopping(self, theta: StoppingTime, X: AdaptedProcess) -> np.ndarray:
+        """Outcome-indexed value of the stage picked by the stopping time."""
+        if theta.min_value() < self.t_start or theta.max_value() > self.t_end:
+            raise ValueError("stopping time leaves the stage range")
+        return self._glue(theta.values[None], self._positions([X], theta.min_value()))[0, 0]
 
     def consistency_residual(self, t: int, theta: StoppingTime, X: AdaptedProcess) -> float:
         """Gap in the one-step dynamic-programming identity at (t, theta)."""
-        v = self.evaluate_at_stopping(theta, X)
-        lhs = self._folded_value(t, theta, X, v)
-        rhs = self.stage(t).evaluate(X.restrict(t))
-        return lhs.max_residual(rhs)
+        xs = self._positions([X], t)
+        lhs = self._fold(t, theta.values[None], xs, self.evaluate_at_stopping(theta, X)[None, None])
+        return float(np.abs(lhs - self._phi(t, xs)).max())
 
 
 @dataclass
@@ -529,7 +540,6 @@ def time_consistency_check(
     sample_count: int = 5,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    exhaustive_limit: tuple[int, int] = (8, 3),
 ) -> ConsistencyReport:
     """Test the recursion phi_t(X) = phi_t(X before theta, then phi_theta(X)).
 
@@ -544,45 +554,38 @@ def time_consistency_check(
     if samples is None:
         rng = np.random.default_rng(seed)
         samples = [random_adapted(space, up.t_start, up.t_end, rng) for _ in range(sample_count)]
-    exhaustive = space.n_outcomes <= exhaustive_limit[0] and space.horizon <= exhaustive_limit[1]
+    exhaustive = space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]
     mode = "all" if exhaustive else "deterministic-only"
+    constant = np.repeat(np.arange(up.t_start, up.t_end + 1)[:, None], space.n_outcomes, axis=1)
+    thetas = constant
+    if exhaustive:
+        # the rows with min >= t are enumerate_stopping_times(t_low=t), in its order
+        thetas = np.array([th.values for th in enumerate_stopping_times(space, t_low=up.t_start)])
+        thetas = thetas[thetas.max(axis=1) <= up.t_end]
+    # every (stopping time, sample) pair at once: one glue, then one fold per stage
+    xs = up._positions(samples, up.t_start)
+    glued = up._glue(thetas, xs)
 
     worst = 0.0
     checked = 0
     failures: list[str] = []
-    # the glued value phi_theta(X) does not depend on t, so it is cached
-    # across the nested loops; the rhs only depends on (t, X)
-    glue_cache: dict[bytes, list[np.ndarray]] = {}
+    direct = []
     for t in range(up.t_start, up.t_end + 1):
-        if exhaustive:
-            thetas = enumerate_stopping_times(space, t_low=t)
-            thetas = [th for th in thetas if th.max_value() <= up.t_end]
-        else:
-            thetas = [StoppingTime.constant(space, s) for s in range(t, up.t_end + 1)]
-        rhs = [up.stage(t).evaluate(X.restrict(t)) for X in samples]
-        for theta in thetas:
-            key = theta.values.tobytes()
-            glued = glue_cache.get(key)
-            if glued is None:
-                glued = [up.evaluate_at_stopping(theta, X) for X in samples]
-                glue_cache[key] = glued
-            for idx, X in enumerate(samples):
-                res = up._folded_value(t, theta, X, glued[idx]).max_residual(rhs[idx])
-                worst = max(worst, res)
-                checked += 1
-                if res > tol:
-                    failures.append(f"t={t}, theta={theta.values.tolist()}, sample {idx}: residual {res:.3g}")
+        sel = thetas.min(axis=1) >= t
+        tail = xs[:, t - up.t_start:]
+        rhs = up._phi(t, tail)
+        direct.append(rhs.take(space.atom_index(t), axis=-1))
+        res = np.abs(up._fold(t, thetas[sel], tail, glued[sel]) - rhs).max(axis=-1)
+        worst = max(worst, float(res.max(initial=0.0)))
+        checked += res.size
+        for k, idx in np.argwhere(res > tol):
+            failures.append(f"t={t}, theta={thetas[sel][k].tolist()}, sample {idx}: residual {res[k, idx]:.3g}")
     # stage collapse at deterministic times
-    for s in range(up.t_start, up.t_end + 1):
-        theta = StoppingTime.constant(space, s)
-        for idx, X in enumerate(samples):
-            glued = up.evaluate_at_stopping(theta, X)
-            direct = up.stage(s).evaluate(X.restrict(s)).lift()
-            res = float(np.abs(glued - direct).max())
-            worst = max(worst, res)
-            checked += 1
-            if res > tol:
-                failures.append(f"deterministic tau={s}, sample {idx}: glue residual {res:.3g}")
+    res = np.abs(up._glue(constant, xs) - np.array(direct)).max(axis=-1)
+    worst = max(worst, float(res.max(initial=0.0)))
+    checked += res.size
+    for k, idx in np.argwhere(res > tol):
+        failures.append(f"deterministic tau={up.t_start + k}, sample {idx}: glue residual {res[k, idx]:.3g}")
     return ConsistencyReport(not failures, worst, checked, failures, mode)
 
 

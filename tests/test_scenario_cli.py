@@ -232,6 +232,51 @@ class TestCLI:
         task = {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": ["pos1", "pos2"], "cap": "lots"}
         self.assert_input_error(tmp_path, capsys, task, "cap must be an integer, got 'lots'")
 
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            (
+                {"task": "evaluate", "name": "eval", "utility": ["ent"], "position": "pos1"},
+                "utility reference must be a name, got ['ent']",
+            ),
+            (
+                {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": []},
+                "marginals must be a non-empty list, got []",
+            ),
+            (
+                {"task": "worst-scenario", "name": "ws", "utility": "coh", "candidates": [], "marginals": ["pos1"]},
+                "candidates must be a non-empty list, got []",
+            ),
+            (
+                {"task": "comonotone", "name": "co", "density": "gen1", "family": []},
+                "family must be a non-empty list, got []",
+            ),
+            (
+                {"task": "matrix-sup", "name": "ms", "utility": "coh", "position": "pos1", "matrices": []},
+                "matrices must be a non-empty list, got []",
+            ),
+            (
+                {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": "xy"},
+                "marginals must be a non-empty list, got 'xy'",
+            ),
+            (
+                {"task": "check-membership", "name": "memb", "density": ["gen1"]},
+                "density reference must be a name, got ['gen1']",
+            ),
+        ],
+        ids=[
+            "utility-as-list",
+            "empty-marginals",
+            "empty-candidates",
+            "empty-family",
+            "empty-matrices",
+            "marginals-as-string",
+            "membership-density-as-list",
+        ],
+    )
+    def test_malformed_reference_is_input_error(self, tmp_path, capsys, task, message):
+        self.assert_input_error(tmp_path, capsys, task, message)
+
     def test_verification_failure_exit_code(self, tmp_path):
         doc = base_doc()
         doc["tasks"] = [
