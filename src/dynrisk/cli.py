@@ -98,6 +98,14 @@ def _refs(task: dict, key: str, scn: Scenario, kind: str) -> list:
     return [scn.resolve(kind, n) for n in _list(task, key)]
 
 
+def _matrix(task: dict, raw) -> np.ndarray:
+    """A matrix given as a non-empty list of equally long, non-empty lists of numbers."""
+    rows = isinstance(raw, list) and raw and all(isinstance(row, list) and row for row in raw)
+    if not rows or len({len(row) for row in raw}) != 1:
+        raise ScenarioError(f"task {task['name']!r}: a matrix must be a list of equally long lists, got {raw!r}")
+    return np.array([[_num(v, "matrix entry") for v in row] for row in raw])
+
+
 def _int(task: dict, key: str, default: int) -> int:
     raw = task.get(key, default)
     try:
@@ -286,7 +294,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "matrix-sup":
         u = scn.resolve("utility", _field(task, "utility"))
         X = scn.resolve("process", _field(task, "position"))
-        matrices = [np.array([[_num(v, "matrix entry") for v in row] for row in mat]) for mat in _list(task, "matrices")]
+        matrices = [_matrix(task, mat) for mat in _list(task, "matrices")]
         res = matrix_sup(u, X, matrices)
         _per_atom_rows(run, space, u.t_start, "sup", res.value.values)
         _per_atom_rows(run, space, u.t_start, "argmax-matrix", res.per_atom_argmax)
@@ -297,7 +305,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "matrix-compare":
         u = scn.resolve("utility", _field(task, "utility"))
-        A = np.array([[_num(v, "matrix entry") for v in row] for row in _field(task, "matrix")])
+        A = _matrix(task, _field(task, "matrix"))
         tilde = Portfolio(_refs(task, "tilde", scn, "process"))
         bar = Portfolio(_refs(task, "bar", scn, "process"))
         rep = matrix_compare(A, u, tilde, bar, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
@@ -317,6 +325,8 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "stability":
         kind2 = task.get("kind", "concatenation")
+        if kind2 not in ("concatenation", "m1"):
+            raise ScenarioError(f"task {task['name']!r}: unknown stability kind {kind2!r}")
         if kind2 == "m1":
             items = _refs(task, "terminal", scn, "terminal")
         else:

@@ -4,6 +4,15 @@ A density process is stored through its increments on a time window; the
 cumulative process starts from zero just before the window.  Pairings bill a
 position against a density, concatenation splices two densities at a stopping
 time, pasting splices two terminal densities at a deterministic time.
+
+``stability_check`` and ``m1_closure`` build their splices as stacked arrays:
+one table of lifted conditional tails (or conditional means) per call, the
+(stopping time, event) pairs indexed in the scalar loops' order, and blocks
+of splices tested against the set by broadcasting.  The scalar
+``concatenate`` and ``paste`` are their oracle: they rebuild each reported
+missing element, each closure member and each splice that fails a check of
+the stack, and they are called at the first splice with a rejected operand,
+so that every exception is the one a splice-by-splice loop raises.
 """
 
 from __future__ import annotations
@@ -20,12 +29,20 @@ from .space import (
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
+    _cond_expect,
+    _stopping_times,
     cond_expect,
     enumerate_events,
     enumerate_stopping_events,
-    enumerate_stopping_times,
     is_stopping_event,
 )
+
+
+def _spread(space: FiniteFilteredSpace, s: int, y: np.ndarray) -> np.ndarray:
+    """(..., M) -> (..., atoms at s): max minus min over each atom, as ``np.ptp``."""
+    order, starts = space.atom_layout(s)[:2]
+    y = y.take(order, axis=-1)
+    return np.maximum.reduceat(y, starts, axis=-1) - np.minimum.reduceat(y, starts, axis=-1)
 
 
 class _Windowed:
@@ -42,9 +59,9 @@ class _Windowed:
             raise ValueError("process values must be finite")
         for k in range(arr.shape[0]):
             s = t_start + k
-            for atom in space.atoms(s):
-                if np.ptp(arr[k, list(atom)]) > 1e-12:
-                    raise ValueError(f"value at time {s} not constant on atom {atom}")
+            bad = np.flatnonzero(_spread(space, s, arr[k]) > 1e-12)
+            if bad.size:
+                raise ValueError(f"value at time {s} not constant on atom {space.atoms(s)[bad[0]]}")
         arr.flags.writeable = False
         self.space = space
         self.t_start = t_start
@@ -391,8 +408,185 @@ class StabilityReport:
         return self.stable
 
 
+
+
 def _contains(items, candidate, tol: float) -> bool:
     return any(member.approx_eq(candidate, tol) for member in items)
+
+
+# array elements per block of splices in the stacked routes; bounds their scratch arrays
+_BLOCK = 1 << 16
+
+
+def _blocks(total: int, width: int):
+    """Consecutive [lo, hi) ranges of splices, about _BLOCK elements of ``width`` each."""
+    step = max(1, _BLOCK // width)
+    return ((lo, min(lo + step, total)) for lo in range(0, total, step))
+
+
+class _Splices:
+    """The (stopping time, event) pairs of one operand pair, in the scalar loops' order.
+
+    Rows of ``thetas`` are the stopping times; each one's events follow in
+    ``enumerate_stopping_events`` order.  Events are not stored: event e of a
+    stopping time with A atoms holds outcome w when bit ``shifts[w]`` of e is
+    set, the first atom being the highest bit as in ``itertools.product``.
+    An event is a union of the stopping time's atoms, so it is measurable at
+    that time by construction, and no splice checks it again.  The pairs end before the first stopping time with over ``cap`` events,
+    kept as ``over`` (None if there is none): the scalar enumerator raises there.
+    """
+
+    def __init__(self, space: FiniteFilteredSpace, thetas: np.ndarray, cap: int):
+        flags, cols, base = [], [], 0
+        for s in range(space.horizon + 1):
+            order, starts = space.atom_layout(s)[:2]
+            flags.append(thetas[:, order[starts]] == s)  # which time-s atoms are stopping atoms
+            cols.append(base + space.atom_index(s))
+            base += len(starts)
+        flags = np.concatenate(flags, axis=1)
+        n_atoms = flags.sum(axis=1)
+        over = np.flatnonzero(2.0**n_atoms > cap)
+        K = int(over[0]) if over.size else len(thetas)
+        self.over = thetas[K] if over.size else None
+        # each outcome's stopping atom, as a column of flags, ranked among the stopping atoms
+        col = np.stack(cols)[thetas[:K], np.arange(space.n_outcomes)]
+        rank = np.take_along_axis(np.cumsum(flags[:K], axis=1), col, axis=1) - 1
+        self.thetas = thetas[:K]
+        self.shifts = n_atoms[:K, None] - 1 - rank
+        self.offsets = np.concatenate([[0], np.cumsum(1 << n_atoms[:K])])
+        self.size = int(self.offsets[-1])
+
+    def points(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stopping times, event masks) of the pairs ranked r, as (len(r), M) arrays."""
+        k = np.searchsorted(self.offsets, r, side="right") - 1
+        return self.thetas[k], ((r - self.offsets[k])[:, None] >> self.shifts[k] & 1).astype(bool)
+
+
+def _events_at(space: FiniteFilteredSpace, kind: str, theta: np.ndarray, cap: int) -> list[np.ndarray]:
+    """The scalar loops' event enumeration at one splice time."""
+    if kind == "m1":
+        return enumerate_events(space, int(theta[0]), cap=cap)
+    return enumerate_stopping_events(space, StoppingTime._wrap(space, theta), cap=cap)
+
+
+def _lifted_cond(space: FiniteFilteredSpace, rows: Callable[[int], np.ndarray]) -> np.ndarray:
+    """(T+1, N, M): entry [s] is E(rows(s) | F_s) lifted to outcomes, each row bit-identical to cond_expect."""
+    return np.stack(
+        [_cond_expect(space, rows(s), s).take(space.atom_index(s), axis=-1) for s in range(space.horizon + 1)]
+    )
+
+
+def _near_any(stack, cands: np.ndarray, tol: float) -> np.ndarray:
+    """Per candidate, whether some stack member lies within tol in sup norm, as ``approx_eq``."""
+    axes = tuple(range(1, cands.ndim))
+    hit = np.zeros(len(cands), dtype=bool)
+    for member in stack:
+        hit |= np.abs(cands - member).max(axis=axes) <= tol
+    return hit
+
+
+def _windowed_ok(space: FiniteFilteredSpace, t_start: int, cands: np.ndarray) -> np.ndarray:
+    """Per (L, M) candidate, the finiteness and adaptedness that ``_Windowed`` demands."""
+    ok = np.isfinite(cands).all(axis=(1, 2))
+    for k in range(cands.shape[1]):
+        ok &= np.all(_spread(space, t_start + k, cands[:, k]) <= 1e-12, axis=1)
+    return ok
+
+
+def _terminal_ok(space: FiniteFilteredSpace, cands: np.ndarray) -> np.ndarray:
+    """Per candidate, ``TerminalDensity``'s positivity and unit mean.
+
+    A stacked mean may round differently from the one-vector dot product, so
+    a mean off by more than half the 1e-12 bound already counts as failed;
+    the public ``paste`` then decides that candidate.
+    """
+    return np.all(cands > 0, axis=1) & (np.abs(cands @ space.probs - 1.0) <= 0.5e-12)
+
+
+def _levels(space: FiniteFilteredSpace) -> np.ndarray:
+    """The deterministic stopping times 0..T as a (T+1, M) int array."""
+    return np.repeat(np.arange(space.horizon + 1)[:, None], space.n_outcomes, axis=1)
+
+
+def _payload(x) -> np.ndarray:
+    return x.h if isinstance(x, TerminalDensity) else x.values
+
+
+def _splice(items, kind: str, i: int, j: int, theta: np.ndarray, mask: np.ndarray):
+    """One splice through the public ``concatenate`` or ``paste``, with its report context."""
+    if kind == "m1":
+        s = int(theta[0])
+        return paste(items[i], items[j], s, mask), f"paste(f{i}, g{j}, s={s}, |A|={int(mask.sum())})"
+    st = StoppingTime._wrap(items[0].space, theta)
+    ctx = f"concat(a{i}, b{j}, theta={st.values.tolist()}, |A|={int(mask.sum())})"
+    return concatenate(items[i], items[j], st, mask), ctx
+
+
+def _stacked_check(items, kind: str, thetas: np.ndarray, mode: str, cap: int, tol: float) -> StabilityReport:
+    """``stability_check`` over blocks of stacked splices.
+
+    The splices run in the scalar order (left item, right item, stopping
+    time, event).  Each one the stack flags, as missing from the set or as
+    failing a check of the public constructors, is rebuilt by ``_splice``:
+    a missing element's report is then the scalar route's, and an invalid
+    splice raises the scalar route's error.  The scan ends where the scalar
+    loop ends: at the last splice, at the splice cap, at a stopping time with
+    too many events, or at the first splice with an operand the public
+    function rejects, where that function then raises.
+    """
+    space, first, n = items[0].space, items[0], len(items)
+    if kind == "m1":
+        same = usable = [x.space is space for x in items]
+    else:
+        same = [x.space is space and x.window == first.window for x in items]
+        usable = [ok and membership(x, "A1plus")[0] for ok, x in zip(same, items)]
+    # the first splice with a rejected operand pairs item 0 with the first rejected item
+    b = usable.index(False) if False in usable else n
+    ops = np.stack([_payload(x) for x in items[: max(b, 1)]])
+    members = [_payload(x) for x, ok in zip(items, same) if ok]  # the only ones approx_eq can match
+
+    splices = _Splices(space, thetas, cap)
+    G = splices.size
+    end = n * n * G if splices.over is None else G
+    limit = int(max(0, min(end, cap, b * G if b < n else end)))
+
+    if kind == "m1":
+        lifted = _lifted_cond(space, lambda s: ops)
+
+        def build(i, j, theta, masks):
+            s = theta[:, 0]
+            cand = np.where(masks, lifted[s, i] * ops[j] / lifted[s, j], ops[i])
+            return cand, _terminal_ok(space, cand)
+    else:
+        # conditional_tail of item n at theta is tails[theta(w), n, w]
+        tails = _lifted_cond(space, lambda s: np.stack([x.tail_from(s) for x in items[: len(ops)]]))
+        outcomes = np.arange(space.n_outcomes)
+        times = first.t_start + np.arange(first.length)
+
+        def build(i, j, theta, masks):
+            tail_a, tail_b = tails[theta, i[:, None], outcomes], tails[theta, j[:, None], outcomes]
+            switch = masks & (tail_b > 1e-12)
+            ratio = np.where(switch, tail_a / np.where(switch, tail_b, 1.0), 0.0)
+            past = switch[:, None, :] & (theta[:, None, :] <= times[:, None])
+            cand = np.where(past, ratio[:, None, :] * ops[j], ops[i])
+            return cand, _windowed_ok(space, first.t_start, cand)
+
+    for lo, hi in _blocks(limit, ops[0].size):
+        q = np.arange(lo, hi)
+        i, j, r = q // (n * G), q // G % n, q % G
+        theta, masks = splices.points(r)
+        cand, ok = build(i, j, theta, masks)
+        for k in np.flatnonzero(~ok | ~_near_any(members, cand, tol)):
+            missing, ctx = _splice(items, kind, int(i[k]), int(j[k]), theta[k], masks[k])
+            if not _contains(items, missing, tol):
+                return StabilityReport(False, missing, ctx, lo + int(k) + 1, mode)
+    if limit == end:
+        if splices.over is not None:
+            _events_at(space, kind, splices.over, cap)  # raises
+        return StabilityReport(True, None, None, end, mode)
+    if limit == cap:
+        raise CapExceededError(f"stability enumeration exceeded {cap} elements")
+    _splice(items, kind, 0, b, splices.thetas[0], np.zeros(space.n_outcomes, dtype=bool))  # raises
 
 
 def stability_check(
@@ -411,71 +605,71 @@ def stability_check(
     if not items:
         raise ValueError("empty set")
     space = items[0].space
-    generated = 0
 
     if kind == "m1":
         for x in items:
             if not isinstance(x, TerminalDensity):
                 raise ValueError("m1 stability applies to terminal densities")
-        for i, f in enumerate(items):
-            for j, g in enumerate(items):
-                for s in range(space.horizon + 1):
-                    for mask in enumerate_events(space, s, cap=cap):
-                        generated += 1
-                        if generated > cap:
-                            raise CapExceededError(f"stability enumeration exceeded {cap} elements")
-                        cand = paste(f, g, s, mask)
-                        if not _contains(items, cand, tol):
-                            return StabilityReport(False, cand, f"paste(f{i}, g{j}, s={s}, |A|={int(mask.sum())})", generated, "all")
-        return StabilityReport(True, None, None, generated, "all")
-
+        return _stacked_check(items, kind, _levels(space), "all", cap, tol)
     if kind != "concatenation":
         raise ValueError(f"unknown stability kind {kind!r}")
     for x in items:
         if not isinstance(x, DensityProcess):
             raise ValueError("concatenation stability applies to density processes")
-    exhaustive = space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]
-    if exhaustive:
-        thetas = enumerate_stopping_times(space)
-        mode = "all"
-    else:
-        thetas = [StoppingTime.constant(space, s) for s in range(space.horizon + 1)]
-        mode = "deterministic-only"
-    for i, left in enumerate(items):
-        for j, right in enumerate(items):
-            for theta in thetas:
-                for mask in enumerate_stopping_events(space, theta, cap=cap):
-                    generated += 1
-                    if generated > cap:
-                        raise CapExceededError(f"stability enumeration exceeded {cap} elements")
-                    cand = concatenate(left, right, theta, mask)
-                    if not _contains(items, cand, tol):
-                        return StabilityReport(
-                            False, cand, f"concat(a{i}, b{j}, theta={theta.values.tolist()}, |A|={int(mask.sum())})", generated, mode
-                        )
-    return StabilityReport(True, None, None, generated, mode)
+    if space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]:
+        return _stacked_check(items, kind, _stopping_times(space), "all", cap, tol)
+    return _stacked_check(items, kind, _levels(space), "deterministic-only", cap, tol)
 
 
 def m1_closure(items: Sequence[TerminalDensity], cap: int = 10_000, tol: float = DEFAULT_TOL) -> list[TerminalDensity]:
-    """Smallest superset closed under pasting, by iterating to a fixpoint."""
+    """Smallest superset closed under pasting, by iterating to a fixpoint.
+
+    Each round pastes every pair that involves the last round's additions
+    (every pair in the first round) at every time and event, in stacked
+    blocks and in the scalar order, and adds a candidate when no member and
+    no earlier addition lies within tol.  Additions, and candidates failing
+    a check of the stack, are built by the public ``paste``.
+    """
     closed = list(items)
     if not closed:
         raise ValueError("empty set")
     space = closed[0].space
-    frontier = list(closed)
-    while frontier:
+    splices = _Splices(space, _levels(space), 100_000)  # enumerate_events' default cap
+    G = splices.size
+    start = 0  # members from here on are the frontier
+    while True:
+        n = len(closed)
+        # the first splice with an operand on another space pairs item 0 with the first such item
+        b = next((k for k, x in enumerate(closed) if x.space is not space), n)
+        pairs = np.array([(i, j) for i in range(n) for j in range(n) if max(i, j) >= start])
+        end = len(pairs) * G if splices.over is None else G
+        limit = min(end, b * G if b < n else end)
+        h = np.stack([x.h for x in closed[:b]])
+        members = [x.h for x in closed if x.space is space]
+        lifted = _lifted_cond(space, lambda s: h)
         new: list[TerminalDensity] = []
-        for f in closed:
-            for g in closed:
-                if f not in frontier and g not in frontier:
+        for lo, hi in _blocks(limit, space.n_outcomes):
+            q = np.arange(lo, hi)
+            (i, j), r = pairs[q // G].T, q % G
+            theta, masks = splices.points(r)
+            s = theta[:, 0]
+            cand = np.where(masks, lifted[s, i] * h[j] / lifted[s, j], h[i])
+            ok = _terminal_ok(space, cand)
+            fresh = np.flatnonzero(~ok | (~_near_any(members, cand, tol) & ~_near_any([x.h for x in new], cand, tol)))
+            while fresh.size:
+                k, fresh = fresh[0], fresh[1:]
+                x = paste(closed[i[k]], closed[j[k]], int(s[k]), masks[k])
+                if not ok[k] and (_contains(closed, x, tol) or _contains(new, x, tol)):
                     continue
-                for s in range(space.horizon + 1):
-                    for mask in enumerate_events(space, s):
-                        cand = paste(f, g, s, mask)
-                        if not _contains(closed, cand, tol) and not _contains(new, cand, tol):
-                            new.append(cand)
-                            if len(closed) + len(new) > cap:
-                                raise CapExceededError(f"pasting closure exceeded {cap} members")
+                new.append(x)
+                if n + len(new) > cap:
+                    raise CapExceededError(f"pasting closure exceeded {cap} members")
+                fresh = fresh[~ok[fresh] | (np.abs(cand[fresh] - x.h).max(axis=1) > tol)]
+        if limit == end and splices.over is not None:
+            _events_at(space, "m1", splices.over, 100_000)  # raises
+        if limit < end:
+            paste(closed[0], closed[b], 0, np.zeros(space.n_outcomes, dtype=bool))  # raises
+        if not new:
+            return closed
         closed.extend(new)
-        frontier = new
-    return closed
+        start = n

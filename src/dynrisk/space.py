@@ -366,10 +366,8 @@ def is_stopping_time(space: FiniteFilteredSpace, candidate) -> tuple[bool, tuple
     return True, None
 
 
-def enumerate_stopping_times(
-    space: FiniteFilteredSpace, t_low: int = 0, cap: int = 100_000
-) -> list[StoppingTime]:
-    """All stopping times with values in [t_low, T].
+def _stopping_times(space: FiniteFilteredSpace, t_low: int = 0, cap: int = 100_000) -> np.ndarray:
+    """All stopping times with values in [t_low, T], one per row of a (K, M) int array.
 
     Built by choosing, level by level, which still-running atoms stop.
     """
@@ -398,22 +396,26 @@ def enumerate_stopping_times(
             grow(s + 1, nxt, nxt_active)
 
     grow(t_low, np.zeros(space.n_outcomes, dtype=int), np.ones(space.n_outcomes, dtype=bool))
+    return np.array(results, dtype=int).reshape(-1, space.n_outcomes)
+
+
+def enumerate_stopping_times(
+    space: FiniteFilteredSpace, t_low: int = 0, cap: int = 100_000
+) -> list[StoppingTime]:
+    """All stopping times with values in [t_low, T], in ``_stopping_times`` order."""
     # level-by-level construction guarantees the stopping invariant
-    return [StoppingTime._wrap(space, v) for v in results]
+    return [StoppingTime._wrap(space, v) for v in _stopping_times(space, t_low, cap)]
 
 
 def _unions(space: FiniteFilteredSpace, atoms: Sequence[tuple[int, ...]], cap: int, where: str) -> list[np.ndarray]:
     """All unions of the given disjoint atoms as boolean outcome masks (incl. empty and full)."""
     if 2 ** len(atoms) > cap:
         raise CapExceededError(f"2^{len(atoms)} events {where} exceed cap {cap}")
-    events = []
-    for picks in itertools.product([False, True], repeat=len(atoms)):
-        mask = np.zeros(space.n_outcomes, dtype=bool)
-        for atom, take in zip(atoms, picks):
-            if take:
-                mask[list(atom)] = True
-        events.append(mask)
-    return events
+    picks = np.array(list(itertools.product([False, True], repeat=len(atoms))), dtype=bool).reshape(-1, len(atoms))
+    masks = np.zeros((len(picks), space.n_outcomes), dtype=bool)
+    for k, atom in enumerate(atoms):
+        masks[:, list(atom)] = picks[:, k, None]
+    return list(masks)
 
 
 def enumerate_events(space: FiniteFilteredSpace, t: int, cap: int = 100_000) -> list[np.ndarray]:

@@ -46,9 +46,9 @@ from .space import (
     FiniteFilteredSpace,
     StoppingTime,
     _cond_expect,
+    _stopping_times,
     cond_expect,
     enumerate_events,
-    enumerate_stopping_times,
     ess_sup_family,
 )
 
@@ -559,8 +559,8 @@ def time_consistency_check(
     constant = np.repeat(np.arange(up.t_start, up.t_end + 1)[:, None], space.n_outcomes, axis=1)
     thetas = constant
     if exhaustive:
-        # the rows with min >= t are enumerate_stopping_times(t_low=t), in its order
-        thetas = np.array([th.values for th in enumerate_stopping_times(space, t_low=up.t_start)])
+        # the rows with min >= t are _stopping_times(space, t), in its order
+        thetas = _stopping_times(space, up.t_start)
         thetas = thetas[thetas.max(axis=1) <= up.t_end]
     # every (stopping time, sample) pair at once: one glue, then one fold per stage
     xs = up._positions(samples, up.t_start)

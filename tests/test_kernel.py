@@ -5,24 +5,37 @@ one ``evaluate`` per position, ``insurance`` must be the reflected
 ``evaluate``, and the worst-portfolio scan, which combines averaged member
 features, must report values that the insurance of the reported tuple
 reproduces.  The time-consistency check, which stacks every (stopping time,
-sample) pair, must report what one check at a time reports.
+sample) pair, must report what one check at a time reports, and so must the
+stability checks and the pasting closure, which stack every splice, against
+one public ``concatenate`` or ``paste`` per splice.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from dynrisk import (
     AdaptedProcess,
+    CapExceededError,
+    DensityProcess,
     EntropicUtility,
+    FiniteFilteredSpace,
     Portfolio,
     RobustEntropicUtility,
     StoppingTime,
+    TerminalDensity,
     UtilityProcess,
+    concatenate,
     entropic_process,
     enumerate_class,
+    enumerate_events,
     enumerate_stopping_times,
+    m1_closure,
     normalized_scenario_process,
+    paste,
     robust_entropic_process,
+    stability_check,
     time_consistency_check,
     worst_portfolio_bruteforce,
 )
@@ -34,6 +47,7 @@ from dynrisk.random_gen import (
     random_space,
     random_terminal_density,
 )
+from dynrisk.space import enumerate_stopping_events
 
 FAMILIES = ("dual", "coherent", "entropic", "robust")
 
@@ -192,3 +206,184 @@ def test_stacked_recursion_matches_per_check_oracle(kind):
     if kind == "mixed-alpha":
         # on one-step trees the last stage is X_T itself, so only deeper trees fail
         assert failing >= 5, "the failing reports' lists were not compared"
+
+
+def splice_times(sp, kind):
+    """Splice times with their event enumerator, in the order of the per-splice loops."""
+    if kind == "m1":
+        return [(s, enumerate_events) for s in range(sp.horizon + 1)]
+    if sp.n_outcomes <= 8 and sp.horizon <= 3:
+        thetas = enumerate_stopping_times(sp)
+    else:
+        thetas = [StoppingTime.constant(sp, s) for s in range(sp.horizon + 1)]
+    return [(theta, enumerate_stopping_events) for theta in thetas]
+
+
+def oracle_stability(items, kind, cap=1_000_000, tol=1e-9):
+    """stability_check one public concatenate or paste per splice:
+    (stable, missing, context, generated)."""
+    sp = items[0].space
+    generated = 0
+    for i, a in enumerate(items):
+        for j, b in enumerate(items):
+            for at, events in splice_times(sp, kind):
+                for mask in events(sp, at, cap=cap):
+                    generated += 1
+                    if generated > cap:
+                        raise CapExceededError(f"stability enumeration exceeded {cap} elements")
+                    if kind == "m1":
+                        cand, ctx = paste(a, b, at, mask), f"paste(f{i}, g{j}, s={at}, |A|={int(mask.sum())})"
+                    else:
+                        cand = concatenate(a, b, at, mask)
+                        ctx = f"concat(a{i}, b{j}, theta={at.values.tolist()}, |A|={int(mask.sum())})"
+                    if not any(x.approx_eq(cand, tol) for x in items):
+                        return False, cand, ctx, generated
+    return True, None, None, generated
+
+
+def oracle_closure(items, cap=10_000, tol=1e-9):
+    """m1_closure one public paste per splice: each round pastes every pair
+    that involves the last round's additions."""
+    sp = items[0].space
+    closed, frontier = list(items), list(items)
+    while frontier:
+        new = []
+        for f in closed:
+            for g in closed:
+                if f in frontier or g in frontier:
+                    for s in range(sp.horizon + 1):
+                        for mask in enumerate_events(sp, s):
+                            cand = paste(f, g, s, mask)
+                            if not any(x.approx_eq(cand, tol) for x in closed + new):
+                                new.append(cand)
+                                if len(closed) + len(new) > cap:
+                                    raise CapExceededError(f"pasting closure exceeded {cap} members")
+        closed += new
+        frontier = new
+    return closed
+
+
+def assert_same_report(rep, oracle, mode, label):
+    stable, missing, ctx, generated = oracle
+    assert (rep.stable, rep.context, rep.generated, rep.stopping_times) == (stable, ctx, generated, mode), label
+    assert type(rep.generated) is int, label
+    if missing is None:
+        assert rep.missing is None, label
+    else:
+        assert np.array_equal(bits(payload(rep.missing)), bits(payload(missing))), label
+
+
+def payload(x):
+    return x.h if isinstance(x, TerminalDensity) else x.values
+
+
+def assert_same_cap_error(items, kind, cap, label):
+    try:
+        oracle_stability(items, kind, cap)
+    except CapExceededError as e:
+        with pytest.raises(CapExceededError, match=re.escape(str(e))):
+            stability_check(items, kind, cap=cap)
+    else:
+        raise AssertionError(f"{label}: cap {cap} is not below the splice count")
+
+
+def test_stacked_concatenation_check_matches_per_splice_oracle():
+    unstable = compared = 0
+    for seed in range(60):
+        g = np.random.default_rng([12, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3)
+        # the oracle spends about 0.1 ms per splice; a few trees have over 10^4
+        if sum(len(enumerate_stopping_events(sp, th)) for th, _ in splice_times(sp, "concatenation")) > 300:
+            continue
+        t0 = int(g.integers(0, sp.horizon))
+        dens = [random_density(sp, t0, sp.horizon, g, strict=bool(g.random() < 0.7)) for _ in range(2)]
+        # singletons are stable, pairs mostly not
+        for items in (dens[:1], dens):
+            oracle = oracle_stability(items, "concatenation")
+            assert_same_report(stability_check(items, "concatenation"), oracle, "all", f"seed {seed}")
+            unstable += not oracle[0]
+            compared += 1
+            assert_same_cap_error(items, "concatenation", int(g.integers(0, oracle[3])), f"seed {seed}")
+    assert compared >= 80 and unstable >= 20, "too few sets were compared"
+
+
+def test_stacked_pasting_check_and_closure_match_per_splice_oracle():
+    unstable = stable = 0
+    for seed in range(60):
+        g = np.random.default_rng([13, seed])
+        sp = random_space(g, max_outcomes=4, max_horizon=3)
+        gens = [random_terminal_density(sp, g) for _ in range(int(g.integers(2, 4)))]
+        closed = m1_closure(gens)
+        if len(closed) > 8:  # the oracle's cost grows with the square of the closure
+            continue
+        want = oracle_closure(gens)
+        assert len(closed) == len(want), f"seed {seed}"
+        for x, y in zip(closed, want):
+            assert np.array_equal(bits(x.h), bits(y.h)), f"seed {seed}"
+        if len(closed) > len(gens):
+            cap = int(g.integers(len(gens), len(closed)))
+            with pytest.raises(CapExceededError, match=f"pasting closure exceeded {cap} members"):
+                oracle_closure(gens, cap)
+            with pytest.raises(CapExceededError, match=f"pasting closure exceeded {cap} members"):
+                m1_closure(gens, cap)
+        # the closure is stable; without its last addition it usually is not
+        for items in (gens, closed, closed[:-1]):
+            oracle = oracle_stability(items, "m1")
+            assert_same_report(stability_check(items, "m1"), oracle, "all", f"seed {seed}")
+            stable += oracle[0]
+            unstable += not oracle[0]
+            assert_same_cap_error(items, "m1", int(g.integers(0, oracle[3])), f"seed {seed}")
+    assert stable >= 100 and unstable >= 20, "too few stable or unstable sets were compared"
+
+
+def test_stacked_checks_raise_what_the_per_splice_oracle_raises():
+    """Invalid operands or outputs, and enumeration caps, surface the scalar route's exception."""
+    g = np.random.default_rng(14)
+    sp = random_space(g, min_outcomes=4, max_outcomes=4, max_horizon=2)
+    a = random_density(sp, 0, sp.horizon, g, strict=True)
+    negative = DensityProcess(sp, 0, -a.values)
+    later = DensityProcess.uniform(sp, 1, sp.horizon)
+    two = FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1]]])
+    # pasting these at t=1 multiplies 1e-200 by 1e-200 and underflows to 0
+    tiny = [TerminalDensity.normalized(two, [1e-200, 1.0]), TerminalDensity.normalized(two, [1e-200, 3.0])]
+    f = random_terminal_density(sp, g)
+    elsewhere = random_terminal_density(random_space(g, min_outcomes=4, max_outcomes=4, max_horizon=2), g)
+    cases = [
+        ([a, negative], "concatenation"),
+        ([negative, a], "concatenation"),
+        ([a, later], "concatenation"),
+        ([a, a, later], "concatenation"),
+        (tiny, "m1"),
+        ([f, f, elsewhere], "m1"),
+    ]
+    for items, kind in cases:
+        with pytest.raises(ValueError) as want:
+            oracle_stability(items, kind)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            stability_check(items, kind)
+    for items in (tiny, [f, elsewhere]):
+        with pytest.raises(ValueError) as want:
+            oracle_closure(items)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            m1_closure(items)
+    # small caps stop the event enumeration itself, larger ones the splice count; on
+    # the two-outcome tree, cap 2 stops both at the same splice and the enumeration wins
+    split = TerminalDensity(two, [0.5, 1.5])
+    for cap in range(6):
+        assert_same_cap_error([a, a], "concatenation", cap, f"cap {cap}")
+        assert_same_cap_error([f, f], "m1", cap, f"cap {cap}")
+        assert_same_cap_error([split, split], "m1", cap, f"cap {cap}")
+
+
+def test_stacked_pasting_defers_to_paste_near_the_unit_mean_bound():
+    """Means within 1e-12 of 1 but past half of it: every candidate goes through paste."""
+    g = np.random.default_rng(3)
+    sp = random_space(g, min_outcomes=4, max_outcomes=4, max_horizon=2)
+    gens = [TerminalDensity(sp, random_terminal_density(sp, g).h * (1 + 0.8e-12)) for _ in range(2)]
+    want = oracle_closure(gens)
+    closed = m1_closure(gens)
+    assert len(closed) == len(want) > len(gens)
+    for x, y in zip(closed, want):
+        assert np.array_equal(bits(x.h), bits(y.h))
+    for items in (gens, closed):
+        assert_same_report(stability_check(items, "m1"), oracle_stability(items, "m1"), "all", "near the bound")

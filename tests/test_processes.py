@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from dynrisk import (
     StoppingTime,
     TerminalDensity,
     concatenate,
+    enumerate_stopping_times,
     m1_closure,
     membership,
     pairing,
@@ -18,6 +21,7 @@ from dynrisk import (
     stability_check,
 )
 from dynrisk.random_gen import random_adapted, random_density, random_space
+from dynrisk.space import enumerate_stopping_events
 
 
 @pytest.fixture
@@ -283,10 +287,45 @@ class TestStability:
         assert len(closed) == 4
 
     def test_exhaustive_vs_deterministic_flag(self):
-        big = random_space(np.random.default_rng(11), max_outcomes=8, min_outcomes=8, max_horizon=3)
-        a = random_density(big, 0, big.horizon, np.random.default_rng(12), strict=True)
-        rep = stability_check([a], "concatenation", cap=500_000)
-        assert rep.stable
+        for outcomes, mode in ((8, "all"), (9, "deterministic-only")):
+            sp = random_space(np.random.default_rng(11), max_outcomes=outcomes, min_outcomes=outcomes, max_horizon=3)
+            a = random_density(sp, 0, sp.horizon, np.random.default_rng(12), strict=True)
+            rep = stability_check([a], "concatenation", cap=500_000)
+            assert rep.stable
+            assert rep.stopping_times == mode
+            # one scalar splice per (stopping time, event): a singleton set splices back to itself
+            if mode == "all":
+                thetas = enumerate_stopping_times(sp)
+            else:
+                thetas = [StoppingTime.constant(sp, s) for s in range(sp.horizon + 1)]
+            splices = 0
+            for theta in thetas:
+                for mask in enumerate_stopping_events(sp, theta):
+                    assert concatenate(a, a, theta, mask).approx_eq(a)
+                    splices += 1
+            assert rep.generated == splices
+
+    def test_stacked_check_memory_does_not_grow_with_the_splices(self):
+        # 7 outcomes that split at t=1 and stay apart: 2188 stopping times, 280k splices per pair
+        M, T = 7, 3
+        sp = FiniteFilteredSpace(np.full(M, 1 / M), [[list(range(M))]] + [[[k] for k in range(M)]] * T)
+        rng = np.random.default_rng(3)
+        dens = []
+        for _ in range(2):
+            v = rng.uniform(0.1, 1.0, (T + 1, M))
+            v[0] = v[0, 0]
+            dens.append(DensityProcess(sp, 0, v))
+        tracemalloc.start()
+        try:
+            rep = stability_check(dens, "concatenation")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # pair (a0, a0) splices back to a0 every time; the first miss is in pair (a0, a1)
+        per_pair = sum(len(enumerate_stopping_events(sp, th)) for th in enumerate_stopping_times(sp))
+        assert not rep.stable and per_pair < rep.generated <= 2 * per_pair
+        # one (splices, M) float array would take 15 MB
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestRemainingMass:

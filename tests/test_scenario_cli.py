@@ -263,6 +263,25 @@ class TestCLI:
                 {"task": "check-membership", "name": "memb", "density": ["gen1"]},
                 "density reference must be a name, got ['gen1']",
             ),
+            (
+                {"task": "matrix-sup", "name": "ms", "utility": "coh", "position": "pos1", "matrices": [5]},
+                "a matrix must be a list of equally long lists, got 5",
+            ),
+            (
+                {
+                    "task": "matrix-compare",
+                    "name": "mc",
+                    "utility": "coh",
+                    "matrix": 5,
+                    "tilde": ["pos1", "pos2"],
+                    "bar": ["pos1", "pos2"],
+                },
+                "a matrix must be a list of equally long lists, got 5",
+            ),
+            (
+                {"task": "stability", "name": "stab", "kind": "bogus", "densities": ["gen1"]},
+                "unknown stability kind 'bogus'",
+            ),
         ],
         ids=[
             "utility-as-list",
@@ -272,6 +291,9 @@ class TestCLI:
             "empty-matrices",
             "marginals-as-string",
             "membership-density-as-list",
+            "matrix-not-a-list",
+            "compare-matrix-not-a-list",
+            "unknown-stability-kind",
         ],
     )
     def test_malformed_reference_is_input_error(self, tmp_path, capsys, task, message):
