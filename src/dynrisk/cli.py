@@ -98,12 +98,16 @@ def _refs(task: dict, key: str, scn: Scenario, kind: str) -> list:
     return [scn.resolve(kind, n) for n in _list(task, key)]
 
 
-def _matrix(task: dict, raw) -> np.ndarray:
-    """A matrix given as a non-empty list of equally long, non-empty lists of numbers."""
+def _matrix(task: dict, raw, length: int) -> np.ndarray:
+    """A length x length matrix, one row and column per time of the position's
+    window, given as a list of equally long lists of numbers."""
     rows = isinstance(raw, list) and raw and all(isinstance(row, list) and row for row in raw)
     if not rows or len({len(row) for row in raw}) != 1:
         raise ScenarioError(f"task {task['name']!r}: a matrix must be a list of equally long lists, got {raw!r}")
-    return np.array([[_num(v, "matrix entry") for v in row] for row in raw])
+    A = np.array([[_num(v, "matrix entry") for v in row] for row in raw])
+    if A.shape != (length, length):
+        raise ScenarioError(f"task {task['name']!r}: matrix shape {A.shape} does not match window length {length}")
+    return A
 
 
 def _int(task: dict, key: str, default: int) -> int:
@@ -294,7 +298,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "matrix-sup":
         u = scn.resolve("utility", _field(task, "utility"))
         X = scn.resolve("process", _field(task, "position"))
-        matrices = [_matrix(task, mat) for mat in _list(task, "matrices")]
+        matrices = [_matrix(task, mat, X.length) for mat in _list(task, "matrices")]
         res = matrix_sup(u, X, matrices)
         _per_atom_rows(run, space, u.t_start, "sup", res.value.values)
         _per_atom_rows(run, space, u.t_start, "argmax-matrix", res.per_atom_argmax)
@@ -305,9 +309,9 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "matrix-compare":
         u = scn.resolve("utility", _field(task, "utility"))
-        A = _matrix(task, _field(task, "matrix"))
         tilde = Portfolio(_refs(task, "tilde", scn, "process"))
         bar = Portfolio(_refs(task, "bar", scn, "process"))
+        A = _matrix(task, _field(task, "matrix"), tilde.t_end - tilde.t_start + 1)
         rep = matrix_compare(A, u, tilde, bar, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
         run.row("-", "ones-fixed", rep.hyp_eigenvector, None, INFO)
         run.row("-", "nonnegative", rep.hyp_nonnegative, None, INFO)

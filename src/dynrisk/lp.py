@@ -40,12 +40,12 @@ def _box_active(x: np.ndarray, box: float) -> bool:
 def solve_box_lp_highs(c, G, h, box: float) -> BoxSolution:
     """Minimize c.x s.t. G.x >= h, |x| <= box, via HiGHS."""
     c = np.asarray(c, dtype=float)
-    n = c.size
     if G is None or len(G) == 0:
         kwargs = {}
     else:
         kwargs = {"A_ub": -np.asarray(G, dtype=float), "b_ub": -np.asarray(h, dtype=float)}
-    res = linprog(c, bounds=[(-box, box)] * n, method="highs", **kwargs)
+    # one (lo, hi) pair: linprog broadcasts it to every variable
+    res = linprog(c, bounds=(-box, box), method="highs", **kwargs)
     if res.status == 2:
         raise InfeasibleError("penalty program infeasible")
     if not res.success:

@@ -93,6 +93,10 @@ class _Windowed:
             raise ValueError(f"time {s} outside window [{self.t_start}, {self.t_end}]")
         return s - self.t_start
 
+    def _span(self, t: int, t_end: int) -> slice:
+        """Rows of ``values`` (or of a stack of values on this window) for times t..t_end."""
+        return slice(self._index(t), self._index(t_end) + 1)
+
     def slice_at(self, s: int) -> np.ndarray:
         return self.values[self._index(s)]
 
@@ -277,10 +281,7 @@ class TerminalDensity:
         return f"TerminalDensity({np.array2string(self.h, precision=4)})"
 
 
-def pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int | None = None) -> ConditionalValue:
-    """Conditional billing of X against a: E(sum_{s=t}^{t_end} X_s delta a_s | F_t)."""
-    if t_end is None:
-        t_end = min(X.t_end, a.t_end)
+def _check_pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int) -> None:
     if t > t_end:
         raise ValueError(f"empty pairing window [{t}, {t_end}]")
     if X.space is not a.space:
@@ -289,10 +290,27 @@ def pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int | None = No
         raise ValueError(f"position window {X.window} does not contain [{t}, {t_end}]")
     if not (a.t_start <= t and a.t_end >= t_end):
         raise ValueError(f"density window {a.window} does not contain [{t}, {t_end}]")
-    total = np.zeros(X.space.n_outcomes)
-    for s in range(t, t_end + 1):
-        total += X.slice_at(s) * a.slice_at(s)
-    return cond_expect(X.space, total, t)
+
+
+def _pairings(space: FiniteFilteredSpace, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
+    """Stacked pairings: (..., n, M) position slices at times t..t+n-1 against
+    (n, M) increments -> (..., atoms at t).
+
+    Sums the products in time order from zero, as ``pairing`` does, so every
+    row has the bits of one ``pairing`` call.
+    """
+    total = np.zeros(x.shape[:-2] + x.shape[-1:])
+    for k in range(x.shape[-2]):
+        total += x[..., k, :] * a[k]
+    return _cond_expect(space, total, t)
+
+
+def pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int | None = None) -> ConditionalValue:
+    """Conditional billing of X against a: E(sum_{s=t}^{t_end} X_s delta a_s | F_t)."""
+    if t_end is None:
+        t_end = min(X.t_end, a.t_end)
+    _check_pairing(X, a, t, t_end)
+    return ConditionalValue(X.space, t, _pairings(X.space, X.values[X._span(t, t_end)], a.values[a._span(t, t_end)], t))
 
 
 def remaining_mass(a: DensityProcess, t: int, t_end: int | None = None) -> ConditionalValue:

@@ -4,6 +4,14 @@ The rearrangement class of a process holds every adapted process with the
 same path-vector law.  With non-uniform probabilities, paths are only permuted
 within groups of outcomes of equal probability; the restriction is recorded on
 the class.
+
+A class keeps its members' values as one ``(size, L, M)`` stack, and each
+member is a read-only view into it, built without revalidation because the
+enumeration only emits adapted arrangements.  Pairings of a whole class
+against a density are one call of the stacked kernel
+``processes._pairings``, whose rows carry the bits of one ``pairing`` call
+per member; the max-correlation table, the duality harness's uniform
+attainers and the linear-driven stage checks all read it.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .processes import AdaptedProcess, DensityProcess, pairing
+from .processes import AdaptedProcess, DensityProcess, _check_pairing, _pairings, pairing
 from .space import CapExceededError, ConditionalValue, DEFAULT_TOL
 
 PATH_TOL = 1e-12
@@ -56,10 +64,19 @@ class RearrangementClass:
     representative: AdaptedProcess
     members: list[AdaptedProcess]
     level_restricted: bool  # True when non-uniform probabilities forced level grouping
+    values: np.ndarray  # (size, L, M): the members' values, stacked in member order
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+def _stacked_class(X_hat: AdaptedProcess, rows: list[np.ndarray], restricted: bool) -> RearrangementClass:
+    """A class whose members are read-only views into one stack of adapted arrangements."""
+    values = np.array(rows, dtype=float).reshape((len(rows),) + X_hat.values.shape)
+    values.flags.writeable = False
+    members = [AdaptedProcess._wrap(X_hat.space, X_hat.t_start, v) for v in values]
+    return RearrangementClass(X_hat, members, restricted, values)
 
 
 def _probability_levels(space, tol: float = PATH_TOL) -> list[list[int]]:
@@ -80,11 +97,15 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
 
     Backtracking assigns paths outcome by outcome and prunes any prefix that
     breaks measurability, so the cost tracks the class size rather than the
-    raw number of permutations.
+    raw number of permutations.  A prefix is kept while every atom's values
+    spread (max minus min) by at most ``PATH_TOL``, the test of
+    ``_Windowed`` and of the brute-force oracle, so members are adapted by
+    construction and are built without revalidation.
     """
     space = X_hat.space
+    M, L = space.n_outcomes, X_hat.length
     levels = _probability_levels(space)
-    level_of = np.empty(space.n_outcomes, dtype=int)
+    level_of = np.empty(M, dtype=int)
     for li, lev in enumerate(levels):
         level_of[lev] = li
     # per level: list of distinct paths with multiplicities
@@ -98,50 +119,53 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
             else:
                 pool.append((row, 1))
         level_pool.append(pool)
+    # as float lists: the pruning loop below reads them one value at a time
+    paths = [[row.tolist() for row, _ in pool] for pool in level_pool]
 
-    # peer_at[s][w]: the lowest-numbered outcome sharing w's F_s-atom, or -1
-    peers: list[np.ndarray] = []
-    for k in range(X_hat.length):
-        s = X_hat.t_start + k
-        first = np.full(space.n_outcomes, -1, dtype=int)
-        peer = np.empty(space.n_outcomes, dtype=int)
-        for w in range(space.n_outcomes):
-            a = space.atom_containing(s, w)
-            peer[w] = first[a] if first[a] >= 0 else -1
-            if first[a] < 0:
-                first[a] = w
-        peers.append(peer)
+    # prev[k][w]: the previous outcome of w's atom at time t_start + k, or -1;
+    # hi/lo[k][w]: the max and min of the values placed on that atom up to w
+    prev = [[-1] * M for _ in range(L)]
+    for k in range(L):
+        for atom in space.atoms(X_hat.t_start + k):
+            for p, w in zip(atom, atom[1:]):
+                prev[k][w] = p
+    hi = [[0.0] * M for _ in range(L)]
+    lo = [[0.0] * M for _ in range(L)]
 
     counts = [[c for _, c in pool] for pool in level_pool]
-    assigned = np.empty((X_hat.length, space.n_outcomes))
-    members: list[AdaptedProcess] = []
+    assigned = np.empty((L, M))
+    found: list[np.ndarray] = []
 
     def place(w: int) -> None:
-        if w == space.n_outcomes:
-            if len(members) >= cap:
+        if w == M:
+            if len(found) >= cap:
                 raise CapExceededError(f"rearrangement class exceeds cap {cap}")
-            members.append(AdaptedProcess(space, X_hat.t_start, assigned.copy()))
+            found.append(assigned.copy())
             return
         li = level_of[w]
-        for pi, (row, _) in enumerate(level_pool[li]):
+        for pi, path in enumerate(paths[li]):
             if counts[li][pi] == 0:
                 continue
             ok = True
-            for k in range(X_hat.length):
-                p = peers[k][w]
-                if p >= 0 and abs(assigned[k, p] - row[k]) > PATH_TOL:
+            for k in range(L):
+                x = path[k]
+                p = prev[k][w]
+                h = x if p < 0 else max(hi[k][p], x)
+                l = x if p < 0 else min(lo[k][p], x)
+                if h - l > PATH_TOL:
                     ok = False
                     break
+                hi[k][w] = h
+                lo[k][w] = l
             if not ok:
                 continue
-            assigned[:, w] = row
+            assigned[:, w] = path
             counts[li][pi] -= 1
             place(w + 1)
             counts[li][pi] += 1
 
     place(0)
-    restricted = len(levels) > 1
-    return RearrangementClass(X_hat, members, restricted)
+    return _stacked_class(X_hat, found, len(levels) > 1)
 
 
 def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementClass:
@@ -151,7 +175,6 @@ def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> Rea
 
     space = X_hat.space
     levels = _probability_levels(space)
-    members: list[AdaptedProcess] = []
     seen: list[np.ndarray] = []
     perms_per_level = [list(itertools.permutations(lev)) for lev in levels]
     work = 1
@@ -178,10 +201,9 @@ def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> Rea
         if any(np.abs(v - vals).max() <= PATH_TOL for v in seen):
             continue
         seen.append(vals.copy())
-        members.append(AdaptedProcess(space, X_hat.t_start, vals))
-        if len(members) > cap:
+        if len(seen) > cap:
             raise CapExceededError(f"rearrangement class exceeds cap {cap}")
-    return RearrangementClass(X_hat, members, len(levels) > 1)
+    return _stacked_class(X_hat, seen, len(levels) > 1)
 
 
 def _first_near_max(table: np.ndarray) -> list[int]:
@@ -199,6 +221,13 @@ class MaxCorrelationResult:
         return self.rearrangement.members[self.argmax_index[atom_k]]
 
 
+def _class_pairings(cls: RearrangementClass, a: DensityProcess, t: int, t_end: int) -> np.ndarray:
+    """(size, atoms at t): every member's pairing against a, in one pass over the stack."""
+    rep = cls.representative
+    _check_pairing(rep, a, t, t_end)
+    return _pairings(rep.space, cls.values[:, rep._span(t, t_end)], a.values[a._span(t, t_end)], t)
+
+
 def max_correlation(
     a: DensityProcess,
     X_hat: AdaptedProcess,
@@ -211,7 +240,7 @@ def max_correlation(
     if t_end is None:
         t_end = X_hat.t_end
     cls = rearrangement if rearrangement is not None else enumerate_class(X_hat, cap)
-    table = np.stack([pairing(m, a, t, t_end).values for m in cls.members])
+    table = _class_pairings(cls, a, t, t_end)
     return MaxCorrelationResult(ConditionalValue(X_hat.space, t, table.max(axis=0)), _first_near_max(table), cls)
 
 
@@ -253,9 +282,15 @@ def is_comonotone(
     family: Sequence[AdaptedProcess],
     tol: float = DEFAULT_TOL,
     cap: int = 100_000,
+    rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> ComonotonicityCertificate:
     """Certify that each member, and their sum, attains its max correlation
-    against a0."""
+    against a0.
+
+    ``rearrangements``, when given, holds each member's class; a rearranged
+    member has its marginal's class, so a caller holding the marginals'
+    classes passes them and only the sum's class is enumerated.
+    """
     family = list(family)
     if not family:
         raise ValueError("empty family")
@@ -267,7 +302,8 @@ def is_comonotone(
     for i, X in enumerate(family):
         if X.window != (t, t_end):
             raise ValueError("family members on different windows")
-        psi = max_correlation(a0, X, t, t_end, cap).value.values
+        cls = None if rearrangements is None else rearrangements[i]
+        psi = max_correlation(a0, X, t, t_end, cap, rearrangement=cls).value.values
         direct = pairing(X, a0, t, t_end).values
         res = psi - direct
         member_res.append(res)

@@ -102,9 +102,6 @@ class FiniteFilteredSpace:
     def atom_prob(self, t: int) -> np.ndarray:
         return np.array([self.probs[list(atom)].sum() for atom in self.atoms(t)])
 
-    def atom_containing(self, t: int, outcome: int) -> int:
-        return int(self.atom_index(t)[outcome])
-
     def atom_layout(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Cached (order, starts, seg, w_ord, wsum) for segmented reductions.
 

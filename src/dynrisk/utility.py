@@ -68,13 +68,15 @@ class UtilityBase:
     def window(self) -> tuple[int, int]:
         return (self.t_start, self.t_end)
 
-    def _window(self, X: AdaptedProcess) -> np.ndarray:
-        """The (L, M) slices of X on the utility's window."""
+    def _window(self, X: AdaptedProcess, stack: np.ndarray | None = None) -> np.ndarray:
+        """The (L, M) slices of X on the utility's window, or the (..., L, M)
+        slices of ``stack``, positions on X's window."""
         if X.space is not self.space:
             raise ValueError("position lives on a different space")
         if X.t_start > self.t_start or X.t_end < self.t_end:
             raise ValueError(f"position window {X.window} does not contain {self.window}")
-        return X.values[self.t_start - X.t_start : self.t_end - X.t_start + 1]
+        vals = X.values if stack is None else stack
+        return vals[..., self.t_start - X.t_start : self.t_end - X.t_start + 1, :]
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
         raise NotImplementedError
@@ -435,6 +437,14 @@ def check_axioms(
     report.results["continuity"] = AxiomResult(None, note="vacuous on finite spaces")
 
     # (6) relevance: losses on any atom at any time must register
+    report.results["relevance"] = _check_relevance(u, relevance_eps)
+    return report
+
+
+def _check_relevance(u: UtilityBase, relevance_eps: Sequence[float] = (1.0, 0.1, 0.01)) -> AxiomResult:
+    """Relevance: a loss on any atom at any time of the window must be priced
+    below zero there; every atom and loss size is tried, with no sampling."""
+    space, t, T = u.space, u.t_start, u.t_end
     res = AxiomResult(True, 0)
     for s in range(t, T + 1):
         for atom in space.atoms(s):
@@ -455,8 +465,7 @@ def check_axioms(
                 break
         if not res.passed:
             break
-    report.results["relevance"] = res
-    return report
+    return res
 
 
 class UtilityProcess:

@@ -14,9 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .processes import AdaptedProcess, DensityProcess, mean_portfolio, membership, pairing
+from .processes import AdaptedProcess, DensityProcess, _pairings, mean_portfolio, membership
 from .rearrange import (
     RearrangementClass,
+    _class_pairings,
     _first_near_max,
     enumerate_class,
     is_comonotone,
@@ -35,7 +36,7 @@ from .utility import (
     EntropicUtility,
     UtilityBase,
     UtilityProcess,
-    check_axioms,
+    _check_relevance,
     normalize_to_window,
     normalized_scenario_process,
     penalty,
@@ -96,12 +97,18 @@ def average_risk(
     u: DualFiniteUtility,
     cap: int = 100_000,
     solver: str = "highs",
+    rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> ConditionalValue:
-    """(1/n) sum of max correlations against a, plus the penalty of a."""
+    """(1/n) sum of max correlations against a, plus the penalty of a.
+
+    ``rearrangements``, when given, holds the marginals' classes, which are
+    then not enumerated again.
+    """
     t, t_end = u.t_start, u.t_end
     acc = None
-    for X in marginals.members:
-        v = max_correlation(a, X, t, t_end, cap).value
+    for i, X in enumerate(marginals.members):
+        cls = None if rearrangements is None else rearrangements[i]
+        v = max_correlation(a, X, t, t_end, cap, rearrangement=cls).value
         acc = v if acc is None else acc + v
     avg = acc * (1.0 / marginals.n)
     return avg + penalty(u, a, solver=solver)
@@ -121,6 +128,7 @@ def worst_scenario(
     u: DualFiniteUtility,
     cap: int = 100_000,
     solver: str = "highs",
+    rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> WorstScenarioResult:
     """Atom-wise best candidate under the average risk, glued by indicators."""
     candidates = list(candidates)
@@ -128,7 +136,7 @@ def worst_scenario(
         raise ValueError("empty candidate list")
     t, t_end = u.t_start, u.t_end
     space = u.space
-    table = np.stack([average_risk(c, marginals, u, cap, solver).values for c in candidates])
+    table = np.stack([average_risk(c, marginals, u, cap, solver, rearrangements).values for c in candidates])
     best = table.max(axis=0)
     choice = _first_near_max(table)
     single = any(bool(np.all(table[i] >= best - 1e-12)) for i in range(len(candidates)))
@@ -165,7 +173,7 @@ def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
     features equal those of the mean exactly, and the scanned value is the
     tuple's own insurance value.
     """
-    feats = [u._features(np.stack([u._window(m) for m in cls.members])) for cls in classes]
+    feats = [u._features(u._window(cls.representative, cls.values)) for cls in classes]
     n = len(classes)
 
     def batch(idx: list[np.ndarray]) -> np.ndarray:
@@ -278,23 +286,20 @@ def verify_theorem_3_1(
     if not isinstance(u, DualFiniteUtility) or not u.coherent:
         raise ValueError("the duality harness needs a coherent utility with an explicit scenario set")
     t, t_end = u.t_start, u.t_end
+    # each marginal's class is enumerated once, here, and read by every later step
     lhs = worst_portfolio_bruteforce(marginals, u, cap, workers)
-    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap)
+    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap, rearrangements=lhs.classes)
     residual = lhs.sup_value.max_residual(ws.value)
     equal = residual <= tol
 
     # member condition: uniform attainers of the max correlation against a0
     a0 = ws.a0
     uniform_sets: list[list[AdaptedProcess]] = []
-    for X, cls in zip(marginals.members, lhs.classes):
-        mc = max_correlation(a0, X, t, t_end, cap, rearrangement=cls)
-        best = mc.value.values
-        keep = []
-        for m in cls.members:
-            vals = pairing(m, a0, t, t_end).values
-            if np.all(vals >= best - 1e-12 * np.maximum(1.0, np.abs(best))):
-                keep.append(m)
-        uniform_sets.append(keep)
+    for cls in lhs.classes:
+        table = _class_pairings(cls, a0, t, t_end)
+        best = table.max(axis=0)
+        near = np.all(table >= best - 1e-12 * np.maximum(1.0, np.abs(best)), axis=1)
+        uniform_sets.append([m for m, keep in zip(cls.members, near) if keep])
 
     tuple_found: Portfolio | None = None
     n_tuples = int(np.prod([max(len(s), 1) for s in uniform_sets]))
@@ -302,7 +307,7 @@ def verify_theorem_3_1(
         import itertools
 
         for combo in itertools.product(*uniform_sets):
-            cert = is_comonotone(a0, list(combo), tol, cap)
+            cert = is_comonotone(a0, list(combo), tol, cap, rearrangements=lhs.classes)
             if cert.comonotone:
                 tuple_found = Portfolio(list(combo))
                 break
@@ -392,16 +397,12 @@ def verify_linear_driven_portfolio(
     masked = mask[None, :] * a.values
     stages = []
     for t in range(portfolio.t_start, portfolio.t_end + 1):
-        m_vals = masked[t - a.t_start :]
+        m_vals = masked[a._span(t, portfolio.t_end)]
         worst_res = 0.0
         for X in portfolio.members:
             Xres = X.restrict(t)
-            cls = enumerate_class(Xres, cap)
-            direct = cond_expect(space, (Xres.values * m_vals).sum(axis=0), t).values
-            best = direct.copy()
-            for member in cls.members:
-                vals = cond_expect(space, (member.values * m_vals).sum(axis=0), t).values
-                best = np.maximum(best, vals)
+            direct = _pairings(space, Xres.values, m_vals, t)
+            best = np.maximum(direct, _pairings(space, enumerate_class(Xres, cap).values, m_vals, t).max(axis=0))
             worst_res = max(worst_res, float((best - direct).max()))
         stages.append(StageCheck(t, worst_res, worst_res <= tol))
     return LinearDrivenReport(stages, mask)
@@ -647,10 +648,10 @@ def _verify_hypotheses(
             if not (isinstance(u, DualFiniteUtility) and u.coherent):
                 ok = False
                 notes.append(f"stage {t} not coherent")
-        rep = check_axioms(up.stage(t0), sample_count=3, seed=0, tol=tol)
-        if not rep.results["relevance"].passed:
+        relevance = _check_relevance(up.stage(t0))
+        if not relevance.passed:
             ok = False
-            notes.append(f"relevance failed: {rep.results['relevance'].counterexample}")
+            notes.append(f"relevance failed: {relevance.counterexample}")
         from .processes import stability_check
 
         stab = stability_check(hyp.base_set, "concatenation", cap=cap, tol=tol)

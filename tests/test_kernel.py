@@ -7,9 +7,13 @@ features, must report values that the insurance of the reported tuple
 reproduces.  The time-consistency check, which stacks every (stopping time,
 sample) pair, must report what one check at a time reports, and so must the
 stability checks and the pasting closure, which stack every splice, against
-one public ``concatenate`` or ``paste`` per splice.
+one public ``concatenate`` or ``paste`` per splice.  Stacked pairings of a
+whole rearrangement class must give the bits of one ``pairing`` per member,
+and the duality and linear-driven harnesses, which enumerate each class once
+and pair it in one pass, must report what per-call routes report.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -26,18 +30,26 @@ from dynrisk import (
     StoppingTime,
     TerminalDensity,
     UtilityProcess,
+    build_linear_driven_portfolio,
     concatenate,
+    cond_expect,
     entropic_process,
     enumerate_class,
     enumerate_events,
     enumerate_stopping_times,
+    is_comonotone,
     m1_closure,
+    max_correlation,
     normalized_scenario_process,
+    pairing,
     paste,
     robust_entropic_process,
     stability_check,
     time_consistency_check,
+    verify_linear_driven_portfolio,
+    verify_theorem_3_1,
     worst_portfolio_bruteforce,
+    worst_scenario,
 )
 from dynrisk.random_gen import (
     random_adapted,
@@ -47,6 +59,7 @@ from dynrisk.random_gen import (
     random_space,
     random_terminal_density,
 )
+from dynrisk.processes import _pairings
 from dynrisk.space import enumerate_stopping_events
 
 FAMILIES = ("dual", "coherent", "entropic", "robust")
@@ -387,3 +400,137 @@ def test_stacked_pasting_defers_to_paste_near_the_unit_mean_bound():
         assert np.array_equal(bits(x.h), bits(y.h))
     for items in (gens, closed):
         assert_same_report(stability_check(items, "m1"), oracle_stability(items, "m1"), "all", "near the bound")
+
+
+def oracle_pairing(X, a, t, t_end):
+    """E(sum_s X_s delta a_s | F_t), summed in time order from zero."""
+    total = np.zeros(X.space.n_outcomes)
+    for s in range(t, t_end + 1):
+        total += X.slice_at(s) * a.slice_at(s)
+    return cond_expect(X.space, total, t).values
+
+
+def test_stacked_pairings_match_pairing_bitwise():
+    """One _pairings pass over a class stack, for every (t, t_end), against one
+    pairing per member and a test-local sum; max_correlation and the scan's
+    features read the same stack."""
+    sizes = []
+    for seed in range(30):
+        g = np.random.default_rng([12, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.7))
+        X = random_adapted(sp, 0, sp.horizon, g)
+        cls = enumerate_class(X)
+        sizes.append(cls.size)
+        a = random_density(sp, 0, sp.horizon, g)
+        for t in range(sp.horizon + 1):
+            for t_end in range(t, sp.horizon + 1):
+                got = _pairings(sp, cls.values[:, t : t_end + 1], a.values[t : t_end + 1], t)
+                want = np.stack([oracle_pairing(m, a, t, t_end) for m in cls.members])
+                assert np.array_equal(bits(got), bits(want)), f"seed {seed}, window [{t}, {t_end}]"
+                one = np.stack([pairing(m, a, t, t_end).values for m in cls.members])
+                assert np.array_equal(bits(one), bits(want)), f"seed {seed}, window [{t}, {t_end}]"
+                mc = max_correlation(a, X, t, t_end)
+                assert np.array_equal(bits(mc.value.values), bits(want.max(axis=0))), f"seed {seed}"
+        u = random_dual_utility(sp, int(g.integers(0, sp.horizon + 1)), sp.horizon, g)
+        stacked = u._features(u._window(X, cls.values))
+        per_member = u._features(np.stack([u._window(m) for m in cls.members]))
+        assert np.array_equal(bits(stacked), bits(per_member)), f"seed {seed}"
+    assert max(sizes) > 10, "no sizeable class was paired"
+
+
+def oracle_thm31(marginals, u, cap, tol):
+    """verify_theorem_3_1 one call at a time: each class enumerated where it is
+    used, one pairing per member, certificates that enumerate their own classes."""
+    t, t_end = u.t_start, u.t_end
+    lhs = worst_portfolio_bruteforce(marginals, u, cap)
+    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap)
+    residual = lhs.sup_value.max_residual(ws.value)
+    uniform_sets = []
+    for X in marginals.members:
+        members = enumerate_class(X, cap).members
+        table = np.stack([pairing(m, ws.a0, t, t_end).values for m in members])
+        floor = table.max(axis=0) - 1e-12 * np.maximum(1.0, np.abs(table.max(axis=0)))
+        uniform_sets.append([m for m, row in zip(members, table) if np.all(row >= floor)])
+    found = None
+    if all(uniform_sets) and int(np.prod([len(s) for s in uniform_sets])) <= cap:
+        combos = itertools.product(*uniform_sets)
+        found = next((c for c in combos if is_comonotone(ws.a0, list(c), tol, cap).comonotone), None)
+    attain = None if found is None else lhs.sup_value.max_residual(u.insurance(Portfolio(list(found)).mean()))
+    return residual, lhs.sup_value, ws.value, found, attain
+
+
+def test_class_reusing_duality_harness_matches_per_call_oracle():
+    found = 0
+    for seed in range(60):
+        g = np.random.default_rng([13, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.7))
+        t0 = int(g.integers(0, sp.horizon))
+        t1 = min(sp.horizon, t0 + int(g.integers(1, 3)))
+        members = [random_adapted(sp, t0, t1, g) for _ in range(int(g.integers(1, 4)))]
+        if g.random() < 0.3:
+            members.append(AdaptedProcess.constant(sp, t0, t1, float(g.normal())))
+        if np.prod([enumerate_class(X).size for X in members]) > 5000:
+            continue
+        u = random_coherent_utility(sp, t0, t1, g, n_scenarios=int(g.integers(1, 4)))
+        rep = verify_theorem_3_1(Portfolio(members), u, tol=1e-9)
+        residual, sup, scen, combo, attain = oracle_thm31(Portfolio(members), u, 1_000_000, 1e-9)
+        label = f"seed {seed}"
+        assert bits(rep.equality_residual) == bits(residual), label
+        assert rep.equality_holds == (residual <= 1e-9), label
+        assert np.array_equal(bits(rep.portfolio_value.values), bits(sup.values)), label
+        assert np.array_equal(bits(rep.scenario_value.values), bits(scen.values)), label
+        assert rep.comonotone_found == (combo is not None), label
+        if combo is not None:
+            found += 1
+            for got, want in zip(rep.comonotone_tuple.members, combo):
+                assert np.array_equal(bits(got.values), bits(want.values)), label
+            assert bits(rep.attain_residual) == bits(attain), label
+            assert rep.attains == (attain <= 1e-9), label
+        else:
+            assert rep.attain_residual is None and rep.attains is None, label
+    assert found >= 10, "too few comonotone tuples were compared"
+
+
+def oracle_linear_driven(portfolio, a, mask):
+    """Stage residuals of verify_linear_driven_portfolio, one conditional
+    expectation of the summed products per class member."""
+    sp = portfolio.space
+    masked = mask[None, :] * a.values
+    residuals = []
+    for t in range(portfolio.t_start, portfolio.t_end + 1):
+        m_vals = masked[t - a.t_start :]
+        worst = 0.0
+        for X in portfolio.members:
+            Xres = X.restrict(t)
+            direct = cond_expect(sp, (Xres.values * m_vals).sum(axis=0), t).values
+            best = direct.copy()
+            for m in enumerate_class(Xres).members:
+                best = np.maximum(best, cond_expect(sp, (m.values * m_vals).sum(axis=0), t).values)
+            worst = max(worst, float((best - direct).max()))
+        residuals.append(worst)
+    return residuals
+
+
+def test_linear_driven_stages_match_per_member_oracle():
+    failing = 0
+    for seed in range(40):
+        g = np.random.default_rng([14, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.7))
+        a = random_density(sp, 0, sp.horizon, g)
+        L = sp.horizon + 1
+        mats = []
+        for _ in range(int(g.integers(1, 4))):
+            R = g.normal(size=(L, L))
+            mats.append(R @ R.T if g.random() < 0.2 else np.diag(np.abs(g.normal(size=L))))
+        shifts = [g.normal(size=L) for _ in mats]
+        try:
+            port = build_linear_driven_portfolio(a, mats, shifts, np.ones(sp.n_outcomes, dtype=bool))
+        except ValueError:
+            continue  # a mixing matrix made a member non-adapted
+        for mask in (np.ones(sp.n_outcomes, dtype=bool), sp.atom_index(1) == 0):
+            rep = verify_linear_driven_portfolio(port, a, mask)
+            want = oracle_linear_driven(port, a, mask)
+            assert [bits(s.residual) for s in rep.stages] == [bits(r) for r in want], f"seed {seed}"
+            assert [s.passed for s in rep.stages] == [r <= 1e-9 for r in want], f"seed {seed}"
+            failing += not rep.passed
+    assert failing >= 5, "no failing stage residual was compared"

@@ -87,6 +87,20 @@ class TestEnumerateClass:
         assert members_as_set(fast) == members_as_set(slow)
 
 
+    def test_atom_spread_is_pruned_like_the_oracle(self):
+        # time-1 values within 1e-12 of each atom's first outcome, but 1.8e-12
+        # apart from each other: no member may put 2 and 3 on one atom
+        sp = FiniteFilteredSpace([1 / 6] * 6, [[range(6)], [[0, 1, 2], [3, 4, 5]], [[w] for w in range(6)]])
+        v = 0.3
+        X = AdaptedProcess(sp, 0, [[0.0] * 6, [v, v, v + 9e-13, v - 9e-13, v, v], [1, 2, 3, 4, 5, 6]])
+        fast = enumerate_class(X)
+        exact = {m.values.tobytes() for m in fast.members}
+        assert exact == {m.values.tobytes() for m in enumerate_class_bruteforce(X).members}
+        assert len(exact) == fast.size == 432
+        for m in fast.members:
+            AdaptedProcess(sp, 0, m.values)  # the validating constructor accepts every member
+
+
 class TestMaxCorrelation:
     def test_dominates_direct_pairing(self, four_tree):
         g = np.random.default_rng(40)

@@ -282,6 +282,21 @@ class TestCLI:
                 {"task": "stability", "name": "stab", "kind": "bogus", "densities": ["gen1"]},
                 "unknown stability kind 'bogus'",
             ),
+            (
+                {"task": "matrix-sup", "name": "ms", "utility": "coh", "position": "pos1", "matrices": [[[1.0]]]},
+                "matrix shape (1, 1) does not match window length 3",
+            ),
+            (
+                {
+                    "task": "matrix-compare",
+                    "name": "mc",
+                    "utility": "coh",
+                    "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                    "tilde": ["pos1", "pos2"],
+                    "bar": ["pos1", "pos2"],
+                },
+                "matrix shape (2, 2) does not match window length 3",
+            ),
         ],
         ids=[
             "utility-as-list",
@@ -294,6 +309,8 @@ class TestCLI:
             "matrix-not-a-list",
             "compare-matrix-not-a-list",
             "unknown-stability-kind",
+            "matrix-wrong-size",
+            "compare-matrix-wrong-size",
         ],
     )
     def test_malformed_reference_is_input_error(self, tmp_path, capsys, task, message):

@@ -11,6 +11,7 @@ from dynrisk import (
     DualFiniteUtility,
     EntropicUtility,
     Portfolio,
+    UtilityProcess,
     apply_matrix,
     average_risk,
     build_linear_driven_portfolio,
@@ -263,6 +264,25 @@ class TestPreservation:
         assert not rep.passed
         assert any("not an adapted worst" in n for n in rep.notes)
         assert rep.stage_checks == []
+
+    def test_blind_stage_fails_relevance_in_thm42(self, two_uniform):
+        # as in the axiom test: the stage-0 density ignores the second outcome
+        blind = DensityProcess(two_uniform, 0, [[0.0, 0.0], [2.0, 0.0]])
+        last = DensityProcess(two_uniform, 1, [[1.0, 1.0]])
+        up = UtilityProcess(
+            {
+                0: DualFiniteUtility(two_uniform, 0, 1, [(blind, zero_gamma(two_uniform, 0))]),
+                1: DualFiniteUtility(two_uniform, 1, 1, [(last, zero_gamma(two_uniform, 1))]),
+            }
+        )
+        hyp = build_preservation_hypotheses(up, "thm42")
+        # a base set that normalizes at every stage, so the harness reaches its last check
+        hyp.base_set = [DensityProcess.uniform(two_uniform, 0, 1)]
+        stage0 = Portfolio([AdaptedProcess.constant(two_uniform, 0, 1, 1.0)])
+        rep = verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(stage0))
+        notes = [n for n in rep.notes if n.startswith("relevance failed:")]
+        assert len(notes) == 1 and "not priced below zero" in notes[0]
+        assert not rep.hypotheses_ok and rep.skipped
 
     def test_variant_mismatch_rejected(self, four_tree):
         up = entropic_process(four_tree, 1.0)
