@@ -22,7 +22,6 @@ from .utility import DualFiniteUtility, check_axioms, penalty, time_consistency_
 from .worstcase import (
     AdaptedWorstProcess,
     Portfolio,
-    apply_matrix,
     build_preservation_hypotheses,
     matrix_compare,
     matrix_sup,
@@ -132,6 +131,13 @@ def _cap(task: dict, default: int = 1_000_000) -> int:
     return _int(task, "cap", default)
 
 
+def _solver(task: dict) -> str:
+    raw = task.get("solver", "highs")
+    if raw not in ("highs", "vertices"):
+        raise ScenarioError(f"task {task['name']!r}: solver must be 'highs' or 'vertices', got {raw!r}")
+    return raw
+
+
 def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int | None) -> tuple[TaskRun, str]:
     kind = task["task"]
     run = TaskRun(task["name"])
@@ -191,7 +197,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
             raise ScenarioError(f"task {task['name']!r}: penalty needs a dual utility, not {type(u).__name__}")
         a = scn.resolve("density", _field(task, "density"))
         try:
-            v = penalty(u, a, solver=task.get("solver", "highs"))
+            v = penalty(u, a, solver=_solver(task))
         except RuntimeError as e:
             run.row("-", "error", str(e), None, FAIL)
             return run, FAIL
@@ -234,7 +240,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         u = scn.resolve("utility", _field(task, "utility"))
         candidates = _refs(task, "candidates", scn, "density")
         marginals = Portfolio(_refs(task, "marginals", scn, "process"))
-        ws = worst_scenario(candidates, marginals, u, _cap(task, 100_000), task.get("solver", "highs"))
+        ws = worst_scenario(candidates, marginals, u, _cap(task, 100_000), _solver(task))
         _per_atom_rows(run, space, u.t_start, "F-max", ws.value.values)
         _per_atom_rows(run, space, u.t_start, "choice", ws.per_atom_choice)
         run.row("-", "single-attainment", ws.single_attainment, None, INFO)
@@ -299,7 +305,10 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         u = scn.resolve("utility", _field(task, "utility"))
         X = scn.resolve("process", _field(task, "position"))
         matrices = [_matrix(task, mat, X.length) for mat in _list(task, "matrices")]
-        res = matrix_sup(u, X, matrices)
+        try:
+            res = matrix_sup(u, X, matrices)
+        except ValueError as e:  # a matrix image of the position that is not adapted
+            raise ScenarioError(f"task {task['name']!r}: {e}") from None
         _per_atom_rows(run, space, u.t_start, "sup", res.value.values)
         _per_atom_rows(run, space, u.t_start, "argmax-matrix", res.per_atom_argmax)
         run.row("-", "attained-uniformly", res.attained_uniformly, None, INFO)
@@ -312,7 +321,11 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         tilde = Portfolio(_refs(task, "tilde", scn, "process"))
         bar = Portfolio(_refs(task, "bar", scn, "process"))
         A = _matrix(task, _field(task, "matrix"), tilde.t_end - tilde.t_start + 1)
-        rep = matrix_compare(A, u, tilde, bar, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
+        samples, seed = _int(task, "samples", 20), _task_seed(task, scn, seed_override)
+        try:
+            rep = matrix_compare(A, u, tilde, bar, samples, seed, _tol(task))
+        except ValueError as e:  # mismatched portfolios, or a matrix image that is not adapted
+            raise ScenarioError(f"task {task['name']!r}: {e}") from None
         run.row("-", "ones-fixed", rep.hyp_eigenvector, None, INFO)
         run.row("-", "nonnegative", rep.hyp_nonnegative, None, INFO)
         run.row("-", "acceptance-implication", rep.hyp_acceptance, rep.acceptance_samples, INFO)

@@ -1,15 +1,23 @@
 """Small dense linear programs for penalty evaluation.
 
-Each program minimizes c.x subject to G.x >= h inside a box |x_j| <= M.
-Two interchangeable solvers are provided: the production path delegates to
-scipy's HiGHS simplex, the oracle enumerates basic feasible points directly.
-Unboundedness of the un-boxed program is detected by growing the box and
-watching whether the optimum keeps escaping through it.
+The penalty program minimizes c.x subject to G.x >= h with every h_i <= 0,
+so x = 0 is feasible.  The production route solves its LP dual, max h.lam
+subject to G^T lam = c, lam >= 0, which is bounded by 0: ``DualSupports``
+enumerates the dual's basic supports, and above ``SUPPORT_LIMIT`` of them
+``maximize_dual_highs`` solves it with one HiGHS call.  An infeasible dual
+means the primal is unbounded, and the value is -inf.
+
+The primal oracle works inside a box |x_j| <= M instead: two interchangeable
+box solvers (HiGHS, and enumeration of basic feasible points) and
+``minimize_with_escalation``, which detects unboundedness of the un-boxed
+program by growing the box and watching whether the optimum keeps escaping
+through it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,9 @@ NEG_INF = float("-inf")
 ESCALATION_ROUNDS = 3
 ESCALATION_FACTOR = 10.0
 DECREASE_TOL_FACTOR = 1e-6
+# dual supports above which a penalty program goes to one HiGHS solve per
+# density: near a thousand, factoring them costs about two HiGHS solves
+SUPPORT_LIMIT = 1024
 
 
 class InfeasibleError(RuntimeError):
@@ -122,3 +133,72 @@ def minimize_with_escalation(solver, c, G, h, box: float) -> tuple[float, dict]:
             return sol.value, diag
         val = sol.value
     return NEG_INF, diag
+
+
+def support_count(n_rows: int, n_vars: int) -> int:
+    """Candidate supports of the dual: nonempty sets of at most n_vars rows."""
+    return sum(math.comb(n_rows, r) for r in range(1, min(n_rows, n_vars) + 1))
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, whatever the leading shape;
+    numpy's own reductions may order the terms by the shape of the stack."""
+    out = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out = out + x[..., j]
+    return out
+
+
+class DualSupports:
+    """Every basic support of max h.lam s.t. G^T lam = c, lam >= 0, factored once.
+
+    A basic solution lives on linearly independent rows of G, so on at most
+    min(S, V) of the S rows.  Each block holds the supports of one size: the
+    (N, V, r) columns G_B^T, their pseudo-inverses from one batched SVD, and
+    the (N, r) penalties; rank-deficient supports are dropped, since every
+    basic solution lives on an independent one.  Needs h <= 0.
+    """
+
+    def __init__(self, G: np.ndarray, h: np.ndarray):
+        n_rows, n_vars = G.shape
+        self.blocks = []
+        for r in range(1, min(n_rows, n_vars) + 1):
+            rows = np.array(list(itertools.combinations(range(n_rows), r)))
+            A = G[rows].transpose(0, 2, 1)
+            u, s, vh = np.linalg.svd(A, full_matrices=False)
+            full = s[:, -1] > s[:, 0] * max(n_vars, r) * np.finfo(float).eps
+            if full.any():
+                pinv = vh[full].transpose(0, 2, 1) / s[full][:, None, :] @ u[full].transpose(0, 2, 1)
+                self.blocks.append((A[full], pinv, h[rows[full]]))
+
+    def maximize(self, C: np.ndarray) -> np.ndarray:
+        """Optimal values for a (K, V) stack of right-hand sides c: -> (K,).
+
+        A support is feasible when its least-squares lam reproduces c within
+        the vertex oracle's row-relative 1e-9 and is nonnegative within the
+        same rule; lam is clipped at 0 before it is scored.  A stack gives the
+        bits of one call per c.
+        """
+        # the empty support, lam = 0, is feasible only for c = 0
+        best = np.where(np.abs(C).max(axis=1) <= 1e-9 * (np.abs(C) + 1.0).max(axis=1), 0.0, NEG_INF)
+        c = C[:, None, :]  # (K, 1, V), against each support's (N, V) fit
+        for A, pinv, h in self.blocks:
+            lam = _sum_last(pinv * c[:, :, None, :])  # (K, N, r)
+            lam_v = lam[:, :, None, :]
+            resid = np.abs(_sum_last(A * lam_v) - c).max(axis=-1)
+            scale = (_sum_last(np.abs(A) * np.abs(lam_v)) + np.abs(c) + 1.0).max(axis=-1)
+            ok = (resid <= 1e-9 * scale) & np.all(lam >= -1e-9 * (np.abs(lam) + 1.0), axis=-1)
+            score = _sum_last(h * np.maximum(lam, 0.0))
+            best = np.maximum(best, np.where(ok, score, NEG_INF).max(axis=-1))
+        # 0 + v, not v: zero penalties sum to -0.0 where some h_i is -0.0
+        return 0.0 + best
+
+
+def maximize_dual_highs(G: np.ndarray, h: np.ndarray, c: np.ndarray) -> float:
+    """The same dual by one HiGHS solve, lam >= 0 and no box; -inf when infeasible."""
+    res = linprog(-h, A_eq=G.T, b_eq=c, bounds=(0, None), method="highs")
+    if res.status == 2:
+        return NEG_INF
+    if not res.success:
+        raise RuntimeError(f"LP solver failed: {res.message}")
+    return 0.0 - res.fun

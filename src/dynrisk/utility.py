@@ -26,6 +26,7 @@ pair and calls each stage's kernel once per step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +129,7 @@ class DualFiniteUtility(UtilityBase):
         self._increments = np.stack([a.values[t_start - a.t_start : t_end - a.t_start + 1] for a, _ in scenarios])
         self._gamma = np.stack([g.values for _, g in scenarios])
         self._dead = np.isneginf(self._gamma)
+        self._supports: dict[int, lp.DualSupports] = {}  # penalty dual per start atom, built on first use
 
     @property
     def coherent(self) -> bool:
@@ -137,6 +139,27 @@ class DualFiniteUtility(UtilityBase):
         """Largest finite penalty magnitude (0 when all are 0 or -inf)."""
         vals = [abs(v) for _, g in self.scenarios for v in g.values if np.isfinite(v)]
         return max(vals, default=0.0)
+
+    @cached_property
+    def _variables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The penalty program's variables, one per atom B of each window time s,
+        ordered by s, then B: (order, starts) of a segmented sum over flattened
+        (L, M) slices, each variable's window-start atom and its probability."""
+        sp, t = self.space, self.t_start
+        times = range(t, self.t_end + 1)
+        offsets = np.cumsum([0] + [sp.n_atoms(s) for s in times])
+        ids = np.concatenate([off + sp.atom_index(s) for off, s in zip(offsets, times)])
+        order = np.argsort(ids, kind="stable")
+        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        owner = sp.atom_index(t)[order[starts] % sp.n_outcomes]
+        return order, starts, owner, sp.atom_prob(t)[owner]
+
+    def _coefficients(self, vals: np.ndarray) -> np.ndarray:
+        """Billing E[d_s 1_B] / P(start atom) of each variable (s, B):
+        (..., L, M) density slices -> (..., V)."""
+        order, starts, _, p_start = self._variables
+        flat = (vals * self.space.probs).reshape(*vals.shape[:-2], -1)
+        return np.add.reduceat(flat.take(order, axis=-1), starts, axis=-1) / p_start
 
     def _features(self, vals: np.ndarray) -> np.ndarray:
         """Pairings with every scenario: (..., L, M) -> (..., S, atoms)."""
@@ -226,21 +249,72 @@ def penalty(
     bound: float | None = None,
     solver: str = "highs",
 ) -> ConditionalValue:
-    """Smallest billing of an acceptable position against a, per window-start atom.
+    """Minimal penalty of the robust representation at a, per window-start atom.
 
-    One linear program per atom of the window start, over the adapted degrees
-    of freedom inside that atom; the box-escalation wrapper reports -inf for
-    atoms where the infimum is unbounded.
+    On each atom it is the smallest billing c.x of an acceptable position,
+    G.x >= h, where x runs over the adapted degrees of freedom inside the
+    atom, c bills them against a, each row of G against a live scenario,
+    and h holds those scenarios' penalties.  The default route solves the LP
+    dual, max h.lam s.t. G^T lam = c, lam >= 0, by enumerating its basic
+    supports (one HiGHS solve above ``lp.SUPPORT_LIMIT`` of them); an
+    infeasible dual gives -inf, and a coherent utility's penalty is 0 or
+    -inf.  ``solver="vertices"`` is the primal oracle: vertex enumeration in
+    a box of half-width ``bound`` that grows while the optimum escapes it.
     """
+    return ConditionalValue(u.space, u.t_start, _penalties(u, [a], bound, solver)[0])
+
+
+def _penalties(
+    u: DualFiniteUtility,
+    densities: Sequence[DensityProcess],
+    bound: float | None = None,
+    solver: str = "highs",
+) -> np.ndarray:
+    """``penalty`` of every density at once: -> (K, atoms).  The dual route
+    prices all of them per atom against supports factored once on ``u``."""
     if not isinstance(u, DualFiniteUtility):
         raise TypeError("penalty evaluation needs an explicit finite scenario set")
-    if a.space is not u.space or a.t_start > u.t_start or a.t_end < u.t_end:
-        raise ValueError(f"density window {a.window} does not cover {u.window}")
+    if solver not in ("highs", "vertices"):
+        raise ValueError(f"unknown penalty solver {solver!r}: use 'highs' or 'vertices'")
+    t, T = u.t_start, u.t_end
+    for a in densities:
+        if a.space is not u.space or a.t_start > t or a.t_end < T:
+            raise ValueError(f"density window {a.window} does not cover {u.window}")
+    if solver == "vertices":
+        return np.array([_penalty_vertices(u, a, bound) for a in densities])
+
+    C = u._coefficients(np.stack([a.values[t - a.t_start : T - a.t_start + 1] for a in densities]))
+    G = u._coefficients(u._increments)
+    _, _, owner, _ = u._variables
+    out = np.empty((len(densities), u.space.n_atoms(t)))
+    for k, atom in enumerate(u.space.atoms(t)):
+        live = np.flatnonzero(~u._dead[:, k])
+        h = u._gamma[live, k]
+        if np.any(h > 1e-12):
+            # the dual is bounded by 0 only when every live penalty is <= 0
+            i = int(np.argmax(h))
+            raise RuntimeError(
+                f"penalty came out positive: scenario {live[i]} has penalty {h[i]:.3g} on atom {atom}; "
+                "zero must be feasible"
+            )
+        h = np.minimum(h, 0.0)  # the constructor's 1e-12 slack
+        Gk, Ck = G[live][:, owner == k], C[:, owner == k]
+        if lp.support_count(*Gk.shape) > lp.SUPPORT_LIMIT:
+            out[:, k] = [lp.maximize_dual_highs(Gk, h, c) for c in Ck]
+            continue
+        if k not in u._supports:
+            u._supports[k] = lp.DualSupports(Gk, h)
+        out[:, k] = u._supports[k].maximize(Ck)
+    return out
+
+
+def _penalty_vertices(u: DualFiniteUtility, a: DensityProcess, bound: float | None) -> np.ndarray:
+    """The primal oracle: one boxed LP per atom, solved by vertex enumeration,
+    with the box-escalation wrapper reporting -inf where it is unbounded."""
     space = u.space
     t, T = u.t_start, u.t_end
     if bound is None:
         bound = 1e6 * max(1.0, u.gamma_norm())
-    solve = lp.solve_box_lp_highs if solver == "highs" else lp.solve_box_lp_vertices
 
     out = np.empty(space.n_atoms(t))
     for k, atom in enumerate(space.atoms(t)):
@@ -271,13 +345,13 @@ def penalty(
             G_arr, h_arr = np.array(G), np.array(h)
         else:
             G_arr, h_arr = np.zeros((0, len(variables))), np.zeros(0)
-        val, _ = lp.minimize_with_escalation(solve, c, G_arr, h_arr, bound)
+        val, _ = lp.minimize_with_escalation(lp.solve_box_lp_vertices, c, G_arr, h_arr, bound)
         if np.isfinite(val) and val > 1e-7 * max(1.0, bound / 1e6):
             raise RuntimeError(
                 f"penalty came out positive ({val:.3g}) on atom {atom}; zero must be feasible"
             )
         out[k] = val
-    return ConditionalValue(space, t, out)
+    return out
 
 
 def argmax_density(

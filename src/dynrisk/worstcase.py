@@ -37,6 +37,7 @@ from .utility import (
     UtilityBase,
     UtilityProcess,
     _check_relevance,
+    _penalties,
     normalize_to_window,
     normalized_scenario_process,
     penalty,
@@ -104,14 +105,23 @@ def average_risk(
     ``rearrangements``, when given, holds the marginals' classes, which are
     then not enumerated again.
     """
+    return _average_correlation(a, marginals, u, cap, rearrangements) + penalty(u, a, solver=solver)
+
+
+def _average_correlation(
+    a: DensityProcess,
+    marginals: Portfolio,
+    u: DualFiniteUtility,
+    cap: int,
+    rearrangements: Sequence[RearrangementClass] | None,
+) -> ConditionalValue:
     t, t_end = u.t_start, u.t_end
     acc = None
     for i, X in enumerate(marginals.members):
         cls = None if rearrangements is None else rearrangements[i]
         v = max_correlation(a, X, t, t_end, cap, rearrangement=cls).value
         acc = v if acc is None else acc + v
-    avg = acc * (1.0 / marginals.n)
-    return avg + penalty(u, a, solver=solver)
+    return acc * (1.0 / marginals.n)
 
 
 @dataclass
@@ -136,7 +146,9 @@ def worst_scenario(
         raise ValueError("empty candidate list")
     t, t_end = u.t_start, u.t_end
     space = u.space
-    table = np.stack([average_risk(c, marginals, u, cap, solver, rearrangements).values for c in candidates])
+    # average_risk of every candidate, its penalties priced in one pass
+    table = np.stack([_average_correlation(c, marginals, u, cap, rearrangements).values for c in candidates])
+    table = table + _penalties(u, candidates, solver=solver)
     best = table.max(axis=0)
     choice = _first_near_max(table)
     single = any(bool(np.all(table[i] >= best - 1e-12)) for i in range(len(candidates)))

@@ -52,6 +52,7 @@ from dynrisk.random_gen import (
 )
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "full_verification.json"
+GOLDEN = Path(__file__).resolve().parent / "data" / "full_verification"
 
 
 def stopping_measurable_event(space, theta, rng):
@@ -367,3 +368,15 @@ def test_cli_reports_are_deterministic(tmp_path):
     assert outputs["r1"] == outputs["r2"]
     assert outputs["w4a"] == outputs["w4b"]
     assert outputs["r1"] == outputs["w4a"]
+
+
+def test_cli_reports_match_golden_files(tmp_path):
+    """The bundled scenario's reports equal the committed ones byte for byte,
+    with the same set of files."""
+    assert cli_main(["run", str(SCENARIO), "--out", str(tmp_path)]) == 0
+    got = {p.name: p.read_bytes() for p in sorted(tmp_path.glob("*.tsv"))}
+    want = {p.name: p.read_bytes() for p in sorted(GOLDEN.glob("*.tsv"))}
+    assert want, f"no golden reports under {GOLDEN}"
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], f"{name} differs from its golden copy"

@@ -10,7 +10,10 @@ stability checks and the pasting closure, which stack every splice, against
 one public ``concatenate`` or ``paste`` per splice.  Stacked pairings of a
 whole rearrangement class must give the bits of one ``pairing`` per member,
 and the duality and linear-driven harnesses, which enumerate each class once
-and pair it in one pass, must report what per-call routes report.
+and pair it in one pass, must report what per-call routes report.  The
+penalty's dual support enumeration must agree with the primal vertex oracle
+and with HiGHS on the same dual, and pricing a stack of densities must give
+the bits of one call per density.
 """
 
 import itertools
@@ -22,7 +25,9 @@ import pytest
 from dynrisk import (
     AdaptedProcess,
     CapExceededError,
+    ConditionalValue,
     DensityProcess,
+    DualFiniteUtility,
     EntropicUtility,
     FiniteFilteredSpace,
     Portfolio,
@@ -43,6 +48,7 @@ from dynrisk import (
     normalized_scenario_process,
     pairing,
     paste,
+    penalty,
     robust_entropic_process,
     stability_check,
     time_consistency_check,
@@ -59,8 +65,11 @@ from dynrisk.random_gen import (
     random_space,
     random_terminal_density,
 )
+from dynrisk import lp
 from dynrisk.processes import _pairings
 from dynrisk.space import enumerate_stopping_events
+from dynrisk.utility import _penalties
+from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
 
 FAMILIES = ("dual", "coherent", "entropic", "robust")
 
@@ -534,3 +543,102 @@ def test_linear_driven_stages_match_per_member_oracle():
             assert [s.passed for s in rep.stages] == [r <= 1e-9 for r in want], f"seed {seed}"
             failing += not rep.passed
     assert failing >= 5, "no failing stage residual was compared"
+
+
+def penalty_instance(g):
+    """A coherent or penalised utility on a tree with at most five variables
+    per start atom, so that the vertex oracle stays quick; on some draws a
+    scenario is dead (gamma = -inf) on part of the atoms.  The targets are
+    the scenarios and a mixture of them, inside the cone, and a random and a
+    time-0-concentrated density, mostly outside it."""
+    while True:
+        sp = random_space(g, max_outcomes=4, max_horizon=2)
+        n = int(g.integers(1, 4))
+        make = random_coherent_utility if g.random() < 0.5 else random_dual_utility
+        u = make(sp, 0, sp.horizon, g, n_scenarios=n)
+        if np.bincount(u._variables[2]).max() <= 5:
+            break
+    if n > 1 and g.random() < 0.4:
+        dead = np.where(g.random(sp.n_atoms(0)) < 0.6, -np.inf, 0.0)
+        dead[0] = -np.inf
+        scen = u.scenarios[:-1] + [(u.scenarios[-1][0], ConditionalValue(sp, 0, dead))]
+        u = DualFiniteUtility(sp, 0, sp.horizon, scen, validate=False)
+    (a1, _), (a2, _) = u.scenarios[0], u.scenarios[-1]
+    conc = np.zeros((sp.horizon + 1, sp.n_outcomes))
+    conc[0] = 1.0
+    targets = [a for a, _ in u.scenarios] + [
+        DensityProcess(sp, 0, 0.3 * a1.values + 0.7 * a2.values),
+        random_density(sp, 0, sp.horizon, g, strict=True),
+        DensityProcess(sp, 0, conc),
+    ]
+    return u, targets
+
+
+def assert_same_penalties(got, want, label):
+    """Identical -inf patterns and finite values within 1e-8."""
+    assert np.array_equal(np.isneginf(got), np.isneginf(want)), f"{label}: {got} vs {want}"
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-8), f"{label}: {got} vs {want}"
+
+
+def test_dual_penalty_matches_vertex_oracle_and_highs_dual(monkeypatch):
+    counts = {"neg_inf": 0, "finite": 0, "dead": 0}
+    for seed in range(20):
+        g = np.random.default_rng([15, seed])
+        u, targets = penalty_instance(g)
+        counts["dead"] += bool(u._dead.any())
+        got = _penalties(u, targets)
+        one = np.array([penalty(u, a).values for a in targets])
+        assert np.array_equal(bits(got), bits(one)), f"seed {seed}: stacked pricing moved bits"
+        oracle = _penalties(u, targets, solver="vertices")
+        with monkeypatch.context() as m:
+            m.setattr(lp, "SUPPORT_LIMIT", 0)  # every atom with a live scenario goes to HiGHS
+            highs = _penalties(u, targets)
+        assert_same_penalties(got, oracle, f"seed {seed}, vertex oracle")
+        assert_same_penalties(got, highs, f"seed {seed}, HiGHS on the dual")
+        counts["neg_inf"] += int(np.isneginf(got).sum())
+        counts["finite"] += int(np.isfinite(got).sum())
+    assert min(counts.values()) > 0, counts
+
+
+def test_dual_penalty_above_the_support_limit_goes_to_highs(monkeypatch):
+    sp = FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1]]])  # three variables on [0, 1]
+    n = 20
+    assert lp.support_count(n, 3) > lp.SUPPORT_LIMIT
+    calls = []
+    solve = lp.maximize_dual_highs
+    monkeypatch.setattr(lp, "maximize_dual_highs", lambda *args: calls.append(1) or solve(*args))
+    seen = set()
+    for seed, make in ((0, random_coherent_utility), (1, random_dual_utility)):
+        g = np.random.default_rng([16, seed])
+        u = make(sp, 0, 1, g, n_scenarios=n)
+        targets = [a for a, _ in u.scenarios[:2]] + [random_density(sp, 0, 1, g, strict=True) for _ in range(3)]
+        targets.append(DensityProcess(sp, 0, [[1.0, 1.0], [0.0, 0.0]]))
+        got = _penalties(u, targets)
+        assert len(calls) == len(targets), "the fallback did not run"
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(lp, "SUPPORT_LIMIT", lp.support_count(n, 3))
+            enumerated = _penalties(u, targets)
+        assert not calls, "the enumeration called HiGHS"
+        assert_same_penalties(got, enumerated, f"seed {seed}, enumeration")
+        assert_same_penalties(got, _penalties(u, targets, solver="vertices"), f"seed {seed}, vertex oracle")
+        seen.update(np.isfinite(got[:, 0]))
+    assert seen == {True, False}, "needs finite and -inf targets"
+
+
+def test_coherent_penalty_is_positive_zero_at_its_own_scenarios():
+    for seed in range(40):
+        g = np.random.default_rng([17, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3)
+        t0 = int(g.integers(0, sp.horizon + 1))
+        u = random_coherent_utility(sp, t0, sp.horizon, g, n_scenarios=int(g.integers(1, 5)))
+        for i, (a, _) in enumerate(u.scenarios):
+            vals = penalty(u, a).values
+            assert np.array_equal(bits(vals), bits(np.zeros_like(vals))), f"seed {seed}, scenario {i}: {vals}"
+
+
+def test_duality_gate_equality_is_exact(duality_instances):  # noqa: F811
+    reports, _ = duality_instances
+    worst = max(rep.equality_residual for _, rep in reports)
+    assert worst <= 1e-15, f"worst equality residual {worst:.3g}"

@@ -297,6 +297,57 @@ class TestCLI:
                 },
                 "matrix shape (2, 2) does not match window length 3",
             ),
+            (
+                {
+                    "task": "matrix-sup",
+                    "name": "ms",
+                    "utility": "coh",
+                    "position": "pos1",
+                    "matrices": [[[0, 0, 1], [0, 1, 0], [1, 0, 0]]],
+                },
+                "matrix image is not adapted",
+            ),
+            (
+                {
+                    "task": "matrix-compare",
+                    "name": "mc",
+                    "utility": "coh",
+                    "matrix": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+                    "tilde": ["pos1", "pos2"],
+                    "bar": ["pos1", "pos2"],
+                },
+                "matrix image is not adapted",
+            ),
+            (
+                {"task": "penalty", "name": "pen", "utility": "coh", "density": "gen1", "solver": "hgihs"},
+                "solver must be 'highs' or 'vertices', got 'hgihs'",
+            ),
+            (
+                {"task": "penalty", "name": "pen", "utility": "coh", "density": "gen1", "solver": 5},
+                "solver must be 'highs' or 'vertices', got 5",
+            ),
+            (
+                {
+                    "task": "worst-scenario",
+                    "name": "ws",
+                    "utility": "coh",
+                    "candidates": ["gen1"],
+                    "marginals": ["pos1"],
+                    "solver": "hgihs",
+                },
+                "solver must be 'highs' or 'vertices', got 'hgihs'",
+            ),
+            (
+                {
+                    "task": "worst-scenario",
+                    "name": "ws",
+                    "utility": "coh",
+                    "candidates": ["gen1"],
+                    "marginals": ["pos1"],
+                    "solver": 5,
+                },
+                "solver must be 'highs' or 'vertices', got 5",
+            ),
         ],
         ids=[
             "utility-as-list",
@@ -311,6 +362,12 @@ class TestCLI:
             "unknown-stability-kind",
             "matrix-wrong-size",
             "compare-matrix-wrong-size",
+            "matrix-image-not-adapted",
+            "compare-matrix-image-not-adapted",
+            "penalty-solver-misspelt",
+            "penalty-solver-not-a-string",
+            "worst-scenario-solver-misspelt",
+            "worst-scenario-solver-not-a-string",
         ],
     )
     def test_malformed_reference_is_input_error(self, tmp_path, capsys, task, message):

@@ -181,6 +181,20 @@ class TestPenalty:
         with pytest.raises(TypeError):
             penalty(u, a)
 
+    def test_positive_live_gamma_raises(self, two_uniform):
+        # only reachable without validation; the dual is then not bounded by 0
+        a = DensityProcess(two_uniform, 0, [[0.0, 0.0], [1.2, 0.8]])
+        gam = ConditionalValue.constant(two_uniform, 0, 0.5)
+        u = DualFiniteUtility(two_uniform, 0, 1, [(a, gam)], validate=False)
+        with pytest.raises(RuntimeError, match="came out positive"):
+            penalty(u, a)
+
+    @pytest.mark.parametrize("solver", ["hgihs", 5])
+    def test_unknown_solver_is_rejected(self, four_tree, solver):
+        u = coherent_two_scenario(four_tree)
+        with pytest.raises(ValueError, match="unknown penalty solver"):
+            penalty(u, u.scenarios[0][0], solver=solver)
+
 
 class TestArgmaxDensity:
     def test_reproduces_insurance_value(self, four_tree):
