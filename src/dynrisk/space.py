@@ -99,9 +99,6 @@ class FiniteFilteredSpace:
         self._check_time(t)
         return self._atom_index[t]
 
-    def atom_prob(self, t: int) -> np.ndarray:
-        return np.array([self.probs[list(atom)].sum() for atom in self.atoms(t)])
-
     def atom_layout(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Cached (order, starts, seg, w_ord, wsum) for segmented reductions.
 

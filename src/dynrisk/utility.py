@@ -152,7 +152,8 @@ class DualFiniteUtility(UtilityBase):
         order = np.argsort(ids, kind="stable")
         starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
         owner = sp.atom_index(t)[order[starts] % sp.n_outcomes]
-        return order, starts, owner, sp.atom_prob(t)[owner]
+        p_atom = sp.atom_layout(t)[-1]
+        return order, starts, owner, p_atom[owner]
 
     def _coefficients(self, vals: np.ndarray) -> np.ndarray:
         """Billing E[d_s 1_B] / P(start atom) of each variable (s, B):
