@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynrisk.lp import (
+    DualSupports,
     InfeasibleError,
+    maximize_dual_highs,
     minimize_with_escalation,
     solve_box_lp_highs,
     solve_box_lp_vertices,
@@ -62,3 +64,28 @@ class TestEscalation:
         # c = (1, -2) decreases along (t, t) while staying feasible
         val, _ = minimize_with_escalation(solve_box_lp_highs, [1.0, -2.0], [[1.0, 1.0]], [0.0], 10.0)
         assert val == float("-inf")
+
+
+class TestDual:
+    @given(seed=st.integers(0, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_supports_match_highs_and_the_escalated_primal(self, seed):
+        # min c.x s.t. Gx >= h with h <= 0: the dual's value, or -inf where
+        # the primal is unbounded, on both dual routes and the primal oracle
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 4))
+        m = int(g.integers(0, 5))
+        G = g.normal(size=(m, n))
+        h = -g.random(m)
+        c = G.T @ g.random(m) if m and g.random() < 0.6 else g.normal(size=n)
+        got = DualSupports(G, h).maximize(c[None])[0]
+        primal, _ = minimize_with_escalation(solve_box_lp_vertices, c, G, h, 1e3)
+        want = [primal, maximize_dual_highs(G, h, c)] if m else [primal]
+        for w in want:
+            assert np.isneginf(got) == np.isneginf(w)
+            if np.isfinite(w):
+                assert abs(got - w) <= 1e-7 * max(1.0, abs(w))
+
+    def test_no_rows(self):
+        sup = DualSupports(np.zeros((0, 2)), np.zeros(0))
+        assert list(sup.maximize(np.array([[0.0, 0.0], [1.0, 0.0]]))) == [0.0, float("-inf")]
