@@ -262,7 +262,8 @@ def penalty(
     -inf.  ``solver="vertices"`` is the primal oracle: vertex enumeration in
     a box of half-width ``bound`` that grows while the optimum escapes it.
     """
-    return ConditionalValue(u.space, u.t_start, _penalties(u, [a], bound, solver)[0])
+    values = _penalties(u, [a], bound, solver)[0]  # checks u's type first
+    return ConditionalValue(u.space, u.t_start, values)
 
 
 def _penalties(
