@@ -16,9 +16,9 @@ import numpy as np
 
 from .processes import membership, stability_check
 from .rearrange import is_comonotone, lap_upper_bound, max_correlation
-from .scenario import Scenario, ScenarioError, _num, load_scenario
+from .scenario import Fields, Scenario, ScenarioError, load_scenario
 from .space import CapExceededError, DEFAULT_TOL
-from .utility import DualFiniteUtility, check_axioms, penalty, time_consistency_check
+from .utility import AXIOMS, PENALTY_SOLVERS, DualFiniteUtility, check_axioms, penalty, time_consistency_check
 from .worstcase import (
     AdaptedWorstProcess,
     Portfolio,
@@ -77,73 +77,17 @@ def _per_atom_rows(run: TaskRun, space, t, quantity, values, bounds=None, status
         run.row(atom, quantity, values[k], b, s)
 
 
-def _field(task: dict, key: str):
-    """A required task field; a missing one is an input error."""
-    if key not in task:
-        raise ScenarioError(f"task {task['name']!r}: missing field {key!r}")
-    return task[key]
-
-
-def _list(task: dict, key: str) -> list:
-    """A required field holding a non-empty JSON list."""
-    raw = _field(task, key)
-    if not isinstance(raw, list) or not raw:
-        raise ScenarioError(f"task {task['name']!r}: {key} must be a non-empty list, got {raw!r}")
-    return raw
-
-
-def _refs(task: dict, key: str, scn: Scenario, kind: str) -> list:
-    """A required non-empty list of names, each resolved as a ``kind`` reference."""
-    return [scn.resolve(kind, n) for n in _list(task, key)]
-
-
-def _matrix(task: dict, raw, length: int) -> np.ndarray:
-    """A length x length matrix, one row and column per time of the position's
-    window, given as a list of equally long lists of numbers."""
-    rows = isinstance(raw, list) and raw and all(isinstance(row, list) and row for row in raw)
-    if not rows or len({len(row) for row in raw}) != 1:
-        raise ScenarioError(f"task {task['name']!r}: a matrix must be a list of equally long lists, got {raw!r}")
-    A = np.array([[_num(v, "matrix entry") for v in row] for row in raw])
-    if A.shape != (length, length):
-        raise ScenarioError(f"task {task['name']!r}: matrix shape {A.shape} does not match window length {length}")
-    return A
-
-
-def _int(task: dict, key: str, default: int) -> int:
-    raw = task.get(key, default)
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"task {task['name']!r}: {key} must be an integer, got {raw!r}") from None
-
-
-def _task_seed(task: dict, scn: Scenario, override: int | None) -> int:
-    if override is not None:
-        return override
-    return _int(task, "seed", scn.seed)
-
-
-def _tol(task: dict) -> float:
-    return _num(task.get("tol", DEFAULT_TOL), "tol")
-
-
-def _cap(task: dict, default: int = 1_000_000) -> int:
-    return _int(task, "cap", default)
-
-
-def _solver(task: dict) -> str:
-    raw = task.get("solver", "highs")
-    if raw not in ("highs", "vertices"):
-        raise ScenarioError(f"task {task['name']!r}: solver must be 'highs' or 'vertices', got {raw!r}")
-    return raw
-
-
 def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int | None) -> tuple[TaskRun, str]:
-    kind = task["task"]
-    run = TaskRun(task["name"])
-    space = scn.space
+    """Read the task's fields, reject any it does not read, then run it."""
+    f = Fields(task, f"task {task['name']!r}", scn)
+    kind, run, space = f.get("task"), TaskRun(f.get("name")), scn.space
+
+    def seed() -> int:
+        declared = f.integer("seed", scn.seed)
+        return declared if seed_override is None else seed_override
 
     if kind == "check-space":
+        f.finish()
         run.row("-", "outcomes", space.n_outcomes, None, PASS)
         run.row("-", "horizon", space.horizon, None, PASS)
         run.row("-", "prob-sum", float(space.probs.sum()), 1.0, PASS)
@@ -152,30 +96,34 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS
 
     if kind == "check-membership":
-        name = _field(task, "density")
+        name = f.get("density")
         if isinstance(name, str) and name not in scn.densities and name in scn.terminal_densities:
+            f.finish()  # a terminal density has no class to check
             run.row("-", "in-Drel", True, None, PASS)
             return run, PASS
-        a = scn.resolve("density", name)
-        klass = task.get("class", "D")
-        ok, diag = membership(a, klass, a.t_start)
+        a, klass = f.ref("density", "density"), f.get("class", "D")
+        with f.building():  # membership rejects an unknown class
+            ok, diag = membership(a, klass, a.t_start)
         run.row("-", f"in-{klass}", ok, None, PASS if ok else FAIL)
         if not ok:
             run.row("-", "diagnostic", diag, None, FAIL)
         return run, PASS if ok else FAIL
 
     if kind == "axioms":
-        u = scn.resolve("utility", _field(task, "utility"))
-        rep = check_axioms(u, _int(task, "samples", 20), _task_seed(task, scn, seed_override), _tol(task))
-        expect = task.get("expect", {})
-        status = INFO if not expect else PASS
+        u, samples = f.ref("utility", "utility"), f.integer("samples", 20, least=1)
+        tol, axiom_seed, expect = f.number("tol", DEFAULT_TOL, least=0), seed(), f.object("expect", {})
+        want = {axiom: expect.boolean(axiom) for axiom in AXIOMS if axiom in expect.obj}
+        expect.finish()
+        with f.building():
+            rep = check_axioms(u, samples, axiom_seed, tol)
+        status = PASS if want else INFO
         for axiom, res in rep.results.items():
             if res.passed is None:
                 run.row("-", axiom, res.note, None, INFO)
                 continue
             row_status = INFO
-            if axiom in expect:
-                row_status = PASS if bool(res.passed) == bool(expect[axiom]) else FAIL
+            if axiom in want:
+                row_status = PASS if bool(res.passed) == want[axiom] else FAIL
                 if row_status == FAIL:
                     status = FAIL
             run.row("-", axiom, res.passed, res.samples, row_status)
@@ -184,20 +132,20 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, status
 
     if kind == "evaluate":
-        u = scn.resolve("utility", _field(task, "utility"))
-        X = scn.resolve("process", _field(task, "position"))
-        insurance = bool(task.get("insurance", False))
-        v = u.insurance(X) if insurance else u.evaluate(X)
+        u, X, insurance = f.ref("utility", "utility"), f.ref("position", "process"), f.boolean("insurance", False)
+        with f.building():  # a position whose window does not cover the utility's
+            v = u.insurance(X) if insurance else u.evaluate(X)
         _per_atom_rows(run, space, u.t_start, "psi" if insurance else "phi", v.values)
         return run, INFO
 
     if kind == "penalty":
-        u = scn.resolve("utility", _field(task, "utility"))
+        u, a = f.ref("utility", "utility"), f.ref("density", "density")
+        solver = f.choice("solver", PENALTY_SOLVERS, "highs")
         if not isinstance(u, DualFiniteUtility):
-            raise ScenarioError(f"task {task['name']!r}: penalty needs a dual utility, not {type(u).__name__}")
-        a = scn.resolve("density", _field(task, "density"))
+            f.fail(f"penalty needs a dual utility, not {type(u).__name__}")
         try:
-            v = penalty(u, a, solver=_solver(task))
+            with f.building():  # a density whose window does not cover the utility's
+                v = penalty(u, a, solver=solver)
         except RuntimeError as e:
             run.row("-", "error", str(e), None, FAIL)
             return run, FAIL
@@ -205,25 +153,22 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "max-correlation":
-        a = scn.resolve("density", _field(task, "density"))
-        X = scn.resolve("process", _field(task, "position"))
-        t = _int(task, "t", X.t_start)
-        cap = _cap(task, 100_000)
-        mc = max_correlation(a, X, t, X.t_end, cap)
-        lap = lap_upper_bound(a, X, t, X.t_end)
-        tol = _tol(task)
-        statuses = [PASS if lap.values[k] >= mc.value.values[k] - tol else FAIL for k in range(space.n_atoms(t))]
+        a, X = f.ref("density", "density"), f.ref("position", "process")
+        t, cap, tol = f.integer("t", X.t_start), f.integer("cap", 100_000), f.number("tol", DEFAULT_TOL, least=0)
+        with f.building():  # a time outside the position's window, or windows that do not fit
+            mc = max_correlation(a, X, t, X.t_end, cap)
+            lap = lap_upper_bound(a, X, t, X.t_end)
+        statuses = [PASS if ok else FAIL for ok in lap.values >= mc.value.values - tol]
         _per_atom_rows(run, space, t, "psi_a", mc.value.values, lap.values, statuses)
         _per_atom_rows(run, space, t, "argmax-member", mc.argmax_index)
         run.row("-", "class-size", mc.rearrangement.size, None, INFO)
-        status = PASS if all(s == PASS for s in statuses) else FAIL
-        return run, status
+        return run, PASS if all(s == PASS for s in statuses) else FAIL
 
     if kind == "comonotone":
-        a0 = scn.resolve("density", _field(task, "density"))
-        family = _refs(task, "family", scn, "process")
-        tol = _tol(task)
-        cert = is_comonotone(a0, family, tol, _cap(task, 100_000))
+        a0, family = f.ref("density", "density"), f.refs("family", "process")
+        tol, cap, expect = f.number("tol", DEFAULT_TOL, least=0), f.integer("cap", 100_000), f.boolean("expect", None)
+        with f.building():  # windows that do not fit
+            cert = is_comonotone(a0, family, tol, cap)
         t = family[0].t_start
         for i, res in enumerate(cert.member_residuals):
             _per_atom_rows(run, space, t, f"member{i}-residual", res, [tol] * space.n_atoms(t))
@@ -231,31 +176,31 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         run.row("-", "comonotone", cert.comonotone, None, INFO)
         for d in cert.details:
             run.row("-", "detail", d, None, INFO)
-        if "expect" in task:
-            ok = bool(task["expect"]) == cert.comonotone
-            return run, PASS if ok else FAIL
+        if expect is not None:
+            return run, PASS if expect == cert.comonotone else FAIL
         return run, INFO
 
     if kind == "worst-scenario":
-        u = scn.resolve("utility", _field(task, "utility"))
-        candidates = _refs(task, "candidates", scn, "density")
-        marginals = Portfolio(_refs(task, "marginals", scn, "process"))
-        ws = worst_scenario(candidates, marginals, u, _cap(task, 100_000), _solver(task))
+        u, candidates = f.ref("utility", "utility"), f.refs("candidates", "density")
+        members = f.refs("marginals", "process")
+        cap, solver = f.integer("cap", 100_000), f.choice("solver", PENALTY_SOLVERS, "highs")
+        if not isinstance(u, DualFiniteUtility):
+            f.fail(f"worst-scenario needs a dual utility, not {type(u).__name__}")
+        with f.building():  # marginals or candidates whose windows do not fit
+            ws = worst_scenario(candidates, Portfolio(members), u, cap, solver)
         _per_atom_rows(run, space, u.t_start, "F-max", ws.value.values)
         _per_atom_rows(run, space, u.t_start, "choice", ws.per_atom_choice)
         run.row("-", "single-attainment", ws.single_attainment, None, INFO)
         return run, INFO
 
     if kind == "worst-portfolio":
-        u = scn.resolve("utility", _field(task, "utility"))
-        marginals = Portfolio(_refs(task, "marginals", scn, "process"))
-        wp = worst_portfolio_bruteforce(marginals, u, _cap(task), workers)
-        direct = u.insurance(marginals.mean())
-        tol = _tol(task)
-        statuses = [
-            PASS if wp.sup_value.values[k] >= direct.values[k] - tol else FAIL
-            for k in range(space.n_atoms(u.t_start))
-        ]
+        u, members = f.ref("utility", "utility"), f.refs("marginals", "process")
+        cap, tol = f.integer("cap", 1_000_000), f.number("tol", DEFAULT_TOL, least=0)
+        with f.building():  # marginals whose windows do not fit
+            marginals = Portfolio(members)
+            wp = worst_portfolio_bruteforce(marginals, u, cap, workers)
+            direct = u.insurance(marginals.mean())
+        statuses = [PASS if ok else FAIL for ok in wp.sup_value.values >= direct.values - tol]
         _per_atom_rows(run, space, u.t_start, "sup", wp.sup_value.values, direct.values, statuses)
         _per_atom_rows(run, space, u.t_start, "argmax-tuple", wp.per_atom_argmax)
         run.row("-", "attained-uniformly", wp.attained_uniformly, None, INFO)
@@ -263,16 +208,12 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS if all(s == PASS for s in statuses) else FAIL
 
     if kind == "verify-thm31":
-        u = scn.resolve("utility", _field(task, "utility"))
-        marginals = Portfolio(_refs(task, "marginals", scn, "process"))
-        tol = _tol(task)
-        rep = verify_theorem_3_1(marginals, u, _cap(task), tol, workers)
-        statuses = [
-            PASS
-            if abs(rep.portfolio_value.values[k] - rep.scenario_value.values[k]) <= tol
-            else FAIL
-            for k in range(space.n_atoms(u.t_start))
-        ]
+        u, members = f.ref("utility", "utility"), f.refs("marginals", "process")
+        cap, tol = f.integer("cap", 1_000_000), f.number("tol", DEFAULT_TOL, least=0)
+        with f.building():  # marginals whose windows do not fit, or a utility that is not coherent
+            rep = verify_theorem_3_1(Portfolio(members), u, cap, tol, workers)
+        residuals = np.abs(rep.portfolio_value.values - rep.scenario_value.values)
+        statuses = [PASS if ok else FAIL for ok in residuals <= tol]
         _per_atom_rows(run, space, u.t_start, "portfolio-sup", rep.portfolio_value.values, rep.scenario_value.values, statuses)
         run.row("-", "equality-residual", rep.equality_residual, tol, PASS if rep.equality_holds else FAIL)
         run.row("-", "comonotone-found", rep.comonotone_found, None, INFO)
@@ -283,32 +224,29 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, PASS if rep.passed else FAIL
 
     if kind == "verify-preservation":
-        up = scn.resolve("utility-process", _field(task, "process"))
-        variant = task.get("variant", "thm33")
-        stage0 = Portfolio(_refs(task, "stage0", scn, "process"))
-        candidate = AdaptedWorstProcess.from_restrictions(stage0)
-        hyp = build_preservation_hypotheses(up, variant)
-        rep = verify_preservation(hyp, up, candidate, _cap(task), _tol(task), workers)
+        up, members = f.ref("process", "utility-process"), f.refs("stage0", "process")
+        variant, expect = f.get("variant", "thm33"), f.choice("expect", ("skip",), None)
+        cap, tol = f.integer("cap", 1_000_000), f.number("tol", DEFAULT_TOL, least=0)
+        with f.building():  # an unknown variant, or a stage-0 portfolio off the process's window
+            hyp = build_preservation_hypotheses(up, variant)
+            candidate = AdaptedWorstProcess.from_restrictions(Portfolio(members))
+            rep = verify_preservation(hyp, up, candidate, cap, tol, workers)
         for note in rep.notes:
             run.row("-", "hypothesis", note, None, INFO)
         run.row("-", "hypotheses-ok", rep.hypotheses_ok, None, INFO)
         run.row("-", "adapted-worst-process", rep.adapted_ok, None, INFO)
         if rep.skipped:
             run.row("-", "conclusion", "hypotheses not met", None, "SKIP")
-            expect_skip = task.get("expect") == "skip"
-            return run, PASS if expect_skip else FAIL
+            return run, PASS if expect == "skip" else FAIL
         for chk in rep.stage_checks:
-            run.row("-", f"stage-{chk.t}", chk.residual, _tol(task), PASS if chk.passed else FAIL)
+            run.row("-", f"stage-{chk.t}", chk.residual, tol, PASS if chk.passed else FAIL)
         return run, PASS if rep.passed else FAIL
 
     if kind == "matrix-sup":
-        u = scn.resolve("utility", _field(task, "utility"))
-        X = scn.resolve("process", _field(task, "position"))
-        matrices = [_matrix(task, mat, X.length) for mat in _list(task, "matrices")]
-        try:
+        u, X = f.ref("utility", "utility"), f.ref("position", "process")
+        matrices = [f.matrix("matrices", X.length, raw) for raw in f.items("matrices")]
+        with f.building():  # a matrix image of the position that is not adapted
             res = matrix_sup(u, X, matrices)
-        except ValueError as e:  # a matrix image of the position that is not adapted
-            raise ScenarioError(f"task {task['name']!r}: {e}") from None
         _per_atom_rows(run, space, u.t_start, "sup", res.value.values)
         _per_atom_rows(run, space, u.t_start, "argmax-matrix", res.per_atom_argmax)
         run.row("-", "attained-uniformly", res.attained_uniformly, None, INFO)
@@ -317,15 +255,12 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         return run, INFO
 
     if kind == "matrix-compare":
-        u = scn.resolve("utility", _field(task, "utility"))
-        tilde = Portfolio(_refs(task, "tilde", scn, "process"))
-        bar = Portfolio(_refs(task, "bar", scn, "process"))
-        A = _matrix(task, _field(task, "matrix"), tilde.t_end - tilde.t_start + 1)
-        samples, seed = _int(task, "samples", 20), _task_seed(task, scn, seed_override)
-        try:
-            rep = matrix_compare(A, u, tilde, bar, samples, seed, _tol(task))
-        except ValueError as e:  # mismatched portfolios, or a matrix image that is not adapted
-            raise ScenarioError(f"task {task['name']!r}: {e}") from None
+        u, tilde, bar = f.ref("utility", "utility"), f.refs("tilde", "process"), f.refs("bar", "process")
+        samples, compare_seed, tol = f.integer("samples", 20, least=1), seed(), f.number("tol", DEFAULT_TOL, least=0)
+        A, expect = f.matrix("matrix", tilde[0].length), f.choice("expect", ("guard",), None)
+        with f.building():  # mismatched portfolios, or a matrix image that is not adapted
+            tilde, bar = Portfolio(tilde), Portfolio(bar)
+            rep = matrix_compare(A, u, tilde, bar, samples, compare_seed, tol)
         run.row("-", "ones-fixed", rep.hyp_eigenvector, None, INFO)
         run.row("-", "nonnegative", rep.hyp_nonnegative, None, INFO)
         run.row("-", "acceptance-implication", rep.hyp_acceptance, rep.acceptance_samples, INFO)
@@ -336,45 +271,36 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
             run.row("-", "conclusion", rep.conclusion_holds, rep.conclusion_residual, PASS if rep.conclusion_holds else FAIL)
             return run, PASS if rep.conclusion_holds else FAIL
         run.row("-", "conclusion", "untested (hypotheses not all met)", None, INFO)
-        if task.get("expect") == "guard":
-            return run, PASS
-        return run, INFO
+        return run, PASS if expect == "guard" else INFO
 
     if kind == "stability":
-        kind2 = task.get("kind", "concatenation")
-        if kind2 not in ("concatenation", "m1"):
-            raise ScenarioError(f"task {task['name']!r}: unknown stability kind {kind2!r}")
-        if kind2 == "m1":
-            items = _refs(task, "terminal", scn, "terminal")
-        else:
-            items = _refs(task, "densities", scn, "density")
-        rep = stability_check(items, kind2, _cap(task), _tol(task))
+        kind2 = f.get("kind", "concatenation")
+        items = f.refs("terminal", "terminal") if kind2 == "m1" else f.refs("densities", "density")
+        cap, tol, expect = f.integer("cap", 1_000_000), f.number("tol", DEFAULT_TOL, least=0), f.boolean("expect", None)
+        with f.building():  # an unknown kind, or a family on different windows
+            rep = stability_check(items, kind2, cap, tol)
         run.row("-", "stable", rep.stable, None, INFO)
         run.row("-", "generated", rep.generated, None, INFO)
         run.row("-", "stopping-times", rep.stopping_times, None, INFO)
         if not rep.stable:
             run.row("-", "missing", rep.context, None, INFO)
-        if "expect" in task:
-            ok = bool(task["expect"]) == rep.stable
-            return run, PASS if ok else FAIL
+        if expect is not None:
+            return run, PASS if expect == rep.stable else FAIL
         return run, INFO
 
     if kind == "time-consistency":
-        up = scn.resolve("utility-process", _field(task, "process"))
-        rep = time_consistency_check(
-            up,
-            sample_count=_int(task, "samples", 5),
-            seed=_task_seed(task, scn, seed_override),
-            tol=_tol(task),
-        )
-        run.row("-", "max-residual", rep.max_residual, _tol(task), PASS if rep.passed else FAIL)
+        up, samples = f.ref("process", "utility-process"), f.integer("samples", 5, least=1)
+        tc_seed, tol = seed(), f.number("tol", DEFAULT_TOL, least=0)
+        with f.building():
+            rep = time_consistency_check(up, sample_count=samples, seed=tc_seed, tol=tol)
+        run.row("-", "max-residual", rep.max_residual, tol, PASS if rep.passed else FAIL)
         run.row("-", "checked", rep.checked, None, INFO)
         run.row("-", "stopping-times", rep.stopping_times, None, INFO)
-        for f in rep.failures[:10]:
-            run.row("-", "failure", f, None, FAIL)
+        for failure in rep.failures[:10]:
+            run.row("-", "failure", failure, None, FAIL)
         return run, PASS if rep.passed else FAIL
 
-    raise ScenarioError(f"unknown task kind {kind!r}")
+    f.fail(f"unknown task kind {kind!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -387,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--workers", type=int, default=1)
     runp.add_argument("--seed", type=int, default=None, help="override all declared seeds")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        runp.error(f"argument --seed: a seed is an integer >= 0, got {args.seed}")
 
     try:
         scn = load_scenario(args.file)

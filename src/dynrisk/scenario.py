@@ -1,14 +1,16 @@
 """Scenario files: one JSON document declaring a space, named objects and tasks.
 
-Numbers may be JSON numbers or decimal strings; the literal "-inf" is the
-only non-finite value accepted, and only where a penalty is expected.  All
-declared objects are validated at load time, so a task never sees an object
-violating its membership invariants.
+Every field is read once, through `Fields`; a malformed one is a `ScenarioError`
+naming the object and the field.  Integers are JSON integers >= 0, booleans are
+JSON true/false, numbers are JSON numbers or decimal strings ("-inf" only where
+a penalty is expected), and a field no read asks for is rejected.  Declared
+objects are validated at load time; `dynrisk.cli` reads task fields the same way.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,15 +53,107 @@ def _num(x, where: str, allow_neg_inf: bool = False) -> float:
     return v
 
 
-def _matrix(rows, where: str, allow_neg_inf: bool = False) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ScenarioError(f"{where}: expected a non-empty list of rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ScenarioError(f"{where}: row {i} is not a list")
-        out.append([_num(v, f"{where}[{i}][{j}]", allow_neg_inf) for j, v in enumerate(row)])
-    return np.array(out)
+_REQUIRED = object()
+
+
+class Fields:
+    """Typed reads of one JSON object named ``where``; references resolve in
+    ``scn``.  An absent optional field gives the read's default as is."""
+
+    def __init__(self, obj, where: str, scn: Scenario | None = None):
+        if not isinstance(obj, dict):
+            raise ScenarioError(f"{where} must be an object, got {obj!r}")
+        self.obj, self.where, self.scn = obj, where, scn
+        self.seen: set[str] = set()
+
+    def fail(self, message: str):
+        raise ScenarioError(f"{self.where}: {message}")
+
+    def get(self, key: str, default=_REQUIRED):
+        """The field as the document gives it."""
+        self.seen.add(key)
+        if key in self.obj:
+            return self.obj[key]
+        if default is _REQUIRED:
+            self.fail(f"missing field {key!r}")
+        return default
+
+    def check(self, key: str, default, ok, expected: str):
+        """The field, which must pass ``ok`` when present."""
+        raw = self.get(key, default)
+        if key in self.obj and not ok(raw):
+            self.fail(f"{key} must be {expected}, got {raw!r}")
+        return raw
+
+    def integer(self, key: str, default=_REQUIRED, least: int = 0) -> int:
+        v = self.check(key, default, lambda v: type(v) is int, "an integer")
+        if key in self.obj and v < least:
+            self.fail(f"{key} must be at least {least}, got {v}")
+        return v
+
+    def number(self, key: str, default=_REQUIRED, allow_neg_inf: bool = False, least: float = -np.inf) -> float:
+        v = self.get(key, default)
+        if key in self.obj:
+            v = _num(v, f"{self.where}: {key}", allow_neg_inf)
+            if v < least:
+                self.fail(f"{key} must be at least {least}, got {v}")
+        return v
+
+    def numbers(self, key: str, allow_neg_inf: bool = False) -> list[float]:
+        return [_num(v, f"{self.where}: {key}[{i}]", allow_neg_inf) for i, v in enumerate(self.items(key))]
+
+    def boolean(self, key: str, default=_REQUIRED) -> bool:
+        return self.check(key, default, lambda v: isinstance(v, bool), "true or false")
+
+    def choice(self, key: str, options: tuple[str, ...], default=_REQUIRED) -> str:
+        return self.check(key, default, lambda v: v in options, " or ".join(map(repr, options)))
+
+    def items(self, key: str) -> list:
+        return self.check(key, _REQUIRED, lambda v: isinstance(v, list) and v, "a non-empty list")
+
+    def object(self, key: str, default=_REQUIRED) -> Fields:
+        raw = self.check(key, default, lambda v: isinstance(v, dict), "an object")
+        return Fields(raw, f"{self.where}: {key}", self.scn)
+
+    def ref(self, key: str, kind: str, name=_REQUIRED):
+        """The declared object of ``kind`` that the field (or ``name``, one of its entries) names."""
+        try:
+            return self.scn.resolve(kind, self.get(key) if name is _REQUIRED else name)
+        except ScenarioError as e:
+            self.fail(f"{key}: {e}")
+
+    def refs(self, key: str, kind: str) -> list:
+        return [self.ref(key, kind, name) for name in self.items(key)]
+
+    def matrix(self, key: str, length: int | None = None, raw=_REQUIRED) -> np.ndarray:
+        """A list of equally long lists of numbers; ``length`` asks for a square
+        of that size.  ``raw`` reads one entry of the field instead of all of it."""
+        raw = self.get(key) if raw is _REQUIRED else raw
+        rows = isinstance(raw, list) and raw and all(isinstance(r, list) and r for r in raw)
+        if not rows or len({len(r) for r in raw}) != 1:
+            self.fail(f"{key}: a matrix must be a list of equally long lists, got {raw!r}")
+        A = np.array([[_num(v, f"{self.where}: {key}") for v in row] for row in raw])
+        if length is not None and A.shape != (length, length):
+            self.fail(f"{key}: matrix shape {A.shape} does not match window length {length}")
+        return A
+
+    def finish(self) -> None:
+        unread = sorted(set(self.obj) - self.seen)
+        if unread:
+            self.fail(f"unknown field {unread[0]!r}")
+
+    @contextmanager
+    def building(self):
+        """Once every field is read: reject the unread ones, then report a
+        ValueError raised inside, a constructor's or a harness's check of its
+        arguments, as a ScenarioError naming this object."""
+        self.finish()
+        try:
+            yield
+        except ScenarioError:
+            raise
+        except ValueError as e:
+            self.fail(str(e))
 
 
 @dataclass
@@ -101,129 +195,108 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc)
 
 
+def _declared(top: Fields, section: str, noun: str, scn: Scenario):
+    """(name, reader) for each object declared in an optional section."""
+    table = top.object(section, {})
+    for name in table.obj:
+        yield name, Fields(table.get(name), f"{noun} {name}", scn)
+
+
 def parse_scenario(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario root must be an object")
-    if "space" not in doc:
-        raise ScenarioError("missing space block")
-    sp = doc["space"]
-    probs = [_num(p, f"space.probs[{i}]") for i, p in enumerate(sp.get("probs", []))]
-    partitions = sp.get("partitions")
-    if partitions is None:
-        raise ScenarioError("space.partitions missing")
-    try:
+    top = Fields(doc, "scenario")
+    sp = top.object("space")
+    probs, partitions = sp.numbers("probs"), sp.items("partitions")
+    if not all(isinstance(p, list) and all(isinstance(a, list) and all(type(i) is int for i in a) for a in p) for p in partitions):
+        sp.fail(f"partitions must list each time's atoms as lists of outcome indices, got {partitions!r}")
+    with sp.building():
         space = FiniteFilteredSpace(probs, partitions)
-    except ValueError as e:
-        raise ScenarioError(f"space: {e}") from e
+    scn = Scenario(space=space, seed=top.integer("seed", 0))
 
-    scn = Scenario(space=space, seed=int(doc.get("seed", 0)))
+    for name, f in _declared(top, "processes", "process", scn):
+        t0, values = f.integer("t_start", 0), f.matrix("values")
+        with f.building():
+            scn.processes[name] = AdaptedProcess(space, t0, values)
 
-    for name, spec in doc.get("processes", {}).items():
-        vals = _matrix(spec.get("values"), f"processes.{name}.values")
-        try:
-            scn.processes[name] = AdaptedProcess(space, int(spec.get("t_start", 0)), vals)
-        except ValueError as e:
-            raise ScenarioError(f"process {name}: {e}") from e
-
-    for name, spec in doc.get("densities", {}).items():
-        incs = _matrix(spec.get("increments"), f"densities.{name}.increments")
-        t0 = int(spec.get("t_start", 0))
-        try:
-            a = DensityProcess(space, t0, incs)
-        except ValueError as e:
-            raise ScenarioError(f"density {name}: {e}") from e
-        klass = spec.get("class", "D")
-        ok, diag = membership(a, klass, t0)
+    for name, f in _declared(top, "densities", "density", scn):
+        t0, increments, klass = f.integer("t_start", 0), f.matrix("increments"), f.get("class", "D")
+        with f.building():  # membership rejects an unknown class
+            a = DensityProcess(space, t0, increments)
+            ok, diag = membership(a, klass, t0)
         if not ok:
-            raise ScenarioError(f"density {name}: {diag}")
-        scn.densities[name] = a
-        scn.density_classes[name] = klass
+            f.fail(diag)
+        scn.densities[name], scn.density_classes[name] = a, klass
 
-    for name, spec in doc.get("terminal_densities", {}).items():
-        h = [_num(v, f"terminal_densities.{name}.h[{i}]") for i, v in enumerate(spec.get("h", []))]
-        try:
+    for name, f in _declared(top, "terminal_densities", "terminal density", scn):
+        h = f.numbers("h")
+        with f.building():
             scn.terminal_densities[name] = TerminalDensity(space, h)
-        except ValueError as e:
-            raise ScenarioError(f"terminal density {name}: {e}") from e
 
-    for name, spec in doc.get("utilities", {}).items():
-        scn.utilities[name] = _build_utility(scn, name, spec)
+    for name, f in _declared(top, "utilities", "utility", scn):
+        scn.utilities[name] = _build_utility(f)
 
-    for name, spec in doc.get("utility_processes", {}).items():
-        scn.utility_processes[name] = _build_utility_process(scn, name, spec)
-        scn.utility_process_specs[name] = dict(spec)
+    for name, f in _declared(top, "utility_processes", "utility process", scn):
+        scn.utility_processes[name] = _build_utility_process(f)
+        scn.utility_process_specs[name] = dict(f.obj)
 
-    tasks = doc.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ScenarioError("tasks must be a list")
-    seen = set()
-    for i, task in enumerate(tasks):
-        if not isinstance(task, dict) or "task" not in task:
-            raise ScenarioError(f"tasks[{i}]: each task needs a 'task' field")
-        name = task.get("name", f"task{i}")
-        task = dict(task)
-        task["name"] = name
-        if name in seen:
+    for i, raw in enumerate(top.check("tasks", [], lambda v: isinstance(v, list), "a list")):
+        task = Fields(raw, f"tasks[{i}]")
+        task.get("task")
+        name = task.check("name", f"task{i}", lambda v: isinstance(v, str) and v and "/" not in v, "a file name")
+        if any(t["name"] == name for t in scn.tasks):
             raise ScenarioError(f"duplicate task name {name!r}")
-        seen.add(name)
-        scn.tasks.append(task)
+        scn.tasks.append({**raw, "name": name})
+    top.finish()
     return scn
 
 
-def _build_utility(scn: Scenario, name: str, spec: dict) -> UtilityBase:
-    space = scn.space
-    variant = spec.get("variant")
-    t0 = int(spec.get("t_start", 0))
-    where = f"utility {name}"
-    try:
-        if variant == "dual":
-            t1 = int(spec.get("t_end", space.horizon))
-            scenarios = []
-            for j, entry in enumerate(spec.get("scenarios", [])):
-                a = scn.resolve("density", entry["density"])
-                gam = entry.get("gamma", 0.0)
-                if isinstance(gam, list):
-                    vals = [
-                        _num(v, f"{where}.scenarios[{j}].gamma[{k}]", allow_neg_inf=True)
-                        for k, v in enumerate(gam)
-                    ]
-                else:
-                    vals = [_num(gam, f"{where}.scenarios[{j}].gamma", allow_neg_inf=True)] * space.n_atoms(t0)
-                scenarios.append((a, ConditionalValue(space, t0, vals)))
+def _build_utility(f: Fields) -> UtilityBase:
+    space = f.scn.space
+    variant = f.choice("variant", ("dual", "entropic", "robust"))
+    t0 = f.integer("t_start", 0)
+    if variant == "dual":
+        t1 = f.integer("t_end", space.horizon)
+        scenarios = []
+        for j, raw in enumerate(f.items("scenarios")):
+            entry = Fields(raw, f"{f.where}: scenarios[{j}]", f.scn)
+            a = entry.ref("density", "density")
+            vector = isinstance(entry.get("gamma", None), list)
+            gamma = entry.numbers("gamma", True) if vector else entry.number("gamma", 0.0, True)
+            with entry.building():
+                scenarios.append((a, ConditionalValue(space, t0, gamma if vector else [gamma] * space.n_atoms(t0))))
+        with f.building():
             return DualFiniteUtility(space, t0, t1, scenarios)
-        if variant == "entropic":
-            t1 = int(spec["t_end"]) if "t_end" in spec else None
-            return EntropicUtility(space, _num(spec.get("alpha", 1.0), f"{where}.alpha"), t0, t1)
-        if variant == "robust":
-            dens = [scn.resolve("terminal", n) for n in spec.get("densities", [])]
-            t1 = int(spec["t_end"]) if "t_end" in spec else None
-            return RobustEntropicUtility(space, _num(spec.get("alpha", 1.0), f"{where}.alpha"), dens, t0, t1)
-    except ScenarioError:
-        raise
-    except (KeyError, ValueError) as e:
-        raise ScenarioError(f"{where}: {e}") from e
-    raise ScenarioError(f"{where}: unknown variant {variant!r}")
+    alpha, t1 = f.number("alpha", 1.0), f.integer("t_end", None)
+    if variant == "entropic":
+        with f.building():
+            return EntropicUtility(space, alpha, t0, t1)
+    densities = f.refs("densities", "terminal")
+    with f.building():
+        return RobustEntropicUtility(space, alpha, densities, t0, t1)
 
 
-def _build_utility_process(scn: Scenario, name: str, spec: dict) -> UtilityProcess:
-    space = scn.space
-    variant = spec.get("variant")
-    start = int(spec.get("start", 0))
-    where = f"utility process {name}"
-    try:
-        if variant == "entropic":
-            return entropic_process(space, _num(spec.get("alpha", 1.0), f"{where}.alpha"), start)
-        if variant == "robust":
-            dens = [scn.resolve("terminal", n) for n in spec.get("densities", [])]
-            return robust_entropic_process(space, _num(spec.get("alpha", 1.0), f"{where}.alpha"), dens, start)
-        if variant == "normalized":
-            a = scn.resolve("density", spec["density"])
+def _build_utility_process(f: Fields) -> UtilityProcess:
+    space = f.scn.space
+    variant = f.choice("variant", ("entropic", "robust", "normalized"))
+    start = f.integer("start", 0)
+    if variant == "normalized":
+        a = f.ref("density", "density")
+        with f.building():
             return normalized_scenario_process(space, a, start)
-    except ScenarioError:
-        raise
-    except (KeyError, ValueError) as e:
-        raise ScenarioError(f"{where}: {e}") from e
-    raise ScenarioError(f"{where}: unknown variant {variant!r}")
+    alpha = f.number("alpha", 1.0)
+    if variant == "entropic":
+        with f.building():
+            return entropic_process(space, alpha, start)
+    densities = f.refs("densities", "terminal")
+    with f.building():
+        return robust_entropic_process(space, alpha, densities, start)
+
+
+def _name_of(table: dict, obj, what: str) -> str:
+    """The name under which ``obj`` itself is declared in ``table``."""
+    for name, declared in table.items():
+        if declared is obj:
+            return name
+    raise ScenarioError(f"{what} not declared by name")
 
 
 def serialize_scenario(scn: Scenario) -> dict:
@@ -259,24 +332,16 @@ def serialize_scenario(scn: Scenario) -> dict:
         out = {}
         for name, u in scn.utilities.items():
             if isinstance(u, DualFiniteUtility):
-                entries = []
-                for a, g in u.scenarios:
-                    dname = next((n for n, d in scn.densities.items() if d is a), None)
-                    if dname is None:
-                        raise ScenarioError(f"utility {name}: scenario density not declared by name")
-                    entries.append(
-                        {"density": dname, "gamma": [repr(float(v)) for v in g.values]}
-                    )
+                entries = [
+                    {"density": _name_of(scn.densities, a, f"utility {name}: scenario density"),
+                     "gamma": [repr(float(v)) for v in g.values]}
+                    for a, g in u.scenarios
+                ]
                 out[name] = {
                     "variant": "dual", "t_start": u.t_start, "t_end": u.t_end, "scenarios": entries,
                 }
             elif isinstance(u, RobustEntropicUtility):
-                names = []
-                for f in u.densities:
-                    tname = next((n for n, d in scn.terminal_densities.items() if d is f), None)
-                    if tname is None:
-                        raise ScenarioError(f"utility {name}: terminal density not declared by name")
-                    names.append(tname)
+                names = [_name_of(scn.terminal_densities, f, f"utility {name}: terminal density") for f in u.densities]
                 out[name] = {
                     "variant": "robust", "alpha": repr(u.alpha), "t_start": u.t_start,
                     "t_end": u.t_end, "densities": names,

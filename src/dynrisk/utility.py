@@ -53,6 +53,9 @@ from .space import (
     ess_sup_family,
 )
 
+PENALTY_SOLVERS = ("highs", "vertices")
+AXIOMS = ("locality", "monotonicity", "cash_invariance", "concavity", "coherence", "continuity", "relevance")
+
 
 class UtilityBase:
     """Common window plumbing; subclasses provide evaluate() through their
@@ -276,7 +279,7 @@ def _penalties(
     prices all of them per atom against supports factored once on ``u``."""
     if not isinstance(u, DualFiniteUtility):
         raise TypeError("penalty evaluation needs an explicit finite scenario set")
-    if solver not in ("highs", "vertices"):
+    if solver not in PENALTY_SOLVERS:
         raise ValueError(f"unknown penalty solver {solver!r}: use 'highs' or 'vertices'")
     t, T = u.t_start, u.t_end
     for a in densities:

@@ -716,6 +716,8 @@ def verify_preservation(
     candidate) are verified first; when they fail, the conclusion is not
     tested and the report says so.
     """
+    if (candidate.t_start, candidate.t_end) != (up.t_start, up.t_end):
+        raise ValueError(f"candidate window {candidate.t_start}..{candidate.t_end} is not {up.t_start}..{up.t_end}")
     ok, notes = _verify_hypotheses(hyp, up, candidate, cap, tol, workers)
     adapted = check_adapted_worst_process(candidate, up, cap, tol, workers)
     if not adapted.passed:

@@ -1,4 +1,8 @@
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from dynrisk import (
 )
 from dynrisk.cli import main
 from dynrisk.scenario import parse_scenario
+
+BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "full_verification.json"
 
 
 def base_doc():
@@ -134,6 +140,38 @@ class TestParse:
             assert np.array_equal(g0.values, g1.values)
         assert again.utilities["ent"].alpha == scn.utilities["ent"].alpha
         assert again.tasks == scn.tasks
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("seed",), -3, "seed must be at least 0, got -3"),
+            (("processes", "pos1", "t_start"), True, "t_start must be an integer, got True"),
+            (("densities", "gen1", "t_start"), 2.5, "t_start must be an integer, got 2.5"),
+            (("densities", "gen1", "klass"), "De", "unknown field 'klass'"),
+            (("space", "partitions"), [[[0, 1, 2, 3]], [[0, 1], [2, [3]]]], "partitions must list"),
+            (("utilities", "ent", "densities"), ["tilt"], "unknown field 'densities'"),
+            (("utilities", "coh"), "zzz", "utility coh must be an object"),
+            (("terminal_densities",), [1], "terminal_densities must be an object"),
+        ],
+        ids=[
+            "negative-seed",
+            "boolean-time",
+            "fractional-time",
+            "unknown-object-field",
+            "nested-partition",
+            "field-of-another-variant",
+            "object-not-a-dict",
+            "section-not-a-dict",
+        ],
+    )
+    def test_malformed_object_field(self, path, value, message):
+        doc = base_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(doc)
 
     def test_serialize_requires_named_scenarios(self, four_tree):
         from dynrisk import ConditionalValue, DensityProcess, Scenario
@@ -348,6 +386,42 @@ class TestCLI:
                 },
                 "solver must be 'highs' or 'vertices', got 5",
             ),
+            (
+                {"task": "stability", "name": "stab", "kind": "m1", "terminal": ["tilt"], "expect": "false"},
+                "expect must be true or false, got 'false'",
+            ),
+            (
+                {"task": "stability", "name": "stab", "kind": "m1", "terminal": ["tilt"], "expcet": True},
+                "unknown field 'expcet'",
+            ),
+            (
+                {"task": "time-consistency", "name": "tc", "process": "entproc", "sample": 1},
+                "unknown field 'sample'",
+            ),
+            (
+                {"task": "time-consistency", "name": "tc", "process": "entproc", "samples": 2.5},
+                "samples must be an integer, got 2.5",
+            ),
+            (
+                {"task": "evaluate", "name": "eval", "utility": "ent", "position": "pos1", "insurance": "false"},
+                "insurance must be true or false, got 'false'",
+            ),
+            (
+                {"task": "axioms", "name": "ax", "utility": "ent", "samples": 2, "expect": {"cohernce": True}},
+                "unknown field 'cohernce'",
+            ),
+            (
+                {"task": "axioms", "name": "ax", "utility": "ent", "samples": 0, "expect": {"coherence": True}},
+                "samples must be at least 1, got 0",
+            ),
+            (
+                {"task": "time-consistency", "name": "tc", "process": "entproc", "samples": 0},
+                "samples must be at least 1, got 0",
+            ),
+            (
+                {"task": "time-consistency", "name": "tc", "process": "entproc", "tol": -1},
+                "tol must be at least 0, got -1.0",
+            ),
         ],
         ids=[
             "utility-as-list",
@@ -368,10 +442,91 @@ class TestCLI:
             "penalty-solver-not-a-string",
             "worst-scenario-solver-misspelt",
             "worst-scenario-solver-not-a-string",
+            "expect-as-string",
+            "misspelt-expect",
+            "misspelt-samples",
+            "fractional-samples",
+            "insurance-as-string",
+            "misspelt-axiom",
+            "axioms-without-samples",
+            "time-consistency-without-samples",
+            "negative-tolerance",
         ],
     )
     def test_malformed_reference_is_input_error(self, tmp_path, capsys, task, message):
         self.assert_input_error(tmp_path, capsys, task, message)
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            (
+                {"task": "evaluate", "name": "eval", "utility": "ent", "position": "late"},
+                "position window (1, 2) does not contain (0, 2)",
+            ),
+            (
+                {"task": "penalty", "name": "pen", "utility": "coh", "density": "lateden"},
+                "density window (1, 2) does not cover (0, 2)",
+            ),
+            (
+                {"task": "max-correlation", "name": "mc", "density": "gen1", "position": "pos1", "t": 5},
+                "empty pairing window [5, 2]",
+            ),
+            (
+                {"task": "comonotone", "name": "co", "density": "gen1", "family": ["pos1", "late"]},
+                "family members on different windows",
+            ),
+            (
+                {"task": "worst-scenario", "name": "ws", "utility": "ent", "candidates": ["gen1"], "marginals": ["pos1"]},
+                "worst-scenario needs a dual utility, not EntropicUtility",
+            ),
+            (
+                {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": ["pos1", "late"]},
+                "portfolio members on different spaces or windows",
+            ),
+            (
+                {"task": "verify-thm31", "name": "duality", "utility": "ent", "marginals": ["pos1"]},
+                "the duality harness needs a coherent utility",
+            ),
+            (
+                {"task": "verify-preservation", "name": "pres", "process": "entproc", "variant": "thm32", "stage0": ["late"]},
+                "candidate window 1..2 is not 0..2",
+            ),
+            (
+                {"task": "stability", "name": "stab", "densities": ["gen1", "lateden"]},
+                "different spaces or windows",
+            ),
+        ],
+        ids=[
+            "evaluate-late-position",
+            "penalty-late-density",
+            "max-correlation-time-past-window",
+            "comonotone-mixed-windows",
+            "worst-scenario-entropic-utility",
+            "worst-portfolio-mixed-windows",
+            "duality-entropic-utility",
+            "preservation-late-stage0",
+            "stability-mixed-windows",
+        ],
+    )
+    def test_objects_that_do_not_fit_are_input_errors(self, tmp_path, capsys, task, message):
+        # the harness rejects these before computing; the run must say so, not raise
+        doc = base_doc()
+        doc["processes"]["late"] = {"t_start": 1, "values": [[1, 1, 2, 2], [0, 3, 1, -2]]}
+        doc["densities"]["lateden"] = {"t_start": 1, "class": "De", "increments": [[0.5] * 4, [0.5] * 4]}
+        doc["tasks"] = [task]
+        code, _ = self.run_cli(tmp_path, doc)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error:") and message in err
+
+    def test_negative_seed_override_is_rejected(self, tmp_path, capsys):
+        doc = base_doc()
+        doc["tasks"] = [{"task": "axioms", "name": "ax", "utility": "ent", "samples": 2}]
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(tmp_path, doc, ("--seed", "-1"))
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_verification_failure_exit_code(self, tmp_path):
         doc = base_doc()
@@ -419,3 +574,69 @@ class TestCLI:
         code, reports = self.run_cli(tmp_path, doc)
         assert code == 0
         assert b"SKIP" in reports["pres.tsv"]
+
+
+def _mutations():
+    """One-field mutations of the bundled scenario: (label, document, task to run).
+
+    Each task field (other than its kind and name) and each field of each
+    declared object, and the top-level seed, is dropped or replaced by a value
+    of every JSON shape; each top-level section and each declared object is
+    replaced by a value of the wrong shape.
+    """
+    base = json.loads(BUNDLED.read_text())
+    drop = object()
+    values = [drop, None, "zzz", -3, 2.5, {"a": 1}, float("nan"), [[1, [2]]]]
+
+    def mutated(path, value):
+        doc = copy.deepcopy(base)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is drop:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return f"{'.'.join(map(str, path))}={'dropped' if value is drop else repr(value)}", doc
+
+    for i, task in enumerate(base["tasks"]):
+        for key in [k for k in task if k not in ("task", "name")]:
+            for value in values:
+                yield *mutated(("tasks", i, key), value), task["name"]
+    sections = ["space", "densities", "terminal_densities", "processes", "utilities", "utility_processes", "tasks"]
+    for section in sections:
+        for value in ["zzz", {}, [1]]:
+            yield *mutated((section,), value), "space"
+    for value in values:  # a task that reads the seed
+        yield *mutated(("seed",), value), "time-consistency"
+    for key in base["space"]:
+        for value in values:
+            yield *mutated(("space", key), value), "space"
+    for section in sections[1:-1]:
+        for name, spec in base[section].items():
+            for key in spec:
+                for value in values:
+                    yield *mutated((section, name, key), value), "space"
+            for value in ["zzz", [1], None]:
+                yield *mutated((section, name), value), "space"
+
+
+def test_one_field_mutations_never_escape_as_tracebacks(tmp_path):
+    """Every one-field mutation of the bundled scenario ends in an exit code of
+    0-3 without an exception, and every exit 2 says ``input error:``."""
+    path, out = tmp_path / "mutated.json", str(tmp_path / "out")
+    runs, escaped = 0, []
+    for label, doc, task in _mutations():
+        runs += 1
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", str(path), "--only", task, "--out", out])
+        except Exception as e:  # noqa: BLE001 - any exception is the failure under test
+            escaped.append(f"{label}: {type(e).__name__}: {e}")
+            continue
+        if code not in (0, 1, 2, 3) or (code == 2 and "input error:" not in err.getvalue()):
+            escaped.append(f"{label}: exit {code}, stderr {err.getvalue()!r}")
+    assert runs == 784
+    assert not escaped, f"{len(escaped)} of {runs} runs escaped:\n" + "\n".join(escaped[:20])

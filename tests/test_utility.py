@@ -24,6 +24,7 @@ from dynrisk import (
     time_consistency_check,
 )
 from dynrisk.random_gen import random_adapted, random_density
+from dynrisk.utility import AXIOMS
 
 NEG_INF = float("-inf")
 
@@ -233,6 +234,11 @@ class TestAxioms:
     def test_coherent_profile(self, four_tree):
         rep = check_axioms(coherent_two_scenario(four_tree), sample_count=10, seed=2)
         assert rep.passed("locality", "monotonicity", "cash_invariance", "concavity", "coherence")
+
+    def test_axiom_names_are_the_report_keys(self, four_tree):
+        # scenario files name expected axioms from AXIOMS before the sweep runs
+        rep = check_axioms(EntropicUtility(four_tree, 1.0, 0), sample_count=1, seed=0)
+        assert tuple(rep.results) == AXIOMS
 
     def test_relevance_fails_for_blind_scenario(self, two_uniform):
         # a density ignoring the second outcome cannot price its losses

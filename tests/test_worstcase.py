@@ -290,6 +290,14 @@ class TestPreservation:
         assert len(notes) == 1 and "not priced below zero" in notes[0]
         assert not rep.hypotheses_ok and rep.skipped
 
+    def test_candidate_off_the_process_window_rejected(self, four_tree):
+        # a stage-0 portfolio starting after the process has no stage at its start
+        up = entropic_process(four_tree, 1.0)
+        hyp = build_preservation_hypotheses(up, "thm32")
+        late = Portfolio([AdaptedProcess.constant(four_tree, 1, 2, 1.0)])
+        with pytest.raises(ValueError, match="candidate window 1..2 is not 0..2"):
+            verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(late))
+
     def test_variant_mismatch_rejected(self, four_tree):
         up = entropic_process(four_tree, 1.0)
         with pytest.raises(ValueError, match="scenario"):
