@@ -322,7 +322,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {e}", file=sys.stderr)
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:  # --out names a file, or a path under one
+        print(f"input error: cannot make the report directory {args.out}: {e}", file=sys.stderr)
+        return 2
     tasks = scn.tasks
     if args.only is not None:
         tasks = [t for t in tasks if t["name"] == args.only]

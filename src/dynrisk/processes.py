@@ -5,14 +5,16 @@ cumulative process starts from zero just before the window.  Pairings bill a
 position against a density, concatenation splices two densities at a stopping
 time, pasting splices two terminal densities at a deterministic time.
 
-``stability_check`` and ``m1_closure`` build their splices as stacked arrays:
-one table of lifted conditional tails (or conditional means) per call, the
-(stopping time, event) pairs indexed in the scalar loops' order, and blocks
-of splices tested against the set by broadcasting.  The scalar
-``concatenate`` and ``paste`` are their oracle: they rebuild each reported
-missing element, each closure member and each splice that fails a check of
-the stack, and they are called at the first splice with a rejected operand,
-so that every exception is the one a splice-by-splice loop raises.
+``stability_check`` and ``m1_closure`` share one scan, ``_scan``, over
+stacked splices: one table of lifted conditional tails (or conditional
+means) per call, the (stopping time, event) pairs indexed in the scalar
+loops' order, and blocks of splices tested against the set by broadcasting.
+The stability check scans every pair of items; each closure round scans the
+pairs that touch the last round's additions.  The scalar ``concatenate``
+and ``paste`` are the scan's oracle: they rebuild each reported missing
+element, each closure member and each splice that fails a check of the
+stack, and they are called at the first splice with a rejected operand, so
+that every exception is the one a splice-by-splice loop raises.
 """
 
 from __future__ import annotations
@@ -100,9 +102,6 @@ class _Windowed:
     def slice_at(self, s: int) -> np.ndarray:
         return self.values[self._index(s)]
 
-    def path(self, outcome: int) -> np.ndarray:
-        return self.values[:, outcome]
-
     def _same_window(self, other) -> None:
         if other.space is not self.space or other.window != self.window:
             raise ValueError("processes live on different spaces or windows")
@@ -135,22 +134,10 @@ class AdaptedProcess(_Windowed):
 
     __rmul__ = __mul__
 
-    def scale_by(self, factor: ConditionalValue | np.ndarray) -> "AdaptedProcess":
-        """Multiply every time slice by an F_{t_start}-measurable factor."""
-        lam = factor.lift() if isinstance(factor, ConditionalValue) else np.asarray(factor, dtype=float)
-        return AdaptedProcess(self.space, self.t_start, self.values * lam[None, :])
-
     def shift_by(self, m: ConditionalValue | float) -> "AdaptedProcess":
         """X + m 1_{[t_start, oo)} with m measurable at the window start."""
         add = m.lift() if isinstance(m, ConditionalValue) else float(m)
         return AdaptedProcess(self.space, self.t_start, self.values + add)
-
-    def indicator(self, mask) -> "AdaptedProcess":
-        """1_A X for an event A measurable at the window start."""
-        mask = np.asarray(mask, dtype=bool)
-        if not self.space.is_event(mask, self.t_start):
-            raise ValueError(f"event not measurable at t={self.t_start}")
-        return AdaptedProcess._wrap(self.space, self.t_start, self.values * mask[None, :])
 
     def restrict(self, new_start: int) -> "AdaptedProcess":
         """Restriction to the sub-window [new_start, t_end]."""
@@ -189,10 +176,6 @@ class DensityProcess(_Windowed):
     Construction only checks adaptedness and finiteness; sign and
     normalization are membership properties, queried via `membership`.
     """
-
-    @property
-    def increments(self) -> np.ndarray:
-        return self.values
 
     @classmethod
     def uniform(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "DensityProcess":
@@ -294,14 +277,16 @@ def _check_pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int) -> 
 
 def _pairings(space: FiniteFilteredSpace, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
     """Stacked pairings: (..., n, M) position slices at times t..t+n-1 against
-    (n, M) increments -> (..., atoms at t).
+    (..., n, M) increments, broadcast -> (..., atoms at t).
 
-    Sums the products in time order from zero, as ``pairing`` does, so every
-    row has the bits of one ``pairing`` call.
+    Sums the products in time order, so every row has the bits of one
+    ``pairing`` call.  The sum starts from the first product, not from zero;
+    that changes at most the sign of a zero, which ``_cond_expect`` ignores.
     """
-    total = np.zeros(x.shape[:-2] + x.shape[-1:])
-    for k in range(x.shape[-2]):
-        total += x[..., k, :] * a[k]
+    prod = x * a
+    total = prod[..., 0, :]
+    for k in range(1, prod.shape[-2]):
+        total = total + prod[..., k, :]
     return _cond_expect(space, total, t)
 
 
@@ -473,18 +458,12 @@ class _Splices:
         self.shifts = n_atoms[:K, None] - 1 - rank
         self.offsets = np.concatenate([[0], np.cumsum(1 << n_atoms[:K])])
         self.size = int(self.offsets[-1])
+        self.cap = cap
 
     def points(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(stopping times, event masks) of the pairs ranked r, as (len(r), M) arrays."""
         k = np.searchsorted(self.offsets, r, side="right") - 1
         return self.thetas[k], ((r - self.offsets[k])[:, None] >> self.shifts[k] & 1).astype(bool)
-
-
-def _events_at(space: FiniteFilteredSpace, kind: str, theta: np.ndarray, cap: int) -> list[np.ndarray]:
-    """The scalar loops' event enumeration at one splice time."""
-    if kind == "m1":
-        return enumerate_events(space, int(theta[0]), cap=cap)
-    return enumerate_stopping_events(space, StoppingTime._wrap(space, theta), cap=cap)
 
 
 def _lifted_cond(space: FiniteFilteredSpace, rows: Callable[[int], np.ndarray]) -> np.ndarray:
@@ -540,33 +519,32 @@ def _splice(items, kind: str, i: int, j: int, theta: np.ndarray, mask: np.ndarra
     return concatenate(items[i], items[j], st, mask), ctx
 
 
-def _stacked_check(items, kind: str, thetas: np.ndarray, mode: str, cap: int, tol: float) -> StabilityReport:
-    """``stability_check`` over blocks of stacked splices.
+def _scan(items, kind: str, splices: _Splices, pairs: np.ndarray, cap: float, tol: float):
+    """Blocks of stacked splices of the operand ``pairs``, rows (i, j) of
+    indices into ``items``, in the scalar order: pair, stopping time, event.
 
-    The splices run in the scalar order (left item, right item, stopping
-    time, event).  Each one the stack flags, as missing from the set or as
-    failing a check of the public constructors, is rebuilt by ``_splice``:
-    a missing element's report is then the scalar route's, and an invalid
-    splice raises the scalar route's error.  The scan ends where the scalar
-    loop ends: at the last splice, at the splice cap, at a stopping time with
-    too many events, or at the first splice with an operand the public
-    function rejects, where that function then raises.
+    Yields ``(lo, i, j, theta, masks, cand, ok, flagged)`` per block: the
+    block's first flat index, the operands, stopping times and events of its
+    splices, the stacked splices, whether they pass the public constructor's
+    checks, and the positions that fail those checks or lie near no member
+    of ``items``.  After the last block it raises where the scalar loop
+    raises: at a stopping time with too many events, past ``cap`` splices,
+    or at the first splice with an operand the public function rejects.
     """
-    space, first, n = items[0].space, items[0], len(items)
+    space, first = items[0].space, items[0]
     if kind == "m1":
         same = usable = [x.space is space for x in items]
     else:
         same = [x.space is space and x.window == first.window for x in items]
         usable = [ok and membership(x, "A1plus")[0] for ok, x in zip(same, items)]
-    # the first splice with a rejected operand pairs item 0 with the first rejected item
-    b = usable.index(False) if False in usable else n
+    b = usable.index(False) if False in usable else len(items)
     ops = np.stack([_payload(x) for x in items[: max(b, 1)]])
     members = [_payload(x) for x, ok in zip(items, same) if ok]  # the only ones approx_eq can match
 
-    splices = _Splices(space, thetas, cap)
     G = splices.size
-    end = n * n * G if splices.over is None else G
-    limit = int(max(0, min(end, cap, b * G if b < n else end)))
+    end = len(pairs) * G if splices.over is None else G
+    rejected = np.flatnonzero(pairs.max(axis=1) >= b)  # pairs with a rejected operand
+    limit = int(max(0, min(end, cap, rejected[0] * G if rejected.size else end)))
 
     if kind == "m1":
         lifted = _lifted_cond(space, lambda s: ops)
@@ -591,20 +569,20 @@ def _stacked_check(items, kind: str, thetas: np.ndarray, mode: str, cap: int, to
 
     for lo, hi in _blocks(limit, ops[0].size):
         q = np.arange(lo, hi)
-        i, j, r = q // (n * G), q // G % n, q % G
+        (i, j), r = pairs[q // G].T, q % G
         theta, masks = splices.points(r)
         cand, ok = build(i, j, theta, masks)
-        for k in np.flatnonzero(~ok | ~_near_any(members, cand, tol)):
-            missing, ctx = _splice(items, kind, int(i[k]), int(j[k]), theta[k], masks[k])
-            if not _contains(items, missing, tol):
-                return StabilityReport(False, missing, ctx, lo + int(k) + 1, mode)
-    if limit == end:
-        if splices.over is not None:
-            _events_at(space, kind, splices.over, cap)  # raises
-        return StabilityReport(True, None, None, end, mode)
+        yield lo, i, j, theta, masks, cand, ok, np.flatnonzero(~ok | ~_near_any(members, cand, tol))
+    if limit == end:  # the scalar loops' event enumeration raises at splices.over
+        if splices.over is not None and kind == "m1":
+            enumerate_events(space, int(splices.over[0]), cap=splices.cap)
+        elif splices.over is not None:
+            enumerate_stopping_events(space, StoppingTime._wrap(space, splices.over), cap=splices.cap)
+        return
     if limit == cap:
         raise CapExceededError(f"stability enumeration exceeded {cap} elements")
-    _splice(items, kind, 0, b, splices.thetas[0], np.zeros(space.n_outcomes, dtype=bool))  # raises
+    i, j = pairs[rejected[0]]
+    _splice(items, kind, i, j, splices.thetas[0], np.zeros(space.n_outcomes, dtype=bool))  # raises
 
 
 def stability_check(
@@ -623,70 +601,56 @@ def stability_check(
     if not items:
         raise ValueError("empty set")
     space = items[0].space
-
-    if kind == "m1":
-        for x in items:
-            if not isinstance(x, TerminalDensity):
-                raise ValueError("m1 stability applies to terminal densities")
-        return _stacked_check(items, kind, _levels(space), "all", cap, tol)
-    if kind != "concatenation":
+    if kind not in ("m1", "concatenation"):
         raise ValueError(f"unknown stability kind {kind!r}")
-    for x in items:
-        if not isinstance(x, DensityProcess):
-            raise ValueError("concatenation stability applies to density processes")
-    if space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]:
-        return _stacked_check(items, kind, _stopping_times(space), "all", cap, tol)
-    return _stacked_check(items, kind, _levels(space), "deterministic-only", cap, tol)
+    want, what = (TerminalDensity, "terminal densities") if kind == "m1" else (DensityProcess, "density processes")
+    if not all(isinstance(x, want) for x in items):
+        raise ValueError(f"{kind} stability applies to {what}")
+    if kind == "m1":
+        thetas, mode = _levels(space), "all"
+    elif space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]:
+        thetas, mode = _stopping_times(space), "all"
+    else:
+        thetas, mode = _levels(space), "deterministic-only"
+    splices = _Splices(space, thetas, cap)
+    pairs = np.argwhere(np.ones((len(items), len(items)), dtype=bool))
+    for lo, i, j, theta, masks, _, _, flagged in _scan(items, kind, splices, pairs, cap, tol):
+        for k in flagged:
+            missing, ctx = _splice(items, kind, int(i[k]), int(j[k]), theta[k], masks[k])
+            if not _contains(items, missing, tol):
+                return StabilityReport(False, missing, ctx, lo + int(k) + 1, mode)
+    return StabilityReport(True, None, None, len(pairs) * splices.size, mode)
 
 
 def m1_closure(items: Sequence[TerminalDensity], cap: int = 10_000, tol: float = DEFAULT_TOL) -> list[TerminalDensity]:
     """Smallest superset closed under pasting, by iterating to a fixpoint.
 
-    Each round pastes every pair that involves the last round's additions
-    (every pair in the first round) at every time and event, in stacked
-    blocks and in the scalar order, and adds a candidate when no member and
-    no earlier addition lies within tol.  Additions, and candidates failing
-    a check of the stack, are built by the public ``paste``.
+    Each round scans every pair that involves the last round's additions
+    (every pair in the first round) at every time and event, with no splice
+    cap, and adds a candidate when no member and no earlier addition lies
+    within tol.  Additions, and candidates failing a check of the stack, are
+    built by the public ``paste``.
     """
     closed = list(items)
     if not closed:
         raise ValueError("empty set")
-    space = closed[0].space
-    splices = _Splices(space, _levels(space), 100_000)  # enumerate_events' default cap
-    G = splices.size
+    splices = _Splices(closed[0].space, _levels(closed[0].space), 100_000)  # enumerate_events' default cap
     start = 0  # members from here on are the frontier
     while True:
         n = len(closed)
-        # the first splice with an operand on another space pairs item 0 with the first such item
-        b = next((k for k, x in enumerate(closed) if x.space is not space), n)
-        pairs = np.array([(i, j) for i in range(n) for j in range(n) if max(i, j) >= start])
-        end = len(pairs) * G if splices.over is None else G
-        limit = min(end, b * G if b < n else end)
-        h = np.stack([x.h for x in closed[:b]])
-        members = [x.h for x in closed if x.space is space]
-        lifted = _lifted_cond(space, lambda s: h)
+        pairs = np.argwhere(np.maximum(*np.indices((n, n))) >= start)
         new: list[TerminalDensity] = []
-        for lo, hi in _blocks(limit, space.n_outcomes):
-            q = np.arange(lo, hi)
-            (i, j), r = pairs[q // G].T, q % G
-            theta, masks = splices.points(r)
-            s = theta[:, 0]
-            cand = np.where(masks, lifted[s, i] * h[j] / lifted[s, j], h[i])
-            ok = _terminal_ok(space, cand)
-            fresh = np.flatnonzero(~ok | (~_near_any(members, cand, tol) & ~_near_any([x.h for x in new], cand, tol)))
+        for _, i, j, theta, masks, cand, ok, flagged in _scan(closed, "m1", splices, pairs, np.inf, tol):
+            fresh = flagged[~ok[flagged] | ~_near_any([x.h for x in new], cand[flagged], tol)]
             while fresh.size:
                 k, fresh = fresh[0], fresh[1:]
-                x = paste(closed[i[k]], closed[j[k]], int(s[k]), masks[k])
+                x = paste(closed[i[k]], closed[j[k]], int(theta[k, 0]), masks[k])
                 if not ok[k] and (_contains(closed, x, tol) or _contains(new, x, tol)):
                     continue
                 new.append(x)
                 if n + len(new) > cap:
                     raise CapExceededError(f"pasting closure exceeded {cap} members")
                 fresh = fresh[~ok[fresh] | (np.abs(cand[fresh] - x.h).max(axis=1) > tol)]
-        if limit == end and splices.over is not None:
-            _events_at(space, "m1", splices.over, 100_000)  # raises
-        if limit < end:
-            paste(closed[0], closed[b], 0, np.zeros(space.n_outcomes, dtype=bool))  # raises
         if not new:
             return closed
         closed.extend(new)

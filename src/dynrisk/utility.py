@@ -9,8 +9,9 @@ Each family has one evaluation kernel in two steps, both accepting any
 leading batch shape:
 
 - ``_features(vals)`` is linear.  It maps ``(..., L, M)`` window slices to
-  the pairings with every scenario, ``(..., S, atoms)``, for the dual family
-  and to the terminal slice, ``(..., M)``, for the entropic families.
+  the pairings with every scenario, ``(..., S, atoms)``, summed by
+  ``processes._pairings``, for the dual family and to the terminal slice,
+  ``(..., M)``, for the entropic families.
 - ``_combine(feats)`` is the nonlinear step: the penalised min over
   scenarios, or the segmented log-sum-exp anchored at each atom's max.
 
@@ -20,14 +21,16 @@ scan (``worstcase._batch_insurance``) takes the features of every class
 member once and combines their means per tuple, so a scanned value is the
 insurance value of that tuple's mean.  The time-consistency recursion
 (``UtilityProcess._glue`` and ``_fold``) stacks every (stopping time, sample)
-pair and calls each stage's kernel once per step.
+pair and calls each stage's kernel once per step.  The axiom sweeps
+(``check_axioms``, ``_check_relevance``), ``worstcase.check_law_invariance``
+and ``worstcase.matrix_sup`` evaluate stacks of positions through the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .processes import (
     AdaptedProcess,
     DensityProcess,
     TerminalDensity,
+    _pairings,
     membership,
     pairing,
     remaining_mass,
@@ -46,7 +50,6 @@ from .space import (
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
-    _cond_expect,
     _stopping_times,
     cond_expect,
     enumerate_events,
@@ -84,6 +87,14 @@ class UtilityBase:
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
         raise NotImplementedError
+
+    def _stacked(self, vals: np.ndarray) -> np.ndarray:
+        """The kernel on stacked (..., L, M) window slices, refusing +inf as
+        ``evaluate`` does: a dual is +inf where every scenario is knocked out."""
+        out = self._combine(self._features(vals))
+        if np.isposinf(out).any():
+            raise ValueError("conditional values must be finite or -inf")
+        return out
 
     def insurance(self, X: AdaptedProcess) -> ConditionalValue:
         """The insurance version -phi(-X)."""
@@ -167,11 +178,7 @@ class DualFiniteUtility(UtilityBase):
 
     def _features(self, vals: np.ndarray) -> np.ndarray:
         """Pairings with every scenario: (..., L, M) -> (..., S, atoms)."""
-        prod = vals[..., None, :, :] * self._increments
-        total = prod[..., 0, :]
-        for k in range(1, prod.shape[-2]):  # in time order, as pairing sums
-            total = total + prod[..., k, :]
-        return _cond_expect(self.space, total, self.t_start)
+        return _pairings(self.space, vals[..., None, :, :], self._increments, self.t_start)
 
     def _penalised(self, feats: np.ndarray) -> np.ndarray:
         # -(-inf) penalties knock a scenario out of the min
@@ -406,11 +413,17 @@ class AxiomReport:
 def _sample_events(space: FiniteFilteredSpace, t: int, rng) -> list[np.ndarray]:
     if space.n_atoms(t) <= 8:
         return enumerate_events(space, t)
-    masks = []
-    for _ in range(32):
-        picks = rng.random(space.n_atoms(t)) < 0.5
-        masks.append(picks[space.atom_index(t)])
-    return masks
+    return [(rng.random(space.n_atoms(t)) < 0.5)[space.atom_index(t)] for _ in range(32)]
+
+
+def _first_failure(bad: np.ndarray, describe: Callable[[int], str]) -> AxiomResult:
+    """The result of a sweep whose samples, in sampling order, fail where
+    ``bad`` is set: as a loop that stops at the first failure, it counts the
+    samples up to that one and describes it."""
+    hit = np.flatnonzero(bad)
+    if not hit.size:
+        return AxiomResult(True, bad.size)
+    return AxiomResult(False, int(hit[0]) + 1, describe(int(hit[0])))
 
 
 def check_axioms(
@@ -426,91 +439,65 @@ def check_axioms(
     tested on seeded random positions; relevance on every atom at every time
     with a small grid of loss sizes.  Continuity for bounded decreasing
     sequences holds vacuously on a finite space and is reported untested.
+    Each sweep draws its samples in a sample-by-sample loop's order and
+    evaluates their stack through the family kernel.
     """
     from .random_gen import random_adapted, random_conditional
 
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(seed)
     space, t, T = u.space, u.t_start, u.t_end
+    lift = space.atom_index(t)
     report = AxiomReport(seed=seed)
-    draws = [random_adapted(space, t, T, rng) for _ in range(sample_count)]
+
+    def adapted() -> np.ndarray:
+        return np.stack([random_adapted(space, t, T, rng).values for _ in range(sample_count)])
+
+    phi = u._stacked
+    xs = adapted()
+    base = phi(xs)
 
     # (0) locality over window-start events
-    res = AxiomResult(True, 0)
-    for X in draws:
-        for mask in _sample_events(space, t, rng):
-            res.samples += 1
-            lhs = u.evaluate(X.indicator(mask))
-            base = u.evaluate(X).values
-            atom_in = np.array([bool(mask[atom[0]]) for atom in space.atoms(t)])
-            want = np.where(atom_in, base, 0.0)
-            if np.abs(lhs.values - want).max() > tol:
-                res.passed = False
-                res.counterexample = f"event of size {int(mask.sum())}, residual {np.abs(lhs.values - want).max():.3g}"
-                break
-        if not res.passed:
-            break
-    report.results["locality"] = res
+    gaps, sizes = [], []
+    firsts = [atom[0] for atom in space.atoms(t)]
+    for x, b in zip(xs, base):
+        masks = np.array(_sample_events(space, t, rng))
+        gaps.append(np.abs(phi(x * masks[:, None, :]) - np.where(masks[:, firsts], b, 0.0)).max(axis=-1))
+        sizes.append(masks.sum(axis=-1))
+    gaps, sizes = np.concatenate(gaps), np.concatenate(sizes)
+    report.results["locality"] = _first_failure(
+        gaps > tol, lambda k: f"event of size {int(sizes[k])}, residual {gaps[k]:.3g}"
+    )
 
     # (1) monotonicity
-    res = AxiomResult(True, 0)
-    for X in draws:
-        bump = random_adapted(space, t, T, rng)
-        Y = X + AdaptedProcess(space, t, np.abs(bump.values))
-        res.samples += 1
-        gap = (u.evaluate(X).values - u.evaluate(Y).values).max()
-        if gap > tol:
-            res.passed = False
-            res.counterexample = f"phi(X) exceeds phi(Y) by {gap:.3g} despite X <= Y"
-            break
-    report.results["monotonicity"] = res
+    mono = (base - phi(xs + np.abs(adapted()))).max(axis=-1)
+    report.results["monotonicity"] = _first_failure(
+        mono > tol, lambda k: f"phi(X) exceeds phi(Y) by {mono[k]:.3g} despite X <= Y"
+    )
 
     # (2) cash invariance with measurable shifts
-    res = AxiomResult(True, 0)
-    for X in draws:
-        m = random_conditional(space, t, rng, -2.0, 2.0)
-        res.samples += 1
-        lhs = u.evaluate(X.shift_by(m))
-        rhs = u.evaluate(X) + m
-        if lhs.max_residual(rhs) > tol:
-            res.passed = False
-            res.counterexample = f"shift residual {lhs.max_residual(rhs):.3g}"
-            break
-    report.results["cash_invariance"] = res
+    m = np.stack([random_conditional(space, t, rng, -2.0, 2.0).values for _ in xs])
+    shift = np.abs(phi(xs + m.take(lift, axis=-1)[:, None, :]) - (base + m)).max(axis=-1)
+    report.results["cash_invariance"] = _first_failure(shift > tol, lambda k: f"shift residual {shift[k]:.3g}")
 
     # (3) concavity with measurable weights
-    res = AxiomResult(True, 0)
-    for X in draws:
-        Y = random_adapted(space, t, T, rng)
-        lam = random_conditional(space, t, rng, 0.0, 1.0)
-        mix = X.scale_by(lam) + Y.scale_by(ConditionalValue(space, t, 1.0 - lam.values))
-        res.samples += 1
-        lhs = u.evaluate(mix).values
-        rhs = lam.values * u.evaluate(X).values + (1.0 - lam.values) * u.evaluate(Y).values
-        if (rhs - lhs).max() > tol:
-            res.passed = False
-            res.counterexample = f"concavity violated by {(rhs - lhs).max():.3g}"
-            break
-    report.results["concavity"] = res
+    draws = [(random_adapted(space, t, T, rng).values, random_conditional(space, t, rng, 0.0, 1.0).values) for _ in xs]
+    ys, lam = np.stack([y for y, _ in draws]), np.stack([w for _, w in draws])
+    mix = xs * lam.take(lift, axis=-1)[:, None, :] + ys * (1.0 - lam).take(lift, axis=-1)[:, None, :]
+    concave = (lam * base + (1.0 - lam) * phi(ys) - phi(mix)).max(axis=-1)
+    report.results["concavity"] = _first_failure(
+        concave > tol, lambda k: f"concavity violated by {concave[k]:.3g}"
+    )
 
-    # (4) coherence: positive homogeneity with measurable factors
-    res = AxiomResult(True, 0)
-    for X in draws:
-        for lam in [ConditionalValue.constant(space, t, 2.0),
-                    ConditionalValue.constant(space, t, 0.5),
-                    random_conditional(space, t, rng, 0.0, 3.0)]:
-            res.samples += 1
-            lhs = u.evaluate(X.scale_by(lam))
-            rhs = lam.values * u.evaluate(X).values
-            gap = np.abs(lhs.values - rhs).max()
-            if gap > tol:
-                res.passed = False
-                res.counterexample = (
-                    f"scaling by {np.array2string(lam.values, precision=3)} moves the value by {gap:.3g}"
-                )
-                break
-        if not res.passed:
-            break
-    report.results["coherence"] = res
+    # (4) coherence: positive homogeneity with measurable factors, three per position
+    n = space.n_atoms(t)
+    lams = np.stack([(np.full(n, 2.0), np.full(n, 0.5), random_conditional(space, t, rng, 0.0, 3.0).values) for _ in xs])
+    homog = np.abs(phi(xs[:, None] * lams.take(lift, axis=-1)[:, :, None, :]) - lams * base[:, None]).max(axis=-1)
+    homog, lams = homog.ravel(), lams.reshape(-1, n)
+    report.results["coherence"] = _first_failure(
+        homog > tol, lambda k: f"scaling by {np.array2string(lams[k], precision=3)} moves the value by {homog[k]:.3g}"
+    )
 
     # (5) continuity: nothing to test on a finite space
     report.results["continuity"] = AxiomResult(None, note="vacuous on finite spaces")
@@ -522,29 +509,20 @@ def check_axioms(
 
 def _check_relevance(u: UtilityBase, relevance_eps: Sequence[float] = (1.0, 0.1, 0.01)) -> AxiomResult:
     """Relevance: a loss on any atom at any time of the window must be priced
-    below zero there; every atom and loss size is tried, with no sampling."""
+    below zero there; every atom and loss size is tried, with no sampling,
+    in one kernel call over every (time, atom, loss) case."""
     space, t, T = u.space, u.t_start, u.t_end
-    res = AxiomResult(True, 0)
-    for s in range(t, T + 1):
-        for atom in space.atoms(s):
-            mask = np.zeros(space.n_outcomes, dtype=bool)
-            mask[list(atom)] = True
-            for eps in relevance_eps:
-                vals = np.zeros((T - t + 1, space.n_outcomes))
-                for r in range(s, T + 1):
-                    vals[r - t] = -eps * mask
-                X = AdaptedProcess(space, t, vals)
-                res.samples += 1
-                lifted = u.evaluate(X).lift()
-                if np.any(lifted[mask] >= 0):
-                    res.passed = False
-                    res.counterexample = f"loss of {eps} on atom {atom} at t={s} not priced below zero"
-                    break
-            if not res.passed:
-                break
-        if not res.passed:
-            break
-    return res
+    cases = [(s, atom, eps) for s in range(t, T + 1) for atom in space.atoms(s) for eps in relevance_eps]
+    masks = np.zeros((len(cases), space.n_outcomes), dtype=bool)
+    vals = np.zeros((len(cases), T - t + 1, space.n_outcomes))
+    for c, (s, atom, eps) in enumerate(cases):
+        masks[c, list(atom)] = True
+        vals[c, s - t :] = -eps * masks[c]
+    lifted = u._stacked(vals).take(space.atom_index(t), axis=-1)
+    return _first_failure(
+        np.any((lifted >= 0) & masks, axis=-1),
+        lambda k: "loss of {2} on atom {1} at t={0} not priced below zero".format(*cases[k]),
+    )
 
 
 class UtilityProcess:
@@ -640,8 +618,12 @@ def time_consistency_check(
 
     space = up.space
     if samples is None:
+        if sample_count < 1:
+            raise ValueError(f"sample_count must be at least 1, got {sample_count}")
         rng = np.random.default_rng(seed)
         samples = [random_adapted(space, up.t_start, up.t_end, rng) for _ in range(sample_count)]
+    if not len(samples):
+        raise ValueError("samples must not be empty")
     exhaustive = space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]
     mode = "all" if exhaustive else "deterministic-only"
     constant = np.repeat(np.arange(up.t_start, up.t_end + 1)[:, None], space.n_outcomes, axis=1)

@@ -39,7 +39,6 @@ from .utility import (
     _check_relevance,
     _penalties,
     normalize_to_window,
-    normalized_scenario_process,
     penalty,
     time_consistency_check,
 )
@@ -761,14 +760,13 @@ def matrix_sup(u: UtilityBase, X: AdaptedProcess, matrices: Sequence[np.ndarray]
     matrices = list(matrices)
     if not matrices:
         raise ValueError("empty matrix list")
-    table = np.stack([u.insurance(apply_matrix(A, X)).values for A in matrices])
+    images = np.stack([apply_matrix(A, X).values for A in matrices])
+    # reflected as insurance reflects evaluate, in one kernel call
+    table = 0.0 - u._stacked(u._window(X, -images))
     best = table.max(axis=0)
     arg = _first_near_max(table)
-    uniform = None
-    for i in range(len(matrices)):
-        if np.all(table[i] >= best - 1e-12 * np.maximum(1.0, np.abs(best))):
-            uniform = i
-            break
+    hit = np.flatnonzero(np.all(table >= best - 1e-12 * np.maximum(1.0, np.abs(best)), axis=1))
+    uniform = int(hit[0]) if hit.size else None
     return MatrixSupResult(
         ConditionalValue(u.space, u.t_start, best), arg, uniform, uniform is not None
     )
@@ -818,6 +816,8 @@ def matrix_compare(
         raise ValueError(f"matrix shape {A.shape} does not match window length {L}")
     if X_bar.window != X_tilde.window or X_bar.n != X_tilde.n:
         raise ValueError("portfolios must share window and size")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count}")
 
     ones = np.ones(L)
     hyp_eig = bool(np.abs(A @ ones - ones).max() <= 1e-12)
@@ -874,5 +874,5 @@ def matrix_compare(
 def check_law_invariance(u: UtilityBase, X: AdaptedProcess, cap: int = 100_000, tol: float = DEFAULT_TOL) -> bool:
     """True when the evaluation is constant across the rearrangement class."""
     cls = enumerate_class(X, cap)
-    base = u.evaluate(X)
-    return all(u.evaluate(m).max_residual(base) <= tol for m in cls.members)
+    values = u._stacked(u._window(X, cls.values))
+    return bool(np.all(np.abs(values - u.evaluate(X).values).max(axis=-1) <= tol))

@@ -13,7 +13,10 @@ and the duality and linear-driven harnesses, which enumerate each class once
 and pair it in one pass, must report what per-call routes report.  The
 penalty's dual support enumeration must agree with the primal vertex oracle
 and with HiGHS on the same dual, and pricing a stack of densities must give
-the bits of one call per density.
+the bits of one call per density.  The axiom sweeps, the law-invariance
+check and the matrix sup, which evaluate stacks of positions, must report
+what one public ``evaluate`` per sample, member or matrix reports, and the
+dual kernel must give the bits of the penalised min of per-scenario pairings.
 """
 
 import itertools
@@ -36,6 +39,8 @@ from dynrisk import (
     TerminalDensity,
     UtilityProcess,
     build_linear_driven_portfolio,
+    check_axioms,
+    check_law_invariance,
     concatenate,
     cond_expect,
     entropic_process,
@@ -44,6 +49,7 @@ from dynrisk import (
     enumerate_stopping_times,
     is_comonotone,
     m1_closure,
+    matrix_sup,
     max_correlation,
     normalized_scenario_process,
     pairing,
@@ -60,6 +66,7 @@ from dynrisk import (
 from dynrisk.random_gen import (
     random_adapted,
     random_coherent_utility,
+    random_conditional,
     random_density,
     random_dual_utility,
     random_space,
@@ -68,7 +75,8 @@ from dynrisk.random_gen import (
 from dynrisk import lp
 from dynrisk.processes import _pairings
 from dynrisk.space import enumerate_stopping_events
-from dynrisk.utility import _penalties
+from dynrisk.utility import _check_relevance, _penalties
+from dynrisk.worstcase import apply_matrix
 from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
 
 FAMILIES = ("dual", "coherent", "entropic", "robust")
@@ -642,3 +650,220 @@ def test_duality_gate_equality_is_exact(duality_instances):  # noqa: F811
     reports, _ = duality_instances
     worst = max(rep.equality_residual for _, rep in reports)
     assert worst <= 1e-15, f"worst equality residual {worst:.3g}"
+
+
+def wide_space(g):
+    """9 to 12 singleton atoms from t=1 on: the axiom sweeps sample their events."""
+    m = int(g.integers(9, 13))
+    probs = g.random(m) + 0.2
+    return FiniteFilteredSpace(probs / probs.sum(), [[list(range(m))]] + [[[k] for k in range(m)]] * 2)
+
+
+def first_failure(cases):
+    """(passed, samples, counterexample) of a loop over (failed, text) cases
+    that stops at its first failure."""
+    for k, (failed, text) in enumerate(cases):
+        if failed:
+            return False, k + 1, text
+    return True, len(cases), None
+
+
+def oracle_relevance(u, eps_grid=(1.0, 0.1, 0.01)):
+    """A loss on each atom at each time of the window, one evaluate per case."""
+    sp, t, T = u.space, u.t_start, u.t_end
+    cases = []
+    for s in range(t, T + 1):
+        for atom in sp.atoms(s):
+            mask = np.zeros(sp.n_outcomes, dtype=bool)
+            mask[list(atom)] = True
+            for eps in eps_grid:
+                vals = np.zeros((T - t + 1, sp.n_outcomes))
+                vals[s - t :] = -eps * mask
+                lifted = u.evaluate(AdaptedProcess(sp, t, vals)).lift()
+                cases.append((np.any(lifted[mask] >= 0), f"loss of {eps} on atom {atom} at t={s} not priced below zero"))
+    return first_failure(cases)
+
+
+def oracle_axioms(u, sample_count, seed, tol):
+    """check_axioms with one public evaluate per sample.  Each sweep takes
+    all its draws before it evaluates, as the stacked route does, so the
+    two agree even after a sweep fails."""
+    rng = np.random.default_rng(seed)
+    sp, t, T = u.space, u.t_start, u.t_end
+    n = sp.n_atoms(t)
+
+    def phi(vals):
+        return u.evaluate(AdaptedProcess(sp, t, vals)).values
+
+    xs = [random_adapted(sp, t, T, rng) for _ in range(sample_count)]
+    out = {}
+    cases = []
+    for X in xs:
+        events = enumerate_events(sp, t) if n <= 8 else [(rng.random(n) < 0.5)[sp.atom_index(t)] for _ in range(32)]
+        for mask in events:
+            want = np.where([mask[atom[0]] for atom in sp.atoms(t)], phi(X.values), 0.0)
+            gap = np.abs(phi(X.values * mask) - want).max()
+            cases.append((gap > tol, f"event of size {int(mask.sum())}, residual {gap:.3g}"))
+    out["locality"] = first_failure(cases)
+    bumps = [random_adapted(sp, t, T, rng) for _ in xs]
+    cases = []
+    for X, B in zip(xs, bumps):
+        gap = (phi(X.values) - phi(X.values + np.abs(B.values))).max()
+        cases.append((gap > tol, f"phi(X) exceeds phi(Y) by {gap:.3g} despite X <= Y"))
+    out["monotonicity"] = first_failure(cases)
+    shifts = [random_conditional(sp, t, rng, -2.0, 2.0) for _ in xs]
+    cases = []
+    for X, m in zip(xs, shifts):
+        res = u.evaluate(AdaptedProcess(sp, t, X.values + m.lift())).max_residual(u.evaluate(X) + m)
+        cases.append((res > tol, f"shift residual {res:.3g}"))
+    out["cash_invariance"] = first_failure(cases)
+    draws = [(random_adapted(sp, t, T, rng), random_conditional(sp, t, rng, 0.0, 1.0)) for _ in xs]
+    cases = []
+    for X, (Y, lam) in zip(xs, draws):
+        lhs = phi(X.values * lam.lift() + Y.values * (1.0 - lam.lift()))
+        gap = (lam.values * phi(X.values) + (1.0 - lam.values) * phi(Y.values) - lhs).max()
+        cases.append((gap > tol, f"concavity violated by {gap:.3g}"))
+    out["concavity"] = first_failure(cases)
+    thirds = [random_conditional(sp, t, rng, 0.0, 3.0) for _ in xs]
+    cases = []
+    for X, third in zip(xs, thirds):
+        for lam in (ConditionalValue.constant(sp, t, 2.0), ConditionalValue.constant(sp, t, 0.5), third):
+            gap = np.abs(phi(X.values * lam.lift()) - lam.values * phi(X.values)).max()
+            text = f"scaling by {np.array2string(lam.values, precision=3)} moves the value by {gap:.3g}"
+            cases.append((gap > tol, text))
+    out["coherence"] = first_failure(cases)
+    out["continuity"] = (None, 0, None)
+    out["relevance"] = oracle_relevance(u)
+    return out
+
+
+def axiom_table(rep):
+    return {k: (r.passed, r.samples, r.counterexample) for k, r in rep.results.items()}
+
+
+def test_stacked_axiom_sweeps_match_per_sample_oracle():
+    """Identical reports on every family, with enumerated and with sampled
+    events, and on an unvalidated dual whose monotonicity fails."""
+    failed = set()
+    for seed in range(16):
+        g = np.random.default_rng([18, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3) if seed % 2 else wide_space(g)
+        t0 = int(g.integers(0, sp.horizon + 1)) if seed % 2 else 1
+        for family in FAMILIES:
+            u = make_utility(family, sp, t0, g)
+            count = int(g.integers(1, 4))
+            want = oracle_axioms(u, count, seed, 1e-9)
+            assert axiom_table(check_axioms(u, count, seed, 1e-9)) == want, f"seed {seed}, {family}"
+            failed.update(k for k, (passed, _, _) in want.items() if passed is False)
+    assert failed == {"coherence"}, "the entropic families must fail coherence, and only coherence"
+    # negative increments break monotonicity; on the wide tree its
+    # counterexample also depends on the events the locality sweep drew
+    g = np.random.default_rng(19)
+    for sp, t0 in ((random_space(g, min_outcomes=4, max_outcomes=4, max_horizon=2), 0), (wide_space(g), 1)):
+        a = random_density(sp, t0, sp.horizon, g, strict=True)
+        zero = ConditionalValue.constant(sp, t0, 0.0)
+        scenarios = [(DensityProcess(sp, t0, a.values - 0.8), zero), (a, zero)]
+        u = DualFiniteUtility(sp, t0, sp.horizon, scenarios, validate=False)
+        want = oracle_axioms(u, 6, 3, 1e-9)
+        assert want["monotonicity"][0] is False
+        assert axiom_table(check_axioms(u, 6, 3, 1e-9)) == want
+
+
+def test_stacked_routes_refuse_what_evaluate_refuses():
+    """An unvalidated dual with every scenario knocked out on an atom is +inf
+    there: evaluate refuses it, and so does each route that stacks positions."""
+    sp = FiniteFilteredSpace([0.25] * 4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]])
+    dead = ConditionalValue(sp, 1, [0.0, -np.inf])
+    u = DualFiniteUtility(sp, 1, 2, [(DensityProcess.uniform(sp, 1, 2), dead)], validate=False)
+    X = AdaptedProcess(sp, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])
+    with pytest.raises(ValueError) as want:
+        u.evaluate(X)
+    routes = (check_axioms, _check_relevance, lambda u: matrix_sup(u, X, [np.eye(2)]), lambda u: check_law_invariance(u, X))
+    for route in routes:
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            route(u)
+
+
+def test_stacked_relevance_matches_per_case_oracle():
+    blind_seen = 0
+    for seed in range(30):
+        g = np.random.default_rng([20, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3)
+        u = make_utility(FAMILIES[seed % 4], sp, int(g.integers(0, sp.horizon + 1)), g)
+        res = _check_relevance(u)
+        assert (res.passed, res.samples, res.counterexample) == oracle_relevance(u), f"seed {seed}"
+    two = FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1]]])
+    for eps_grid in ((1.0, 0.1, 0.01), (0.5,)):
+        blind = DualFiniteUtility(two, 0, 1, [(DensityProcess(two, 0, [[0, 0], [2, 0]]), ConditionalValue.constant(two, 0, 0.0))])
+        res = _check_relevance(blind, eps_grid)
+        assert res.passed is False
+        assert (res.passed, res.samples, res.counterexample) == oracle_relevance(blind, eps_grid)
+        blind_seen += 1
+    assert blind_seen == 2
+
+
+def test_stacked_law_invariance_matches_per_member_oracle():
+    seen = set()
+    for seed in range(40):
+        g = np.random.default_rng([21, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.7))
+        t0 = int(g.integers(0, sp.horizon + 1))
+        u = make_utility(FAMILIES[seed % 4], sp, t0, g)
+        X = random_adapted(sp, 0, sp.horizon, g)
+        base = u.evaluate(X)
+        want = all(u.evaluate(m).max_residual(base) <= 1e-9 for m in enumerate_class(X).members)
+        assert check_law_invariance(u, X, tol=1e-9) == want, f"seed {seed}"
+        seen.add(want)
+    assert seen == {True, False}, "needs invariant and non-invariant cases"
+
+
+def test_stacked_matrix_sup_matches_per_matrix_oracle():
+    uniform_seen = set()
+    for seed in range(40):
+        g = np.random.default_rng([22, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3)
+        t0 = int(g.integers(0, sp.horizon + 1))
+        u = make_utility(FAMILIES[seed % 4], sp, t0, g)
+        X = random_adapted(sp, t0, sp.horizon, g)
+        L = sp.horizon - t0 + 1
+        mats = [np.tril(g.random((L, L))) for _ in range(int(g.integers(1, 5)))]
+        mats = [A / A.sum(axis=1, keepdims=True) for A in mats]
+        mats.insert(int(g.integers(0, len(mats) + 1)), mats[0])  # ties between matrices
+        table = np.stack([u.insurance(apply_matrix(A, X)).values for A in mats])
+        best = table.max(axis=0)
+        uniform = next((i for i, row in enumerate(table) if np.all(row >= best - 1e-12 * np.maximum(1.0, np.abs(best)))), None)
+        got = matrix_sup(u, X, mats)
+        assert np.array_equal(bits(got.value.values), bits(best)), f"seed {seed}"
+        assert got.per_atom_argmax == [int(np.flatnonzero(col >= col.max() - 1e-15)[0]) for col in table.T], f"seed {seed}"
+        assert (got.best_index, got.attained_uniformly) == (uniform, uniform is not None), f"seed {seed}"
+        uniform_seen.add(uniform is not None)
+    assert uniform_seen == {True, False}, "needs uniformly and not uniformly attained sups"
+
+
+def test_dual_kernel_is_the_penalised_min_of_pairings_bitwise():
+    """evaluate and insurance against min_i pairing(X, a_i) - gamma_i, with
+    -inf penalties knocking a scenario out, on zero and -0.0 positions too."""
+    for seed in range(40):
+        g = np.random.default_rng([23, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3)
+        t, T = int(g.integers(0, sp.horizon + 1)), sp.horizon
+        u = random_dual_utility(sp, t, T, g, n_scenarios=int(g.integers(1, 4)))
+        if len(u.scenarios) > 1:  # scenario 0 keeps the atom-wise max penalty at 0
+            a, gam = u.scenarios[-1]
+            dead = np.where(g.random(sp.n_atoms(t)) < 0.5, -np.inf, gam.values)
+            u = DualFiniteUtility(sp, t, T, u.scenarios[:-1] + [(a, ConditionalValue(sp, t, dead))])
+        X = random_adapted(sp, t, T, g)
+        signed_zeros = np.where(g.random(X.values.shape) < 0.5, 0.0, -0.0)
+        for Y in (X, AdaptedProcess.zero(sp, t, T), AdaptedProcess(sp, t, -0.0 * np.abs(X.values)),
+                  AdaptedProcess(sp, t, np.where(X.values > 0, X.values, signed_zeros))):
+
+            def oracle(Z):
+                rows = []
+                for a, gam in u.scenarios:
+                    paired = pairing(Z, a, t, T).values
+                    assert np.array_equal(bits(paired), bits(oracle_pairing(Z, a, t, T))), f"seed {seed}"
+                    rows.append(np.where(np.isneginf(gam.values), np.inf, paired - gam.values))
+                return np.stack(rows).min(axis=0)
+
+            assert np.array_equal(bits(u.evaluate(Y).values), bits(oracle(Y))), f"seed {seed}"
+            assert np.array_equal(bits(u.insurance(Y).values), bits(0.0 - oracle(-Y))), f"seed {seed}"

@@ -519,6 +519,16 @@ class TestCLI:
         assert code == 2
         assert err.startswith("input error:") and message in err
 
+    def test_out_naming_a_file_is_input_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, base_doc())
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        for out in (taken, taken / "reports"):
+            assert main(["run", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: cannot make the report directory") and str(out) in err
+        assert taken.read_text() == "not a directory"
+
     def test_negative_seed_override_is_rejected(self, tmp_path, capsys):
         doc = base_doc()
         doc["tasks"] = [{"task": "axioms", "name": "ax", "utility": "ent", "samples": 2}]

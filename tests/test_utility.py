@@ -250,6 +250,12 @@ class TestAxioms:
         assert "not priced" in res.counterexample
 
 
+    def test_zero_samples_are_refused(self, four_tree):
+        # an empty sweep would pass coherence for the entropic utility, which is not coherent
+        with pytest.raises(ValueError, match="sample_count must be at least 1, got 0"):
+            check_axioms(EntropicUtility(four_tree, 1.0, 0), sample_count=0)
+
+
 class TestUtilityProcess:
     def test_stage_window_validation(self, four_tree):
         good = EntropicUtility(four_tree, 1.0, 1)
@@ -289,6 +295,14 @@ class TestUtilityProcess:
         assert not rep.passed
         assert rep.max_residual > 1e-3
         assert rep.failures
+
+    def test_zero_samples_are_refused(self, four_tree):
+        # no sample means no check: the report would say passed with checked 0
+        up = entropic_process(four_tree, 1.0)
+        with pytest.raises(ValueError, match="sample_count must be at least 1, got 0"):
+            time_consistency_check(up, sample_count=0)
+        with pytest.raises(ValueError, match="samples must not be empty"):
+            time_consistency_check(up, samples=[])
 
     def test_robust_entropic_process_consistency_reported(self, four_tree):
         f = TerminalDensity.normalized(four_tree, [1.6, 0.8, 0.8, 0.8])

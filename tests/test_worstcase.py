@@ -378,6 +378,13 @@ class TestMatrix:
         assert not rep.hyp_eigenvector
         assert not rep.conclusion_tested
 
+    def test_zero_samples_are_refused(self, four_tree):
+        # acceptance would count as held on no sample at all
+        u = EntropicUtility(four_tree, 1.0, 0)
+        tilde = Portfolio([AdaptedProcess.constant(four_tree, 0, 2, 1.0)])
+        with pytest.raises(ValueError, match="sample_count must be at least 1, got 0"):
+            matrix_compare(np.eye(3), u, tilde, tilde, sample_count=0)
+
     def test_dimension_mismatch(self, four_tree):
         u = EntropicUtility(four_tree, 1.0, 0)
         tilde = Portfolio([AdaptedProcess.constant(four_tree, 0, 2, 1.0)])
