@@ -89,12 +89,8 @@ class UtilityBase:
         raise NotImplementedError
 
     def _stacked(self, vals: np.ndarray) -> np.ndarray:
-        """The kernel on stacked (..., L, M) window slices, refusing +inf as
-        ``evaluate`` does: a dual is +inf where every scenario is knocked out."""
-        out = self._combine(self._features(vals))
-        if np.isposinf(out).any():
-            raise ValueError("conditional values must be finite or -inf")
-        return out
+        """The kernel on stacked (..., L, M) window slices."""
+        return self._combine(self._features(vals))
 
     def insurance(self, X: AdaptedProcess) -> ConditionalValue:
         """The insurance version -phi(-X)."""
@@ -108,6 +104,11 @@ class DualFiniteUtility(UtilityBase):
     Scenarios carry densities normalized on the window and penalties in
     [-inf, 0] whose atom-wise maximum is zero.  gamma identically zero means
     the utility is coherent (a max of linear functionals).
+
+    The scenarios are stacked once, and validated from those stacks.
+    ``validate=False`` skips the density, sign and normalization checks; it
+    still refuses windows that do not cover the utility's, penalties at
+    another time, and an atom where every penalty is -inf (phi would be +inf).
     """
 
     def __init__(
@@ -127,32 +128,32 @@ class DualFiniteUtility(UtilityBase):
                 raise ValueError(f"scenario {i} density window {a.window} does not cover {self.window}")
             if g.space is not space or g.time != t_start:
                 raise ValueError(f"scenario {i} penalty must live at t={t_start}")
-            if validate:
-                window = [a.slice_at(s) for s in range(t_start, t_end + 1)]
-                ok, diag = membership(DensityProcess(space, t_start, window), "D", t_start)
-                if not ok:
-                    raise ValueError(f"scenario {i} not a density on the window: {diag}")
-                if np.any(g.values > 1e-12):
-                    raise ValueError(f"scenario {i} penalty takes a positive value")
         self.scenarios = scenarios
-        if validate:
-            gmax = ess_sup_family([g for _, g in scenarios])
-            if np.any(np.abs(gmax.values) > 1e-9):
-                raise ValueError("penalties are not normalized: atom-wise max gamma must be 0")
         # (S, L, M) density increments on the window, (S, atoms) penalties
-        self._increments = np.stack([a.values[t_start - a.t_start : t_end - a.t_start + 1] for a, _ in scenarios])
+        self._increments = np.stack([a.values[a._span(t_start, t_end)] for a, _ in scenarios])
         self._gamma = np.stack([g.values for _, g in scenarios])
         self._dead = np.isneginf(self._gamma)
+        if validate:
+            for i, (inc, gamma) in enumerate(zip(self._increments, self._gamma)):
+                ok, diag = membership(DensityProcess._wrap(space, t_start, inc), "D", t_start)
+                if not ok:
+                    raise ValueError(f"scenario {i} not a density on the window: {diag}")
+                if np.any(gamma > 1e-12):
+                    raise ValueError(f"scenario {i} penalty takes a positive value")
+            if np.any(np.abs(self._gamma.max(axis=0)) > 1e-9):
+                raise ValueError("penalties are not normalized: atom-wise max gamma must be 0")
+        knocked = np.flatnonzero(self._dead.all(axis=0))
+        if knocked.size:
+            raise ValueError(f"every scenario's penalty is -inf on atom {space.atoms(t_start)[knocked[0]]}: phi is +inf there")
         self._supports: dict[int, lp.DualSupports] = {}  # penalty dual per start atom, built on first use
 
     @property
     def coherent(self) -> bool:
-        return all(np.all(g.values == 0.0) for _, g in self.scenarios)
+        return bool(np.all(self._gamma == 0.0))
 
     def gamma_norm(self) -> float:
         """Largest finite penalty magnitude (0 when all are 0 or -inf)."""
-        vals = [abs(v) for _, g in self.scenarios for v in g.values if np.isfinite(v)]
-        return max(vals, default=0.0)
+        return float(np.abs(self._gamma[np.isfinite(self._gamma)]).max(initial=0.0))
 
     @cached_property
     def _variables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -254,12 +255,7 @@ class RobustEntropicUtility(_EntropicKernel):
         return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))
 
 
-def penalty(
-    u: DualFiniteUtility,
-    a: DensityProcess,
-    bound: float | None = None,
-    solver: str = "highs",
-) -> ConditionalValue:
+def penalty(u: DualFiniteUtility, a: DensityProcess, solver: str = "highs") -> ConditionalValue:
     """Minimal penalty of the robust representation at a, per window-start atom.
 
     On each atom it is the smallest billing c.x of an acceptable position,
@@ -270,18 +266,14 @@ def penalty(
     supports (one HiGHS solve above ``lp.SUPPORT_LIMIT`` of them); an
     infeasible dual gives -inf, and a coherent utility's penalty is 0 or
     -inf.  ``solver="vertices"`` is the primal oracle: vertex enumeration in
-    a box of half-width ``bound`` that grows while the optimum escapes it.
+    a box of half-width 1e6 * max(1, ``gamma_norm``) that grows while the
+    optimum escapes it.
     """
-    values = _penalties(u, [a], bound, solver)[0]  # checks u's type first
+    values = _penalties(u, [a], solver)[0]  # checks u's type first
     return ConditionalValue(u.space, u.t_start, values)
 
 
-def _penalties(
-    u: DualFiniteUtility,
-    densities: Sequence[DensityProcess],
-    bound: float | None = None,
-    solver: str = "highs",
-) -> np.ndarray:
+def _penalties(u: DualFiniteUtility, densities: Sequence[DensityProcess], solver: str = "highs") -> np.ndarray:
     """``penalty`` of every density at once: -> (K, atoms).  The dual route
     prices all of them per atom against supports factored once on ``u``."""
     if not isinstance(u, DualFiniteUtility):
@@ -293,7 +285,7 @@ def _penalties(
         if a.space is not u.space or a.t_start > t or a.t_end < T:
             raise ValueError(f"density window {a.window} does not cover {u.window}")
     if solver == "vertices":
-        return np.array([_penalty_vertices(u, a, bound) for a in densities])
+        return np.array([_penalty_vertices(u, a) for a in densities])
 
     C = u._coefficients(np.stack([a.values[t - a.t_start : T - a.t_start + 1] for a in densities]))
     G = u._coefficients(u._increments)
@@ -320,13 +312,12 @@ def _penalties(
     return out
 
 
-def _penalty_vertices(u: DualFiniteUtility, a: DensityProcess, bound: float | None) -> np.ndarray:
+def _penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> np.ndarray:
     """The primal oracle: one boxed LP per atom, solved by vertex enumeration,
     with the box-escalation wrapper reporting -inf where it is unbounded."""
     space = u.space
     t, T = u.t_start, u.t_end
-    if bound is None:
-        bound = 1e6 * max(1.0, u.gamma_norm())
+    bound = 1e6 * max(1.0, u.gamma_norm())
 
     out = np.empty(space.n_atoms(t))
     for k, atom in enumerate(space.atoms(t)):
@@ -431,7 +422,6 @@ def check_axioms(
     sample_count: int = 20,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    relevance_eps: Sequence[float] = (1.0, 0.1, 0.01),
 ) -> AxiomReport:
     """Sampled verification of the utility axioms on the unit's window.
 
@@ -503,7 +493,7 @@ def check_axioms(
     report.results["continuity"] = AxiomResult(None, note="vacuous on finite spaces")
 
     # (6) relevance: losses on any atom at any time must register
-    report.results["relevance"] = _check_relevance(u, relevance_eps)
+    report.results["relevance"] = _check_relevance(u)
     return report
 
 
@@ -558,8 +548,7 @@ class UtilityProcess:
 
     def _phi(self, t: int, vals: np.ndarray) -> np.ndarray:
         """Stage t on stacked (..., L, M) slices of [t, horizon]: -> (..., atoms at t)."""
-        st = self.stage(t)
-        return st._combine(st._features(vals))
+        return self.stage(t)._stacked(vals)
 
     def _glue(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """phi_theta(X), the sum over t of phi_t(1_{theta=t} X) glued along the level sets

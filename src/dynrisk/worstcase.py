@@ -475,6 +475,18 @@ class AdaptedWorstReport:
         return all(s.passed for s in self.stage_checks) and all(l.residual_ok for l in self.law_links)
 
 
+def _check_window(candidate: AdaptedWorstProcess, up: UtilityProcess) -> None:
+    if (candidate.t_start, candidate.t_end) != (up.t_start, up.t_end):
+        raise ValueError(f"candidate window {candidate.t_start}..{candidate.t_end} is not {up.t_start}..{up.t_end}")
+
+
+def _stage_check(port: Portfolio, u: UtilityBase, cap: int, tol: float, workers: int | None) -> StageCheck:
+    """The one worst-portfolio certificate of a stage: the brute-force sup
+    against the portfolio's own insurance value."""
+    res = worst_portfolio_bruteforce(port, u, cap, workers).sup_value.max_residual(u.insurance(port.mean()))
+    return StageCheck(u.t_start, res, res <= tol)
+
+
 def check_adapted_worst_process(
     candidate: AdaptedWorstProcess,
     up: UtilityProcess,
@@ -484,25 +496,18 @@ def check_adapted_worst_process(
 ) -> AdaptedWorstReport:
     """Certify worst-portfolio status at every stage plus the law links
     between consecutive stages."""
-    stage_checks = []
-    links = []
+    _check_window(candidate, up)
+    stage_checks, links = [], []
     T = candidate.t_end
     for t in range(candidate.t_start, T + 1):
         port = candidate.stages[t]
-        u = up.stage(t)
-        wp = worst_portfolio_bruteforce(port, u, cap, workers)
-        direct = u.insurance(port.mean())
-        res = wp.sup_value.max_residual(direct)
-        stage_checks.append(StageCheck(t, res, res <= tol))
+        stage_checks.append(_stage_check(port, up.stage(t), cap, tol, workers))
         if t == T:
             continue
-        nxt = candidate.stages[t + 1]
-        for i in range(port.n):
-            rows = [port.members[i].slice_at(t)]
-            rows.extend(nxt.members[i].slice_at(s) for s in range(t + 1, T + 1))
-            hybrid = AdaptedProcess(port.space, t, np.stack(rows))
-            ok = path_law(hybrid).approx_eq(path_law(port.members[i]), tol)
-            links.append(LawLinkCheck(t, i, ok))
+        for i, (X, Y) in enumerate(zip(port.members, candidate.stages[t + 1].members)):
+            # the stage-t value followed by stage t+1's tail
+            hybrid = AdaptedProcess._wrap(port.space, t, np.concatenate([X.values[:1], Y.values]))
+            links.append(LawLinkCheck(t, i, path_law(hybrid).approx_eq(path_law(X), tol)))
     return AdaptedWorstReport(stage_checks, links)
 
 
@@ -526,7 +531,15 @@ class PreservationHypotheses:
 
 
 def build_preservation_hypotheses(up: UtilityProcess, variant: str) -> PreservationHypotheses:
-    """Derive the hypothesis objects from the utility process itself."""
+    """Derive the hypothesis objects from the utility process itself.
+
+    The scenario-family variants read each stage's window stack, its
+    density increments on [t, T], whatever the windows of the densities it
+    was built from: ``families[t]`` holds the stack's rows, ``bound`` is the
+    running maximum of every stage's rows placed at the stage's offset, and
+    ``eps[s]`` is the per-atom minimum of the stage-s tails past each time
+    t in [s, T).
+    """
     if variant not in ("thm33", "thm42", "thm32"):
         raise ValueError(f"unknown variant {variant!r}")
     t0, T = up.t_start, up.t_end
@@ -536,71 +549,56 @@ def build_preservation_hypotheses(up: UtilityProcess, variant: str) -> Preservat
             raise ValueError("the two-step variant needs entropic stages")
         return PreservationHypotheses(variant, alpha=stage.alpha)
 
-    families: dict[int, list[DensityProcess]] = {}
-    for t in range(t0, T + 1):
-        stage = up.stage(t)
-        if not isinstance(stage, DualFiniteUtility):
-            raise ValueError("scenario-family variants need finite scenario sets")
-        families[t] = [a for a, _ in stage.scenarios]
+    stages = {t: up.stage(t) for t in range(t0, T + 1)}
+    if not all(isinstance(u, DualFiniteUtility) for u in stages.values()):
+        raise ValueError("scenario-family variants need finite scenario sets")
     space = up.space
-    bound_vals = np.zeros((T - t0 + 1, space.n_outcomes))
-    for t, fam in families.items():
-        for a in fam:
-            for s in range(a.t_start, a.t_end + 1):
-                k = s - t0
-                bound_vals[k] = np.maximum(bound_vals[k], a.slice_at(s))
-    bound = DensityProcess(space, t0, bound_vals)
+    stacks = {t: u._increments for t, u in stages.items()}
+    families = {t: [DensityProcess._wrap(space, t, inc) for inc in stack] for t, stack in stacks.items()}
+    bound = np.zeros((T - t0 + 1, space.n_outcomes))
+    for t, stack in stacks.items():
+        bound[t - t0 :] = np.maximum(bound[t - t0 :], stack.max(axis=0))
     eps = {}
     for s in range(t0, T):
-        fam = families[s]
-        per_atom = np.full(space.n_atoms(s), np.inf)
-        atom_of = space.atom_index(s)
-        for a in fam:
-            for t in range(s, T):
-                tail = a.tail_from(t + 1)
-                for k in range(space.n_atoms(s)):
-                    per_atom[k] = min(per_atom[k], tail[atom_of == k].min())
-        eps[s] = ConditionalValue(space, s, per_atom)
+        # tail_from(t + 1) of every scenario, for t in [s, T)
+        tails = np.concatenate([stacks[s][:, k:].sum(axis=1) for k in range(1, T - s + 1)])
+        order, starts = space.atom_layout(s)[:2]
+        eps[s] = ConditionalValue(space, s, np.minimum.reduceat(tails.min(axis=0).take(order), starts))
     convex = {t: len(fam) == 1 for t, fam in families.items()}
-    return PreservationHypotheses(
-        variant, families, bound, eps, convex, base_set=list(families[t0])
-    )
+    bound = DensityProcess._wrap(space, t0, bound)
+    return PreservationHypotheses(variant, families, bound, eps, convex, base_set=list(families[t0]))
 
 
 def _verify_hypotheses(
-    hyp: PreservationHypotheses,
-    up: UtilityProcess,
-    candidate: AdaptedWorstProcess,
-    cap: int,
-    tol: float,
-    workers: int | None,
+    hyp: PreservationHypotheses, up: UtilityProcess, candidate: AdaptedWorstProcess, cap: int, tol: float
 ) -> tuple[bool, list[str]]:
     notes: list[str] = []
-    ok = True
+    failed: list[str] = []  # the notes that fail a hypothesis
+
+    def fail(note: str) -> None:
+        failed.append(note)
+        notes.append(note)
+
     t0, T = up.t_start, up.t_end
 
     tc = time_consistency_check(up, sample_count=3, seed=0, tol=tol)
     if tc.passed:
         notes.append(f"time-consistency: max residual {tc.max_residual:.3g} over {tc.checked} checks")
     else:
-        ok = False
-        notes.append(f"time-consistency FAILED: {tc.failures[0]}")
+        fail(f"time-consistency FAILED: {tc.failures[0]}")
 
     if hyp.variant == "thm32":
         if T - t0 != 2:
-            ok = False
-            notes.append(f"two-step variant needs a window of length 2, got {T - t0}")
+            fail(f"two-step variant needs a window of length 2, got {T - t0}")
         if hyp.alpha is None:
-            ok = False
-            notes.append("missing alpha")
+            fail("missing alpha")
         else:
             # dual attainment at the exponential-tilt density, per stage
             stage0 = candidate.stages[t0]
             for t in range(t0, T + 1):
                 u = up.stage(t)
                 if not isinstance(u, EntropicUtility):
-                    ok = False
-                    notes.append(f"stage {t} is not entropic")
+                    fail(f"stage {t} is not entropic")
                     continue
                 X = stage0.restrict(t).mean()
                 Y = X.slice_at(T)
@@ -613,56 +611,46 @@ def _verify_hypotheses(
                 ent = cond_expect(space, g * np.log(g), t).values
                 res = float(np.abs(lhs - (tilt - ent / hyp.alpha)).max())
                 if res > 1e-8:
-                    ok = False
-                    notes.append(f"stage {t}: tilt-density attainment residual {res:.3g}")
-            if ok:
+                    fail(f"stage {t}: tilt-density attainment residual {res:.3g}")
+            if not failed:
                 notes.append("dual attainment at the exponential tilt verified at every stage")
-        return ok, notes
+        return not failed, notes
 
     for t, fam in hyp.families.items():
         for j, a in enumerate(fam):
             member, diag = membership(a, "De", t)
             if not member:
-                ok = False
-                notes.append(f"stage {t} scenario {j} outside the positive-tail class: {diag}")
+                fail(f"stage {t} scenario {j} outside the positive-tail class: {diag}")
         if not hyp.convex.get(t, False):
-            ok = False
-            notes.append(f"stage {t} family of size {len(fam)} not certified convex")
+            fail(f"stage {t} family of size {len(fam)} not certified convex")
     if hyp.bound is None:
-        ok = False
-        notes.append("missing increment upper bound")
+        fail("missing increment upper bound")
     else:
         for t, fam in hyp.families.items():
             for j, a in enumerate(fam):
                 for s in range(a.t_start, a.t_end + 1):
                     if np.any(a.slice_at(s) > hyp.bound.slice_at(s) + 1e-12):
-                        ok = False
-                        notes.append(f"stage {t} scenario {j} exceeds the bound at time {s}")
+                        fail(f"stage {t} scenario {j} exceeds the bound at time {s}")
     for s in range(t0, T):
         e = hyp.eps.get(s)
         if e is None:
-            ok = False
-            notes.append(f"missing tail lower bound at stage {s}")
+            fail(f"missing tail lower bound at stage {s}")
             continue
         if np.any(e.values <= 0):
-            ok = False
-            notes.append(f"tail lower bound at stage {s} not strictly positive")
+            fail(f"tail lower bound at stage {s} not strictly positive")
         for a in hyp.families[s]:
             for t in range(s, T):
                 if np.any(e.lift() > a.tail_from(t + 1) + 1e-12):
-                    ok = False
-                    notes.append(f"tail bound at stage {s} exceeds a scenario tail past {t}")
+                    fail(f"tail bound at stage {s} exceeds a scenario tail past {t}")
 
     if hyp.variant == "thm42":
         for t in range(t0, T + 1):
             u = up.stage(t)
             if not (isinstance(u, DualFiniteUtility) and u.coherent):
-                ok = False
-                notes.append(f"stage {t} not coherent")
+                fail(f"stage {t} not coherent")
         relevance = _check_relevance(up.stage(t0))
         if not relevance.passed:
-            ok = False
-            notes.append(f"relevance failed: {relevance.counterexample}")
+            fail(f"relevance failed: {relevance.counterexample}")
         from .processes import stability_check
 
         stab = stability_check(hyp.base_set, "concatenation", cap=cap, tol=tol)
@@ -671,18 +659,15 @@ def _verify_hypotheses(
                 f"base set concatenation-stable over {stab.generated} splices ({stab.stopping_times})"
             )
         else:
-            ok = False
-            notes.append(f"base set not concatenation-stable: {stab.context}")
+            fail(f"base set not concatenation-stable: {stab.context}")
         # stage scenarios must be the tail-normalized base densities
         for t in range(t0, T + 1):
-            u = up.stage(t)
-            for j, (a, _) in enumerate(u.scenarios):
-                targets = [normalize_to_window(b, t) for b in hyp.base_set]
-                window = DensityProcess(u.space, t, [a.slice_at(s) for s in range(t, T + 1)])
+            targets = [normalize_to_window(b, t) for b in hyp.base_set]
+            for j, inc in enumerate(up.stage(t)._increments):
+                window = DensityProcess._wrap(up.space, t, inc)
                 if not any(window.approx_eq(b, 1e-9) for b in targets):
-                    ok = False
-                    notes.append(f"stage {t} scenario {j} is not a normalized base density")
-    return ok, notes
+                    fail(f"stage {t} scenario {j} is not a normalized base density")
+    return not failed, notes
 
 
 @dataclass
@@ -713,26 +698,24 @@ def verify_preservation(
 
     Hypotheses (including the adapted-worst-process property of the
     candidate) are verified first; when they fail, the conclusion is not
-    tested and the report says so.
+    tested and the report says so.  A stage whose candidate portfolio is
+    stage 0's restriction keeps the adapted check's certificate; any other
+    stage scans the restriction.
     """
-    if (candidate.t_start, candidate.t_end) != (up.t_start, up.t_end):
-        raise ValueError(f"candidate window {candidate.t_start}..{candidate.t_end} is not {up.t_start}..{up.t_end}")
-    ok, notes = _verify_hypotheses(hyp, up, candidate, cap, tol, workers)
+    _check_window(candidate, up)
+    ok, notes = _verify_hypotheses(hyp, up, candidate, cap, tol)
     adapted = check_adapted_worst_process(candidate, up, cap, tol, workers)
     if not adapted.passed:
         notes.append("candidate is not an adapted worst portfolio process")
     if not (ok and adapted.passed):
         return PreservationReport(hyp.variant, ok, notes, adapted.passed, [], True)
 
-    stage0 = candidate.stages[candidate.t_start]
+    t0, stage0 = candidate.t_start, candidate.stages[candidate.t_start]
     checks = []
-    for t in range(candidate.t_start + 1, candidate.t_end + 1):
-        u = up.stage(t)
+    for t in range(t0 + 1, candidate.t_end + 1):
         restricted = stage0.restrict(t)
-        wp = worst_portfolio_bruteforce(restricted, u, cap, workers)
-        direct = u.insurance(restricted.mean())
-        res = wp.sup_value.max_residual(direct)
-        checks.append(StageCheck(t, res, res <= tol))
+        same = all(np.array_equal(X.values, Y.values) for X, Y in zip(restricted.members, candidate.stages[t].members))
+        checks.append(adapted.stage_checks[t - t0] if same else _stage_check(restricted, up.stage(t), cap, tol, workers))
     return PreservationReport(hyp.variant, ok, notes, adapted.passed, checks, False)
 
 

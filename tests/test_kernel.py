@@ -30,6 +30,7 @@ from dynrisk import (
     CapExceededError,
     ConditionalValue,
     DensityProcess,
+    AdaptedWorstProcess,
     DualFiniteUtility,
     EntropicUtility,
     FiniteFilteredSpace,
@@ -39,10 +40,12 @@ from dynrisk import (
     TerminalDensity,
     UtilityProcess,
     build_linear_driven_portfolio,
+    build_preservation_hypotheses,
     check_axioms,
     check_law_invariance,
     concatenate,
     cond_expect,
+    dyadic_uniform,
     entropic_process,
     enumerate_class,
     enumerate_events,
@@ -59,11 +62,13 @@ from dynrisk import (
     stability_check,
     time_consistency_check,
     verify_linear_driven_portfolio,
+    verify_preservation,
     verify_theorem_3_1,
     worst_portfolio_bruteforce,
     worst_scenario,
 )
 from dynrisk.random_gen import (
+    preservation_instance,
     random_adapted,
     random_coherent_utility,
     random_conditional,
@@ -770,18 +775,21 @@ def test_stacked_axiom_sweeps_match_per_sample_oracle():
 
 
 def test_stacked_routes_refuse_what_evaluate_refuses():
-    """An unvalidated dual with every scenario knocked out on an atom is +inf
-    there: evaluate refuses it, and so does each route that stacks positions."""
+    """A dual with every scenario knocked out on an atom would be +inf there,
+    which no conditional value holds.  The constructor refuses it, so that
+    neither evaluate nor a route that stacks positions ever meets it: without
+    validation by naming the atom, with it by the normalization message."""
     sp = FiniteFilteredSpace([0.25] * 4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]])
     dead = ConditionalValue(sp, 1, [0.0, -np.inf])
-    u = DualFiniteUtility(sp, 1, 2, [(DensityProcess.uniform(sp, 1, 2), dead)], validate=False)
-    X = AdaptedProcess(sp, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])
-    with pytest.raises(ValueError) as want:
-        u.evaluate(X)
-    routes = (check_axioms, _check_relevance, lambda u: matrix_sup(u, X, [np.eye(2)]), lambda u: check_law_invariance(u, X))
-    for route in routes:
-        with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            route(u)
+    scenarios = [(DensityProcess.uniform(sp, 1, 2), dead), (DensityProcess.uniform(sp, 1, 2), dead)]
+    with pytest.raises(ValueError, match=re.escape("every scenario's penalty is -inf on atom (2, 3)")):
+        DualFiniteUtility(sp, 1, 2, scenarios, validate=False)
+    with pytest.raises(ValueError, match="penalties are not normalized"):
+        DualFiniteUtility(sp, 1, 2, scenarios)
+    # one live scenario on the atom is enough
+    live = ConditionalValue(sp, 1, [-np.inf, 0.0])
+    u = DualFiniteUtility(sp, 1, 2, [scenarios[0], (DensityProcess.uniform(sp, 1, 2), live)], validate=False)
+    assert np.isfinite(u.evaluate(AdaptedProcess(sp, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])).values).all()
 
 
 def test_stacked_relevance_matches_per_case_oracle():
@@ -867,3 +875,111 @@ def test_dual_kernel_is_the_penalised_min_of_pairings_bitwise():
 
             assert np.array_equal(bits(u.evaluate(Y).values), bits(oracle(Y))), f"seed {seed}"
             assert np.array_equal(bits(u.insurance(Y).values), bits(0.0 - oracle(-Y))), f"seed {seed}"
+
+
+def oracle_preservation_hypotheses(up):
+    """The hypotheses by per-density loops: families of the stage densities,
+    each read over its own times, which here are its stage's window."""
+    t0, T, space = up.t_start, up.t_end, up.space
+    families = {t: [a for a, _ in up.stage(t).scenarios] for t in range(t0, T + 1)}
+    bound = np.zeros((T - t0 + 1, space.n_outcomes))
+    for fam in families.values():
+        for a in fam:
+            for s in range(a.t_start, a.t_end + 1):
+                bound[s - t0] = np.maximum(bound[s - t0], a.slice_at(s))
+    eps = {}
+    for s in range(t0, T):
+        per_atom = np.full(space.n_atoms(s), np.inf)
+        atom_of = space.atom_index(s)
+        for a in families[s]:
+            for t in range(s, T):
+                tail = a.tail_from(t + 1)
+                for k in range(space.n_atoms(s)):
+                    per_atom[k] = min(per_atom[k], tail[atom_of == k].min())
+        eps[s] = per_atom
+    return families, bound, eps
+
+
+def test_preservation_hypotheses_and_conclusions_match_per_stage_oracles():
+    """Hypotheses read from the stage stacks carry the bits of the
+    per-density loops, and each stage's conclusion is the residual of one
+    brute-force scan of stage 0's restriction."""
+    windows = lambda fam: [(a.window, bits(a.values).tolist()) for a in fam]
+    for seed in range(40):
+        for variant in ("thm33", "thm42", "thm32"):
+            hyp, up, cand = preservation_instance(np.random.default_rng([31, seed]), variant)
+            t0, T = up.t_start, up.t_end
+            if variant != "thm32":
+                families, bound, eps = oracle_preservation_hypotheses(up)
+                assert {t: windows(f) for t, f in hyp.families.items()} == {t: windows(f) for t, f in families.items()}
+                assert hyp.bound.window == (t0, T) and np.array_equal(bits(hyp.bound.values), bits(bound))
+                assert hyp.eps.keys() == eps.keys()
+                for s, e in eps.items():
+                    assert hyp.eps[s].time == s and np.array_equal(bits(hyp.eps[s].values), bits(e)), f"seed {seed}"
+                assert hyp.convex == {t: len(f) == 1 for t, f in families.items()}
+                assert windows(hyp.base_set) == windows(families[t0])
+            rep = verify_preservation(hyp, up, cand, tol=1e-9)
+            assert rep.passed, (variant, seed, rep.notes)
+            want = []
+            for t in range(t0 + 1, T + 1):
+                u, port = up.stage(t), cand.stages[t0].restrict(t)
+                res = worst_portfolio_bruteforce(port, u).sup_value.max_residual(u.insurance(port.mean()))
+                want.append((t, bits(res), res <= 1e-9))
+            assert [(c.t, bits(c.residual), c.passed) for c in rep.stage_checks] == want, f"{variant}, seed {seed}"
+
+
+def test_preservation_notes_on_hand_made_failures():
+    """Each broken hypothesis is named by the notes a loop over every time,
+    scenario and atom wrote."""
+    sp = dyadic_uniform(2)
+    up = normalized_scenario_process(sp, random_density(sp, 0, 2, np.random.default_rng(75), strict=True))
+    const = AdaptedWorstProcess.from_restrictions(Portfolio([AdaptedProcess.constant(sp, 0, 2, 1.0)]))
+    consistent = "time-consistency: max residual 2.22e-16 over 39 checks"
+
+    def notes(hyp, up=up, cand=const):
+        rep = verify_preservation(hyp, up, cand)
+        assert rep.skipped and not rep.hypotheses_ok
+        return rep.notes
+
+    hyp = build_preservation_hypotheses(up, "thm33")
+    low = hyp.bound.values.copy()
+    low[1, :2] -= 0.01
+    hyp.bound = DensityProcess(sp, 0, low)
+    assert notes(hyp) == [consistent, "stage 1 scenario 0 exceeds the bound at time 1"]
+
+    hyp = build_preservation_hypotheses(up, "thm33")
+    hyp.eps[0] = hyp.eps[0] + 0.01
+    assert notes(hyp) == [consistent, "tail bound at stage 0 exceeds a scenario tail past 1"]
+
+    a0 = up.stage(0).scenarios[0][0]
+    zero = ConditionalValue.constant(sp, 0, 0.0)
+    two = UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(a0, zero), (a0, zero)]), 1: up.stage(1), 2: up.stage(2)})
+    assert notes(build_preservation_hypotheses(two, "thm33"), two) == [consistent, "stage 0 family of size 2 not certified convex"]
+
+    hyp = build_preservation_hypotheses(up, "thm42")
+    hyp.base_set = [DensityProcess.uniform(sp, 0, 2)]
+    assert notes(hyp) == [
+        consistent,
+        "base set concatenation-stable over 38 splices (all)",
+        "stage 0 scenario 0 is not a normalized base density",
+        "stage 1 scenario 0 is not a normalized base density",
+    ]
+
+    mixed = UtilityProcess({0: EntropicUtility(sp, 1.0, 0), 1: EntropicUtility(sp, 2.0, 1), 2: EntropicUtility(sp, 1.0, 2)})
+    walk = Portfolio([AdaptedProcess(sp, 0, [[0, 0, 0, 0], [1, 1, -1, -1], [2, 0, 0, -2]])])
+    assert notes(build_preservation_hypotheses(mixed, "thm32"), mixed, AdaptedWorstProcess.from_restrictions(walk)) == [
+        "time-consistency FAILED: t=0, theta=[2, 2, 1, 1], sample 0: residual 0.0246",
+        "stage 1: tilt-density attainment residual 0.229",
+        "candidate is not an adapted worst portfolio process",
+    ]
+    # a failed hypothesis withholds the attainment verdict even where attainment holds
+    assert notes(build_preservation_hypotheses(mixed, "thm32"), mixed) == [
+        "time-consistency FAILED: t=0, theta=[2, 2, 1, 1], sample 0: residual 0.0246",
+    ]
+
+    short = entropic_process(sp, 1.0, start=1)
+    late = AdaptedWorstProcess.from_restrictions(Portfolio([AdaptedProcess.constant(sp, 1, 2, 1.0)]))
+    assert notes(build_preservation_hypotheses(short, "thm32"), short, late) == [
+        "time-consistency: max residual 0 over 21 checks",
+        "two-step variant needs a window of length 2, got 1",
+    ]

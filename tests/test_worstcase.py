@@ -10,6 +10,7 @@ from dynrisk import (
     DensityProcess,
     DualFiniteUtility,
     EntropicUtility,
+    FiniteFilteredSpace,
     Portfolio,
     UtilityProcess,
     apply_matrix,
@@ -36,6 +37,7 @@ from dynrisk.random_gen import (
     random_density,
     random_space,
 )
+from dynrisk import worstcase
 
 
 def zero_gamma(space, t):
@@ -250,6 +252,13 @@ class TestAdaptedWorstProcess:
         assert any(not l.residual_ok for l in rep.law_links)
         assert not rep.passed
 
+    def test_candidate_off_the_process_window_rejected(self):
+        # a stage-0 portfolio starting before the process has no stage at its start
+        up = entropic_process(dyadic_uniform(2), 1.0, start=1)
+        early = Portfolio([AdaptedProcess.constant(up.space, 0, 2, 1.0)])
+        with pytest.raises(ValueError, match="candidate window 0..2 is not 1..2"):
+            check_adapted_worst_process(AdaptedWorstProcess.from_restrictions(early), up)
+
 
 class TestPreservation:
     @pytest.mark.parametrize("variant", ["thm33", "thm42", "thm32"])
@@ -297,6 +306,45 @@ class TestPreservation:
         late = Portfolio([AdaptedProcess.constant(four_tree, 1, 2, 1.0)])
         with pytest.raises(ValueError, match="candidate window 1..2 is not 0..2"):
             verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(late))
+
+    @pytest.mark.parametrize("variant", ["thm33", "thm42"])
+    def test_stages_read_on_their_windows(self, variant):
+        # densities wider than their stage windows, before or after them,
+        # leave every evaluate bit alone and so must leave the report alone
+        sp = dyadic_uniform(3)
+        for t_end in (3, 2):
+            up = normalized_scenario_process(sp, random_density(sp, 1, t_end, np.random.default_rng(1), strict=True), start=1)
+            wide = {}
+            for t, u in up.stages.items():
+                (a, gamma), = u.scenarios
+                after = np.ones((sp.horizon - t_end, sp.n_outcomes))
+                wide[t] = DualFiniteUtility(sp, t, t_end, [(DensityProcess(sp, 0, np.vstack([a.extend_to(0).values, after])), gamma)])
+            padded = UtilityProcess(wide)
+            cand = AdaptedWorstProcess.from_restrictions(Portfolio([AdaptedProcess.constant(sp, 1, t_end, 1.5)]))
+            want = verify_preservation(build_preservation_hypotheses(up, variant), up, cand)
+            assert want.passed, want.notes
+            assert verify_preservation(build_preservation_hypotheses(padded, variant), padded, cand) == want
+
+    def test_conclusion_scans_the_restriction_not_the_candidate_stage(self, monkeypatch):
+        # singleton classes at t = 1 and one path law: the candidate passes the
+        # adapted check with a stage 1 that is not stage 0's restriction
+        sp = FiniteFilteredSpace([0.2, 0.3, 0.5], [[[0, 1, 2]], [[0], [1], [2]]])
+        X = AdaptedProcess(sp, 0, [[0, 0, 0], [1, 1, -2]])
+        Y = AdaptedProcess(sp, 1, [[-2, -2, 1]])
+        up = normalized_scenario_process(sp, DensityProcess(sp, 0, [[0.5] * 3, [0.5] * 3]))
+        scanned = []
+        scan = worstcase.worst_portfolio_bruteforce
+        monkeypatch.setattr(worstcase, "worst_portfolio_bruteforce", lambda p, *args: scanned.append(p) or scan(p, *args))
+        for variant in ("thm33", "thm42"):
+            scanned.clear()
+            hyp = build_preservation_hypotheses(up, variant)
+            rep = verify_preservation(hyp, up, AdaptedWorstProcess({0: Portfolio([X]), 1: Portfolio([Y])}))
+            assert rep.adapted_ok and rep.passed and not rep.skipped
+            assert [p.members[0].values.tolist() for p in scanned] == [X.values.tolist(), Y.values.tolist(), [[1, 1, -2]]]
+            # a candidate of restrictions is certified once per stage
+            scanned.clear()
+            rep = verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(Portfolio([X])))
+            assert rep.passed and len(scanned) == 2
 
     def test_variant_mismatch_rejected(self, four_tree):
         up = entropic_process(four_tree, 1.0)
