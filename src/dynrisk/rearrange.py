@@ -211,6 +211,14 @@ def _first_near_max(table: np.ndarray) -> list[int]:
     return np.argmax(table >= table.max(axis=0) - 1e-15, axis=0).tolist()
 
 
+def _attains(table: np.ndarray, best: np.ndarray | None = None) -> np.ndarray:
+    """Per row, whether it reaches ``best`` (by default the column max) on
+    every column, within 1e-12 * max(1, |best|); a single row gives one bool."""
+    if best is None:
+        best = table.max(axis=0)
+    return np.all(table >= best - 1e-12 * np.maximum(1.0, np.abs(best)), axis=-1)
+
+
 @dataclass
 class MaxCorrelationResult:
     value: ConditionalValue
@@ -254,6 +262,7 @@ def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int, t_end: int
     """
     if t_end is None:
         t_end = X_hat.t_end
+    _check_pairing(X_hat, a, t, t_end)
     space = X_hat.space
     k0 = X_hat._index(t)
     k1 = X_hat._index(t_end)

@@ -53,7 +53,6 @@ from .space import (
     _stopping_times,
     cond_expect,
     enumerate_events,
-    ess_sup_family,
 )
 
 PENALTY_SOLVERS = ("highs", "vertices")
@@ -709,24 +708,26 @@ def penalty_consistency_check(
     us = up.stage(s)
     if not isinstance(ut, DualFiniteUtility) or not isinstance(us, DualFiniteUtility):
         raise TypeError("penalty decomposition needs finite scenario sets at both stages")
-    theta = StoppingTime.constant(up.space, s)
-    omega = np.ones(up.space.n_outcomes, dtype=bool)
+    space = up.space
+    theta = StoppingTime.constant(space, s)
+    omega = np.ones(space.n_outcomes, dtype=bool)
+
+    # both stages' scenarios on [t, T]: stage t's window stack, and stage s's
+    # padded with zero increments before s
+    pad = np.zeros((len(us.scenarios), s - t, space.n_outcomes))
+    lefts = [DensityProcess._wrap(space, t, inc) for inc in ut._increments]
+    rights = [DensityProcess._wrap(space, t, inc) for inc in np.concatenate([pad, us._increments], axis=1)]
+    priced = _penalties(ut, lefts + [concatenate(a, b, theta, omega) for a in lefts for b in rights], solver)
+    spliced = priced[len(lefts) :].reshape(len(lefts), len(rights), -1)
+    tails = _penalties(us, [a.restrict(s) for a in lefts], solver)
 
     rows = []
     worst = 0.0
-    for i, (a, _) in enumerate(ut.scenarios):
-        lhs = penalty(ut, a, solver=solver)
-        spliced_vals = []
-        for b, _ in us.scenarios:
-            b_ext = b.extend_to(a.t_start) if b.t_start > a.t_start else b
-            d = concatenate(a, b_ext, theta, omega)
-            spliced_vals.append(penalty(ut, d, solver=solver))
-        best = ess_sup_family(spliced_vals)
-        tail_pen = penalty(us, a.restrict(s), solver=solver)
-        rhs = best + cond_expect(up.space, tail_pen.lift(), t)
-        gap = np.where(
-            np.isneginf(lhs.values) & np.isneginf(rhs.values), 0.0, lhs.values - rhs.values
-        )
+    for i, lhs in enumerate(priced[: len(lefts)]):
+        best = ConditionalValue(space, t, spliced[i].max(axis=0))
+        rhs = (best + cond_expect(space, ConditionalValue(space, s, tails[i]).lift(), t)).values
+        with np.errstate(invalid="ignore"):  # -inf - -inf, where the gap is set to 0
+            gap = np.where(np.isneginf(lhs) & np.isneginf(rhs), 0.0, lhs - rhs)
         rows.append((i, gap))
         finite = gap[np.isfinite(gap)]
         if finite.size:

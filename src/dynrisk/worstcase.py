@@ -8,15 +8,17 @@ conclusion and report residuals instead of silently clamping.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import parallel
-from .processes import AdaptedProcess, DensityProcess, _pairings, mean_portfolio, membership
+from .processes import AdaptedProcess, DensityProcess, _check_pairing, _pairings, mean_portfolio, membership, remaining_mass
 from .rearrange import (
     RearrangementClass,
+    _attains,
     _class_pairings,
     _first_near_max,
     enumerate_class,
@@ -97,30 +99,15 @@ def average_risk(
     u: DualFiniteUtility,
     cap: int = 100_000,
     solver: str = "highs",
-    rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> ConditionalValue:
     """(1/n) sum of max correlations against a, plus the penalty of a.
 
-    ``rearrangements``, when given, holds the marginals' classes, which are
-    then not enumerated again.
+    One candidate at a time, each class enumerated by its own
+    ``max_correlation``: the oracle of every row of ``worst_scenario``'s table.
     """
-    return _average_correlation(a, marginals, u, cap, rearrangements) + penalty(u, a, solver=solver)
-
-
-def _average_correlation(
-    a: DensityProcess,
-    marginals: Portfolio,
-    u: DualFiniteUtility,
-    cap: int,
-    rearrangements: Sequence[RearrangementClass] | None,
-) -> ConditionalValue:
     t, t_end = u.t_start, u.t_end
-    acc = None
-    for i, X in enumerate(marginals.members):
-        cls = None if rearrangements is None else rearrangements[i]
-        v = max_correlation(a, X, t, t_end, cap, rearrangement=cls).value
-        acc = v if acc is None else acc + v
-    return acc * (1.0 / marginals.n)
+    psi = [max_correlation(a, X, t, t_end, cap).value for X in marginals.members]
+    return sum(psi[1:], psi[0]) * (1.0 / marginals.n) + penalty(u, a, solver=solver)
 
 
 @dataclass
@@ -139,24 +126,29 @@ def worst_scenario(
     solver: str = "highs",
     rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> WorstScenarioResult:
-    """Atom-wise best candidate under the average risk, glued by indicators."""
+    """Atom-wise best candidate under the average risk, glued by indicators.
+    Each marginal's class is enumerated once, or taken from ``rearrangements``."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate list")
     t, t_end = u.t_start, u.t_end
     space = u.space
-    # average_risk of every candidate, its penalties priced in one pass
-    table = np.stack([_average_correlation(c, marginals, u, cap, rearrangements).values for c in candidates])
-    table = table + _penalties(u, candidates, solver=solver)
+    # average_risk of every candidate: max correlations summed in marginal
+    # order, penalties priced in one pass
+    table = None
+    for i, X in enumerate(marginals.members):
+        cls = enumerate_class(X, cap) if rearrangements is None else rearrangements[i]
+        psi = np.stack([_class_pairings(cls, c, t, t_end).max(axis=0) for c in candidates])
+        table = psi if table is None else table + psi
+    table = table * (1.0 / marginals.n) + _penalties(u, candidates, solver=solver)
     best = table.max(axis=0)
     choice = _first_near_max(table)
-    single = any(bool(np.all(table[i] >= best - 1e-12)) for i in range(len(candidates)))
 
     # glue the chosen candidates' increments along the window-start atoms
     incs = np.stack([c.values[c._index(t) : c._index(t_end) + 1] for c in candidates])
     glued = incs[np.array(choice)[space.atom_index(t)], :, np.arange(space.n_outcomes)].T
     return WorstScenarioResult(
-        DensityProcess(space, t, glued), ConditionalValue(space, t, best), choice, single
+        DensityProcess(space, t, glued), ConditionalValue(space, t, best), choice, bool(_attains(table, best).any())
     )
 
 
@@ -175,8 +167,12 @@ class WorstCaseResult:
         return Portfolio([self.classes[i].members[int(j)] for i, j in enumerate(idx)])
 
 
+CHUNK = 4096  # tuples per chunk of the scan
+
+
 def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
-    """Insurance values of tuple means, as a function of per-class index arrays.
+    """Insurance values of the tuple means at flat indices lo..hi-1 of the
+    product of classes, as ``values(lo, hi)`` -> (hi - lo, atoms).
 
     Features are linear, so a tuple mean's features are the mean of its
     members' features; those are computed once per class member.  Summed in
@@ -185,15 +181,17 @@ def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
     tuple's own insurance value.
     """
     feats = [u._features(u._window(cls.representative, cls.values)) for cls in classes]
+    sizes = [cls.size for cls in classes]
     n = len(classes)
 
-    def batch(idx: list[np.ndarray]) -> np.ndarray:
+    def values(lo: int, hi: int) -> np.ndarray:
+        idx = np.unravel_index(np.arange(lo, hi), sizes)
         acc = feats[0][idx[0]]
         for f, i in zip(feats[1:], idx[1:]):
             acc = acc + f[i]
         return 0.0 - u._combine(-(acc / n))  # reflected as in insurance
 
-    return batch
+    return values
 
 
 def worst_portfolio_bruteforce(
@@ -201,53 +199,36 @@ def worst_portfolio_bruteforce(
     u: UtilityBase,
     cap: int = 1_000_000,
     workers: int | None = None,
-    chunk_size: int = 4096,
 ) -> WorstCaseResult:
     """Enumerate the product of rearrangement classes and take atom-wise sups.
 
-    Results are deterministic for any worker count: chunks cover the flat
-    tuple index range in order and merges prefer the lower index on ties.
+    The sup pass runs on ``workers`` threads over chunks of ``CHUNK`` flat
+    tuple indices; the lower index wins ties.  The first tuple that
+    ``_attains`` the sup on every atom is then sought by a serial walk, in
+    index order, over the chunks whose best reaches it, stopping at the first
+    hit.  Results do not depend on the worker count.
     """
     t = u.t_start
     classes = [enumerate_class(X, cap) for X in marginals.members]
-    sizes = [c.size for c in classes]
-    total = int(np.prod(sizes))
+    total = int(np.prod([c.size for c in classes]))
     if total > cap:
         raise CapExceededError(
             f"{total} tuples exceed cap {cap}; prune with the assignment-problem bound first"
         )
-    evaluate = _batch_insurance(u, classes)
-    ranges = parallel.chunk_ranges(total, chunk_size)
+    values = _batch_insurance(u, classes)
+    ranges = parallel.chunk_ranges(total, CHUNK)
 
     def scan(lo: int, hi: int):
-        idx = [arr for arr in np.unravel_index(np.arange(lo, hi), sizes)]
-        vals = evaluate(idx)
-        best = vals.max(axis=0)
-        arg = vals.argmax(axis=0) + lo
-        return best, arg
+        vals = values(lo, hi)
+        return vals.max(axis=0), vals.argmax(axis=0) + lo
 
-    partials = parallel.map_chunks(scan, ranges, workers)
-    n_atoms = u.space.n_atoms(t)
-    sup = np.full(n_atoms, -np.inf)
-    arg = np.zeros(n_atoms, dtype=int)
-    for best, a in partials:
-        improve = best > sup
-        sup = np.where(improve, best, sup)
-        arg = np.where(improve, a, arg)
+    bests, args = (np.stack(x) for x in zip(*parallel.map_chunks(scan, ranges, workers)))
+    sup = bests.max(axis=0)
+    arg = args[bests.argmax(axis=0), np.arange(sup.size)]  # the first chunk reaching the sup
 
-    atol = 1e-12 * np.maximum(1.0, np.abs(sup))
-
-    def find_uniform(lo: int, hi: int):
-        idx = [arr for arr in np.unravel_index(np.arange(lo, hi), sizes)]
-        vals = evaluate(idx)
-        hits = np.all(vals >= sup[None, :] - atol[None, :], axis=1)
-        where = np.flatnonzero(hits)
-        return int(where[0]) + lo if where.size else -1
-
-    # a uniform attainer can only sit in a chunk whose best reaches the sup
-    # on every atom
-    near = [r for r, (best, _) in zip(ranges, partials) if np.all(best >= sup - atol)]
-    first = next((res for res in parallel.map_chunks(find_uniform, near, workers) if res >= 0), -1)
+    near = ((lo, hi) for (lo, hi), best in zip(ranges, bests) if _attains(best, sup))
+    hits = (lo + np.flatnonzero(_attains(values(lo, hi), sup)) for lo, hi in near)
+    first = next((int(h[0]) for h in hits if h.size), -1)
 
     result = WorstCaseResult(
         ConditionalValue(u.space, t, sup),
@@ -305,23 +286,15 @@ def verify_theorem_3_1(
 
     # member condition: uniform attainers of the max correlation against a0
     a0 = ws.a0
-    uniform_sets: list[list[AdaptedProcess]] = []
-    for cls in lhs.classes:
-        table = _class_pairings(cls, a0, t, t_end)
-        best = table.max(axis=0)
-        near = np.all(table >= best - 1e-12 * np.maximum(1.0, np.abs(best)), axis=1)
-        uniform_sets.append([m for m, keep in zip(cls.members, near) if keep])
-
+    uniform_sets = [
+        [m for m, keep in zip(cls.members, _attains(_class_pairings(cls, a0, t, t_end))) if keep]
+        for cls in lhs.classes
+    ]
     tuple_found: Portfolio | None = None
-    n_tuples = int(np.prod([max(len(s), 1) for s in uniform_sets]))
-    if all(uniform_sets) and n_tuples <= cap:
-        import itertools
-
-        for combo in itertools.product(*uniform_sets):
-            cert = is_comonotone(a0, list(combo), tol, cap, rearrangements=lhs.classes)
-            if cert.comonotone:
-                tuple_found = Portfolio(list(combo))
-                break
+    for combo in itertools.product(*uniform_sets):
+        if is_comonotone(a0, list(combo), tol, cap, rearrangements=lhs.classes).comonotone:
+            tuple_found = Portfolio(list(combo))
+            break
     attains = None
     attain_res = None
     if tuple_found is not None:
@@ -403,6 +376,7 @@ def verify_linear_driven_portfolio(
     is provable for PSD-driven members when the mask is full; later stages
     are reported, not assumed.
     """
+    _check_pairing(portfolio.members[0], a, portfolio.t_start, portfolio.t_end)
     space = portfolio.space
     mask = np.ones(space.n_outcomes, dtype=bool) if event_mask is None else np.asarray(event_mask, dtype=bool)
     masked = mask[None, :] * a.values
@@ -660,9 +634,10 @@ def _verify_hypotheses(
             )
         else:
             fail(f"base set not concatenation-stable: {stab.context}")
-        # stage scenarios must be the tail-normalized base densities
+        # stage scenarios must be the tail-normalized base densities; a base
+        # density without remaining mass at t has failed the positive-tail check
         for t in range(t0, T + 1):
-            targets = [normalize_to_window(b, t) for b in hyp.base_set]
+            targets = [normalize_to_window(b, t) for b in hyp.base_set if np.all(remaining_mass(b, t).values > 1e-12)]
             for j, inc in enumerate(up.stage(t)._increments):
                 window = DensityProcess._wrap(up.space, t, inc)
                 if not any(window.approx_eq(b, 1e-9) for b in targets):
@@ -748,7 +723,7 @@ def matrix_sup(u: UtilityBase, X: AdaptedProcess, matrices: Sequence[np.ndarray]
     table = 0.0 - u._stacked(u._window(X, -images))
     best = table.max(axis=0)
     arg = _first_near_max(table)
-    hit = np.flatnonzero(np.all(table >= best - 1e-12 * np.maximum(1.0, np.abs(best)), axis=1))
+    hit = np.flatnonzero(_attains(table, best))
     uniform = int(hit[0]) if hit.size else None
     return MatrixSupResult(
         ConditionalValue(u.space, u.t_start, best), arg, uniform, uniform is not None

@@ -4,7 +4,10 @@
 one ``evaluate`` per position, ``insurance`` must be the reflected
 ``evaluate``, and the worst-portfolio scan, which combines averaged member
 features, must report values that the insurance of the reported tuple
-reproduces.  The time-consistency check, which stacks every (stopping time,
+reproduces; its chunked sup pass and first-hit walk must report what one
+evaluation of the whole table reports, and ``worst_scenario``, which reads
+each class once, what one ``average_risk`` per candidate reports.  The
+time-consistency check, which stacks every (stopping time,
 sample) pair, must report what one check at a time reports, and so must the
 stability checks and the pasting closure, which stack every splice, against
 one public ``concatenate`` or ``paste`` per splice.  Stacked pairings of a
@@ -39,6 +42,7 @@ from dynrisk import (
     StoppingTime,
     TerminalDensity,
     UtilityProcess,
+    average_risk,
     build_linear_driven_portfolio,
     build_preservation_hypotheses,
     check_axioms,
@@ -77,8 +81,9 @@ from dynrisk.random_gen import (
     random_space,
     random_terminal_density,
 )
-from dynrisk import lp
+from dynrisk import lp, worstcase
 from dynrisk.processes import _pairings
+from dynrisk.rearrange import _attains
 from dynrisk.space import enumerate_stopping_events
 from dynrisk.utility import _check_relevance, _penalties
 from dynrisk.worstcase import apply_matrix
@@ -166,6 +171,79 @@ def test_scan_sup_is_the_insurance_of_its_argmax_tuple(family):
                 assert abs(got - sup[k]) <= 1e-12 * max(1.0, abs(sup[k])), f"seed {seed - 1}, atom {k}"
             else:
                 assert got == sup[k], f"seed {seed - 1}, atom {k}: {got!r} != {sup[k]!r}"
+
+
+# at t = 1 an atom of three outcomes and one of two: no path can leave its
+# atom, so every class is a product of per-atom arrangements and some tuple
+# reaches the sup on both atoms, often past the first chunk that reaches it
+THREE_TWO = FiniteFilteredSpace(np.full(5, 0.2), [[[0, 1, 2, 3, 4]], [[0, 3], [1, 2, 4]], [[0], [1], [2], [3], [4]]])
+
+
+def scan_instance(seed):
+    """A scan on several atoms from a window start of 1 or later, or None."""
+    g = np.random.default_rng([77, seed])
+    if seed % 2:
+        sp, t0 = THREE_TWO, 1
+    else:
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=True)
+        t0 = int(g.integers(1, sp.horizon + 1))
+        if sp.n_atoms(t0) < 2:
+            return None
+    members = [random_adapted(sp, t0, sp.horizon, g) for _ in range(int(g.integers(1, 3)))]
+    if np.prod([enumerate_class(X).size for X in members]) > 400:
+        return None
+    dual = random_dual_utility(sp, t0, sp.horizon, g, n_scenarios=int(g.integers(1, 4)))
+    return Portfolio(members), (dual, EntropicUtility(sp, float(g.choice([0.3, 1.0, 2.5])), t0))
+
+
+def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
+    """The chunked sup pass and the walk to the first uniform attainer report
+    what one ``_batch_insurance`` call over every tuple reports: the first
+    argmax per atom and the first row that ``_attains`` the column max, at
+    any worker count.  The table is the insurance of each tuple's mean."""
+    monkeypatch.setattr(worstcase, "CHUNK", 5)
+    scans = late = unattained = 0
+    for seed in range(60):
+        inst = scan_instance(seed)
+        if inst is None:
+            continue
+        marg, utilities = inst
+        for u in utilities:
+            scans += 1
+            label = f"seed {seed}, {type(u).__name__}"
+            classes = [enumerate_class(X) for X in marg.members]
+            total = int(np.prod([c.size for c in classes]))
+            table = worstcase._batch_insurance(u, classes)(0, total)
+            sup = table.max(axis=0)
+            hits = np.flatnonzero(_attains(table))
+            for flat, row in enumerate(table):
+                tup = Portfolio([c.members[i] for c, i in zip(classes, np.unravel_index(flat, [c.size for c in classes]))])
+                assert np.abs(u.insurance(tup.mean()).values - row).max() <= 1e-12, label
+            chunks = [(lo, lo + 5) for lo in range(0, total, 5)]
+            near = [lo for lo, hi in chunks if np.all(table[lo:hi].max(axis=0) >= sup - 1e-12 * np.maximum(1.0, np.abs(sup)))]
+            unattained += hits.size == 0
+            late += bool(hits.size) and hits[0] >= near[0] + 5
+            for workers in (1, 2):
+                res = worst_portfolio_bruteforce(marg, u, workers=workers)
+                assert np.array_equal(bits(res.sup_value.values), bits(sup)), label
+                assert res.per_atom_argmax == table.argmax(axis=0).tolist(), label
+                assert res.attained_uniformly == bool(hits.size), label
+                if hits.size:
+                    want = res.tuple_at(int(hits[0])).members
+                    assert all(np.array_equal(a.values, b.values) for a, b in zip(res.attaining_tuple.members, want)), label
+                else:
+                    assert res.attaining_tuple is None, label
+    # both ends of the walk are reached: an attainer past the first chunk that
+    # reaches the sup (4 of 94 scans), and no attainer at all (22)
+    assert late >= 3 and unattained >= 10, (scans, late, unattained)
+
+
+def test_attains_tolerance_is_relative_above_one():
+    best = np.array([1e3, -1e3, 0.5])
+    rows = np.array([best - [5e-10, 5e-10, 5e-13], best - [2e-9, 0.0, 0.0], best - [0.0, 2e-9, 0.0], best - [0.0, 0.0, 2e-12]])
+    assert _attains(rows, best).tolist() == [True, False, False, False]
+    assert _attains(rows).tolist() == [True, False, False, False]
+    assert bool(_attains(best - [5e-10, 5e-10, 5e-13], best)) and not _attains(best - [0.0, 0.0, 2e-12], best)
 
 
 def oracle_consistency(up, samples, tol):
@@ -511,6 +589,41 @@ def test_class_reusing_duality_harness_matches_per_call_oracle():
         else:
             assert rep.attain_residual is None and rep.attains is None, label
     assert found >= 10, "too few comonotone tuples were compared"
+
+
+def test_worst_scenario_matches_per_candidate_average_risk_bitwise():
+    """worst_scenario reads each class once and prices every candidate in one
+    pass; it reports what a table of one average_risk per candidate reports,
+    bit for bit, with -inf penalties from candidates outside the scenario set
+    of coherent and non-coherent utilities."""
+    knocked = 0
+    for seed in range(40):
+        g = np.random.default_rng([41, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.7))
+        t0 = int(g.integers(0, sp.horizon))
+        t1 = min(sp.horizon, t0 + int(g.integers(1, 3)))
+        members = [random_adapted(sp, t0, t1, g) for _ in range(int(g.integers(1, 4)))]
+        classes = [enumerate_class(X) for X in members]
+        if np.prod([c.size for c in classes]) > 5000:
+            continue
+        make = random_coherent_utility if seed % 2 else random_dual_utility
+        u = make(sp, t0, t1, g, n_scenarios=int(g.integers(1, 4)))
+        outside = [random_density(sp, 0, t1, g) for _ in range(int(g.integers(0, 3)))]
+        candidates = [a for a, _ in u.scenarios] + outside
+        marg = Portfolio(members)
+        table = np.stack([average_risk(c, marg, u).values for c in candidates])
+        best = table.max(axis=0)
+        floor = best - 1e-12 * np.maximum(1.0, np.abs(best))
+        single = any(bool(np.all(row >= floor)) for row in table)
+        choice = np.argmax(table >= best - 1e-15, axis=0).tolist()
+        knocked += bool(np.isneginf(table).any())
+        for rearrangements in (None, classes):
+            res = worst_scenario(candidates, marg, u, rearrangements=rearrangements)
+            label = f"seed {seed}, classes {'given' if rearrangements else 'enumerated'}"
+            assert np.array_equal(bits(res.value.values), bits(best)), label
+            assert res.per_atom_choice == choice, label
+            assert res.single_attainment == single, label
+    assert knocked >= 10, "too few tables held a -inf penalty"
 
 
 def oracle_linear_driven(portfolio, a, mask):

@@ -127,6 +127,13 @@ class TestMaxCorrelation:
         assert res.value.values[0] == pytest.approx(2.7)
         assert lap.values[0] == pytest.approx(2.9)
 
+    def test_lap_refuses_a_density_on_another_space(self):
+        X = AdaptedProcess(dyadic_uniform(2), 0, [[0, 0, 0, 0], [2, 2, 1, 1], [1, 2, 5, 5]])
+        a = random_density(dyadic_uniform(2), 0, 2, np.random.default_rng(3), strict=True)
+        for bound in (max_correlation, lap_upper_bound):
+            with pytest.raises(ValueError, match="position and density live on different spaces"):
+                bound(a, X, 0)
+
     def test_lap_equals_class_max_single_atom_swap(self, two_uniform):
         g = np.random.default_rng(42)
         a = random_density(two_uniform, 0, 1, g)

@@ -15,6 +15,7 @@ from dynrisk import (
     argmax_density,
     check_axioms,
     cond_expect,
+    dyadic_uniform,
     entropic_process,
     normalized_scenario_process,
     pairing,
@@ -323,3 +324,37 @@ class TestPenaltyConsistency:
         up = entropic_process(four_tree, 1.0)
         with pytest.raises(TypeError):
             penalty_consistency_check(up, 0, 1)
+
+    def test_gap_is_zero_where_both_sides_are_knocked_out(self, four_tree):
+        # scenario 1 of each stage has a -inf penalty; -inf - -inf is not
+        # computed where both sides are -inf, so no floating-point warning fires
+        g = np.random.default_rng(5)
+        a = [random_density(four_tree, 0, 2, g, strict=True) for _ in range(2)]
+        b = [random_density(four_tree, 1, 2, g, strict=True) for _ in range(2)]
+        cv = lambda t, v: ConditionalValue(four_tree, t, v)
+        up = UtilityProcess(
+            {
+                0: DualFiniteUtility(four_tree, 0, 2, [(a[0], cv(0, [0.0])), (a[1], cv(0, [NEG_INF]))]),
+                1: DualFiniteUtility(four_tree, 1, 2, [(b[0], cv(1, [0.0, 0.0])), (b[1], cv(1, [NEG_INF, -0.5]))]),
+                2: DualFiniteUtility(four_tree, 2, 2, [(DensityProcess.uniform(four_tree, 2, 2), cv(2, [0.0] * 4))]),
+            }
+        )
+        assert penalty(up.stage(0), a[1]).values[0] == NEG_INF
+        assert [(i, gap.tolist()) for i, gap in penalty_consistency_check(up, 0, 2).residuals] == [(0, [0.0]), (1, [0.0])]
+        assert [(i, gap.tolist()) for i, gap in penalty_consistency_check(up, 1, 1).residuals] == [(0, [0.0, 0.0]), (1, [0.0, 0.0])]
+
+    def test_stages_read_on_their_windows(self):
+        # a later stage whose densities start before it evaluates with the same
+        # bits, and so must leave the report alone
+        sp = dyadic_uniform(3)
+        up = normalized_scenario_process(sp, random_density(sp, 0, 3, np.random.default_rng(1), strict=True))
+        stages = dict(up.stages)
+        stages[2] = DualFiniteUtility(sp, 2, 3, [(a.extend_to(0), g) for a, g in up.stage(2).scenarios])
+        wide = UtilityProcess(stages)
+        X = random_adapted(sp, 0, 3, np.random.default_rng(2))
+        assert np.array_equal(wide.stage(2).evaluate(X).values, up.stage(2).evaluate(X).values)
+        for t, s in [(0, 2), (1, 2), (2, 2), (1, 3)]:
+            narrow, widened = penalty_consistency_check(up, t, s), penalty_consistency_check(wide, t, s)
+            assert narrow.max_abs_residual <= 1e-8, (t, s)
+            assert widened.max_abs_residual == narrow.max_abs_residual, (t, s)
+            assert [(i, gap.tobytes()) for i, gap in widened.residuals] == [(i, gap.tobytes()) for i, gap in narrow.residuals]

@@ -87,12 +87,13 @@ class TestWorstPortfolio:
         direct = u.insurance(marg.mean())
         assert np.all(res.sup_value.values >= direct.values - 1e-12)
 
-    def test_worker_counts_agree(self, four_tree):
+    def test_worker_counts_agree(self, four_tree, monkeypatch):
+        monkeypatch.setattr(worstcase, "CHUNK", 7)
         u = coherent_pair(four_tree, 62)
         g = np.random.default_rng(63)
         marg = Portfolio([random_adapted(four_tree, 0, 2, g) for _ in range(2)])
-        one = worst_portfolio_bruteforce(marg, u, workers=1, chunk_size=7)
-        four = worst_portfolio_bruteforce(marg, u, workers=4, chunk_size=7)
+        one = worst_portfolio_bruteforce(marg, u, workers=1)
+        four = worst_portfolio_bruteforce(marg, u, workers=4)
         assert np.array_equal(one.sup_value.values, four.sup_value.values)
         assert one.per_atom_argmax == four.per_atom_argmax
         assert one.attained_uniformly == four.attained_uniformly
@@ -206,6 +207,13 @@ class TestLinearDriven:
         assert not rep.passed
         assert rep.stages[2].residual > 0.05
 
+    def test_density_on_another_space_rejected(self, four_tree):
+        a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
+        port = build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], np.ones(4, dtype=bool))
+        other = random_density(dyadic_uniform(2), 0, 2, np.random.default_rng(73), strict=True)
+        with pytest.raises(ValueError, match="position and density live on different spaces"):
+            verify_linear_driven_portfolio(port, other)
+
     def test_non_psd_rejected(self, four_tree):
         a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -298,6 +306,28 @@ class TestPreservation:
         notes = [n for n in rep.notes if n.startswith("relevance failed:")]
         assert len(notes) == 1 and "not priced below zero" in notes[0]
         assert not rep.hypotheses_ok and rep.skipped
+
+    @pytest.mark.parametrize("variant", ["thm33", "thm42"])
+    def test_vanishing_tail_is_a_failed_hypothesis(self, four_tree, variant):
+        # stage 0 spends all its mass at time 0, so its tail past 0 vanishes and
+        # no later stage can be its normalization
+        dense = lambda t, vals: (DensityProcess(four_tree, t, vals), zero_gamma(four_tree, t))
+        up = UtilityProcess(
+            {
+                0: DualFiniteUtility(four_tree, 0, 2, [dense(0, [[1] * 4, [0] * 4, [0] * 4])]),
+                1: DualFiniteUtility(four_tree, 1, 2, [dense(1, [[0.5] * 4] * 2)]),
+                2: DualFiniteUtility(four_tree, 2, 2, [dense(2, [[1] * 4])]),
+            }
+        )
+        stage0 = Portfolio([AdaptedProcess.constant(four_tree, 0, 2, 1.0)])
+        rep = verify_preservation(build_preservation_hypotheses(up, variant), up, AdaptedWorstProcess.from_restrictions(stage0))
+        assert rep.skipped and not rep.hypotheses_ok and not rep.passed
+        assert "stage 0 scenario 0 outside the positive-tail class: tail from time 1 vanishes at outcome 0" in rep.notes
+        if variant == "thm42":
+            assert rep.notes[-2:] == [
+                "stage 1 scenario 0 is not a normalized base density",
+                "stage 2 scenario 0 is not a normalized base density",
+            ]
 
     def test_candidate_off_the_process_window_rejected(self, four_tree):
         # a stage-0 portfolio starting after the process has no stage at its start
