@@ -204,9 +204,10 @@ def worst_portfolio_bruteforce(
 
     The sup pass runs on ``workers`` threads over chunks of ``CHUNK`` flat
     tuple indices; the lower index wins ties.  The first tuple that
-    ``_attains`` the sup on every atom is then sought by a serial walk, in
-    index order, over the chunks whose best reaches it, stopping at the first
-    hit.  Results do not depend on the worker count.
+    ``_attains`` the sup on every atom is then sought in the chunks whose
+    best reaches it: the first such chunk alone, and only if it holds none,
+    the others in one pass on the threads.  On one atom the first always
+    holds one.  Results do not depend on the worker count.
     """
     t = u.t_start
     classes = [enumerate_class(X, cap) for X in marginals.members]
@@ -226,8 +227,12 @@ def worst_portfolio_bruteforce(
     sup = bests.max(axis=0)
     arg = args[bests.argmax(axis=0), np.arange(sup.size)]  # the first chunk reaching the sup
 
-    near = ((lo, hi) for (lo, hi), best in zip(ranges, bests) if _attains(best, sup))
-    hits = (lo + np.flatnonzero(_attains(values(lo, hi), sup)) for lo, hi in near)
+    def attainers(lo: int, hi: int):
+        return lo + np.flatnonzero(_attains(values(lo, hi), sup))
+
+    # a batch is read only when the one before it holds no attainer
+    near = [r for r, best in zip(ranges, bests) if _attains(best, sup)]
+    hits = (h for batch in (near[:1], near[1:]) for h in parallel.map_chunks(attainers, batch, workers))
     first = next((int(h[0]) for h in hits if h.size), -1)
 
     result = WorstCaseResult(
@@ -635,9 +640,14 @@ def _verify_hypotheses(
         else:
             fail(f"base set not concatenation-stable: {stab.context}")
         # stage scenarios must be the tail-normalized base densities; a base
-        # density without remaining mass at t has failed the positive-tail check
+        # density without remaining mass at t has none
         for t in range(t0, T + 1):
-            targets = [normalize_to_window(b, t) for b in hyp.base_set if np.all(remaining_mass(b, t).values > 1e-12)]
+            targets = []
+            for i, b in enumerate(hyp.base_set):
+                if np.all(remaining_mass(b, t).values > 1e-12):
+                    targets.append(normalize_to_window(b, t))
+                else:
+                    fail(f"base density {i} has no remaining mass at t={t}")
             for j, inc in enumerate(up.stage(t)._increments):
                 window = DensityProcess._wrap(up.space, t, inc)
                 if not any(window.approx_eq(b, 1e-9) for b in targets):

@@ -4,7 +4,7 @@
 one ``evaluate`` per position, ``insurance`` must be the reflected
 ``evaluate``, and the worst-portfolio scan, which combines averaged member
 features, must report values that the insurance of the reported tuple
-reproduces; its chunked sup pass and first-hit walk must report what one
+reproduces; its chunked sup pass and attainer search must report what one
 evaluation of the whole table reports, and ``worst_scenario``, which reads
 each class once, what one ``average_risk`` per candidate reports.  The
 time-consistency check, which stacks every (stopping time,
@@ -197,11 +197,25 @@ def scan_instance(seed):
 
 
 def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
-    """The chunked sup pass and the walk to the first uniform attainer report
+    """The chunked sup pass and the search for the first uniform attainer report
     what one ``_batch_insurance`` call over every tuple reports: the first
     argmax per atom and the first row that ``_attains`` the column max, at
-    any worker count.  The table is the insurance of each tuple's mean."""
+    any worker count.  The table is the insurance of each tuple's mean.  The
+    search reads the first chunk that reaches the sup alone and the others
+    only when that chunk holds no attainer."""
     monkeypatch.setattr(worstcase, "CHUNK", 5)
+    batch_insurance, evaluated = worstcase._batch_insurance, []
+
+    def counted(u, classes):
+        values = batch_insurance(u, classes)
+
+        def count(lo, hi):
+            evaluated.append(lo)
+            return values(lo, hi)
+
+        return count
+
+    monkeypatch.setattr(worstcase, "_batch_insurance", counted)
     scans = late = unattained = 0
     for seed in range(60):
         inst = scan_instance(seed)
@@ -213,7 +227,7 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
             label = f"seed {seed}, {type(u).__name__}"
             classes = [enumerate_class(X) for X in marg.members]
             total = int(np.prod([c.size for c in classes]))
-            table = worstcase._batch_insurance(u, classes)(0, total)
+            table = batch_insurance(u, classes)(0, total)
             sup = table.max(axis=0)
             hits = np.flatnonzero(_attains(table))
             for flat, row in enumerate(table):
@@ -223,8 +237,11 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
             near = [lo for lo, hi in chunks if np.all(table[lo:hi].max(axis=0) >= sup - 1e-12 * np.maximum(1.0, np.abs(sup)))]
             unattained += hits.size == 0
             late += bool(hits.size) and hits[0] >= near[0] + 5
+            walked = 1 if hits.size and hits[0] < near[0] + 5 else len(near)
             for workers in (1, 2):
+                evaluated.clear()
                 res = worst_portfolio_bruteforce(marg, u, workers=workers)
+                assert len(evaluated) == len(chunks) + walked, label
                 assert np.array_equal(bits(res.sup_value.values), bits(sup)), label
                 assert res.per_atom_argmax == table.argmax(axis=0).tolist(), label
                 assert res.attained_uniformly == bool(hits.size), label
@@ -233,7 +250,7 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
                     assert all(np.array_equal(a.values, b.values) for a, b in zip(res.attaining_tuple.members, want)), label
                 else:
                     assert res.attaining_tuple is None, label
-    # both ends of the walk are reached: an attainer past the first chunk that
+    # both ends of the search are reached: an attainer past the first chunk that
     # reaches the sup (4 of 94 scans), and no attainer at all (22)
     assert late >= 3 and unattained >= 10, (scans, late, unattained)
 

@@ -324,9 +324,22 @@ class TestPreservation:
         assert rep.skipped and not rep.hypotheses_ok and not rep.passed
         assert "stage 0 scenario 0 outside the positive-tail class: tail from time 1 vanishes at outcome 0" in rep.notes
         if variant == "thm42":
-            assert rep.notes[-2:] == [
+            assert rep.notes[-4:] == [
+                "base density 0 has no remaining mass at t=1",
                 "stage 1 scenario 0 is not a normalized base density",
+                "base density 0 has no remaining mass at t=2",
                 "stage 2 scenario 0 is not a normalized base density",
+            ]
+            # a hand-built base set beside a positive-tail stage family: the
+            # vanishing density is noted though the uniform one matches every stage
+            up = UtilityProcess({t: DualFiniteUtility(four_tree, t, 2, [dense(t, [[1 / (3 - t)] * 4] * (3 - t))]) for t in range(3)})
+            hyp = build_preservation_hypotheses(up, variant)
+            hyp.base_set = [DensityProcess(four_tree, 0, [[1] * 4, [0] * 4, [0] * 4]), DensityProcess.uniform(four_tree, 0, 2)]
+            rep = verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(stage0))
+            assert rep.skipped and not rep.hypotheses_ok
+            assert [n for n in rep.notes if "base density" in n] == [
+                "base density 0 has no remaining mass at t=1",
+                "base density 0 has no remaining mass at t=2",
             ]
 
     def test_candidate_off_the_process_window_rejected(self, four_tree):
