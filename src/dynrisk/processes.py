@@ -7,8 +7,9 @@ time, pasting splices two terminal densities at a deterministic time.
 
 ``stability_check`` and ``m1_closure`` share one scan, ``_scan``, over
 stacked splices: one table of lifted conditional tails (or conditional
-means) per call, the (stopping time, event) pairs indexed in the scalar
-loops' order, and blocks of splices tested against the set by broadcasting.
+means) per call, the (stopping time, event) pairs indexed by ``space._Splices``
+in the scalar loops' order, and blocks of splices tested against the set by
+broadcasting.
 The stability check scans every pair of items; each closure round scans the
 pairs that touch the last round's additions.  The scalar ``concatenate``
 and ``paste`` are the scan's oracle: they rebuild each reported missing
@@ -26,25 +27,20 @@ import numpy as np
 
 from .space import (
     DEFAULT_TOL,
-    EXHAUSTIVE_LIMIT,
     CapExceededError,
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
+    _atom_cuts,
     _cond_expect,
-    _stopping_times,
+    _first_cut,
+    _Splices,
+    _times_to_check,
     cond_expect,
     enumerate_events,
     enumerate_stopping_events,
     is_stopping_event,
 )
-
-
-def _spread(space: FiniteFilteredSpace, s: int, y: np.ndarray) -> np.ndarray:
-    """(..., M) -> (..., atoms at s): max minus min over each atom, as ``np.ptp``."""
-    order, starts = space.atom_layout(s)[:2]
-    y = y.take(order, axis=-1)
-    return np.maximum.reduceat(y, starts, axis=-1) - np.minimum.reduceat(y, starts, axis=-1)
 
 
 class _Windowed:
@@ -59,11 +55,9 @@ class _Windowed:
             raise ValueError(f"window [{t_start}, {t_end}] outside [0, {space.horizon}]")
         if not np.all(np.isfinite(arr)):
             raise ValueError("process values must be finite")
-        for k in range(arr.shape[0]):
-            s = t_start + k
-            bad = np.flatnonzero(_spread(space, s, arr[k]) > 1e-12)
-            if bad.size:
-                raise ValueError(f"value at time {s} not constant on atom {space.atoms(s)[bad[0]]}")
+        cut = _first_cut(space, t_start, arr, 1e-12)
+        if cut is not None:
+            raise ValueError(f"value at time {cut[0]} not constant on atom {cut[1]}")
         arr.flags.writeable = False
         self.space = space
         self.t_start = t_start
@@ -427,45 +421,6 @@ def _blocks(total: int, width: int):
     return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 
-class _Splices:
-    """The (stopping time, event) pairs of one operand pair, in the scalar loops' order.
-
-    Rows of ``thetas`` are the stopping times; each one's events follow in
-    ``enumerate_stopping_events`` order.  Events are not stored: event e of a
-    stopping time with A atoms holds outcome w when bit ``shifts[w]`` of e is
-    set, the first atom being the highest bit as in ``itertools.product``.
-    An event is a union of the stopping time's atoms, so it is measurable at
-    that time by construction, and no splice checks it again.  The pairs end before the first stopping time with over ``cap`` events,
-    kept as ``over`` (None if there is none): the scalar enumerator raises there.
-    """
-
-    def __init__(self, space: FiniteFilteredSpace, thetas: np.ndarray, cap: int):
-        flags, cols, base = [], [], 0
-        for s in range(space.horizon + 1):
-            order, starts = space.atom_layout(s)[:2]
-            flags.append(thetas[:, order[starts]] == s)  # which time-s atoms are stopping atoms
-            cols.append(base + space.atom_index(s))
-            base += len(starts)
-        flags = np.concatenate(flags, axis=1)
-        n_atoms = flags.sum(axis=1)
-        over = np.flatnonzero(2.0**n_atoms > cap)
-        K = int(over[0]) if over.size else len(thetas)
-        self.over = thetas[K] if over.size else None
-        # each outcome's stopping atom, as a column of flags, ranked among the stopping atoms
-        col = np.stack(cols)[thetas[:K], np.arange(space.n_outcomes)]
-        rank = np.take_along_axis(np.cumsum(flags[:K], axis=1), col, axis=1) - 1
-        self.thetas = thetas[:K]
-        self.shifts = n_atoms[:K, None] - 1 - rank
-        self.offsets = np.concatenate([[0], np.cumsum(1 << n_atoms[:K])])
-        self.size = int(self.offsets[-1])
-        self.cap = cap
-
-    def points(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(stopping times, event masks) of the pairs ranked r, as (len(r), M) arrays."""
-        k = np.searchsorted(self.offsets, r, side="right") - 1
-        return self.thetas[k], ((r - self.offsets[k])[:, None] >> self.shifts[k] & 1).astype(bool)
-
-
 def _lifted_cond(space: FiniteFilteredSpace, rows: Callable[[int], np.ndarray]) -> np.ndarray:
     """(T+1, N, M): entry [s] is E(rows(s) | F_s) lifted to outcomes, each row bit-identical to cond_expect."""
     return np.stack(
@@ -482,14 +437,6 @@ def _near_any(stack, cands: np.ndarray, tol: float) -> np.ndarray:
     return hit
 
 
-def _windowed_ok(space: FiniteFilteredSpace, t_start: int, cands: np.ndarray) -> np.ndarray:
-    """Per (L, M) candidate, the finiteness and adaptedness that ``_Windowed`` demands."""
-    ok = np.isfinite(cands).all(axis=(1, 2))
-    for k in range(cands.shape[1]):
-        ok &= np.all(_spread(space, t_start + k, cands[:, k]) <= 1e-12, axis=1)
-    return ok
-
-
 def _terminal_ok(space: FiniteFilteredSpace, cands: np.ndarray) -> np.ndarray:
     """Per candidate, ``TerminalDensity``'s positivity and unit mean.
 
@@ -498,11 +445,6 @@ def _terminal_ok(space: FiniteFilteredSpace, cands: np.ndarray) -> np.ndarray:
     the public ``paste`` then decides that candidate.
     """
     return np.all(cands > 0, axis=1) & (np.abs(cands @ space.probs - 1.0) <= 0.5e-12)
-
-
-def _levels(space: FiniteFilteredSpace) -> np.ndarray:
-    """The deterministic stopping times 0..T as a (T+1, M) int array."""
-    return np.repeat(np.arange(space.horizon + 1)[:, None], space.n_outcomes, axis=1)
 
 
 def _payload(x) -> np.ndarray:
@@ -565,7 +507,8 @@ def _scan(items, kind: str, splices: _Splices, pairs: np.ndarray, cap: float, to
             ratio = np.where(switch, tail_a / np.where(switch, tail_b, 1.0), 0.0)
             past = switch[:, None, :] & (theta[:, None, :] <= times[:, None])
             cand = np.where(past, ratio[:, None, :] * ops[j], ops[i])
-            return cand, _windowed_ok(space, first.t_start, cand)
+            # the finiteness and adaptedness that ``_Windowed`` demands
+            return cand, np.isfinite(cand).all(axis=(1, 2)) & ~_atom_cuts(space, first.t_start, cand, 1e-12).any(axis=1)
 
     for lo, hi in _blocks(limit, ops[0].size):
         q = np.arange(lo, hi)
@@ -606,12 +549,7 @@ def stability_check(
     want, what = (TerminalDensity, "terminal densities") if kind == "m1" else (DensityProcess, "density processes")
     if not all(isinstance(x, want) for x in items):
         raise ValueError(f"{kind} stability applies to {what}")
-    if kind == "m1":
-        thetas, mode = _levels(space), "all"
-    elif space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]:
-        thetas, mode = _stopping_times(space), "all"
-    else:
-        thetas, mode = _levels(space), "deterministic-only"
+    thetas, mode = _times_to_check(space, 0, space.horizon, deterministic=kind == "m1")
     splices = _Splices(space, thetas, cap)
     pairs = np.argwhere(np.ones((len(items), len(items)), dtype=bool))
     for lo, i, j, theta, masks, _, _, flagged in _scan(items, kind, splices, pairs, cap, tol):
@@ -634,7 +572,9 @@ def m1_closure(items: Sequence[TerminalDensity], cap: int = 10_000, tol: float =
     closed = list(items)
     if not closed:
         raise ValueError("empty set")
-    splices = _Splices(closed[0].space, _levels(closed[0].space), 100_000)  # enumerate_events' default cap
+    space = closed[0].space
+    levels = _times_to_check(space, 0, space.horizon, deterministic=True)[0]
+    splices = _Splices(space, levels, 100_000)  # enumerate_events' default cap
     start = 0  # members from here on are the frontier
     while True:
         n = len(closed)

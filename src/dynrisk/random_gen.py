@@ -117,14 +117,11 @@ def random_terminal_density(space: FiniteFilteredSpace, rng: np.random.Generator
 def random_stopping_time(
     space: FiniteFilteredSpace, rng: np.random.Generator, t_low: int = 0, stop_prob: float = 0.4
 ) -> StoppingTime:
-    values = np.full(space.n_outcomes, space.horizon, dtype=int)
-    stopped = np.zeros(space.n_outcomes, dtype=bool)
+    values = np.full(space.n_outcomes, space.horizon, dtype=int)  # the horizon marks an outcome still running
     for s in range(t_low, space.horizon):
         for atom in space.atoms(s):
-            idx = list(atom)
-            if not stopped[idx].any() and rng.random() < stop_prob:
-                values[idx] = s
-                stopped[idx] = True
+            if values[atom[0]] == space.horizon and rng.random() < stop_prob:
+                values[list(atom)] = s
     return StoppingTime(space, values)
 
 

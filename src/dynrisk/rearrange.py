@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .processes import AdaptedProcess, DensityProcess, _check_pairing, _pairings, pairing
-from .space import CapExceededError, ConditionalValue, DEFAULT_TOL
+from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts
 
 PATH_TOL = 1e-12
 
@@ -187,16 +187,7 @@ def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> Rea
         for lev, perm in zip(levels, combo):
             for dst, src in zip(lev, perm):
                 vals[:, dst] = X_hat.values[:, src]
-        adapted = True
-        for k in range(X_hat.length):
-            s = X_hat.t_start + k
-            for atom in space.atoms(s):
-                if np.ptp(vals[k, list(atom)]) > PATH_TOL:
-                    adapted = False
-                    break
-            if not adapted:
-                break
-        if not adapted:
+        if _atom_cuts(space, X_hat.t_start, vals, PATH_TOL).any():
             continue
         if any(np.abs(v - vals).max() <= PATH_TOL for v in seen):
             continue

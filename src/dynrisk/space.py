@@ -3,11 +3,18 @@
 Everything in this package lives on a finite outcome set with strictly
 positive probabilities, so almost-sure statements are pointwise statements
 and essential suprema over finite families are atom-wise maxima.
+
+Only this module enumerates stopping times and events, all in one order: a
+choice among n atoms (in partition order, time by time) is a number below
+2**n whose highest bit is the first atom, as in ``itertools.product``.
+Events at a stopping time are choices among its atoms; stopping times grow
+level by level, the running time-s atoms stopping at s by a choice.  A cap
+of N admits at most N, counted before any is built.  ``_times_to_check``
+alone reads ``EXHAUSTIVE_LIMIT``; ``_atom_cuts`` is the one measurability rule.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -130,8 +137,7 @@ class FiniteFilteredSpace:
 
     def is_event(self, mask, t: int) -> bool:
         """Whether the outcome mask is a union of time-t atoms."""
-        mask = np.asarray(mask, dtype=bool)
-        return all(len({bool(mask[i]) for i in atom}) == 1 for atom in self.atoms(t))
+        return not _atom_cuts(self, t, np.asarray(mask, dtype=bool)[None]).any()
 
     def __repr__(self) -> str:
         return f"FiniteFilteredSpace(M={self.n_outcomes}, T={self.horizon})"
@@ -312,7 +318,7 @@ class StoppingTime:
     __slots__ = ("space", "values")
 
     def __init__(self, space: FiniteFilteredSpace, values):
-        vals = np.asarray(values, dtype=int)
+        vals = np.asarray(values)
         if vals.shape != (space.n_outcomes,):
             raise ValueError("one stopping value per outcome required")
         ok, violation = is_stopping_time(space, vals)
@@ -323,7 +329,7 @@ class StoppingTime:
 
     @classmethod
     def constant(cls, space: FiniteFilteredSpace, s: int) -> "StoppingTime":
-        return cls(space, np.full(space.n_outcomes, int(s)))
+        return cls(space, np.full(space.n_outcomes, s))
 
     @classmethod
     def _wrap(cls, space: FiniteFilteredSpace, values: np.ndarray) -> "StoppingTime":
@@ -348,49 +354,59 @@ class StoppingTime:
 
 def is_stopping_time(space: FiniteFilteredSpace, candidate) -> tuple[bool, tuple[int, tuple[int, ...]] | None]:
     """Check the stopping-time invariant; returns the first violating (s, atom)."""
-    vals = np.asarray(candidate, dtype=int)
+    vals = np.asarray(candidate, dtype=float)
+    if np.any(vals != np.round(vals)):
+        raise ValueError("stopping values must be integers")
     if np.any(vals < 0) or np.any(vals > space.horizon):
         raise ValueError(f"stopping values must lie in [0, {space.horizon}]")
-    for s in range(space.horizon + 1):
-        below = vals <= s
-        for atom in space.atoms(s):
-            flags = {bool(below[i]) for i in atom}
-            if len(flags) != 1:
-                return False, (s, atom)
-    return True, None
+    cut = _first_cut(space, 0, vals <= np.arange(space.horizon + 1)[:, None])
+    return cut is None, cut
+
+
+def _atom_cuts(space: FiniteFilteredSpace, t_start: int, y, tol: float = 0.0) -> np.ndarray:
+    """The one measurability rule: (..., L, M) values at times t_start, t_start + 1, ...
+    -> (..., atoms at those times, each time's in turn), flagging the time-s
+    atoms over which the time-s values spread by more than tol, as ``np.ptp``."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != space.n_outcomes:
+        raise ValueError(f"expected {space.n_outcomes} entries, one per outcome, got {y.shape[-1]}")
+    cuts = []
+    for k in range(y.shape[-2]):
+        order, starts = space.atom_layout(t_start + k)[:2]
+        row = y[..., k, :].take(order, axis=-1)
+        cuts.append(np.maximum.reduceat(row, starts, axis=-1) - np.minimum.reduceat(row, starts, axis=-1) > tol)
+    return np.concatenate(cuts, axis=-1)
+
+
+def _first_cut(space: FiniteFilteredSpace, t_start: int, y, tol: float = 0.0) -> tuple[int, tuple[int, ...]] | None:
+    """The first (time, atom) that ``_atom_cuts`` flags for an (L, M) stack, or None."""
+    hit = np.flatnonzero(_atom_cuts(space, t_start, y, tol))
+    return [(s, atom) for s in range(t_start, t_start + len(y)) for atom in space.atoms(s)][hit[0]] if hit.size else None
 
 
 def _stopping_times(space: FiniteFilteredSpace, t_low: int = 0, cap: int = 100_000) -> np.ndarray:
     """All stopping times with values in [t_low, T], one per row of a (K, M) int array.
 
-    Built by choosing, level by level, which still-running atoms stop.
+    At each s < T a row's running time-s atoms stop by every choice in turn,
+    decoded as ``_Splices.points`` decodes events; what runs at T stops there.
     """
+    space._check_time(t_low)
     T = space.horizon
-    results: list[np.ndarray] = []
-
-    def grow(s: int, assigned: np.ndarray, active_mask: np.ndarray) -> None:
-        if len(results) > cap:
+    rows = np.full((1, space.n_outcomes), T)  # T marks an outcome still running
+    for s in range(t_low, T):
+        order, starts = space.atom_layout(s)[:2]
+        running = rows[:, order[starts]] == T
+        n = running.sum(axis=1)
+        if (2.0**n).sum() > cap:  # in floats: 1 << n wraps past 62 atoms
             raise CapExceededError(f"more than {cap} stopping times")
-        if not active_mask.any():
-            results.append(assigned.copy())
-            return
-        if s == T:
-            assigned = assigned.copy()
-            assigned[active_mask] = T
-            results.append(assigned)
-            return
-        active_atoms = [atom for atom in space.atoms(s) if active_mask[atom[0]]]
-        for stop_subset in itertools.product([False, True], repeat=len(active_atoms)):
-            nxt = assigned.copy()
-            nxt_active = active_mask.copy()
-            for atom, stop in zip(active_atoms, stop_subset):
-                if stop:
-                    nxt[list(atom)] = s
-                    nxt_active[list(atom)] = False
-            grow(s + 1, nxt, nxt_active)
-
-    grow(t_low, np.zeros(space.n_outcomes, dtype=int), np.ones(space.n_outcomes, dtype=bool))
-    return np.array(results, dtype=int).reshape(-1, space.n_outcomes)
+        # choice c of a row stops its j-th running atom when bit n - 1 - j of c is set
+        shifts = (n[:, None] - running.cumsum(axis=1))[:, space.atom_index(s)]
+        k = np.repeat(np.arange(len(rows)), 1 << n)
+        choice = np.arange(len(k)) - np.searchsorted(k, k)  # each child's place among its row's
+        rows = np.where((rows[k] == T) & (choice[:, None] >> shifts[k] & 1).astype(bool), s, rows[k])
+    if len(rows) > cap:  # from t_low = T, the one stopping time T
+        raise CapExceededError(f"more than {cap} stopping times")
+    return rows
 
 
 def enumerate_stopping_times(
@@ -401,47 +417,79 @@ def enumerate_stopping_times(
     return [StoppingTime._wrap(space, v) for v in _stopping_times(space, t_low, cap)]
 
 
-def _unions(space: FiniteFilteredSpace, atoms: Sequence[tuple[int, ...]], cap: int, where: str) -> list[np.ndarray]:
-    """All unions of the given disjoint atoms as boolean outcome masks (incl. empty and full)."""
-    if 2 ** len(atoms) > cap:
-        raise CapExceededError(f"2^{len(atoms)} events {where} exceed cap {cap}")
-    picks = np.array(list(itertools.product([False, True], repeat=len(atoms))), dtype=bool).reshape(-1, len(atoms))
-    masks = np.zeros((len(picks), space.n_outcomes), dtype=bool)
-    for k, atom in enumerate(atoms):
-        masks[:, list(atom)] = picks[:, k, None]
-    return list(masks)
+def _times_to_check(
+    space: FiniteFilteredSpace, t_low: int, t_high: int, deterministic: bool = False
+) -> tuple[np.ndarray, str]:
+    """(stopping times with values in [t_low, t_high], mode) for a harness: every one on spaces
+    within ``EXHAUSTIVE_LIMIT`` ("all"), else the deterministic ones ("deterministic-only").
+    With ``deterministic`` they are all the harness wants, as for pasting ("all")."""
+    levels = np.repeat(np.arange(t_low, t_high + 1)[:, None], space.n_outcomes, axis=1)
+    if deterministic or space.n_outcomes > EXHAUSTIVE_LIMIT[0] or space.horizon > EXHAUSTIVE_LIMIT[1]:
+        return levels, "all" if deterministic else "deterministic-only"
+    rows = _stopping_times(space, t_low)
+    return rows[rows.max(axis=1) <= t_high], "all"
+
+
+class _Splices:
+    """The (stopping time, event) pairs of a stack of stopping times, in enumeration order.
+
+    Events are not stored: event e of a stopping time with A atoms holds
+    outcome w when bit ``shifts[w]`` of e is set, the first atom being the
+    highest bit.  An event is a union of the stopping time's atoms, so it is
+    measurable at that time by construction, and no splice checks it again.
+    The pairs end before the first row of ``thetas`` with over ``cap``
+    events, kept as ``over`` (None if there is none): the enumerators raise there.
+    """
+
+    def __init__(self, space: FiniteFilteredSpace, thetas: np.ndarray, cap: int):
+        times = range(space.horizon + 1)
+        base = np.cumsum([0] + [space.n_atoms(s) for s in times])
+        # each outcome's stopping atom, numbered over the atoms of times 0..T in turn
+        col = (np.stack([space.atom_index(s) for s in times]) + base[:-1, None])[thetas, np.arange(space.n_outcomes)]
+        flags = np.zeros((len(thetas), base[-1]), dtype=bool)  # each row's stopping atoms
+        flags[np.arange(len(thetas))[:, None], col] = True
+        self.n_atoms = flags.sum(axis=1)
+        over = np.flatnonzero(2.0**self.n_atoms > cap)
+        K = int(over[0]) if over.size else len(thetas)
+        self.over = thetas[K] if over.size else None
+        # each outcome's stopping atom ranked among its row's
+        rank = np.take_along_axis(np.cumsum(flags[:K], axis=1), col[:K], axis=1) - 1
+        self.thetas = thetas[:K]
+        self.shifts = self.n_atoms[:K, None] - 1 - rank
+        self.offsets = np.concatenate([[0], np.cumsum(1 << self.n_atoms[:K])])
+        self.size = int(self.offsets[-1])
+        self.cap = cap
+
+    def points(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(stopping times, event masks) of the pairs ranked r, as (len(r), M) arrays."""
+        k = np.searchsorted(self.offsets, r, side="right") - 1
+        return self.thetas[k], ((r - self.offsets[k])[:, None] >> self.shifts[k] & 1).astype(bool)
+
+    def events(self, where: str) -> list[np.ndarray]:
+        """Every event of a one-row index as boolean outcome masks (incl. empty and full)."""
+        if self.over is not None:
+            raise CapExceededError(f"2^{self.n_atoms[0]} events {where} exceed cap {self.cap}")
+        return list(self.points(np.arange(self.size))[1])
 
 
 def enumerate_events(space: FiniteFilteredSpace, t: int, cap: int = 100_000) -> list[np.ndarray]:
     """All unions of time-t atoms as boolean outcome masks (incl. empty and full)."""
-    return _unions(space, space.atoms(t), cap, f"at t={t}")
-
-
-def stopping_atoms(space: FiniteFilteredSpace, theta: StoppingTime) -> list[tuple[int, tuple[int, ...]]]:
-    """Atoms of the information set at a stopping time: time-s atoms inside {theta == s}."""
-    out = []
-    for s in range(space.horizon + 1):
-        level = theta.values == s
-        if not level.any():
-            continue
-        for atom in space.atoms(s):
-            if level[atom[0]]:
-                out.append((s, atom))
-    return out
+    space._check_time(t)
+    return _Splices(space, np.full((1, space.n_outcomes), t), cap).events(f"at t={t}")
 
 
 def enumerate_stopping_events(
     space: FiniteFilteredSpace, theta: StoppingTime, cap: int = 100_000
 ) -> list[np.ndarray]:
     """All events measurable at the stopping time, as boolean outcome masks."""
-    atoms = [atom for _, atom in stopping_atoms(space, theta)]
-    return _unions(space, atoms, cap, "at the stopping time")
+    return _Splices(space, theta.values[None], cap).events("at the stopping time")
 
 
 def is_stopping_event(space: FiniteFilteredSpace, mask, theta: StoppingTime) -> bool:
-    """Whether the mask is measurable at the stopping time."""
-    mask = np.asarray(mask, dtype=bool)
-    for s, atom in stopping_atoms(space, theta):
-        if len({bool(mask[i]) for i in atom}) != 1:
-            return False
-    return True
+    """Whether the mask is measurable at the stopping time: an event at T whose
+    part on {theta = s} is an event at s, for every s."""
+    levels = np.arange(space.horizon + 1)[:, None]
+    # is_event comes first: it refuses a mask of the wrong length before the parts broadcast
+    if not space.is_event(mask, space.horizon):
+        return False
+    return not _atom_cuts(space, 0, np.logical_and(theta.values == levels, mask)).any()

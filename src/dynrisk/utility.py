@@ -46,11 +46,10 @@ from .processes import (
 )
 from .space import (
     DEFAULT_TOL,
-    EXHAUSTIVE_LIMIT,
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
-    _stopping_times,
+    _times_to_check,
     cond_expect,
     enumerate_events,
 )
@@ -612,14 +611,9 @@ def time_consistency_check(
         samples = [random_adapted(space, up.t_start, up.t_end, rng) for _ in range(sample_count)]
     if not len(samples):
         raise ValueError("samples must not be empty")
-    exhaustive = space.n_outcomes <= EXHAUSTIVE_LIMIT[0] and space.horizon <= EXHAUSTIVE_LIMIT[1]
-    mode = "all" if exhaustive else "deterministic-only"
-    constant = np.repeat(np.arange(up.t_start, up.t_end + 1)[:, None], space.n_outcomes, axis=1)
-    thetas = constant
-    if exhaustive:
-        # the rows with min >= t are _stopping_times(space, t), in its order
-        thetas = _stopping_times(space, up.t_start)
-        thetas = thetas[thetas.max(axis=1) <= up.t_end]
+    # on exhaustive spaces the rows with min >= t are every stopping time from t, in order
+    thetas, mode = _times_to_check(space, up.t_start, up.t_end)
+    constant = _times_to_check(space, up.t_start, up.t_end, deterministic=True)[0]
     # every (stopping time, sample) pair at once: one glue, then one fold per stage
     xs = up._positions(samples, up.t_start)
     glued = up._glue(thetas, xs)

@@ -1,11 +1,21 @@
+import contextlib
+import io
+import itertools
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynrisk import (
+    CapExceededError,
     ConditionalValue,
+    DensityProcess,
     FiniteFilteredSpace,
     StoppingTime,
+    TerminalDensity,
+    concatenate,
     cond_expect,
     dyadic_uniform,
     enumerate_events,
@@ -13,8 +23,10 @@ from dynrisk import (
     ess_inf_family,
     ess_sup_family,
     is_stopping_time,
+    paste,
 )
 from dynrisk.random_gen import random_space
+from dynrisk.space import _stopping_times, enumerate_stopping_events, is_stopping_event
 
 
 class TestSpaceValidation:
@@ -177,3 +189,109 @@ class TestStoppingTimes:
         assert len(evs) == 4  # unions of the 2 atoms of F_1
         sizes = sorted(int(e.sum()) for e in evs)
         assert sizes == [0, 2, 2, 4]
+
+    def test_cap_admits_exactly_cap_stopping_times(self):
+        # from t_low = T the one stopping time is T itself
+        for horizon, t_low, n in ((3, 0, 26), (3, 1, 25), (4, 2, 625), (2, 2, 1)):
+            sp = dyadic_uniform(horizon)
+            with pytest.raises(CapExceededError, match=f"^more than {n - 1} stopping times$"):
+                enumerate_stopping_times(sp, t_low, cap=n - 1)
+            assert len(enumerate_stopping_times(sp, t_low, cap=n)) == n
+
+    def test_non_integral_values_refused(self, four_tree):
+        with pytest.raises(ValueError, match="must be integers"):
+            StoppingTime(four_tree, [1.7, 1.7, 1.2, 1.2])
+        with pytest.raises(ValueError, match="must be integers"):
+            is_stopping_time(four_tree, [1.5] * 4)
+        with pytest.raises(ValueError, match="must be integers"):
+            is_stopping_time(four_tree, [np.nan] * 4)
+        with pytest.raises(ValueError, match="must be integers"):
+            StoppingTime.constant(four_tree, 1.5)
+        assert StoppingTime(four_tree, [1.0, 1.0, 2.0, 2.0]).values.tolist() == [1, 1, 2, 2]
+
+    def test_masks_of_the_wrong_length_refused(self, four_tree):
+        theta = StoppingTime(four_tree, [1, 1, 2, 2])
+        a = DensityProcess.uniform(four_tree, 0, 2)
+        f = TerminalDensity.normalized(four_tree, [1.0, 2.0, 3.0, 4.0])
+        for mask in ([1], [1, 1, 0], [1, 1, 0, 0, 1]):
+            calls = (
+                lambda: four_tree.is_event(mask, 1),
+                lambda: is_stopping_event(four_tree, mask, theta),
+                lambda: concatenate(a, a, theta, mask),
+                lambda: paste(f, f, 1, mask),
+            )
+            for call in calls:
+                with pytest.raises(ValueError, match=f"expected 4 entries, one per outcome, got {len(mask)}"):
+                    call()
+
+
+def grow_reference(space, t_low=0):
+    """Stopping times by recursive growth: at each time, every subset of the
+    running atoms stops, in ``itertools.product`` order."""
+    T = space.horizon
+    results = []
+
+    def grow(s, assigned, active):
+        if not active.any():
+            results.append(assigned.copy())
+            return
+        if s == T:
+            assigned = assigned.copy()
+            assigned[active] = T
+            results.append(assigned)
+            return
+        running = [atom for atom in space.atoms(s) if active[atom[0]]]
+        for stops in itertools.product([False, True], repeat=len(running)):
+            nxt, still = assigned.copy(), active.copy()
+            for atom, stop in zip(running, stops):
+                if stop:
+                    nxt[list(atom)] = s
+                    still[list(atom)] = False
+            grow(s + 1, nxt, still)
+
+    grow(t_low, np.zeros(space.n_outcomes, dtype=int), np.ones(space.n_outcomes, dtype=bool))
+    return np.array(results, dtype=int).reshape(-1, space.n_outcomes)
+
+
+def unions_reference(space, atoms):
+    """Every union of the disjoint atoms as an outcome mask, in ``itertools.product`` order."""
+    picks = np.array(list(itertools.product([False, True], repeat=len(atoms))), dtype=bool).reshape(-1, len(atoms))
+    masks = np.zeros((len(picks), space.n_outcomes), dtype=bool)
+    for k, atom in enumerate(atoms):
+        masks[:, list(atom)] = picks[:, k, None]
+    return masks
+
+
+def test_level_wise_enumeration_matches_the_recursive_references():
+    spaces = [random_space(np.random.default_rng(seed), max_outcomes=8, max_horizon=3) for seed in range(200)]
+    for n, sp in enumerate(spaces + [dyadic_uniform(3), dyadic_uniform(4)]):
+        for t in range(sp.horizon + 1):
+            got, want = _stopping_times(sp, t), grow_reference(sp, t)
+            assert got.shape == want.shape and np.array_equal(got, want), f"space {n}, t_low={t}"
+            assert np.array_equal(enumerate_events(sp, t), unions_reference(sp, sp.atoms(t))), f"space {n}, t={t}"
+        # each route takes about 0.1 ms per stopping time and a tree has up to
+        # 6,562 of them: 16 evenly spaced ones, first and last included, stand
+        # for a tree's stopping times beyond 16
+        thetas = enumerate_stopping_times(sp)
+        for k in np.unique(np.linspace(0, len(thetas) - 1, 16).astype(int)):
+            theta = thetas[k]
+            atoms = [atom for s in range(sp.horizon + 1) for atom in sp.atoms(s) if theta.values[atom[0]] == s]
+            got = enumerate_stopping_events(sp, theta)
+            assert np.array_equal(got, unions_reference(sp, atoms)), f"space {n}, theta={theta.values.tolist()}"
+
+
+def test_readme_quick_start_prints_its_commented_outputs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    # each print's output is the comment ending its line, or the comment line below it
+    lines = code.splitlines()
+    expected = []
+    for k, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("#")[2] or lines[k + 1].lstrip("# ")
+            expected.append(comment.strip())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert expected == ["[-0.89400865]", "True 13 all", "5"]
+    assert out.getvalue().splitlines() == expected
