@@ -315,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         runp.error(f"argument --seed: a seed is an integer >= 0, got {args.seed}")
+    if args.workers < 1:
+        runp.error(f"argument --workers: a worker count is an integer >= 1, got {args.workers}")
 
     try:
         scn = load_scenario(args.file)

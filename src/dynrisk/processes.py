@@ -1,9 +1,11 @@
 """Adapted processes, density processes and their splicing algebra.
 
-A density process is stored through its increments on a time window; the
-cumulative process starts from zero just before the window.  Pairings bill a
-position against a density, concatenation splices two densities at a stopping
-time, pasting splices two terminal densities at a deterministic time.
+Both process types are one window type, ``_Windowed``: a (time, outcome)
+array on times t_start..t_end, validated, sliced, restricted, compared and
+printed by one code.  A density process is stored through its increments;
+its cumulative process starts from zero just before the window.  Pairings
+bill a position against a density, concatenation splices two densities at a
+stopping time, pasting splices two terminal densities at a deterministic time.
 
 ``stability_check`` and ``m1_closure`` share one scan, ``_scan``, over
 stacked splices: one table of lifted conditional tails (or conditional
@@ -34,6 +36,7 @@ from .space import (
     _atom_cuts,
     _cond_expect,
     _first_cut,
+    _same_space,
     _Splices,
     _times_to_check,
     cond_expect,
@@ -44,7 +47,7 @@ from .space import (
 
 
 class _Windowed:
-    """Shared window plumbing for processes stored as (time, outcome) arrays."""
+    """The one window type: a process stored as a (time, outcome) array."""
 
     def __init__(self, space: FiniteFilteredSpace, t_start: int, data):
         arr = np.asarray(data, dtype=float)
@@ -100,6 +103,17 @@ class _Windowed:
         if other.space is not self.space or other.window != self.window:
             raise ValueError("processes live on different spaces or windows")
 
+    def restrict(self, new_start: int):
+        """Restriction to the sub-window [new_start, t_end]; a density's cumulative restarts from 0."""
+        return type(self)._wrap(self.space, new_start, self.values[self._index(new_start):])
+
+    def approx_eq(self, other, tol: float = DEFAULT_TOL) -> bool:
+        same = other.space is self.space and other.window == self.window
+        return same and float(np.abs(self.values - other.values).max()) <= tol
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}([{self.t_start},{self.t_end}], {np.array2string(self.values, precision=4)})"
+
 
 class AdaptedProcess(_Windowed):
     """Bounded adapted process on a time window: values[k, w] = X_{t_start+k}(w)."""
@@ -133,22 +147,8 @@ class AdaptedProcess(_Windowed):
         add = m.lift() if isinstance(m, ConditionalValue) else float(m)
         return AdaptedProcess(self.space, self.t_start, self.values + add)
 
-    def restrict(self, new_start: int) -> "AdaptedProcess":
-        """Restriction to the sub-window [new_start, t_end]."""
-        return AdaptedProcess._wrap(self.space, new_start, self.values[self._index(new_start):])
-
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-    def approx_eq(self, other: "AdaptedProcess", tol: float = DEFAULT_TOL) -> bool:
-        return (
-            other.space is self.space
-            and other.window == self.window
-            and float(np.abs(self.values - other.values).max()) <= tol
-        )
-
-    def __repr__(self) -> str:
-        return f"AdaptedProcess([{self.t_start},{self.t_end}], {np.array2string(self.values, precision=4)})"
 
 
 def mean_portfolio(members: Sequence[AdaptedProcess]) -> AdaptedProcess:
@@ -193,6 +193,7 @@ class DensityProcess(_Windowed):
 
         Outcome w gets E(sum_{j >= theta(w)} delta a_j | F_{theta(w)})(w).
         """
+        _same_space(self.space, theta)
         out = np.empty(self.space.n_outcomes)
         for s in range(self.space.horizon + 1):
             level = theta.values == s
@@ -213,20 +214,6 @@ class DensityProcess(_Windowed):
         pad = np.zeros((self.t_start - new_start, self.space.n_outcomes))
         return DensityProcess(self.space, new_start, np.vstack([pad, self.values]))
 
-    def restrict(self, new_start: int) -> "DensityProcess":
-        """Drop increments before new_start (the cumulative restarts from 0)."""
-        return DensityProcess(self.space, new_start, self.values[self._index(new_start):])
-
-    def approx_eq(self, other: "DensityProcess", tol: float = DEFAULT_TOL) -> bool:
-        return (
-            other.space is self.space
-            and other.window == self.window
-            and float(np.abs(self.values - other.values).max()) <= tol
-        )
-
-    def __repr__(self) -> str:
-        return f"DensityProcess([{self.t_start},{self.t_end}], {np.array2string(self.values, precision=4)})"
-
 
 class TerminalDensity:
     """Strictly positive terminal-time density with unit expectation."""
@@ -237,7 +224,7 @@ class TerminalDensity:
         arr = np.asarray(h, dtype=float)
         if arr.shape != (space.n_outcomes,):
             raise ValueError("one density value per outcome required")
-        if np.any(arr <= 0):
+        if not np.all(arr > 0):  # NaN too
             raise ValueError("terminal density must be strictly positive")
         if abs(float(space.probs @ arr) - 1.0) > 1e-12:
             raise ValueError(f"terminal density has expectation {space.probs @ arr!r}, not 1")
@@ -249,7 +236,10 @@ class TerminalDensity:
     @classmethod
     def normalized(cls, space: FiniteFilteredSpace, raw) -> "TerminalDensity":
         raw = np.asarray(raw, dtype=float)
-        return cls(space, raw / float(space.probs @ raw))
+        mass = float(space.probs @ raw)
+        if not 0 < mass < np.inf:
+            raise ValueError(f"cannot normalize a density of expectation {mass!r}")
+        return cls(space, raw / mass)
 
     def approx_eq(self, other: "TerminalDensity", tol: float = DEFAULT_TOL) -> bool:
         return other.space is self.space and float(np.abs(self.h - other.h).max()) <= tol
@@ -302,6 +292,7 @@ def remaining_mass(a: DensityProcess, t: int, t_end: int | None = None) -> Condi
 
 def project(X: AdaptedProcess, tau: StoppingTime, theta: StoppingTime) -> AdaptedProcess:
     """Projection: zero before tau, frozen at theta: out_s = 1_{tau<=s} X_{s^theta}."""
+    _same_space(X.space, tau, theta)
     if not np.all(tau.values <= theta.values):
         raise ValueError("projection requires tau <= theta pointwise")
     if np.any(tau.values < X.t_start) or np.any(theta.values > X.t_end):

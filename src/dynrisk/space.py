@@ -4,6 +4,10 @@ Everything in this package lives on a finite outcome set with strictly
 positive probabilities, so almost-sure statements are pointwise statements
 and essential suprema over finite families are atom-wise maxima.
 
+Atoms are numbered in one place, when a space is built: times 0..T in turn,
+each time's atoms in partition order.  Every segmented reduction, over one
+time or a run of times, reads its ``atom_layout``.
+
 Only this module enumerates stopping times and events, all in one order: a
 choice among n atoms (in partition order, time by time) is a number below
 2**n whose highest bit is the first atom, as in ``itertools.product``.
@@ -51,7 +55,7 @@ class FiniteFilteredSpace:
         self.probs = _frozen(probs)
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("probs must be a non-empty vector")
-        if np.any(self.probs <= 0):
+        if not np.all(self.probs > 0):  # NaN too
             raise ValueError("all outcome probabilities must be strictly positive")
         if abs(self.probs.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {self.probs.sum()!r}, not 1")
@@ -71,20 +75,22 @@ class FiniteFilteredSpace:
         if self.partitions[0] != (tuple(range(m)),):
             raise ValueError("the time-0 partition must be trivial")
 
-        # refinement: each atom at t+1 sits inside a single atom at t
-        self._atom_index = []
-        for t, part in enumerate(self.partitions):
-            idx = np.empty(m, dtype=int)
+        # _ids[t, w] numbers w's time-t atom among the atoms of all times; time t's start at _offsets[t]
+        self._offsets = _frozen(np.array([0] + [len(part) for part in self.partitions]).cumsum(), dtype=int)
+        index = np.empty((len(self.partitions), m), dtype=int)
+        for row, part in zip(index, self.partitions):
             for k, atom in enumerate(part):
-                idx[list(atom)] = k
-            idx.flags.writeable = False
-            self._atom_index.append(idx)
+                row[list(atom)] = k
+        index.flags.writeable = False
+        self._atom_index = list(index)
+        self._ids = _frozen(index + self._offsets[:-1, None], dtype=int)
+        # refinement: each atom at t+1 sits inside a single atom at t
         for t in range(len(self.partitions) - 1):
             coarse = self._atom_index[t]
             for atom in self.partitions[t + 1]:
                 if len({coarse[i] for i in atom}) != 1:
                     raise ValueError(f"partition at t={t + 1} does not refine partition at t={t}")
-        self._layouts: dict[int, tuple] = {}
+        self._layouts: dict[tuple[int, int], tuple] = {}
 
     @property
     def n_outcomes(self) -> int:
@@ -106,25 +112,29 @@ class FiniteFilteredSpace:
         self._check_time(t)
         return self._atom_index[t]
 
-    def atom_layout(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (order, starts, seg, w_ord, wsum) for segmented reductions.
+    def atom_layout(self, t: int, t_end: int | None = None) -> tuple[np.ndarray, ...]:
+        """Cached (order, starts, seg, w_ord, wsum) for segmented reductions over
+        the atoms of times t..t_end (t alone by default), each time's in turn.
 
-        ``order`` lists outcomes grouped by time-t atom, ``starts`` marks the
-        first position of each group, ``seg`` maps positions back to atoms,
-        ``w_ord``/``wsum`` are the reordered and per-atom-summed probabilities.
+        ``order`` lists the positions of flattened (L, M) slices grouped by
+        atom, ``starts`` marks the first position of each group, ``seg`` maps
+        positions back to atoms, ``w_ord``/``wsum`` are the reordered and
+        per-atom-summed probabilities.  For one time, positions are outcomes.
         """
-        self._check_time(t)
-        cached = self._layouts.get(t)
+        t_end = t if t_end is None else t_end
+        cached = self._layouts.get((t, t_end))
         if cached is None:
-            part = self.partitions[t]
-            order = _frozen(np.concatenate([np.asarray(atom, dtype=int) for atom in part]), dtype=int)
-            counts = np.array([len(atom) for atom in part])
-            starts = _frozen(np.concatenate([[0], np.cumsum(counts)[:-1]]), dtype=np.intp)
-            seg = _frozen(np.repeat(np.arange(len(part)), counts), dtype=int)
-            w_ord = _frozen(self.probs[order])
-            wsum = _frozen(np.add.reduceat(w_ord, starts))
-            cached = (order, starts, seg, w_ord, wsum)
-            self._layouts[t] = cached
+            self._check_time(t)
+            if not t <= t_end <= self.horizon:
+                raise ValueError(f"end time {t_end} outside [{t}, {self.horizon}]")
+            ids = self._ids[t : t_end + 1].ravel()
+            # stable: outcomes ascend inside each atom, as in its partition tuple
+            order = np.argsort(ids, kind="stable")
+            seg = ids[order] - self._offsets[t]
+            starts = np.searchsorted(seg, np.arange(self._offsets[t_end + 1] - self._offsets[t]))
+            w_ord = self.probs[order % self.n_outcomes]
+            cached = tuple(_frozen(a, a.dtype) for a in (order, starts, seg, w_ord, np.add.reduceat(w_ord, starts)))
+            self._layouts[t, t_end] = cached
         return cached
 
     def _check_time(self, t: int) -> None:
@@ -178,20 +188,6 @@ class ConditionalValue:
     @classmethod
     def constant(cls, space: FiniteFilteredSpace, time: int, c: float) -> "ConditionalValue":
         return cls(space, time, np.full(space.n_atoms(time), float(c)))
-
-    @classmethod
-    def from_outcomes(cls, space: FiniteFilteredSpace, time: int, y, tol: float = DEFAULT_TOL) -> "ConditionalValue":
-        """Build from an outcome-indexed vector that is constant on atoms."""
-        y = np.asarray(y, dtype=float)
-        out = np.empty(space.n_atoms(time))
-        for k, atom in enumerate(space.atoms(time)):
-            block = y[list(atom)]
-            mixed = np.any(np.isneginf(block)) and np.any(np.isfinite(block))
-            spread = np.ptp(block) > tol if np.all(np.isfinite(block)) else mixed
-            if spread:
-                raise ValueError(f"values not constant on atom {atom} at t={time}")
-            out[k] = block[0]
-        return cls(space, time, out)
 
     def lift(self) -> np.ndarray:
         """Outcome-indexed representation."""
@@ -352,6 +348,11 @@ class StoppingTime:
         return f"StoppingTime({self.values.tolist()})"
 
 
+def _same_space(space: FiniteFilteredSpace, *thetas: StoppingTime) -> None:
+    if any(theta.space is not space for theta in thetas):
+        raise ValueError("stopping time lives on a different space")
+
+
 def is_stopping_time(space: FiniteFilteredSpace, candidate) -> tuple[bool, tuple[int, tuple[int, ...]] | None]:
     """Check the stopping-time invariant; returns the first violating (s, atom)."""
     vals = np.asarray(candidate, dtype=float)
@@ -370,18 +371,19 @@ def _atom_cuts(space: FiniteFilteredSpace, t_start: int, y, tol: float = 0.0) ->
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != space.n_outcomes:
         raise ValueError(f"expected {space.n_outcomes} entries, one per outcome, got {y.shape[-1]}")
-    cuts = []
-    for k in range(y.shape[-2]):
-        order, starts = space.atom_layout(t_start + k)[:2]
-        row = y[..., k, :].take(order, axis=-1)
-        cuts.append(np.maximum.reduceat(row, starts, axis=-1) - np.minimum.reduceat(row, starts, axis=-1) > tol)
-    return np.concatenate(cuts, axis=-1)
+    order, starts = space.atom_layout(t_start, t_start + y.shape[-2] - 1)[:2]
+    flat = y.reshape(*y.shape[:-2], -1).take(order, axis=-1)
+    return np.maximum.reduceat(flat, starts, axis=-1) - np.minimum.reduceat(flat, starts, axis=-1) > tol
 
 
 def _first_cut(space: FiniteFilteredSpace, t_start: int, y, tol: float = 0.0) -> tuple[int, tuple[int, ...]] | None:
     """The first (time, atom) that ``_atom_cuts`` flags for an (L, M) stack, or None."""
     hit = np.flatnonzero(_atom_cuts(space, t_start, y, tol))
-    return [(s, atom) for s in range(t_start, t_start + len(y)) for atom in space.atoms(s)][hit[0]] if hit.size else None
+    if not hit.size:
+        return None
+    n = space._offsets[t_start] + hit[0]  # the atom's number
+    s = int(np.searchsorted(space._offsets, n, side="right")) - 1
+    return s, space.partitions[s][n - space._offsets[s]]
 
 
 def _stopping_times(space: FiniteFilteredSpace, t_low: int = 0, cap: int = 100_000) -> np.ndarray:
@@ -442,11 +444,9 @@ class _Splices:
     """
 
     def __init__(self, space: FiniteFilteredSpace, thetas: np.ndarray, cap: int):
-        times = range(space.horizon + 1)
-        base = np.cumsum([0] + [space.n_atoms(s) for s in times])
-        # each outcome's stopping atom, numbered over the atoms of times 0..T in turn
-        col = (np.stack([space.atom_index(s) for s in times]) + base[:-1, None])[thetas, np.arange(space.n_outcomes)]
-        flags = np.zeros((len(thetas), base[-1]), dtype=bool)  # each row's stopping atoms
+        # each outcome's stopping atom, in the space's numbering of atoms
+        col = space._ids[thetas, np.arange(space.n_outcomes)]
+        flags = np.zeros((len(thetas), space._offsets[-1]), dtype=bool)  # each row's stopping atoms
         flags[np.arange(len(thetas))[:, None], col] = True
         self.n_atoms = flags.sum(axis=1)
         over = np.flatnonzero(2.0**self.n_atoms > cap)
@@ -482,12 +482,14 @@ def enumerate_stopping_events(
     space: FiniteFilteredSpace, theta: StoppingTime, cap: int = 100_000
 ) -> list[np.ndarray]:
     """All events measurable at the stopping time, as boolean outcome masks."""
+    _same_space(space, theta)
     return _Splices(space, theta.values[None], cap).events("at the stopping time")
 
 
 def is_stopping_event(space: FiniteFilteredSpace, mask, theta: StoppingTime) -> bool:
     """Whether the mask is measurable at the stopping time: an event at T whose
     part on {theta = s} is an event at s, for every s."""
+    _same_space(space, theta)
     levels = np.arange(space.horizon + 1)[:, None]
     # is_event comes first: it refuses a mask of the wrong length before the parts broadcast
     if not space.is_event(mask, space.horizon):

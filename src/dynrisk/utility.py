@@ -49,6 +49,7 @@ from .space import (
     ConditionalValue,
     FiniteFilteredSpace,
     StoppingTime,
+    _same_space,
     _times_to_check,
     cond_expect,
     enumerate_events,
@@ -159,14 +160,9 @@ class DualFiniteUtility(UtilityBase):
         ordered by s, then B: (order, starts) of a segmented sum over flattened
         (L, M) slices, each variable's window-start atom and its probability."""
         sp, t = self.space, self.t_start
-        times = range(t, self.t_end + 1)
-        offsets = np.cumsum([0] + [sp.n_atoms(s) for s in times])
-        ids = np.concatenate([off + sp.atom_index(s) for off, s in zip(offsets, times)])
-        order = np.argsort(ids, kind="stable")
-        starts = np.flatnonzero(np.diff(ids[order], prepend=-1))
+        order, starts = sp.atom_layout(t, self.t_end)[:2]
         owner = sp.atom_index(t)[order[starts] % sp.n_outcomes]
-        p_atom = sp.atom_layout(t)[-1]
-        return order, starts, owner, p_atom[owner]
+        return order, starts, owner, sp.atom_layout(t)[-1][owner]
 
     def _coefficients(self, vals: np.ndarray) -> np.ndarray:
         """Billing E[d_s 1_B] / P(start atom) of each variable (s, B):
@@ -198,8 +194,8 @@ class _EntropicKernel(UtilityBase):
 
     def __init__(self, space: FiniteFilteredSpace, alpha: float, t_start: int, t_end: int | None = None):
         super().__init__(space, t_start, space.horizon if t_end is None else t_end)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < np.inf:  # NaN too
+            raise ValueError("alpha must be positive and finite")
         self.alpha = float(alpha)
         self._order, self._starts, self._seg, w_ord, wsum = space.atom_layout(t_start)
         self._w, self._log_wsum = w_ord, np.log(wsum)
@@ -567,6 +563,7 @@ class UtilityProcess:
 
     def evaluate_at_stopping(self, theta: StoppingTime, X: AdaptedProcess) -> np.ndarray:
         """Outcome-indexed value of the stage picked by the stopping time."""
+        _same_space(self.space, theta)
         if theta.min_value() < self.t_start or theta.max_value() > self.t_end:
             raise ValueError("stopping time leaves the stage range")
         return self._glue(theta.values[None], self._positions([X], theta.min_value()))[0, 0]

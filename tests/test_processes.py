@@ -11,6 +11,7 @@ from dynrisk import (
     StoppingTime,
     TerminalDensity,
     concatenate,
+    dyadic_uniform,
     enumerate_stopping_times,
     m1_closure,
     membership,
@@ -326,6 +327,16 @@ class TestStability:
         assert not rep.stable and per_pair < rep.generated <= 2 * per_pair
         # one (splices, M) float array would take 15 MB
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestTerminalDensity:
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            TerminalDensity(dyadic_uniform(1), [np.nan, 1.0])
+
+    def test_normalized_refuses_zero_mass(self):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            TerminalDensity.normalized(dyadic_uniform(1), [0.0, 0.0])
 
 
 class TestRemainingMass:

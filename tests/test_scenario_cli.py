@@ -538,6 +538,16 @@ class TestCLI:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_rejected(self, tmp_path, capsys, workers):
+        doc = base_doc()
+        doc["tasks"] = [{"task": "axioms", "name": "ax", "utility": "ent", "samples": 2}]
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(tmp_path, doc, ("--workers", workers))
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_verification_failure_exit_code(self, tmp_path):
         doc = base_doc()
         doc["tasks"] = [

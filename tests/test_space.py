@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynrisk import (
+    AdaptedProcess,
     CapExceededError,
     ConditionalValue,
     DensityProcess,
+    DualFiniteUtility,
     FiniteFilteredSpace,
     StoppingTime,
     TerminalDensity,
@@ -19,14 +21,23 @@ from dynrisk import (
     cond_expect,
     dyadic_uniform,
     enumerate_events,
+    entropic_process,
     enumerate_stopping_times,
     ess_inf_family,
     ess_sup_family,
     is_stopping_time,
     paste,
+    project,
 )
-from dynrisk.random_gen import random_space
-from dynrisk.space import _stopping_times, enumerate_stopping_events, is_stopping_event
+from dynrisk.random_gen import random_adapted, random_space
+from dynrisk.space import (
+    _atom_cuts,
+    _first_cut,
+    _Splices,
+    _stopping_times,
+    enumerate_stopping_events,
+    is_stopping_event,
+)
 
 
 class TestSpaceValidation:
@@ -48,6 +59,10 @@ class TestSpaceValidation:
                 [0.25] * 4,
                 [[[0, 1, 2, 3]], [[0], [1], [2], [3]], [[0, 1], [2, 3]]],
             )
+
+    def test_probs_must_not_be_nan(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            FiniteFilteredSpace([np.nan, 1.0], [[[0, 1]], [[0], [1]]])
 
     def test_partition_must_cover(self):
         with pytest.raises(ValueError):
@@ -117,12 +132,6 @@ class TestConditionalValue:
         w = ConditionalValue(two_uniform, 1, [2.0, 3.0])
         with pytest.raises(ValueError):
             _ = w - v
-
-    def test_from_outcomes_requires_measurability(self, four_tree):
-        with pytest.raises(ValueError):
-            ConditionalValue.from_outcomes(four_tree, 1, [1.0, 2.0, 3.0, 3.0])
-        v = ConditionalValue.from_outcomes(four_tree, 1, [1.0, 1.0, 3.0, 3.0])
-        assert np.array_equal(v.values, [1.0, 3.0])
 
 
 class TestEssSup:
@@ -225,6 +234,33 @@ class TestStoppingTimes:
                     call()
 
 
+def foreign_stopping_time():
+    """A stopping time of a uniform 4-outcome tree whose t=1 atoms are {0, 2}
+    and {1, 3}; it is not one of ``dyadic_uniform(2)``, where they are {0, 1} and {2, 3}."""
+    other = FiniteFilteredSpace([0.25] * 4, [[[0, 1, 2, 3]], [[0, 2], [1, 3]], [[0], [1], [2], [3]]])
+    return StoppingTime(other, [1, 2, 1, 2])
+
+
+FOREIGN_STOPPING_CALLS = {
+    "is_stopping_event": lambda sp, th, X: is_stopping_event(sp, np.ones(4, dtype=bool), th),
+    "enumerate_stopping_events": lambda sp, th, X: enumerate_stopping_events(sp, th),
+    "concatenate": lambda sp, th, X: concatenate(*[DensityProcess.uniform(sp, 0, 2)] * 2, th, np.ones(4, dtype=bool)),
+    "conditional_tail": lambda sp, th, X: DensityProcess.uniform(sp, 0, 2).conditional_tail(th),
+    "project": lambda sp, th, X: project(X, StoppingTime.constant(sp, 0), th),
+    "evaluate_at_stopping": lambda sp, th, X: entropic_process(sp, 1.0).evaluate_at_stopping(th, X),
+    "consistency_residual": lambda sp, th, X: entropic_process(sp, 1.0).consistency_residual(0, th, X),
+}
+
+
+@pytest.mark.parametrize("entry", FOREIGN_STOPPING_CALLS)
+def test_stopping_time_of_another_space_is_refused(entry):
+    sp, theta = dyadic_uniform(2), foreign_stopping_time()
+    assert is_stopping_time(sp, theta.values) == (False, (1, (0, 1)))
+    X = random_adapted(sp, 0, 2, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="stopping time lives on a different space"):
+        FOREIGN_STOPPING_CALLS[entry](sp, theta, X)
+
+
 def grow_reference(space, t_low=0):
     """Stopping times by recursive growth: at each time, every subset of the
     running atoms stops, in ``itertools.product`` order."""
@@ -278,6 +314,97 @@ def test_level_wise_enumeration_matches_the_recursive_references():
             atoms = [atom for s in range(sp.horizon + 1) for atom in sp.atoms(s) if theta.values[atom[0]] == s]
             got = enumerate_stopping_events(sp, theta)
             assert np.array_equal(got, unions_reference(sp, atoms)), f"space {n}, theta={theta.values.tolist()}"
+
+
+def layout_reference(space, t):
+    """``atom_layout(t)`` built from the time-t partition alone."""
+    part = space.partitions[t]
+    order = np.concatenate([np.asarray(atom, dtype=int) for atom in part])
+    counts = np.array([len(atom) for atom in part])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.intp)
+    w_ord = space.probs[order]
+    return order, starts, np.repeat(np.arange(len(part)), counts), w_ord, np.add.reduceat(w_ord, starts)
+
+
+def window_reference(space, t, t_end):
+    """(order, starts, seg) of segmented sums over flattened (L, M) slices of
+    times t..t_end: per-window atom ids and a stable argsort of them."""
+    times = range(t, t_end + 1)
+    offsets = np.cumsum([0] + [space.n_atoms(s) for s in times])
+    ids = np.concatenate([off + space.atom_index(s) for off, s in zip(offsets, times)])
+    order = np.argsort(ids, kind="stable")
+    return order, np.flatnonzero(np.diff(ids[order], prepend=-1)), ids[order]
+
+
+def cuts_reference(space, t_start, y, tol):
+    """``_atom_cuts`` one time at a time, on the per-time layouts."""
+    cuts = []
+    for k in range(y.shape[-2]):
+        order, starts = layout_reference(space, t_start + k)[:2]
+        row = y[..., k, :].take(order, axis=-1)
+        cuts.append(np.maximum.reduceat(row, starts, axis=-1) - np.minimum.reduceat(row, starts, axis=-1) > tol)
+    return np.concatenate(cuts, axis=-1)
+
+
+def first_cut_reference(space, t_start, L, cuts):
+    """``_first_cut`` of one (L, M) stack from its reference cuts, through a list of (time, atom) labels."""
+    hit = np.flatnonzero(cuts)
+    labels = [(s, atom) for s in range(t_start, t_start + L) for atom in space.atoms(s)]
+    return labels[hit[0]] if hit.size else None
+
+
+def splices_reference(space, thetas):
+    """(atoms, shifts) of ``_Splices`` from a per-call stack of the atom index
+    of every time, numbered by a cumsum of the atom counts."""
+    times = range(space.horizon + 1)
+    base = np.cumsum([0] + [space.n_atoms(s) for s in times])
+    col = (np.stack([space.atom_index(s) for s in times]) + base[:-1, None])[thetas, np.arange(space.n_outcomes)]
+    flags = np.zeros((len(thetas), base[-1]), dtype=bool)
+    flags[np.arange(len(thetas))[:, None], col] = True
+    n_atoms = flags.sum(axis=1)
+    rank = np.take_along_axis(np.cumsum(flags, axis=1), col, axis=1) - 1
+    return n_atoms, n_atoms[:, None] - 1 - rank
+
+
+def test_one_numbering_matches_the_per_time_references():
+    g = np.random.default_rng(12)
+    spaces = [random_space(np.random.default_rng(seed), max_outcomes=8, max_horizon=3) for seed in range(200)]
+    tol = 1e-12  # the adaptedness tolerance of processes
+    # kicks just below and just above tol, on atom-constant values of order one
+    kicks = tol * np.array([1 - 1e-3, 1 + 1e-3])
+    above, below = [], []
+    for n, sp in enumerate(spaces + [dyadic_uniform(3), dyadic_uniform(4)]):
+        M, T = sp.n_outcomes, sp.horizon
+        for t in range(T + 1):
+            got, want = sp.atom_layout(t), layout_reference(sp, t)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want)), f"space {n}, t={t}"
+            for t_end in range(t, T + 1):
+                L, where = t_end - t + 1, f"space {n}, window [{t}, {t_end}]"
+                order, starts, seg, w_ord, wsum = sp.atom_layout(t, t_end)
+                want_order, want_starts, want_seg = window_reference(sp, t, t_end)
+                assert np.array_equal(order, want_order) and np.array_equal(starts, want_starts), where
+                assert np.array_equal(seg, want_seg) and np.array_equal(wsum, np.add.reduceat(w_ord, starts)), where
+                assert np.array_equal(w_ord, np.tile(sp.probs, L)[order]), where
+                inc = DensityProcess._wrap(sp, t, np.full((L, M), 1.0 / L))
+                u = DualFiniteUtility(sp, t, t_end, [(inc, ConditionalValue.constant(sp, t, 0.0))], validate=False)
+                variables = u._variables
+                assert np.array_equal(variables[0], want_order) and np.array_equal(variables[1], want_starts), where
+                base = np.stack([g.normal(size=sp.n_atoms(s))[sp.atom_index(s)] for s in range(t, t_end + 1)])
+                y = base + (g.random((3, L, M)) < 0.3) * g.choice(kicks, size=(3, L, M))
+                got = {}
+                for cut_tol in (0.0, tol):
+                    got[cut_tol] = cuts = _atom_cuts(sp, t, y, cut_tol)
+                    assert np.array_equal(cuts, cuts_reference(sp, t, y, cut_tol)), where
+                    for row, row_cuts in zip(y, cuts):
+                        assert _first_cut(sp, t, row, cut_tol) == first_cut_reference(sp, t, L, row_cuts), where
+                above.append(got[tol].ravel())
+                below.append((got[0.0] & ~got[tol]).ravel())
+        thetas = _stopping_times(sp)
+        splices = _Splices(sp, thetas, 2**40)
+        want_atoms, want_shifts = splices_reference(sp, thetas)
+        assert np.array_equal(splices.n_atoms, want_atoms) and np.array_equal(splices.shifts, want_shifts), f"space {n}"
+    # some atoms spread by just above tol, and some by just below it
+    assert np.concatenate(above).any() and np.concatenate(below).any()
 
 
 def test_readme_quick_start_prints_its_commented_outputs():

@@ -1,0 +1,59 @@
+"""The repository's own tooling, run in-process: the benchmark's span tracer
+and the demos' expected outputs."""
+
+import contextlib
+import io
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dynrisk as dr
+from dynrisk.random_gen import random_adapted, random_coherent_utility, random_density, random_terminal_density
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def small_calls() -> None:
+    """The README quick start, a small scan, two small stability checks and a
+    penalty, through late-bound ``dr.name`` lookups so that the tracer's
+    wrappers see the calls."""
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(code, "README.md", "exec"), {})
+    g = np.random.default_rng(3)
+    sp = dr.dyadic_uniform(2)
+    port = dr.Portfolio([random_adapted(sp, 0, 2, g) for _ in range(2)])
+    dr.worst_portfolio_bruteforce(port, dr.EntropicUtility(sp, 1.0, 0), workers=1)
+    dr.stability_check([random_terminal_density(sp, g) for _ in range(2)], "m1")
+    dr.stability_check([dr.DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, g, strict=True)], "concatenation")
+    dr.penalty(random_coherent_utility(sp, 0, 2, g, n_scenarios=2), random_density(sp, 0, 2, g))
+
+
+def test_bench_tracer_resolves_every_target():
+    # bench/run.py --trace 1 makes the same check; a traced method that moves fails it
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        mismatches = tracer.self_check(small_calls)
+    finally:
+        tracer.uninstall()
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_prints_its_expected_output(demo):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(demo), run_name="__main__")
+    assert out.getvalue() == (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_text()

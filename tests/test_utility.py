@@ -125,6 +125,11 @@ class TestEntropic:
         with pytest.raises(ValueError):
             EntropicUtility(four_tree, 0.0, 0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha(self, four_tree, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EntropicUtility(four_tree, alpha, 0)
+
     def test_robust_single_uniform_matches_plain(self, four_tree):
         X = random_adapted(four_tree, 0, 2, np.random.default_rng(27))
         flat = TerminalDensity(four_tree, np.ones(4))
