@@ -13,6 +13,7 @@ from dynrisk import (
     check_axioms,
     dyadic_uniform,
     penalty,
+    penalty_vertices,
 )
 
 sp = dyadic_uniform(2)
@@ -39,17 +40,17 @@ soft = DualFiniteUtility(sp, 0, 2, [(a1, zero), (a2, ConditionalValue.constant(s
 print("penalty of a1 under the coherent utility:", penalty(coherent, a1).values)
 print("penalty of a2 under the soft utility:   ", penalty(soft, a2).values)
 
-# both solver routes agree: the LP dual by support enumeration vs exhaustive vertex search
+# penalty and its primal oracle agree: the LP dual by support enumeration vs exhaustive vertex search
 mix = DensityProcess(sp, 0, 0.5 * (a1.values + a2.values))
-print("penalty of the midpoint, highs:   ", penalty(coherent, mix, solver="highs").values)
-print("penalty of the midpoint, vertices:", penalty(coherent, mix, solver="vertices").values)
+print("penalty of the midpoint, dual:    ", penalty(coherent, mix).values)
+print("penalty of the midpoint, vertices:", penalty_vertices(coherent, mix).values)
 
 # a density outside the closed hull can be billed arbitrarily low: the dual
 # is infeasible there, and the vertex oracle's box escalation agrees on -inf
 two = dyadic_uniform(1)
 lone = DualFiniteUtility(two, 0, 1, [(DensityProcess(two, 0, [[0, 0], [1, 1]]), ConditionalValue.constant(two, 0, 0.0))])
 off = DensityProcess(two, 0, [[0, 0], [2, 0]])
-print("penalty off the hull:", penalty(lone, off).values, "=", penalty(lone, off, solver="vertices").values)
+print("penalty off the hull:", penalty(lone, off).values, "=", penalty_vertices(lone, off).values)
 
 # the insurance version picks the best scenario per atom and glues them
 X = AdaptedProcess(sp, 0, [[0, 0, 0, 0], [5, 5, 5, 5], [5, 5, 5, 5]])

@@ -43,6 +43,7 @@ from .utility import (
     normalized_scenario_process,
     penalty,
     penalty_consistency_check,
+    penalty_vertices,
     robust_entropic_process,
     time_consistency_check,
 )

@@ -18,7 +18,7 @@ from .processes import membership, stability_check
 from .rearrange import is_comonotone, lap_upper_bound, max_correlation
 from .scenario import Fields, Scenario, ScenarioError, load_scenario
 from .space import CapExceededError, DEFAULT_TOL
-from .utility import AXIOMS, PENALTY_SOLVERS, DualFiniteUtility, check_axioms, penalty, time_consistency_check
+from .utility import AXIOMS, DualFiniteUtility, check_axioms, penalty, time_consistency_check
 from .worstcase import (
     AdaptedWorstProcess,
     Portfolio,
@@ -140,12 +140,11 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
 
     if kind == "penalty":
         u, a = f.ref("utility", "utility"), f.ref("density", "density")
-        solver = f.choice("solver", PENALTY_SOLVERS, "highs")
         if not isinstance(u, DualFiniteUtility):
             f.fail(f"penalty needs a dual utility, not {type(u).__name__}")
         try:
             with f.building():  # a density whose window does not cover the utility's
-                v = penalty(u, a, solver=solver)
+                v = penalty(u, a)
         except RuntimeError as e:
             run.row("-", "error", str(e), None, FAIL)
             return run, FAIL
@@ -183,11 +182,11 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
     if kind == "worst-scenario":
         u, candidates = f.ref("utility", "utility"), f.refs("candidates", "density")
         members = f.refs("marginals", "process")
-        cap, solver = f.integer("cap", 100_000), f.choice("solver", PENALTY_SOLVERS, "highs")
+        cap = f.integer("cap", 100_000)
         if not isinstance(u, DualFiniteUtility):
             f.fail(f"worst-scenario needs a dual utility, not {type(u).__name__}")
         with f.building():  # marginals or candidates whose windows do not fit
-            ws = worst_scenario(candidates, Portfolio(members), u, cap, solver)
+            ws = worst_scenario(candidates, Portfolio(members), u, cap)
         _per_atom_rows(run, space, u.t_start, "F-max", ws.value.values)
         _per_atom_rows(run, space, u.t_start, "choice", ws.per_atom_choice)
         run.row("-", "single-attainment", ws.single_attainment, None, INFO)

@@ -1,17 +1,17 @@
 """Small dense linear programs for penalty evaluation.
 
 The penalty program minimizes c.x subject to G.x >= h with every h_i <= 0,
-so x = 0 is feasible.  The production route solves its LP dual, max h.lam
+so x = 0 is feasible.  ``utility.penalty`` solves its LP dual, max h.lam
 subject to G^T lam = c, lam >= 0, which is bounded by 0: ``DualSupports``
 enumerates the dual's basic supports, and above ``SUPPORT_LIMIT`` of them
 ``maximize_dual_highs`` solves it with one HiGHS call.  An infeasible dual
 means the primal is unbounded, and the value is -inf.
 
-The primal oracle works inside a box |x_j| <= M instead: two interchangeable
-box solvers (HiGHS, and enumeration of basic feasible points) and
-``minimize_with_escalation``, which detects unboundedness of the un-boxed
-program by growing the box and watching whether the optimum keeps escaping
-through it.
+The primal oracle, ``utility.penalty_vertices``, works inside a box |x_j| <= M
+instead: ``minimize_with_escalation`` enumerates the boxed program's basic
+feasible points and detects unboundedness of the un-boxed one by growing the
+box and watching whether the optimum keeps escaping through it.  Its HiGHS
+twin ``solve_box_lp_highs`` stays only while the benchmark's tracer names it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 NEG_INF = float("-inf")
 
@@ -50,6 +49,7 @@ def _box_active(x: np.ndarray, box: float) -> bool:
 
 def solve_box_lp_highs(c, G, h, box: float) -> BoxSolution:
     """Minimize c.x s.t. G.x >= h, |x| <= box, via HiGHS."""
+    from scipy.optimize import linprog  # on use, so importing dynrisk skips scipy.optimize
     c = np.asarray(c, dtype=float)
     if G is None or len(G) == 0:
         kwargs = {}
@@ -109,7 +109,7 @@ def solve_box_lp_vertices(c, G, h, box: float) -> BoxSolution:
     return BoxSolution(best_val, best_x, _box_active(best_x, box))
 
 
-def minimize_with_escalation(solver, c, G, h, box: float) -> tuple[float, dict]:
+def minimize_with_escalation(c, G, h, box: float) -> tuple[float, dict]:
     """Detect unboundedness by widening the box; returns (-inf for unbounded).
 
     A solution off the box faces is final.  Otherwise the box grows tenfold
@@ -117,7 +117,7 @@ def minimize_with_escalation(solver, c, G, h, box: float) -> tuple[float, dict]:
     than a box-relative threshold the value is accepted, and a run of strict
     decreases through every round is flagged as -inf.
     """
-    sol = solver(c, G, h, box)
+    sol = solve_box_lp_vertices(c, G, h, box)
     diag = {"box": box, "rounds": 0}
     if not sol.box_active:
         return sol.value, diag
@@ -125,7 +125,7 @@ def minimize_with_escalation(solver, c, G, h, box: float) -> tuple[float, dict]:
     for r in range(1, ESCALATION_ROUNDS + 1):
         threshold = DECREASE_TOL_FACTOR * box
         box *= ESCALATION_FACTOR
-        sol = solver(c, G, h, box)
+        sol = solve_box_lp_vertices(c, G, h, box)
         diag = {"box": box, "rounds": r}
         if val - sol.value <= threshold:
             return sol.value, diag
@@ -196,6 +196,7 @@ class DualSupports:
 
 def maximize_dual_highs(G: np.ndarray, h: np.ndarray, c: np.ndarray) -> float:
     """The same dual by one HiGHS solve, lam >= 0 and no box; -inf when infeasible."""
+    from scipy.optimize import linprog
     res = linprog(-h, A_eq=G.T, b_eq=c, bounds=(0, None), method="highs")
     if res.status == 2:
         return NEG_INF

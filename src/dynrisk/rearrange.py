@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .processes import AdaptedProcess, DensityProcess, _check_pairing, _pairings, pairing
 from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts
@@ -251,6 +250,7 @@ def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int, t_end: int
     outcome's increment vector; this dominates the restriction of any class
     member to the atom.
     """
+    from scipy.optimize import linear_sum_assignment  # on use, so importing dynrisk skips scipy.optimize
     if t_end is None:
         t_end = X_hat.t_end
     _check_pairing(X_hat, a, t, t_end)

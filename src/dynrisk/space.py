@@ -342,6 +342,7 @@ class StoppingTime:
         return int(self.values.max())
 
     def __le__(self, other: "StoppingTime") -> bool:
+        _same_space(self.space, other)
         return bool(np.all(self.values <= other.values))
 
     def __repr__(self) -> str:

@@ -55,7 +55,6 @@ from .space import (
     enumerate_events,
 )
 
-PENALTY_SOLVERS = ("highs", "vertices")
 AXIOMS = ("locality", "monotonicity", "cash_invariance", "concavity", "coherence", "continuity", "relevance")
 
 
@@ -249,38 +248,36 @@ class RobustEntropicUtility(_EntropicKernel):
         return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))
 
 
-def penalty(u: DualFiniteUtility, a: DensityProcess, solver: str = "highs") -> ConditionalValue:
+def penalty(u: DualFiniteUtility, a: DensityProcess) -> ConditionalValue:
     """Minimal penalty of the robust representation at a, per window-start atom.
 
     On each atom it is the smallest billing c.x of an acceptable position,
     G.x >= h, where x runs over the adapted degrees of freedom inside the
     atom, c bills them against a, each row of G against a live scenario,
-    and h holds those scenarios' penalties.  The default route solves the LP
-    dual, max h.lam s.t. G^T lam = c, lam >= 0, by enumerating its basic
-    supports (one HiGHS solve above ``lp.SUPPORT_LIMIT`` of them); an
-    infeasible dual gives -inf, and a coherent utility's penalty is 0 or
-    -inf.  ``solver="vertices"`` is the primal oracle: vertex enumeration in
-    a box of half-width 1e6 * max(1, ``gamma_norm``) that grows while the
-    optimum escapes it.
+    and h holds those scenarios' penalties.  It is computed as the LP dual,
+    max h.lam s.t. G^T lam = c, lam >= 0, by enumerating its basic supports
+    (one HiGHS solve above ``lp.SUPPORT_LIMIT`` of them); an infeasible dual
+    gives -inf, and a coherent utility's penalty is 0 or -inf.
+    ``penalty_vertices`` is the primal oracle of the same value.
     """
-    values = _penalties(u, [a], solver)[0]  # checks u's type first
+    values = _penalties(u, [a])[0]  # checks u's type first
     return ConditionalValue(u.space, u.t_start, values)
 
 
-def _penalties(u: DualFiniteUtility, densities: Sequence[DensityProcess], solver: str = "highs") -> np.ndarray:
-    """``penalty`` of every density at once: -> (K, atoms).  The dual route
-    prices all of them per atom against supports factored once on ``u``."""
+def _check_priceable(u: DualFiniteUtility, densities: Sequence[DensityProcess]) -> None:
+    """Both penalty routes need explicit scenarios and densities covering u's window."""
     if not isinstance(u, DualFiniteUtility):
         raise TypeError("penalty evaluation needs an explicit finite scenario set")
-    if solver not in PENALTY_SOLVERS:
-        raise ValueError(f"unknown penalty solver {solver!r}: use 'highs' or 'vertices'")
-    t, T = u.t_start, u.t_end
     for a in densities:
-        if a.space is not u.space or a.t_start > t or a.t_end < T:
+        if a.space is not u.space or a.t_start > u.t_start or a.t_end < u.t_end:
             raise ValueError(f"density window {a.window} does not cover {u.window}")
-    if solver == "vertices":
-        return np.array([_penalty_vertices(u, a) for a in densities])
 
+
+def _penalties(u: DualFiniteUtility, densities: Sequence[DensityProcess]) -> np.ndarray:
+    """``penalty`` of every density at once: -> (K, atoms), all of them
+    priced per atom against supports factored once on ``u``."""
+    _check_priceable(u, densities)
+    t, T = u.t_start, u.t_end
     C = u._coefficients(np.stack([a.values[t - a.t_start : T - a.t_start + 1] for a in densities]))
     G = u._coefficients(u._increments)
     _, _, owner, _ = u._variables
@@ -306,9 +303,11 @@ def _penalties(u: DualFiniteUtility, densities: Sequence[DensityProcess], solver
     return out
 
 
-def _penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> np.ndarray:
-    """The primal oracle: one boxed LP per atom, solved by vertex enumeration,
-    with the box-escalation wrapper reporting -inf where it is unbounded."""
+def penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> ConditionalValue:
+    """``penalty`` by its primal oracle: one LP per atom in a box of half-width
+    1e6 * max(1, ``gamma_norm``), solved by vertex enumeration, with the box
+    growing while the optimum escapes it and -inf where it keeps escaping."""
+    _check_priceable(u, [a])
     space = u.space
     t, T = u.t_start, u.t_end
     bound = 1e6 * max(1.0, u.gamma_norm())
@@ -342,13 +341,13 @@ def _penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> np.ndarray:
             G_arr, h_arr = np.array(G), np.array(h)
         else:
             G_arr, h_arr = np.zeros((0, len(variables))), np.zeros(0)
-        val, _ = lp.minimize_with_escalation(lp.solve_box_lp_vertices, c, G_arr, h_arr, bound)
+        val, _ = lp.minimize_with_escalation(c, G_arr, h_arr, bound)
         if np.isfinite(val) and val > 1e-7 * max(1.0, bound / 1e6):
             raise RuntimeError(
                 f"penalty came out positive ({val:.3g}) on atom {atom}; zero must be feasible"
             )
         out[k] = val
-    return out
+    return ConditionalValue(space, t, out)
 
 
 def argmax_density(
@@ -681,9 +680,7 @@ class PenaltyConsistencyReport:
     max_abs_residual: float
 
 
-def penalty_consistency_check(
-    up: UtilityProcess, t: int, s: int, solver: str = "highs"
-) -> PenaltyConsistencyReport:
+def penalty_consistency_check(up: UtilityProcess, t: int, s: int) -> PenaltyConsistencyReport:
     """Compare the stage-t penalty with its splice-and-condition decomposition.
 
     For every scenario a at stage t, evaluates the stage-t penalty of a
@@ -708,9 +705,9 @@ def penalty_consistency_check(
     pad = np.zeros((len(us.scenarios), s - t, space.n_outcomes))
     lefts = [DensityProcess._wrap(space, t, inc) for inc in ut._increments]
     rights = [DensityProcess._wrap(space, t, inc) for inc in np.concatenate([pad, us._increments], axis=1)]
-    priced = _penalties(ut, lefts + [concatenate(a, b, theta, omega) for a in lefts for b in rights], solver)
+    priced = _penalties(ut, lefts + [concatenate(a, b, theta, omega) for a in lefts for b in rights])
     spliced = priced[len(lefts) :].reshape(len(lefts), len(rights), -1)
-    tails = _penalties(us, [a.restrict(s) for a in lefts], solver)
+    tails = _penalties(us, [a.restrict(s) for a in lefts])
 
     rows = []
     worst = 0.0

@@ -98,7 +98,6 @@ def average_risk(
     marginals: Portfolio,
     u: DualFiniteUtility,
     cap: int = 100_000,
-    solver: str = "highs",
 ) -> ConditionalValue:
     """(1/n) sum of max correlations against a, plus the penalty of a.
 
@@ -107,7 +106,7 @@ def average_risk(
     """
     t, t_end = u.t_start, u.t_end
     psi = [max_correlation(a, X, t, t_end, cap).value for X in marginals.members]
-    return sum(psi[1:], psi[0]) * (1.0 / marginals.n) + penalty(u, a, solver=solver)
+    return sum(psi[1:], psi[0]) * (1.0 / marginals.n) + penalty(u, a)
 
 
 @dataclass
@@ -123,7 +122,6 @@ def worst_scenario(
     marginals: Portfolio,
     u: DualFiniteUtility,
     cap: int = 100_000,
-    solver: str = "highs",
     rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> WorstScenarioResult:
     """Atom-wise best candidate under the average risk, glued by indicators.
@@ -140,7 +138,7 @@ def worst_scenario(
         cls = enumerate_class(X, cap) if rearrangements is None else rearrangements[i]
         psi = np.stack([_class_pairings(cls, c, t, t_end).max(axis=0) for c in candidates])
         table = psi if table is None else table + psi
-    table = table * (1.0 / marginals.n) + _penalties(u, candidates, solver=solver)
+    table = table * (1.0 / marginals.n) + _penalties(u, candidates)
     best = table.max(axis=0)
     choice = _first_near_max(table)
 

@@ -35,6 +35,7 @@ from dynrisk import (
     pairing,
     paste,
     penalty,
+    penalty_vertices,
     time_consistency_check,
     verify_preservation,
     verify_theorem_3_1,
@@ -189,7 +190,7 @@ def small_lp_space(g):
 
 
 def test_penalty_agrees_with_vertex_oracle():
-    """HiGHS penalty equals exhaustive vertex enumeration within 1e-8 on 50
+    """The dual penalty equals exhaustive vertex enumeration within 1e-8 on 50
     small instances, unbounded atoms flagged identically on both routes."""
     start = time.perf_counter()
     NEG = float("-inf")
@@ -207,8 +208,8 @@ def test_penalty_agrees_with_vertex_oracle():
         conc[0] = 1.0
         targets.append(DensityProcess(sp, 0, conc))
         for a in targets:
-            hi = penalty(u, a, solver="highs").values
-            lo = penalty(u, a, solver="vertices").values
+            hi = penalty(u, a).values
+            lo = penalty_vertices(u, a).values
             for k in range(sp.n_atoms(0)):
                 if np.isneginf(hi[k]) or np.isneginf(lo[k]):
                     assert np.isneginf(hi[k]) and np.isneginf(lo[k]), f"seed {seed} atom {k}: {hi[k]} vs {lo[k]}"

@@ -62,6 +62,7 @@ from dynrisk import (
     pairing,
     paste,
     penalty,
+    penalty_vertices,
     robust_entropic_process,
     stability_check,
     time_consistency_check,
@@ -733,7 +734,7 @@ def test_dual_penalty_matches_vertex_oracle_and_highs_dual(monkeypatch):
         got = _penalties(u, targets)
         one = np.array([penalty(u, a).values for a in targets])
         assert np.array_equal(bits(got), bits(one)), f"seed {seed}: stacked pricing moved bits"
-        oracle = _penalties(u, targets, solver="vertices")
+        oracle = np.array([penalty_vertices(u, a).values for a in targets])
         with monkeypatch.context() as m:
             m.setattr(lp, "SUPPORT_LIMIT", 0)  # every atom with a live scenario goes to HiGHS
             highs = _penalties(u, targets)
@@ -765,7 +766,8 @@ def test_dual_penalty_above_the_support_limit_goes_to_highs(monkeypatch):
             enumerated = _penalties(u, targets)
         assert not calls, "the enumeration called HiGHS"
         assert_same_penalties(got, enumerated, f"seed {seed}, enumeration")
-        assert_same_penalties(got, _penalties(u, targets, solver="vertices"), f"seed {seed}, vertex oracle")
+        oracle = np.array([penalty_vertices(u, a).values for a in targets])
+        assert_same_penalties(got, oracle, f"seed {seed}, vertex oracle")
         seen.update(np.isfinite(got[:, 0]))
     assert seen == {True, False}, "needs finite and -inf targets"
 

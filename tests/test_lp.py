@@ -44,25 +44,25 @@ class TestSolversAgree:
 
 class TestEscalation:
     def test_unconstrained_descent_is_minus_inf(self):
-        val, diag = minimize_with_escalation(solve_box_lp_highs, [1.0], None, None, 10.0)
+        val, diag = minimize_with_escalation([1.0], None, None, 10.0)
         assert val == float("-inf")
         assert diag["rounds"] == 3
 
     def test_optimum_beyond_first_box(self):
         # bounded at -500 but the starting box is 10, so two widenings needed
-        val, diag = minimize_with_escalation(solve_box_lp_highs, [1.0], [[1.0]], [-500.0], 10.0)
+        val, diag = minimize_with_escalation([1.0], [[1.0]], [-500.0], 10.0)
         assert val == pytest.approx(-500.0)
         assert diag["rounds"] >= 1
 
     def test_interior_optimum_returns_immediately(self):
-        val, diag = minimize_with_escalation(solve_box_lp_vertices, [1.0], [[1.0]], [-2.0], 10.0)
+        val, diag = minimize_with_escalation([1.0], [[1.0]], [-2.0], 10.0)
         assert val == pytest.approx(-2.0)
         assert diag["rounds"] == 0
 
     def test_direction_only_unbounded(self):
         # x + y >= 0 leaves the direction (1, -1) free for c = (1, 1)? no:
         # c = (1, -2) decreases along (t, t) while staying feasible
-        val, _ = minimize_with_escalation(solve_box_lp_highs, [1.0, -2.0], [[1.0, 1.0]], [0.0], 10.0)
+        val, _ = minimize_with_escalation([1.0, -2.0], [[1.0, 1.0]], [0.0], 10.0)
         assert val == float("-inf")
 
 
@@ -79,7 +79,7 @@ class TestDual:
         h = -g.random(m)
         c = G.T @ g.random(m) if m and g.random() < 0.6 else g.normal(size=n)
         got = DualSupports(G, h).maximize(c[None])[0]
-        primal, _ = minimize_with_escalation(solve_box_lp_vertices, c, G, h, 1e3)
+        primal, _ = minimize_with_escalation(c, G, h, 1e3)
         want = [primal, maximize_dual_highs(G, h, c)] if m else [primal]
         for w in want:
             assert np.isneginf(got) == np.isneginf(w)

@@ -358,11 +358,11 @@ class TestCLI:
             ),
             (
                 {"task": "penalty", "name": "pen", "utility": "coh", "density": "gen1", "solver": "hgihs"},
-                "solver must be 'highs' or 'vertices', got 'hgihs'",
+                "unknown field 'solver'",
             ),
             (
                 {"task": "penalty", "name": "pen", "utility": "coh", "density": "gen1", "solver": 5},
-                "solver must be 'highs' or 'vertices', got 5",
+                "unknown field 'solver'",
             ),
             (
                 {
@@ -373,7 +373,7 @@ class TestCLI:
                     "marginals": ["pos1"],
                     "solver": "hgihs",
                 },
-                "solver must be 'highs' or 'vertices', got 'hgihs'",
+                "unknown field 'solver'",
             ),
             (
                 {
@@ -384,7 +384,7 @@ class TestCLI:
                     "marginals": ["pos1"],
                     "solver": 5,
                 },
-                "solver must be 'highs' or 'vertices', got 5",
+                "unknown field 'solver'",
             ),
             (
                 {"task": "stability", "name": "stab", "kind": "m1", "terminal": ["tilt"], "expect": "false"},

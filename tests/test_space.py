@@ -249,6 +249,7 @@ FOREIGN_STOPPING_CALLS = {
     "project": lambda sp, th, X: project(X, StoppingTime.constant(sp, 0), th),
     "evaluate_at_stopping": lambda sp, th, X: entropic_process(sp, 1.0).evaluate_at_stopping(th, X),
     "consistency_residual": lambda sp, th, X: entropic_process(sp, 1.0).consistency_residual(0, th, X),
+    "__le__": lambda sp, th, X: StoppingTime.constant(sp, 1) <= th,
 }
 
 

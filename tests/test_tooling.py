@@ -1,11 +1,15 @@
 """The repository's own tooling, run in-process: the benchmark's span tracer
-and the demos' expected outputs."""
+and the demos' expected outputs; and, in a fresh interpreter, what importing
+dynrisk loads."""
 
 import contextlib
 import io
+import os
 import re
 import runpy
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +24,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def small_calls() -> None:
     """The README quick start, a small scan, two small stability checks and a
-    penalty, through late-bound ``dr.name`` lookups so that the tracer's
-    wrappers see the calls."""
+    penalty on both routes, through late-bound ``dr.name`` lookups so that the
+    tracer's wrappers see the calls."""
     readme = (ROOT / "README.md").read_text()
     code = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -33,6 +37,7 @@ def small_calls() -> None:
     dr.stability_check([random_terminal_density(sp, g) for _ in range(2)], "m1")
     dr.stability_check([dr.DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, g, strict=True)], "concatenation")
     dr.penalty(random_coherent_utility(sp, 0, 2, g, n_scenarios=2), random_density(sp, 0, 2, g))
+    dr.penalty_vertices(random_coherent_utility(sp, 0, 1, g, n_scenarios=2), random_density(sp, 0, 1, g))
 
 
 def test_bench_tracer_resolves_every_target():
@@ -49,6 +54,27 @@ def test_bench_tracer_resolves_every_target():
     finally:
         tracer.uninstall()
     assert mismatches == []
+
+
+def test_import_and_default_routes_skip_scipy_optimize():
+    # scipy.optimize costs about half a second and 50 MB on import; only the
+    # HiGHS fallbacks and the assignment bound load it, on first use
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import dynrisk as dr
+        from dynrisk.random_gen import random_coherent_utility, random_density
+        g = np.random.default_rng(0)
+        sp = dr.dyadic_uniform(2)
+        dr.penalty(random_coherent_utility(sp, 0, 2, g, n_scenarios=2), random_density(sp, 0, 2, g))
+        dr.time_consistency_check(dr.entropic_process(sp, 1.0), sample_count=2)
+        print("scipy.optimize" in sys.modules)
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

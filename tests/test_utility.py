@@ -21,6 +21,7 @@ from dynrisk import (
     pairing,
     penalty,
     penalty_consistency_check,
+    penalty_vertices,
     robust_entropic_process,
     time_consistency_check,
 )
@@ -169,8 +170,8 @@ class TestPenalty:
         u = coherent_two_scenario(four_tree)
         g = np.random.default_rng(29)
         b = random_density(four_tree, 0, 2, g, strict=True)
-        hi = penalty(u, b, solver="highs").values
-        lo = penalty(u, b, solver="vertices").values
+        hi = penalty(u, b).values
+        lo = penalty_vertices(u, b).values
         with np.errstate(invalid="ignore"):
             close = np.abs(hi - lo) <= 1e-7
         assert np.all((np.isneginf(hi) & np.isneginf(lo)) | close)
@@ -185,8 +186,15 @@ class TestPenalty:
     def test_requires_dual_form(self, four_tree):
         u = EntropicUtility(four_tree, 1.0, 0)
         a = DensityProcess.uniform(four_tree, 0, 2)
-        with pytest.raises(TypeError):
-            penalty(u, a)
+        for price in (penalty, penalty_vertices):
+            with pytest.raises(TypeError, match="explicit finite scenario set"):
+                price(u, a)
+
+    @pytest.mark.parametrize("price", [penalty, penalty_vertices], ids=["penalty", "penalty_vertices"])
+    def test_density_must_cover_the_window(self, four_tree, price):
+        u = coherent_two_scenario(four_tree)
+        with pytest.raises(ValueError, match=r"density window \(1, 2\) does not cover \(0, 2\)"):
+            price(u, DensityProcess.uniform(four_tree, 1, 2))
 
     def test_positive_live_gamma_raises(self, two_uniform):
         # only reachable without validation; the dual is then not bounded by 0
@@ -195,12 +203,6 @@ class TestPenalty:
         u = DualFiniteUtility(two_uniform, 0, 1, [(a, gam)], validate=False)
         with pytest.raises(RuntimeError, match="came out positive"):
             penalty(u, a)
-
-    @pytest.mark.parametrize("solver", ["hgihs", 5])
-    def test_unknown_solver_is_rejected(self, four_tree, solver):
-        u = coherent_two_scenario(four_tree)
-        with pytest.raises(ValueError, match="unknown penalty solver"):
-            penalty(u, u.scenarios[0][0], solver=solver)
 
 
 class TestArgmaxDensity:

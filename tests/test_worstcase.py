@@ -126,12 +126,6 @@ class TestWorstScenario:
         assert res.a0.approx_eq(a, 0)
         assert res.value.max_residual(average_risk(a, marg, u)) <= 1e-12
 
-    def test_unknown_solver_is_rejected(self, four_tree):
-        u = coherent_pair(four_tree, 65)
-        marg = Portfolio([random_adapted(four_tree, 0, 2, np.random.default_rng(66))])
-        with pytest.raises(ValueError, match="unknown penalty solver"):
-            worst_scenario([u.scenarios[0][0]], marg, u, solver="hgihs")
-
     def test_atoms_glue_different_candidates(self, four_tree):
         up_heavy = DensityProcess(four_tree, 0, [[0, 0, 0, 0], [0.9, 0.9, 0.1, 0.1], [0.1, 0.1, 0.9, 0.9]])
         down_heavy = DensityProcess(four_tree, 0, [[0, 0, 0, 0], [0.1, 0.1, 0.9, 0.9], [0.9, 0.9, 0.1, 0.1]])
