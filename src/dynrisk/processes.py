@@ -2,7 +2,11 @@
 
 Both process types are one window type, ``_Windowed``: a (time, outcome)
 array on times t_start..t_end, validated, sliced, restricted, compared and
-printed by one code.  A density process is stored through its increments;
+printed by one code.  ``_Windowed._span`` is the one window rule: it maps
+times t..t_end to rows and refuses a process on another space ("position
+lives on a different space") or whose window does not cover t..t_end
+("density window (1, 2) does not cover (0, 2)"); ``_same_window`` is the one
+same-window rule.  A density process is stored through its increments;
 its cumulative process starts from zero just before the window.  Pairings
 bill a position against a density, concatenation splices two densities at a
 stopping time, pasting splices two terminal densities at a deterministic time.
@@ -87,17 +91,19 @@ class _Windowed:
     def length(self) -> int:
         return self.t_end - self.t_start + 1
 
-    def _index(self, s: int) -> int:
-        if not self.t_start <= s <= self.t_end:
-            raise ValueError(f"time {s} outside window [{self.t_start}, {self.t_end}]")
-        return s - self.t_start
-
-    def _span(self, t: int, t_end: int) -> slice:
-        """Rows of ``values`` (or of a stack of values on this window) for times t..t_end."""
-        return slice(self._index(t), self._index(t_end) + 1)
+    def _span(self, t: int, t_end: int, space: FiniteFilteredSpace | None = None) -> slice:
+        """The one window rule: rows of ``values`` (or of a stack of values on
+        this window) for times t..t_end.  Raises "{noun} lives on a different
+        space" off ``space`` and "{noun} window (a, b) does not cover (t, t_end)"
+        when t..t_end is empty or leaves the window; the noun is the class's ``_noun``."""
+        if space is not None and space is not self.space:
+            raise ValueError(f"{self._noun} lives on a different space")
+        if not self.t_start <= t <= t_end <= self.t_end:
+            raise ValueError(f"{self._noun} window {self.window} does not cover ({t}, {t_end})")
+        return slice(t - self.t_start, t_end - self.t_start + 1)
 
     def slice_at(self, s: int) -> np.ndarray:
-        return self.values[self._index(s)]
+        return self.values[self._span(s, s).start]
 
     def _same_window(self, other) -> None:
         if other.space is not self.space or other.window != self.window:
@@ -105,7 +111,7 @@ class _Windowed:
 
     def restrict(self, new_start: int):
         """Restriction to the sub-window [new_start, t_end]; a density's cumulative restarts from 0."""
-        return type(self)._wrap(self.space, new_start, self.values[self._index(new_start):])
+        return type(self)._wrap(self.space, new_start, self.values[self._span(new_start, self.t_end)])
 
     def approx_eq(self, other, tol: float = DEFAULT_TOL) -> bool:
         same = other.space is self.space and other.window == self.window
@@ -117,6 +123,8 @@ class _Windowed:
 
 class AdaptedProcess(_Windowed):
     """Bounded adapted process on a time window: values[k, w] = X_{t_start+k}(w)."""
+
+    _noun = "position"
 
     @classmethod
     def constant(cls, space: FiniteFilteredSpace, t_start: int, t_end: int, c: float) -> "AdaptedProcess":
@@ -171,6 +179,8 @@ class DensityProcess(_Windowed):
     normalization are membership properties, queried via `membership`.
     """
 
+    _noun = "density"
+
     @classmethod
     def uniform(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "DensityProcess":
         L = t_end - t_start + 1
@@ -186,7 +196,7 @@ class DensityProcess(_Windowed):
             return self.total_mass()
         if s > self.t_end:
             return np.zeros(self.space.n_outcomes)
-        return self.values[self._index(s):].sum(axis=0)
+        return self.values[self._span(s, self.t_end)].sum(axis=0)
 
     def conditional_tail(self, theta: StoppingTime) -> np.ndarray:
         """Remaining conditional mass at the stopping time, per outcome.
@@ -248,17 +258,6 @@ class TerminalDensity:
         return f"TerminalDensity({np.array2string(self.h, precision=4)})"
 
 
-def _check_pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int) -> None:
-    if t > t_end:
-        raise ValueError(f"empty pairing window [{t}, {t_end}]")
-    if X.space is not a.space:
-        raise ValueError("position and density live on different spaces")
-    if not (X.t_start <= t and X.t_end >= t_end):
-        raise ValueError(f"position window {X.window} does not contain [{t}, {t_end}]")
-    if not (a.t_start <= t and a.t_end >= t_end):
-        raise ValueError(f"density window {a.window} does not contain [{t}, {t_end}]")
-
-
 def _pairings(space: FiniteFilteredSpace, x: np.ndarray, a: np.ndarray, t: int) -> np.ndarray:
     """Stacked pairings: (..., n, M) position slices at times t..t+n-1 against
     (..., n, M) increments, broadcast -> (..., atoms at t).
@@ -278,8 +277,7 @@ def pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int | None = No
     """Conditional billing of X against a: E(sum_{s=t}^{t_end} X_s delta a_s | F_t)."""
     if t_end is None:
         t_end = min(X.t_end, a.t_end)
-    _check_pairing(X, a, t, t_end)
-    return ConditionalValue(X.space, t, _pairings(X.space, X.values[X._span(t, t_end)], a.values[a._span(t, t_end)], t))
+    return ConditionalValue(X.space, t, _pairings(X.space, X.values[X._span(t, t_end)], a.values[a._span(t, t_end, X.space)], t))
 
 
 def remaining_mass(a: DensityProcess, t: int, t_end: int | None = None) -> ConditionalValue:

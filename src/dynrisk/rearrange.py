@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .processes import AdaptedProcess, DensityProcess, _check_pairing, _pairings, pairing
+from .processes import AdaptedProcess, DensityProcess, _pairings, pairing
 from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts
 
 PATH_TOL = 1e-12
@@ -222,8 +222,7 @@ class MaxCorrelationResult:
 def _class_pairings(cls: RearrangementClass, a: DensityProcess, t: int, t_end: int) -> np.ndarray:
     """(size, atoms at t): every member's pairing against a, in one pass over the stack."""
     rep = cls.representative
-    _check_pairing(rep, a, t, t_end)
-    return _pairings(rep.space, cls.values[:, rep._span(t, t_end)], a.values[a._span(t, t_end)], t)
+    return _pairings(rep.space, cls.values[:, rep._span(t, t_end)], a.values[a._span(t, t_end, rep.space)], t)
 
 
 def max_correlation(
@@ -253,12 +252,9 @@ def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int, t_end: int
     from scipy.optimize import linear_sum_assignment  # on use, so importing dynrisk skips scipy.optimize
     if t_end is None:
         t_end = X_hat.t_end
-    _check_pairing(X_hat, a, t, t_end)
     space = X_hat.space
-    k0 = X_hat._index(t)
-    k1 = X_hat._index(t_end)
-    paths = X_hat.values[k0 : k1 + 1].T  # (M, L) global multiset, one per outcome
-    incs = np.stack([a.slice_at(s) for s in range(t, t_end + 1)]).T  # (M, L)
+    paths = X_hat.values[X_hat._span(t, t_end)].T  # (M, L) global multiset, one per outcome
+    incs = a.values[a._span(t, t_end, space)].T  # (M, L)
     out = np.empty(space.n_atoms(t))
     for k, atom in enumerate(space.atoms(t)):
         idx = list(atom)
@@ -300,8 +296,7 @@ def is_comonotone(
     details = []
     ok = True
     for i, X in enumerate(family):
-        if X.window != (t, t_end):
-            raise ValueError("family members on different windows")
+        family[0]._same_window(X)
         cls = None if rearrangements is None else rearrangements[i]
         psi = max_correlation(a0, X, t, t_end, cap, rearrangement=cls).value.values
         direct = pairing(X, a0, t, t_end).values

@@ -75,13 +75,10 @@ class UtilityBase:
 
     def _window(self, X: AdaptedProcess, stack: np.ndarray | None = None) -> np.ndarray:
         """The (L, M) slices of X on the utility's window, or the (..., L, M)
-        slices of ``stack``, positions on X's window."""
-        if X.space is not self.space:
-            raise ValueError("position lives on a different space")
-        if X.t_start > self.t_start or X.t_end < self.t_end:
-            raise ValueError(f"position window {X.window} does not contain {self.window}")
+        slices of ``stack``, positions on X's window; X's window rule,
+        ``_span``, refuses a position off the utility's space or window."""
         vals = X.values if stack is None else stack
-        return vals[..., self.t_start - X.t_start : self.t_end - X.t_start + 1, :]
+        return vals[..., X._span(self.t_start, self.t_end, self.space), :]
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
         raise NotImplementedError
@@ -121,14 +118,12 @@ class DualFiniteUtility(UtilityBase):
         scenarios = [(a, g) for a, g in scenarios]
         if not scenarios:
             raise ValueError("need at least one scenario")
+        # (S, L, M) density increments on the window, (S, atoms) penalties
+        self._increments = np.stack([a.values[a._span(t_start, t_end, space)] for a, _ in scenarios])
         for i, (a, g) in enumerate(scenarios):
-            if a.space is not space or a.t_start > t_start or a.t_end < t_end:
-                raise ValueError(f"scenario {i} density window {a.window} does not cover {self.window}")
             if g.space is not space or g.time != t_start:
                 raise ValueError(f"scenario {i} penalty must live at t={t_start}")
         self.scenarios = scenarios
-        # (S, L, M) density increments on the window, (S, atoms) penalties
-        self._increments = np.stack([a.values[a._span(t_start, t_end)] for a, _ in scenarios])
         self._gamma = np.stack([g.values for _, g in scenarios])
         self._dead = np.isneginf(self._gamma)
         if validate:
@@ -264,21 +259,19 @@ def penalty(u: DualFiniteUtility, a: DensityProcess) -> ConditionalValue:
     return ConditionalValue(u.space, u.t_start, values)
 
 
-def _check_priceable(u: DualFiniteUtility, densities: Sequence[DensityProcess]) -> None:
-    """Both penalty routes need explicit scenarios and densities covering u's window."""
+def _check_priceable(u: DualFiniteUtility) -> None:
+    """Both penalty routes need explicit scenarios; each then slices its
+    densities through the window rule, ``_span``, before any LP."""
     if not isinstance(u, DualFiniteUtility):
         raise TypeError("penalty evaluation needs an explicit finite scenario set")
-    for a in densities:
-        if a.space is not u.space or a.t_start > u.t_start or a.t_end < u.t_end:
-            raise ValueError(f"density window {a.window} does not cover {u.window}")
 
 
 def _penalties(u: DualFiniteUtility, densities: Sequence[DensityProcess]) -> np.ndarray:
     """``penalty`` of every density at once: -> (K, atoms), all of them
     priced per atom against supports factored once on ``u``."""
-    _check_priceable(u, densities)
+    _check_priceable(u)
     t, T = u.t_start, u.t_end
-    C = u._coefficients(np.stack([a.values[t - a.t_start : T - a.t_start + 1] for a in densities]))
+    C = u._coefficients(np.stack([a.values[a._span(t, T, u.space)] for a in densities]))
     G = u._coefficients(u._increments)
     _, _, owner, _ = u._variables
     out = np.empty((len(densities), u.space.n_atoms(t)))
@@ -307,9 +300,10 @@ def penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> ConditionalValu
     """``penalty`` by its primal oracle: one LP per atom in a box of half-width
     1e6 * max(1, ``gamma_norm``), solved by vertex enumeration, with the box
     growing while the optimum escapes it and -inf where it keeps escaping."""
-    _check_priceable(u, [a])
+    _check_priceable(u)
     space = u.space
     t, T = u.t_start, u.t_end
+    a._span(t, T, space)  # the window rule, before any LP
     bound = 1e6 * max(1.0, u.gamma_norm())
 
     out = np.empty(space.n_atoms(t))
@@ -534,9 +528,7 @@ class UtilityProcess:
 
     def _positions(self, samples: Sequence[AdaptedProcess], t0: int) -> np.ndarray:
         """(S, L, M) slices of the positions on [t0, horizon]."""
-        if any(X.space is not self.space for X in samples):
-            raise ValueError("position lives on a different space")
-        rows = [X.values[X._index(t0):X._index(self.t_end) + 1] for X in samples]
+        rows = [X.values[X._span(t0, self.t_end, self.space)] for X in samples]
         return np.array(rows).reshape(len(rows), self.t_end - t0 + 1, self.space.n_outcomes)
 
     def _phi(self, t: int, vals: np.ndarray) -> np.ndarray:
@@ -609,7 +601,6 @@ def time_consistency_check(
         raise ValueError("samples must not be empty")
     # on exhaustive spaces the rows with min >= t are every stopping time from t, in order
     thetas, mode = _times_to_check(space, up.t_start, up.t_end)
-    constant = _times_to_check(space, up.t_start, up.t_end, deterministic=True)[0]
     # every (stopping time, sample) pair at once: one glue, then one fold per stage
     xs = up._positions(samples, up.t_start)
     glued = up._glue(thetas, xs)
@@ -628,8 +619,10 @@ def time_consistency_check(
         checked += res.size
         for k, idx in np.argwhere(res > tol):
             failures.append(f"t={t}, theta={thetas[sel][k].tolist()}, sample {idx}: residual {res[k, idx]:.3g}")
-    # stage collapse at deterministic times
-    res = np.abs(up._glue(constant, xs) - np.array(direct)).max(axis=-1)
+    # stage collapse at deterministic times: the constant rows of thetas, in time order
+    const = np.flatnonzero(thetas.min(axis=1) == thetas.max(axis=1))
+    const = const[np.argsort(thetas[const, 0], kind="stable")]
+    res = np.abs(glued[const] - np.array(direct)).max(axis=-1)
     worst = max(worst, float(res.max(initial=0.0)))
     checked += res.size
     for k, idx in np.argwhere(res > tol):

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .processes import AdaptedProcess, DensityProcess, _check_pairing, _pairings, mean_portfolio, membership, remaining_mass
+from .processes import AdaptedProcess, DensityProcess, _pairings, mean_portfolio, membership, remaining_mass
 from .rearrange import (
     RearrangementClass,
     _attains,
@@ -55,10 +55,8 @@ class Portfolio:
     def __post_init__(self):
         if not self.members:
             raise ValueError("empty portfolio")
-        first = self.members[0]
         for m in self.members[1:]:
-            if m.space is not first.space or m.window != first.window:
-                raise ValueError("portfolio members on different spaces or windows")
+            self.members[0]._same_window(m)
 
     @property
     def n(self) -> int:
@@ -105,6 +103,7 @@ def average_risk(
     ``max_correlation``: the oracle of every row of ``worst_scenario``'s table.
     """
     t, t_end = u.t_start, u.t_end
+    marginals.members[0]._span(t, t_end, u.space)  # marginals on u's space and window
     psi = [max_correlation(a, X, t, t_end, cap).value for X in marginals.members]
     return sum(psi[1:], psi[0]) * (1.0 / marginals.n) + penalty(u, a)
 
@@ -131,6 +130,7 @@ def worst_scenario(
         raise ValueError("empty candidate list")
     t, t_end = u.t_start, u.t_end
     space = u.space
+    marginals.members[0]._span(t, t_end, space)  # marginals on u's space and window
     # average_risk of every candidate: max correlations summed in marginal
     # order, penalties priced in one pass
     table = None
@@ -143,7 +143,7 @@ def worst_scenario(
     choice = _first_near_max(table)
 
     # glue the chosen candidates' increments along the window-start atoms
-    incs = np.stack([c.values[c._index(t) : c._index(t_end) + 1] for c in candidates])
+    incs = np.stack([c.values[c._span(t, t_end, space)] for c in candidates])
     glued = incs[np.array(choice)[space.atom_index(t)], :, np.arange(space.n_outcomes)].T
     return WorstScenarioResult(
         DensityProcess(space, t, glued), ConditionalValue(space, t, best), choice, bool(_attains(table, best).any())
@@ -379,13 +379,11 @@ def verify_linear_driven_portfolio(
     is provable for PSD-driven members when the mask is full; later stages
     are reported, not assumed.
     """
-    _check_pairing(portfolio.members[0], a, portfolio.t_start, portfolio.t_end)
     space = portfolio.space
     mask = np.ones(space.n_outcomes, dtype=bool) if event_mask is None else np.asarray(event_mask, dtype=bool)
-    masked = mask[None, :] * a.values
     stages = []
     for t in range(portfolio.t_start, portfolio.t_end + 1):
-        m_vals = masked[a._span(t, portfolio.t_end)]
+        m_vals = mask * a.values[a._span(t, portfolio.t_end, space)]
         worst_res = 0.0
         for X in portfolio.members:
             Xres = X.restrict(t)
@@ -777,11 +775,13 @@ def matrix_compare(
     from .random_gen import random_adapted
 
     A = np.asarray(A, dtype=float)
+    X_tilde.members[0]._span(u.t_start, u.t_end, u.space)  # tilde on u's space and window
+    X_tilde.members[0]._same_window(X_bar.members[0])  # bar on tilde's
     L = X_tilde.t_end - X_tilde.t_start + 1
     if A.shape != (L, L):
         raise ValueError(f"matrix shape {A.shape} does not match window length {L}")
-    if X_bar.window != X_tilde.window or X_bar.n != X_tilde.n:
-        raise ValueError("portfolios must share window and size")
+    if X_bar.n != X_tilde.n:
+        raise ValueError("portfolios must have the same number of members")
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
 
@@ -799,11 +799,12 @@ def matrix_compare(
         for _ in range(sample_count):
             X_raw = random_adapted(u.space, t, X_tilde.t_end, rng)
             try:
-                shift = -u.evaluate(apply_matrix(A, X_raw)).values
+                image = apply_matrix(A, X_raw)
             except ValueError:
                 hyp_acc = False
                 counterexample = "not tested (matrix image left the adapted class on a sampled position)"
                 break
+            shift = -u.evaluate(image).values
             X = X_raw.shift_by(ConditionalValue(u.space, t, shift))
             samples += 1
             phi_ax = u.evaluate(apply_matrix(A, X)).values

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,20 +7,40 @@ from hypothesis import given, settings, strategies as st
 
 from dynrisk import (
     AdaptedProcess,
+    ConditionalValue,
     DensityProcess,
+    DualFiniteUtility,
+    EntropicUtility,
     FiniteFilteredSpace,
+    Portfolio,
+    RobustEntropicUtility,
     StoppingTime,
     TerminalDensity,
+    argmax_density,
+    average_risk,
+    check_law_invariance,
     concatenate,
     dyadic_uniform,
+    entropic_process,
     enumerate_stopping_times,
+    is_comonotone,
+    lap_upper_bound,
     m1_closure,
+    matrix_compare,
+    matrix_sup,
+    max_correlation,
     membership,
     pairing,
     paste,
+    penalty,
+    penalty_vertices,
     project,
     remaining_mass,
     stability_check,
+    time_consistency_check,
+    verify_linear_driven_portfolio,
+    worst_portfolio_bruteforce,
+    worst_scenario,
 )
 from dynrisk.random_gen import random_adapted, random_density, random_space
 from dynrisk.space import enumerate_stopping_events
@@ -350,3 +371,79 @@ class TestRemainingMass:
         tail = remaining_mass(a, 1).lift()
         assert np.all(tail > 0)
         assert np.all(tail <= 1.0 + 1e-12)
+
+
+def position(sp):
+    """A position on window (0, 2) of ``dyadic_uniform(2)``."""
+    return AdaptedProcess(sp, 0, [[1, 1, 1, 1], [2, 2, -1, -1], [0, 3, 1, -2]])
+
+
+def dual(sp):
+    """A coherent one-scenario utility on window (0, 2)."""
+    return DualFiniteUtility(sp, 0, 2, [(DensityProcess.uniform(sp, 0, 2), ConditionalValue.constant(sp, 0, 0.0))])
+
+
+UTILITIES = {
+    "dual": dual,
+    "entropic": lambda sp: EntropicUtility(sp, 1.0, 0),
+    "robust": lambda sp: RobustEntropicUtility(sp, 1.0, [TerminalDensity(sp, [1.0] * 4)], 0),
+}
+
+# entry -> (noun of the object that does not fit, call on dyadic_uniform(2) with it);
+# a noun of None names an entry that holds the object to a fitting one's window
+MISFIT_CALLS = {
+    "pairing": ("density", lambda sp, a: pairing(position(sp), a, 0, 2)),
+    "max_correlation": ("density", lambda sp, a: max_correlation(a, position(sp), 0, 2)),
+    "lap_upper_bound": ("density", lambda sp, a: lap_upper_bound(a, position(sp), 0, 2)),
+    "is_comonotone": (None, lambda sp, X: is_comonotone(DensityProcess.uniform(sp, 0, 2), [position(sp), X])),
+    **{f"evaluate[{k}]": ("position", lambda sp, X, k=k: UTILITIES[k](sp).evaluate(X)) for k in UTILITIES},
+    **{f"insurance[{k}]": ("position", lambda sp, X, k=k: UTILITIES[k](sp).insurance(X)) for k in UTILITIES},
+    "DualFiniteUtility": ("density", lambda sp, a: DualFiniteUtility(sp, 0, 2, [(a, ConditionalValue.constant(sp, 0, 0.0))])),
+    "penalty": ("density", lambda sp, a: penalty(dual(sp), a)),
+    "penalty_vertices": ("density", lambda sp, a: penalty_vertices(dual(sp), a)),
+    "argmax_density": ("position", lambda sp, X: argmax_density(dual(sp), X)),
+    "check_law_invariance": ("position", lambda sp, X: check_law_invariance(dual(sp), X)),
+    "matrix_sup": ("position", lambda sp, X: matrix_sup(dual(sp), X, [np.eye(X.length)])),
+    "matrix_compare": ("position", lambda sp, X: matrix_compare(np.eye(X.length), dual(sp), Portfolio([X]), Portfolio([X]))),
+    "worst_scenario": ("density", lambda sp, a: worst_scenario([a], Portfolio([position(sp)]), dual(sp))),
+    "worst_scenario[marginals]": (
+        "position",
+        lambda sp, X: worst_scenario([DensityProcess.uniform(sp, 0, 2)], Portfolio([X]), dual(sp)),
+    ),
+    "average_risk": ("density", lambda sp, a: average_risk(a, Portfolio([position(sp)]), dual(sp))),
+    "average_risk[marginals]": (
+        "position",
+        lambda sp, X: average_risk(DensityProcess.uniform(sp, 0, 2), Portfolio([X]), dual(sp)),
+    ),
+    "worst_portfolio_bruteforce": ("position", lambda sp, X: worst_portfolio_bruteforce(Portfolio([X]), dual(sp))),
+    "verify_linear_driven_portfolio": ("density", lambda sp, a: verify_linear_driven_portfolio(Portfolio([position(sp)]), a)),
+    "time_consistency_check": ("position", lambda sp, X: time_consistency_check(entropic_process(sp, 1.0), samples=[X])),
+    "consistency_residual": (
+        "position",
+        lambda sp, X: entropic_process(sp, 1.0).consistency_residual(0, StoppingTime.constant(sp, 1), X),
+    ),
+    "Portfolio": (None, lambda sp, X: Portfolio([position(sp), X])),
+}
+
+
+@pytest.mark.parametrize("misfit", ["another-space", "late-window"])
+@pytest.mark.parametrize("entry", MISFIT_CALLS)
+def test_objects_that_do_not_fit_are_refused_by_the_window_rule(entry, misfit):
+    # another space: the uniform 4-outcome tree whose t=1 atoms are {0, 2} and {1, 3};
+    # a late window: (1, 2) where the entry needs (0, 2)
+    sp = dyadic_uniform(2)
+    noun, call = MISFIT_CALLS[entry]
+    if misfit == "another-space":
+        home, t_start = FiniteFilteredSpace([0.25] * 4, [[[0, 1, 2, 3]], [[0, 2], [1, 3]], [[0], [1], [2], [3]]]), 0
+    else:
+        home, t_start = sp, 1
+    rng = np.random.default_rng(5)
+    obj = random_density(home, t_start, 2, rng, strict=True) if noun == "density" else random_adapted(home, t_start, 2, rng)
+    if noun is None:
+        message = "processes live on different spaces or windows"
+    elif misfit == "another-space":
+        message = f"{noun} lives on a different space"
+    else:
+        message = f"{noun} window (1, 2) does not cover (0, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(sp, obj)

@@ -131,7 +131,7 @@ class TestMaxCorrelation:
         X = AdaptedProcess(dyadic_uniform(2), 0, [[0, 0, 0, 0], [2, 2, 1, 1], [1, 2, 5, 5]])
         a = random_density(dyadic_uniform(2), 0, 2, np.random.default_rng(3), strict=True)
         for bound in (max_correlation, lap_upper_bound):
-            with pytest.raises(ValueError, match="position and density live on different spaces"):
+            with pytest.raises(ValueError, match="density lives on a different space"):
                 bound(a, X, 0)
 
     def test_lap_equals_class_max_single_atom_swap(self, two_uniform):

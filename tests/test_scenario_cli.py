@@ -461,7 +461,7 @@ class TestCLI:
         [
             (
                 {"task": "evaluate", "name": "eval", "utility": "ent", "position": "late"},
-                "position window (1, 2) does not contain (0, 2)",
+                "position window (1, 2) does not cover (0, 2)",
             ),
             (
                 {"task": "penalty", "name": "pen", "utility": "coh", "density": "lateden"},
@@ -469,11 +469,11 @@ class TestCLI:
             ),
             (
                 {"task": "max-correlation", "name": "mc", "density": "gen1", "position": "pos1", "t": 5},
-                "empty pairing window [5, 2]",
+                "position window (0, 2) does not cover (5, 2)",
             ),
             (
                 {"task": "comonotone", "name": "co", "density": "gen1", "family": ["pos1", "late"]},
-                "family members on different windows",
+                "processes live on different spaces or windows",
             ),
             (
                 {"task": "worst-scenario", "name": "ws", "utility": "ent", "candidates": ["gen1"], "marginals": ["pos1"]},
@@ -481,7 +481,7 @@ class TestCLI:
             ),
             (
                 {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": ["pos1", "late"]},
-                "portfolio members on different spaces or windows",
+                "processes live on different spaces or windows",
             ),
             (
                 {"task": "verify-thm31", "name": "duality", "utility": "ent", "marginals": ["pos1"]},
@@ -495,6 +495,13 @@ class TestCLI:
                 {"task": "stability", "name": "stab", "densities": ["gen1", "lateden"]},
                 "different spaces or windows",
             ),
+            (
+                {
+                    "task": "matrix-compare", "name": "cmp", "utility": "ent", "tilde": ["late"], "bar": ["late"],
+                    "matrix": [[1, 0], [0, 1]], "expect": "guard",
+                },
+                "position window (1, 2) does not cover (0, 2)",
+            ),
         ],
         ids=[
             "evaluate-late-position",
@@ -506,6 +513,7 @@ class TestCLI:
             "duality-entropic-utility",
             "preservation-late-stage0",
             "stability-mixed-windows",
+            "matrix-compare-late-portfolios",
         ],
     )
     def test_objects_that_do_not_fit_are_input_errors(self, tmp_path, capsys, task, message):

@@ -205,7 +205,7 @@ class TestLinearDriven:
         a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
         port = build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], np.ones(4, dtype=bool))
         other = random_density(dyadic_uniform(2), 0, 2, np.random.default_rng(73), strict=True)
-        with pytest.raises(ValueError, match="position and density live on different spaces"):
+        with pytest.raises(ValueError, match="density lives on a different space"):
             verify_linear_driven_portfolio(port, other)
 
     def test_non_psd_rejected(self, four_tree):
@@ -475,6 +475,29 @@ class TestMatrix:
         tilde = Portfolio([AdaptedProcess.constant(four_tree, 0, 2, 1.0)])
         with pytest.raises(ValueError, match="match"):
             matrix_compare(np.eye(2), u, tilde, tilde)
+
+    def test_portfolios_off_the_utility_window_are_refused(self, four_tree):
+        # not a failed acceptance hypothesis: the utility cannot price them at all
+        u = EntropicUtility(four_tree, 1.0, 0)
+        late = Portfolio([AdaptedProcess(four_tree, 1, [[1, 1, 2, 2], [0, 3, 1, -2]])])
+        with pytest.raises(ValueError, match=r"position window \(1, 2\) does not cover \(0, 2\)"):
+            matrix_compare(np.eye(2), u, late, late)
+
+    def test_portfolios_on_another_space_are_refused(self, four_tree):
+        # with 2 I the conclusion is never tested, so nothing else would price them
+        u = EntropicUtility(four_tree, 1.0, 0)
+        other = Portfolio([AdaptedProcess.constant(dyadic_uniform(2), 0, 2, 1.0)])
+        with pytest.raises(ValueError, match="position lives on a different space"):
+            matrix_compare(2.0 * np.eye(3), u, other, other)
+
+    def test_bar_must_fit_tilde(self, four_tree):
+        u = EntropicUtility(four_tree, 1.0, 0)
+        tilde = Portfolio([AdaptedProcess.constant(four_tree, 0, 2, 1.0)])
+        late = Portfolio([AdaptedProcess.constant(four_tree, 1, 2, 1.0)])
+        with pytest.raises(ValueError, match="processes live on different spaces or windows"):
+            matrix_compare(np.eye(3), u, tilde, late)
+        with pytest.raises(ValueError, match="portfolios must have the same number of members"):
+            matrix_compare(np.eye(3), u, tilde, Portfolio(tilde.members * 2))
 
 
 class TestLawInvariance:
