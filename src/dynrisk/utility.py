@@ -19,9 +19,15 @@ leading batch shape:
 it.  ``argmax_density`` reads the dual features, and the worst-portfolio
 scan (``worstcase._batch_insurance``) takes the features of every class
 member once and combines their means per tuple, so a scanned value is the
-insurance value of that tuple's mean.  The time-consistency recursion
-(``UtilityProcess._glue`` and ``_fold``) stacks every (stopping time, sample)
-pair and calls each stage's kernel once per step.  The axiom sweeps
+insurance value of that tuple's mean.  The entropic families also screen
+a block of tuples at once: exp(alpha * mean) is the product of the
+members' exp(alpha * f_i / n), so ``_anchored`` factors each member once
+and ``_screen`` contracts the weight row with those factors per atom;
+``_screen_error`` bounds how far a screened value lies from the exact one,
+and the scan re-scores exactly every tuple that could be a chunk's max.
+The time-consistency recursion (``UtilityProcess._glue`` and ``_fold``)
+stacks every (stopping time, sample) pair and calls each stage's kernel
+once per step.  The axiom sweeps
 (``check_axioms``, ``_check_relevance``), ``worstcase.check_law_invariance``
 and ``worstcase.matrix_sup`` evaluate stacks of positions through the kernel.
 """
@@ -207,6 +213,51 @@ class _EntropicKernel(UtilityBase):
         # 0 - y, not -y, so an exact zero is +0.0 and reports print "0"
         return 0.0 - (m + np.log(s) - self._log_wsum) / self.alpha
 
+    def _anchored(self, feats: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """One member's factors for ``_screen``: (K, M) terminal features ->
+        E = exp(z - c), (K, M) in atom order, and c, (K, atoms), where
+        z = alpha f / n and c is each row's max on each atom."""
+        z = self.alpha * feats.take(self._order, axis=-1) / n
+        c = np.maximum.reduceat(z, self._starts, axis=-1)
+        return np.exp(z - c.take(self._seg, axis=-1)), c
+
+    def _screen(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+        """Insurance values of the means of every tuple of rows of the
+        ``_anchored`` parts, C order, through exp(alpha mean) = prod_i exp(z_i):
+        per atom the weight row contracted with E_1 x ... x E_n gives S, and
+        the value is (sum_i c_i + log S - log wsum) / alpha.
+
+        -> (tuples, atoms) values, and where S < tiny (underflowed or
+        subnormal).  Elsewhere a value is within ``_screen_error`` of the
+        tuple's exact insurance value."""
+        Es, cs = zip(*parts)
+        P = self._w[..., None, :]  # (..., rows, M), rows over the members but the last
+        for E in Es[:-1]:
+            P = (P[..., None, :] * E).reshape(*P.shape[:-2], -1, P.shape[-1])
+        bounds = np.append(self._starts, P.shape[-1])
+        S = np.stack([P[..., a:b] @ Es[-1][:, a:b].T for a, b in zip(bounds[:-1], bounds[1:])], axis=-1)
+        S = S.reshape(*S.shape[:-3], -1, S.shape[-1])
+        c = cs[0]
+        for ci in cs[1:]:
+            c = (c[:, None, :] + ci).reshape(-1, c.shape[-1])
+        with np.errstate(divide="ignore"):  # S = 0 gives -inf, and the tuple is re-scored
+            log_s = np.log(S)
+        return (c + log_s - self._log_wsum[..., None, :]) / self.alpha, S < np.finfo(float).tiny
+
+    def _screen_error(self, n: int, scale):
+        """Bound on |screen - exact insurance| wherever S >= tiny, for n
+        members whose features are at most ``scale`` in magnitude:
+        2^-49 (n + M + L) max(scale, 1/alpha), with M outcomes,
+        L = max(709, -log w_min) and w_min the least weight.
+
+        With eps = 2^-53: rounding z, c and the exact path's feature sum
+        costs O(n eps scale).  exp, the products and the M-term sums give S
+        and the exact path's s relative errors O((n + M) eps), and log adds
+        eps |log|, where |log S| <= 709 for tiny <= S <= 1 and |log s|,
+        |log wsum| <= -log w_min; these terms are divided by alpha."""
+        L = max(709.0, -np.log(self._w.min()))
+        return 2.0**-49 * (n + self._w.shape[-1] + L) * np.maximum(scale, 1.0 / self.alpha)
+
 
 class EntropicUtility(_EntropicKernel):
     """Conditional certainty equivalent of exponential utility; only the
@@ -238,6 +289,12 @@ class RobustEntropicUtility(_EntropicKernel):
     def _combine(self, feats: np.ndarray) -> np.ndarray:
         """Worst entropic value over the densities: (..., M) -> (..., atoms)."""
         return super()._combine(feats[..., None, :]).min(axis=-2)
+
+    def _screen(self, parts: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+        """One contraction per weight row, then the max: insurance reflects
+        the min of ``evaluate``."""
+        values, small = super()._screen(parts)
+        return values.max(axis=0), small.any(axis=0)
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
         return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))

@@ -38,6 +38,7 @@ from .utility import (
     EntropicUtility,
     UtilityBase,
     UtilityProcess,
+    _EntropicKernel,
     _check_relevance,
     _penalties,
     normalize_to_window,
@@ -169,27 +170,81 @@ CHUNK = 4096  # tuples per chunk of the scan
 
 
 def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
-    """Insurance values of the tuple means at flat indices lo..hi-1 of the
-    product of classes, as ``values(lo, hi)`` -> (hi - lo, atoms).
+    """Insurance values of the tuple means at an array of flat indices into
+    the product of classes, as ``values(flat)`` -> (len(flat), atoms).
 
     Features are linear, so a tuple mean's features are the mean of its
     members' features; those are computed once per class member.  Summed in
     member order and divided by n like ``mean_portfolio``, terminal-slice
     features equal those of the mean exactly, and the scanned value is the
-    tuple's own insurance value.
+    tuple's own insurance value.  ``values(np.arange(total))`` is the whole
+    table, the oracle of the scan.
     """
     feats = [u._features(u._window(cls.representative, cls.values)) for cls in classes]
     sizes = [cls.size for cls in classes]
     n = len(classes)
 
-    def values(lo: int, hi: int) -> np.ndarray:
-        idx = np.unravel_index(np.arange(lo, hi), sizes)
+    def values(flat: np.ndarray) -> np.ndarray:
+        idx = np.unravel_index(flat, sizes)
         acc = feats[0][idx[0]]
         for f, i in zip(feats[1:], idx[1:]):
             acc = acc + f[i]
         return 0.0 - u._combine(-(acc / n))  # reflected as in insurance
 
     return values
+
+
+def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Flat ranges of whole rows for the screened scan: ``(d, R, ranges)``.
+
+    d is the first class whose rows hold R <= ``chunk`` tuples, R the product
+    of the sizes after it.  A range fixes one row of every class before d and
+    takes max(1, chunk // R) rows of class d, so it is one product of rows.
+    """
+    d, R = 0, int(np.prod(sizes[1:]))
+    while R > chunk:
+        d += 1
+        R //= sizes[d]
+    step, row = R * max(1, chunk // R), R * sizes[d]
+    bases = range(0, row * int(np.prod(sizes[:d])), row)
+    return d, R, [(b + lo, b + min(lo + step, row)) for b in bases for lo in range(0, row, step)]
+
+
+def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
+    """The scan's flat ranges and its one chunk evaluator, ``chunk(lo, hi)``
+    -> (ascending flat indices, their ``_batch_insurance`` values): every
+    tuple of ``parallel.chunk_ranges`` for a dual utility or a scan of at
+    most ``CHUNK`` tuples, else the tuples of a ``_row_ranges`` range that
+    the screen keeps (see ``worst_portfolio_bruteforce``)."""
+    values = _batch_insurance(u, classes)
+    sizes = [c.size for c in classes]
+    total = int(np.prod(sizes))
+    if not isinstance(u, _EntropicKernel) or total <= CHUNK:
+
+        def every(lo: int, hi: int):
+            flat = np.arange(lo, hi)
+            return flat, values(flat)
+
+        return parallel.chunk_ranges(total, CHUNK), every
+
+    n = len(classes)
+    feats = [u._features(u._window(cls.representative, cls.values)) for cls in classes]
+    parts = [u._anchored(f, n) for f in feats]
+    scale = max(1.0, *(float(np.abs(f).max()) for f in feats))
+    d, R, ranges = _row_ranges(sizes, CHUNK)
+
+    def screened(lo: int, hi: int):
+        first = np.unravel_index(lo, sizes)
+        rows = [slice(i, i + 1) for i in first[:d]] + [slice(first[d], first[d] + (hi - lo) // R)]
+        rows += [slice(None)] * (n - d - 1)
+        screen, small = u._screen([(E[r], c[r]) for (E, c), r in zip(parts, rows)])
+        unsafe = small | ~np.isfinite(screen)
+        top = np.where(unsafe, -np.inf, screen).max(axis=0)
+        near = screen >= top - 2.0**9 * u._screen_error(n, np.maximum(scale, np.abs(top)))
+        flat = lo + np.flatnonzero(np.any(unsafe | near, axis=1))
+        return flat, values(flat)
+
+    return ranges, screened
 
 
 def worst_portfolio_bruteforce(
@@ -200,12 +255,29 @@ def worst_portfolio_bruteforce(
 ) -> WorstCaseResult:
     """Enumerate the product of rearrangement classes and take atom-wise sups.
 
-    The sup pass runs on ``workers`` threads over chunks of ``CHUNK`` flat
-    tuple indices; the lower index wins ties.  The first tuple that
-    ``_attains`` the sup on every atom is then sought in the chunks whose
-    best reaches it: the first such chunk alone, and only if it holds none,
-    the others in one pass on the threads.  On one atom the first always
-    holds one.  Results do not depend on the worker count.
+    The sup pass runs on ``workers`` threads over the chunks of ``_chunks``;
+    the lower index wins ties.  The first tuple that ``_attains`` the sup on
+    every atom is then sought in the chunks whose best reaches it: the first
+    such chunk alone, and only if it holds none, the others in one pass on
+    the threads.  On one atom the first always holds one.  Results do not
+    depend on the worker count or the chunking, and equal those of the whole
+    ``_batch_insurance`` table, bit for bit.
+
+    Both passes read a chunk through one evaluator.  It evaluates every
+    tuple for a dual utility (whose scenario-side formula is what
+    ``verify_theorem_3_1`` checks, so the scan must not use it) and for a
+    scan of at most ``CHUNK`` tuples.  An entropic chunk is a product of
+    class rows, screened by one ``_screen`` contraction per atom: exp(alpha
+    * mean) factors over the members.  Re-scored exactly are the tuples that
+    on some atom screen to a non-finite value, have S < tiny (underflowed or
+    subnormal), or screen within W of the chunk's screened max, taken over
+    the other tuples.  W is 2^9 times ``_screen_error`` at the scale
+    max(1, |that max|, largest |feature|), so at least 6e-10 max(1, |max|).
+    This is exact.  Every screened value not flagged is within the error
+    bound e of its exact value, and W > 1e-12 max(1, |sup|) + 2e.  So the
+    chunk's exact max and its first argmax screen within 2e of the screened
+    max and are re-scored.  Every tuple that ``_attains`` a sup the chunk
+    reaches screens within 1e-12 max(1, |sup|) + 2e of it and is re-scored.
     """
     t = u.t_start
     classes = [enumerate_class(X, cap) for X in marginals.members]
@@ -214,19 +286,19 @@ def worst_portfolio_bruteforce(
         raise CapExceededError(
             f"{total} tuples exceed cap {cap}; prune with the assignment-problem bound first"
         )
-    values = _batch_insurance(u, classes)
-    ranges = parallel.chunk_ranges(total, CHUNK)
+    ranges, chunk = _chunks(u, classes)
 
     def scan(lo: int, hi: int):
-        vals = values(lo, hi)
-        return vals.max(axis=0), vals.argmax(axis=0) + lo
+        flat, vals = chunk(lo, hi)
+        return vals.max(axis=0), flat[vals.argmax(axis=0)]
 
     bests, args = (np.stack(x) for x in zip(*parallel.map_chunks(scan, ranges, workers)))
     sup = bests.max(axis=0)
     arg = args[bests.argmax(axis=0), np.arange(sup.size)]  # the first chunk reaching the sup
 
     def attainers(lo: int, hi: int):
-        return lo + np.flatnonzero(_attains(values(lo, hi), sup))
+        flat, vals = chunk(lo, hi)
+        return flat[_attains(vals, sup)]
 
     # a batch is read only when the one before it holds no attainer
     near = [r for r, best in zip(ranges, bests) if _attains(best, sup)]
@@ -307,6 +379,13 @@ def verify_theorem_3_1(
     return Thm31Report(residual, equal, lhs.sup_value, ws.value, tuple_found is not None, tuple_found, attain_res, attains, tol)
 
 
+def _outcome_mask(event_mask, space: FiniteFilteredSpace) -> np.ndarray:
+    mask = np.asarray(event_mask, dtype=bool)
+    if mask.shape != (space.n_outcomes,):
+        raise ValueError(f"event_mask of shape {mask.shape} is not one entry per outcome ({space.n_outcomes})")
+    return mask
+
+
 def build_linear_driven_portfolio(
     a: DensityProcess,
     matrices: Sequence[np.ndarray],
@@ -321,7 +400,7 @@ def build_linear_driven_portfolio(
     """
     space = a.space
     L = a.length
-    mask = np.asarray(event_mask, dtype=bool)
+    mask = _outcome_mask(event_mask, space)
     members = []
     for i, (B, shift) in enumerate(zip(matrices, shifts)):
         B = np.asarray(B, dtype=float)
@@ -380,7 +459,7 @@ def verify_linear_driven_portfolio(
     are reported, not assumed.
     """
     space = portfolio.space
-    mask = np.ones(space.n_outcomes, dtype=bool) if event_mask is None else np.asarray(event_mask, dtype=bool)
+    mask = np.ones(space.n_outcomes, dtype=bool) if event_mask is None else _outcome_mask(event_mask, space)
     stages = []
     for t in range(portfolio.t_start, portfolio.t_end + 1):
         m_vals = mask * a.values[a._span(t, portfolio.t_end, space)]
@@ -777,6 +856,9 @@ def matrix_compare(
     A = np.asarray(A, dtype=float)
     X_tilde.members[0]._span(u.t_start, u.t_end, u.space)  # tilde on u's space and window
     X_tilde.members[0]._same_window(X_bar.members[0])  # bar on tilde's
+    if X_tilde.window != u.window:
+        # A acts on the portfolio window, the boundary shift is u's value at its start
+        raise ValueError(f"portfolio window {X_tilde.window} is not the utility window {u.window}")
     L = X_tilde.t_end - X_tilde.t_start + 1
     if A.shape != (L, L):
         raise ValueError(f"matrix shape {A.shape} does not match window length {L}")

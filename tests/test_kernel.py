@@ -5,8 +5,11 @@ one ``evaluate`` per position, ``insurance`` must be the reflected
 ``evaluate``, and the worst-portfolio scan, which combines averaged member
 features, must report values that the insurance of the reported tuple
 reproduces; its chunked sup pass and attainer search must report what one
-evaluation of the whole table reports, and ``worst_scenario``, which reads
-each class once, what one ``average_risk`` per candidate reports.  The
+evaluation of the whole table reports, also where the entropic families
+screen each chunk with one contraction and re-score only the tuples near its
+max, and the screen must keep its stated error bound.  ``worst_scenario``,
+which reads each class once, must report what one ``average_risk`` per
+candidate reports.  The
 time-consistency check, which stacks every (stopping time,
 sample) pair, must report what one check at a time reports, and so must the
 stability checks and the pasting closure, which stack every splice, against
@@ -197,22 +200,39 @@ def scan_instance(seed):
     return Portfolio(members), (dual, EntropicUtility(sp, float(g.choice([0.3, 1.0, 2.5])), t0))
 
 
+def scan_chunks(u, sizes, chunk):
+    """The scan's chunks, (lo, hi) in flat order: ``chunk`` tuples each for a
+    dual utility or a scan of at most ``chunk`` tuples, else products of whole
+    rows: with R <= chunk the tuples in a row of the first class d that has
+    such rows, a chunk starts at every max(1, chunk // R)-th row of class d
+    and at every row of the classes before it."""
+    total = int(np.prod(sizes))
+    if isinstance(u, DualFiniteUtility) or total <= chunk:
+        starts = list(range(0, total, chunk))
+    else:
+        d = next(d for d in range(len(sizes)) if np.prod(sizes[d + 1 :]) <= chunk)
+        R = int(np.prod(sizes[d + 1 :]))
+        starts = [f for f in range(0, total, R) if f // R % sizes[d] % max(1, chunk // R) == 0]
+    return list(zip(starts, starts[1:] + [total]))
+
+
 def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
     """The chunked sup pass and the search for the first uniform attainer report
-    what one ``_batch_insurance`` call over every tuple reports: the first
+    what one ``_batch_insurance`` evaluation of every tuple reports: the first
     argmax per atom and the first row that ``_attains`` the column max, at
     any worker count.  The table is the insurance of each tuple's mean.  The
     search reads the first chunk that reaches the sup alone and the others
-    only when that chunk holds no attainer."""
+    only when that chunk holds no attainer; each chunk read is one
+    evaluation, of every tuple or of those the entropic screen keeps."""
     monkeypatch.setattr(worstcase, "CHUNK", 5)
     batch_insurance, evaluated = worstcase._batch_insurance, []
 
     def counted(u, classes):
         values = batch_insurance(u, classes)
 
-        def count(lo, hi):
-            evaluated.append(lo)
-            return values(lo, hi)
+        def count(flat):
+            evaluated.append(flat)
+            return values(flat)
 
         return count
 
@@ -227,18 +247,19 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
             scans += 1
             label = f"seed {seed}, {type(u).__name__}"
             classes = [enumerate_class(X) for X in marg.members]
-            total = int(np.prod([c.size for c in classes]))
-            table = batch_insurance(u, classes)(0, total)
+            sizes = [c.size for c in classes]
+            total = int(np.prod(sizes))
+            table = batch_insurance(u, classes)(np.arange(total))
             sup = table.max(axis=0)
             hits = np.flatnonzero(_attains(table))
             for flat, row in enumerate(table):
-                tup = Portfolio([c.members[i] for c, i in zip(classes, np.unravel_index(flat, [c.size for c in classes]))])
+                tup = Portfolio([c.members[i] for c, i in zip(classes, np.unravel_index(flat, sizes))])
                 assert np.abs(u.insurance(tup.mean()).values - row).max() <= 1e-12, label
-            chunks = [(lo, lo + 5) for lo in range(0, total, 5)]
-            near = [lo for lo, hi in chunks if np.all(table[lo:hi].max(axis=0) >= sup - 1e-12 * np.maximum(1.0, np.abs(sup)))]
+            chunks = scan_chunks(u, sizes, 5)
+            near = [hi for lo, hi in chunks if np.all(table[lo:hi].max(axis=0) >= sup - 1e-12 * np.maximum(1.0, np.abs(sup)))]
             unattained += hits.size == 0
-            late += bool(hits.size) and hits[0] >= near[0] + 5
-            walked = 1 if hits.size and hits[0] < near[0] + 5 else len(near)
+            late += bool(hits.size) and hits[0] >= near[0]
+            walked = 1 if hits.size and hits[0] < near[0] else len(near)
             for workers in (1, 2):
                 evaluated.clear()
                 res = worst_portfolio_bruteforce(marg, u, workers=workers)
@@ -254,6 +275,123 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
     # both ends of the search are reached: an attainer past the first chunk that
     # reaches the sup (4 of 94 scans), and no attainer at all (22)
     assert late >= 3 and unattained >= 10, (scans, late, unattained)
+
+
+def assert_scan_is_the_table(marg, u, table, label):
+    """Sup bits, first argmax, uniform attainment and the attaining tuple of
+    the scan, at 1 and 2 workers, against the whole table."""
+    sup = table.max(axis=0)
+    hits = np.flatnonzero(_attains(table))
+    for workers in (1, 2):
+        res = worst_portfolio_bruteforce(marg, u, workers=workers)
+        assert np.array_equal(bits(res.sup_value.values), bits(sup)), label
+        assert res.per_atom_argmax == table.argmax(axis=0).tolist(), label
+        assert res.attained_uniformly == bool(hits.size), label
+        if hits.size:
+            want = res.tuple_at(int(hits[0])).members
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(res.attaining_tuple.members, want)), label
+        else:
+            assert res.attaining_tuple is None, label
+
+
+def screen_table(u, classes):
+    """The entropic screen of every tuple, whether its S fell below tiny, and
+    the screen's stated error bound."""
+    n = len(classes)
+    feats = [u._features(u._window(c.representative, c.values)) for c in classes]
+    screen, small = u._screen([u._anchored(f, n) for f in feats])
+    return screen, small, u._screen_error(n, max(float(np.abs(f).max()) for f in feats))
+
+
+def test_screened_scan_matches_the_whole_table(monkeypatch):
+    """The entropic scans screen each chunk with one contraction and re-score
+    the tuples near its screened max; they report, bit for bit, what the whole
+    ``_batch_insurance`` table reports, and so do the dual scans, which
+    evaluate every tuple.  The screen keeps its stated error bound wherever S
+    does not underflow, and underflow, alpha down to 1e-3 and values up to
+    1e6 are reached."""
+    scans = screened = split = underflow = 0
+    for seed in range(150):
+        g = np.random.default_rng([15, seed])
+        if seed % 3 == 0:
+            sp, t0 = THREE_TWO, int(g.integers(0, 2))
+        else:
+            sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
+            t0 = int(g.integers(0, sp.horizon + 1))
+        scale = float(10.0 ** g.integers(0, 7))
+        members = [random_adapted(sp, t0, sp.horizon, g, scale=scale) for _ in range(int(g.integers(1, 5)))]
+        classes = [enumerate_class(X) for X in members]
+        sizes = [c.size for c in classes]
+        total = int(np.prod(sizes))
+        if not 2 <= total <= 2000:
+            continue
+        alpha = float(g.choice([1e-3, 0.3, 1.0, 5.0, 50.0]))
+        family = ("dual", "entropic", "robust")[int(g.integers(0, 3))]
+        if family == "dual":
+            u = random_dual_utility(sp, t0, sp.horizon, g, n_scenarios=int(g.integers(1, 4)))
+        elif family == "entropic":
+            u = EntropicUtility(sp, alpha, t0)
+        else:
+            u = RobustEntropicUtility(sp, alpha, [random_terminal_density(sp, g) for _ in range(int(g.integers(1, 4)))], t0)
+        chunk = int(g.integers(2, 12))
+        monkeypatch.setattr(worstcase, "CHUNK", chunk)
+        label = f"seed {seed}, {family}, alpha {alpha}, scale {scale}, sizes {sizes}, CHUNK {chunk}"
+        table = worstcase._batch_insurance(u, classes)(np.arange(total))
+        scans += 1
+        if family != "dual":
+            screen, small, bound = screen_table(u, classes)
+            assert np.all(np.abs(screen - table)[~small] <= bound), label
+            underflow += bool(small.any())
+            # each chunk re-scores, with the table's bits, at least every tuple whose S underflowed
+            ranges, chunk_at = worstcase._chunks(u, classes)
+            for lo, hi in ranges:
+                flat, vals = chunk_at(lo, hi)
+                assert np.array_equal(bits(vals), bits(table[flat])), label
+                assert set(lo + np.flatnonzero(small[lo:hi].any(axis=1))) <= set(flat.tolist()), label
+            screened += total > chunk
+            split += total > chunk and np.prod(sizes[1:]) > chunk
+        assert_scan_is_the_table(Portfolio(members), u, table, label)
+    assert scans >= 60 and screened >= 30 and split >= 10 and underflow >= 5, (scans, screened, split, underflow)
+
+
+def test_screen_rescores_a_subnormal_tuple(monkeypatch):
+    """Two members peaking on opposite outcomes give S = exp(-720), a finite
+    screened value far below the chunk's max: only the S < tiny rule
+    re-scores it."""
+    monkeypatch.setattr(worstcase, "CHUNK", 2)
+    sp = FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1]]])
+    members = [AdaptedProcess(sp, 0, [[0.0, 0.0], v]) for v in ([1440.0, 0.0], [0.0, 1440.0])]
+    u = EntropicUtility(sp, 1.0, 0)
+    classes = [enumerate_class(X) for X in members]
+    screen, small, _ = screen_table(u, classes)
+    table = worstcase._batch_insurance(u, classes)(np.arange(4))
+    apart = np.flatnonzero(small[:, 0])
+    assert apart.size and np.all(np.isfinite(screen[apart])) and np.all(screen[apart] < table.max() - 100)
+    assert np.all(table[apart] == 720.0)
+    ranges, chunk_at = worstcase._chunks(u, classes)
+    rescored = np.concatenate([chunk_at(lo, hi)[0] for lo, hi in ranges])
+    assert set(apart.tolist()) <= set(rescored.tolist())
+    assert_scan_is_the_table(Portfolio(members), u, table, "subnormal S")
+
+
+@pytest.mark.parametrize("alpha", (1e-3, 0.3, 1.0, 5.0, 50.0))
+def test_screened_scan_of_integer_members(alpha):
+    """Three members with values 0-3 on a two-atom window: hundreds of
+    tuples tie at the sup on each atom, and at alpha = 1e-3 the screen's
+    error exceeds 1e-13.  Every chunk reaches the sup and no tuple attains
+    it on both atoms, so the walk reads every chunk.  The scan reports what
+    the whole table reports."""
+    sp = FiniteFilteredSpace(np.full(6, 1 / 6), [[tuple(range(6))], [(0, 1, 2), (3, 4, 5)], [(w,) for w in range(6)]])
+    g = np.random.default_rng(31)
+    members = [AdaptedProcess(sp, 1, [g.integers(0, 4, size=2)[sp.atom_index(1)], g.integers(0, 4, size=6)]) for _ in range(3)]
+    u = EntropicUtility(sp, alpha, 1)
+    classes = [enumerate_class(X) for X in members]
+    total = int(np.prod([c.size for c in classes]))
+    table = worstcase._batch_insurance(u, classes)(np.arange(total))
+    screen, small, bound = screen_table(u, classes)
+    assert total == 116_640 and np.all(np.abs(screen - table)[~small] <= bound)
+    assert not _attains(table).any()
+    assert_scan_is_the_table(Portfolio(members), u, table, f"alpha {alpha}")
 
 
 def test_attains_tolerance_is_relative_above_one():

@@ -502,6 +502,13 @@ class TestCLI:
                 },
                 "position window (1, 2) does not cover (0, 2)",
             ),
+            (
+                {
+                    "task": "matrix-compare", "name": "cmp", "utility": "lateent", "tilde": ["pos1"], "bar": ["pos1"],
+                    "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "expect": "guard",
+                },
+                "portfolio window (0, 2) is not the utility window (1, 2)",
+            ),
         ],
         ids=[
             "evaluate-late-position",
@@ -514,6 +521,7 @@ class TestCLI:
             "preservation-late-stage0",
             "stability-mixed-windows",
             "matrix-compare-late-portfolios",
+            "matrix-compare-early-portfolios",
         ],
     )
     def test_objects_that_do_not_fit_are_input_errors(self, tmp_path, capsys, task, message):
@@ -521,6 +529,7 @@ class TestCLI:
         doc = base_doc()
         doc["processes"]["late"] = {"t_start": 1, "values": [[1, 1, 2, 2], [0, 3, 1, -2]]}
         doc["densities"]["lateden"] = {"t_start": 1, "class": "De", "increments": [[0.5] * 4, [0.5] * 4]}
+        doc["utilities"]["lateent"] = {"variant": "entropic", "alpha": 1.0, "t_start": 1}
         doc["tasks"] = [task]
         code, _ = self.run_cli(tmp_path, doc)
         err = capsys.readouterr().err

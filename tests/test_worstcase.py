@@ -208,6 +208,15 @@ class TestLinearDriven:
         with pytest.raises(ValueError, match="density lives on a different space"):
             verify_linear_driven_portfolio(port, other)
 
+    def test_event_mask_of_the_wrong_length_rejected(self, four_tree):
+        a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
+        port = build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], np.ones(4, dtype=bool))
+        message = r"event_mask of shape \(2,\) is not one entry per outcome \(4\)"
+        with pytest.raises(ValueError, match=message):
+            verify_linear_driven_portfolio(port, a, [True, False])
+        with pytest.raises(ValueError, match=message):
+            build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], [True, False])
+
     def test_non_psd_rejected(self, four_tree):
         a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -482,6 +491,14 @@ class TestMatrix:
         late = Portfolio([AdaptedProcess(four_tree, 1, [[1, 1, 2, 2], [0, 3, 1, -2]])])
         with pytest.raises(ValueError, match=r"position window \(1, 2\) does not cover \(0, 2\)"):
             matrix_compare(np.eye(2), u, late, late)
+
+    def test_portfolios_starting_before_the_utility_are_refused(self):
+        # A acts on the portfolio window, the boundary shift is measured at the utility's start
+        sp = dyadic_uniform(2)
+        u = EntropicUtility(sp, 1.0, 1)
+        early = Portfolio([random_adapted(sp, 0, 2, np.random.default_rng(0))])
+        with pytest.raises(ValueError, match=r"portfolio window \(0, 2\) is not the utility window \(1, 2\)"):
+            matrix_compare(np.eye(3), u, early, early)
 
     def test_portfolios_on_another_space_are_refused(self, four_tree):
         # with 2 I the conclusion is never tested, so nothing else would price them
