@@ -43,7 +43,7 @@ a2 = DensityProcess(sp, 0, [[0.1, 0.1, 0.1, 0.1], [0.4, 0.4, 0.2, 0.2], [0.5, 0.
 zero = ConditionalValue.constant(sp, 0, 0.0)
 u = DualFiniteUtility(sp, 0, 2, [(a1, zero), (a2, zero)])
 
-# brute force over every pair of rearrangements, deterministic under workers
+# brute force over every pair of rearrangements, one serial scan (workers is ignored)
 wc = worst_portfolio_bruteforce(port, u, workers=2)
 print("worst-case insurance sup:", wc.sup_value.values, f"over {wc.search_size} tuples")
 print("attained by a single tuple uniformly:", wc.attained_uniformly)

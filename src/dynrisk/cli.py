@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("file")
     runp.add_argument("--only", default=None, help="run only the task with this name")
     runp.add_argument("--out", default=".", help="report output directory")
-    runp.add_argument("--workers", type=int, default=1)
+    runp.add_argument("--workers", type=int, default=1, help="accepted and ignored: the scans run on one thread")
     runp.add_argument("--seed", type=int, default=None, help="override all declared seeds")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:

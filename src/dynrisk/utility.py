@@ -180,8 +180,12 @@ class DualFiniteUtility(UtilityBase):
         return np.where(self._dead, np.inf, feats - self._gamma)
 
     def _combine(self, feats: np.ndarray) -> np.ndarray:
-        """Penalised min over scenarios: (..., S, atoms) -> (..., atoms)."""
-        return self._penalised(feats).min(axis=-2)
+        """Penalised min over scenarios, chained: (..., S, atoms) -> (..., atoms)."""
+        p = self._penalised(feats)
+        out = p[..., 0, :]
+        for i in range(1, p.shape[-2]):
+            out = np.minimum(out, p[..., i, :])
+        return out
 
     def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
         return ConditionalValue(self.space, self.t_start, self._combine(self._features(self._window(X))))

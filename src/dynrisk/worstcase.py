@@ -170,15 +170,17 @@ CHUNK = 4096  # tuples per chunk of the scan
 
 
 def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
-    """Insurance values of the tuple means at an array of flat indices into
-    the product of classes, as ``values(flat)`` -> (len(flat), atoms).
+    """Insurance values of tuple means in the product of classes, as
+    ``(feats, values, rows)``.
 
     Features are linear, so a tuple mean's features are the mean of its
-    members' features; those are computed once per class member.  Summed in
+    members' features; ``feats`` holds them once per class member.  Summed in
     member order and divided by n like ``mean_portfolio``, terminal-slice
     features equal those of the mean exactly, and the scanned value is the
-    tuple's own insurance value.  ``values(np.arange(total))`` is the whole
-    table, the oracle of the scan.
+    tuple's own insurance value.  ``values(flat)`` -> (len(flat), atoms)
+    gathers tuples by flat index, and ``values(np.arange(total))`` is the
+    whole table, the oracle of the scan; ``rows(sel)`` broadcasts one slice
+    of rows per class into their product, C order, with the same bits.
     """
     feats = [u._features(u._window(cls.representative, cls.values)) for cls in classes]
     sizes = [cls.size for cls in classes]
@@ -191,11 +193,17 @@ def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
             acc = acc + f[i]
         return 0.0 - u._combine(-(acc / n))  # reflected as in insurance
 
-    return values
+    def rows(sel: list[slice]) -> np.ndarray:
+        acc = feats[0][sel[0]]
+        for f, r in zip(feats[1:], sel[1:]):
+            acc = (acc[:, None] + f[r]).reshape(-1, *f.shape[1:])
+        return 0.0 - u._combine(-(acc / n))
+
+    return feats, values, rows
 
 
 def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """Flat ranges of whole rows for the screened scan: ``(d, R, ranges)``.
+    """Flat ranges of whole rows, the scan's chunks: ``(d, R, ranges)``.
 
     d is the first class whose rows hold R <= ``chunk`` tuples, R the product
     of the sizes after it.  A range fixes one row of every class before d and
@@ -211,33 +219,29 @@ def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int,
 
 
 def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
-    """The scan's flat ranges and its one chunk evaluator, ``chunk(lo, hi)``
-    -> (ascending flat indices, their ``_batch_insurance`` values): every
-    tuple of ``parallel.chunk_ranges`` for a dual utility or a scan of at
-    most ``CHUNK`` tuples, else the tuples of a ``_row_ranges`` range that
-    the screen keeps (see ``worst_portfolio_bruteforce``)."""
-    values = _batch_insurance(u, classes)
+    """The scan's ``_row_ranges`` ranges and its one chunk evaluator,
+    ``chunk(lo, hi)`` -> (ascending flat indices, their ``_batch_insurance``
+    values): every tuple of the range, broadcast from its class rows, for a
+    dual utility or a scan of at most ``CHUNK`` tuples, else the tuples that
+    the entropic screen keeps, gathered (see ``worst_portfolio_bruteforce``)."""
+    feats, values, rows = _batch_insurance(u, classes)
     sizes = [c.size for c in classes]
-    total = int(np.prod(sizes))
-    if not isinstance(u, _EntropicKernel) or total <= CHUNK:
-
-        def every(lo: int, hi: int):
-            flat = np.arange(lo, hi)
-            return flat, values(flat)
-
-        return parallel.chunk_ranges(total, CHUNK), every
-
     n = len(classes)
-    feats = [u._features(u._window(cls.representative, cls.values)) for cls in classes]
-    parts = [u._anchored(f, n) for f in feats]
-    scale = max(1.0, *(float(np.abs(f).max()) for f in feats))
     d, R, ranges = _row_ranges(sizes, CHUNK)
 
-    def screened(lo: int, hi: int):
+    def sel(lo: int, hi: int) -> list[slice]:
         first = np.unravel_index(lo, sizes)
-        rows = [slice(i, i + 1) for i in first[:d]] + [slice(first[d], first[d] + (hi - lo) // R)]
-        rows += [slice(None)] * (n - d - 1)
-        screen, small = u._screen([(E[r], c[r]) for (E, c), r in zip(parts, rows)])
+        out = [slice(i, i + 1) for i in first[:d]] + [slice(first[d], first[d] + (hi - lo) // R)]
+        return out + [slice(None)] * (n - d - 1)
+
+    if not isinstance(u, _EntropicKernel) or int(np.prod(sizes)) <= CHUNK:
+        return ranges, lambda lo, hi: (np.arange(lo, hi), rows(sel(lo, hi)))
+
+    parts = [u._anchored(f, n) for f in feats]
+    scale = max(1.0, *(float(np.abs(f).max()) for f in feats))
+
+    def screened(lo: int, hi: int):
+        screen, small = u._screen([(E[r], c[r]) for (E, c), r in zip(parts, sel(lo, hi))])
         unsafe = small | ~np.isfinite(screen)
         top = np.where(unsafe, -np.inf, screen).max(axis=0)
         near = screen >= top - 2.0**9 * u._screen_error(n, np.maximum(scale, np.abs(top)))
@@ -255,23 +259,23 @@ def worst_portfolio_bruteforce(
 ) -> WorstCaseResult:
     """Enumerate the product of rearrangement classes and take atom-wise sups.
 
-    The sup pass runs on ``workers`` threads over the chunks of ``_chunks``;
-    the lower index wins ties.  The first tuple that ``_attains`` the sup on
-    every atom is then sought in the chunks whose best reaches it: the first
-    such chunk alone, and only if it holds none, the others in one pass on
-    the threads.  On one atom the first always holds one.  Results do not
-    depend on the worker count or the chunking, and equal those of the whole
-    ``_batch_insurance`` table, bit for bit.
+    One serial pass takes the sup over the chunks of ``_chunks``; the lower
+    index wins ties.  The first tuple that ``_attains`` the sup on every atom
+    is then sought in the chunks whose best reaches it: the first such chunk
+    alone, and only if it holds none, the others in one more pass.  On one
+    atom the first always holds one.  Results do not depend on the chunking
+    and equal those of the whole ``_batch_insurance`` table, bit for bit.
+    ``workers`` is ignored (see ``parallel``); results never depended on it.
 
-    Both passes read a chunk through one evaluator.  It evaluates every
-    tuple for a dual utility (whose scenario-side formula is what
-    ``verify_theorem_3_1`` checks, so the scan must not use it) and for a
-    scan of at most ``CHUNK`` tuples.  An entropic chunk is a product of
-    class rows, screened by one ``_screen`` contraction per atom: exp(alpha
-    * mean) factors over the members.  Re-scored exactly are the tuples that
-    on some atom screen to a non-finite value, have S < tiny (underflowed or
-    subnormal), or screen within W of the chunk's screened max, taken over
-    the other tuples.  W is 2^9 times ``_screen_error`` at the scale
+    Both passes read a chunk, a product of class rows, through one
+    evaluator.  It evaluates every tuple on its own for a dual utility (whose
+    scenario-side formula is what ``verify_theorem_3_1`` checks, so the scan
+    must not use it) and for a scan of at most ``CHUNK`` tuples.  An
+    entropic chunk is screened by one ``_screen`` contraction per atom:
+    exp(alpha * mean) factors over the members.  Re-scored exactly are the
+    tuples that on some atom screen to a non-finite value, have S < tiny
+    (underflowed or subnormal), or screen within W of the chunk's screened
+    max, taken over the other tuples.  W is 2^9 times ``_screen_error`` at the scale
     max(1, |that max|, largest |feature|), so at least 6e-10 max(1, |max|).
     This is exact.  Every screened value not flagged is within the error
     bound e of its exact value, and W > 1e-12 max(1, |sup|) + 2e.  So the
@@ -292,7 +296,7 @@ def worst_portfolio_bruteforce(
         flat, vals = chunk(lo, hi)
         return vals.max(axis=0), flat[vals.argmax(axis=0)]
 
-    bests, args = (np.stack(x) for x in zip(*parallel.map_chunks(scan, ranges, workers)))
+    bests, args = (np.stack(x) for x in zip(*parallel.map_chunks(scan, ranges, 1)))
     sup = bests.max(axis=0)
     arg = args[bests.argmax(axis=0), np.arange(sup.size)]  # the first chunk reaching the sup
 
@@ -302,7 +306,7 @@ def worst_portfolio_bruteforce(
 
     # a batch is read only when the one before it holds no attainer
     near = [r for r, best in zip(ranges, bests) if _attains(best, sup)]
-    hits = (h for batch in (near[:1], near[1:]) for h in parallel.map_chunks(attainers, batch, workers))
+    hits = (h for batch in (near[:1], near[1:]) for h in parallel.map_chunks(attainers, batch, 1))
     first = next((int(h[0]) for h in hits if h.size), -1)
 
     result = WorstCaseResult(

@@ -200,20 +200,22 @@ def scan_instance(seed):
     return Portfolio(members), (dual, EntropicUtility(sp, float(g.choice([0.3, 1.0, 2.5])), t0))
 
 
-def scan_chunks(u, sizes, chunk):
-    """The scan's chunks, (lo, hi) in flat order: ``chunk`` tuples each for a
-    dual utility or a scan of at most ``chunk`` tuples, else products of whole
-    rows: with R <= chunk the tuples in a row of the first class d that has
-    such rows, a chunk starts at every max(1, chunk // R)-th row of class d
-    and at every row of the classes before it."""
+def scan_chunks(sizes, chunk):
+    """The scan's chunks, (lo, hi) in flat order, for every family: products
+    of whole rows.  With R <= chunk the tuples in a row of the first class d
+    that has such rows, a chunk starts at every max(1, chunk // R)-th row of
+    class d and at every row of the classes before it; a scan of at most
+    ``chunk`` tuples is one chunk."""
     total = int(np.prod(sizes))
-    if isinstance(u, DualFiniteUtility) or total <= chunk:
-        starts = list(range(0, total, chunk))
-    else:
-        d = next(d for d in range(len(sizes)) if np.prod(sizes[d + 1 :]) <= chunk)
-        R = int(np.prod(sizes[d + 1 :]))
-        starts = [f for f in range(0, total, R) if f // R % sizes[d] % max(1, chunk // R) == 0]
+    d = next(d for d in range(len(sizes)) if np.prod(sizes[d + 1 :]) <= chunk)
+    R = int(np.prod(sizes[d + 1 :]))
+    starts = [f for f in range(0, total, R) if f // R % sizes[d] % max(1, chunk // R) == 0]
     return list(zip(starts, starts[1:] + [total]))
+
+
+def whole_table(u, classes):
+    """One ``_batch_insurance`` evaluation of every tuple, the scan's oracle."""
+    return worstcase._batch_insurance(u, classes)[1](np.arange(int(np.prod([c.size for c in classes]))))
 
 
 def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
@@ -223,18 +225,22 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
     any worker count.  The table is the insurance of each tuple's mean.  The
     search reads the first chunk that reaches the sup alone and the others
     only when that chunk holds no attainer; each chunk read is one
-    evaluation, of every tuple or of those the entropic screen keeps."""
-    monkeypatch.setattr(worstcase, "CHUNK", 5)
+    evaluation: of every tuple, broadcast from the chunk's class rows, or of
+    the tuples the entropic screen keeps, gathered by flat index."""
+    monkeypatch.setattr(worstcase, "CHUNK", 4)
     batch_insurance, evaluated = worstcase._batch_insurance, []
 
     def counted(u, classes):
-        values = batch_insurance(u, classes)
+        feats, values, rows = batch_insurance(u, classes)
 
-        def count(flat):
-            evaluated.append(flat)
-            return values(flat)
+        def count(read):
+            def wrapped(arg):
+                evaluated.append(read.__name__)
+                return read(arg)
 
-        return count
+            return wrapped
+
+        return feats, count(values), count(rows)
 
     monkeypatch.setattr(worstcase, "_batch_insurance", counted)
     scans = late = unattained = 0
@@ -248,14 +254,15 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
             label = f"seed {seed}, {type(u).__name__}"
             classes = [enumerate_class(X) for X in marg.members]
             sizes = [c.size for c in classes]
-            total = int(np.prod(sizes))
-            table = batch_insurance(u, classes)(np.arange(total))
+            table = batch_insurance(u, classes)[1](np.arange(int(np.prod(sizes))))
             sup = table.max(axis=0)
             hits = np.flatnonzero(_attains(table))
             for flat, row in enumerate(table):
                 tup = Portfolio([c.members[i] for c, i in zip(classes, np.unravel_index(flat, sizes))])
                 assert np.abs(u.insurance(tup.mean()).values - row).max() <= 1e-12, label
-            chunks = scan_chunks(u, sizes, 5)
+            chunks = scan_chunks(sizes, 4)
+            assert worstcase._chunks(u, classes)[0] == chunks, label
+            every = isinstance(u, DualFiniteUtility) or np.prod(sizes) <= 4
             near = [hi for lo, hi in chunks if np.all(table[lo:hi].max(axis=0) >= sup - 1e-12 * np.maximum(1.0, np.abs(sup)))]
             unattained += hits.size == 0
             late += bool(hits.size) and hits[0] >= near[0]
@@ -264,6 +271,7 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
                 evaluated.clear()
                 res = worst_portfolio_bruteforce(marg, u, workers=workers)
                 assert len(evaluated) == len(chunks) + walked, label
+                assert set(evaluated) == {"rows" if every else "values"}, label
                 assert np.array_equal(bits(res.sup_value.values), bits(sup)), label
                 assert res.per_atom_argmax == table.argmax(axis=0).tolist(), label
                 assert res.attained_uniformly == bool(hits.size), label
@@ -273,7 +281,7 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
                 else:
                     assert res.attaining_tuple is None, label
     # both ends of the search are reached: an attainer past the first chunk that
-    # reaches the sup (4 of 94 scans), and no attainer at all (22)
+    # reaches the sup (5 of 94 scans), and no attainer at all (22)
     assert late >= 3 and unattained >= 10, (scans, late, unattained)
 
 
@@ -306,11 +314,12 @@ def screen_table(u, classes):
 def test_screened_scan_matches_the_whole_table(monkeypatch):
     """The entropic scans screen each chunk with one contraction and re-score
     the tuples near its screened max; they report, bit for bit, what the whole
-    ``_batch_insurance`` table reports, and so do the dual scans, which
-    evaluate every tuple.  The screen keeps its stated error bound wherever S
-    does not underflow, and underflow, alpha down to 1e-3 and values up to
-    1e6 are reached."""
-    scans = screened = split = underflow = 0
+    ``_batch_insurance`` table reports, and so do the dual scans, which read
+    every tuple of each chunk of whole rows.  The screen keeps its stated
+    error bound wherever S does not underflow, and underflow, alpha down to
+    1e-3 and values up to 1e6 are reached; dual scans reach rows of the first
+    class longer than ``CHUNK`` and one-member portfolios."""
+    scans = screened = split = underflow = dual_split = dual_single = 0
     for seed in range(150):
         g = np.random.default_rng([15, seed])
         if seed % 3 == 0:
@@ -336,14 +345,23 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
         chunk = int(g.integers(2, 12))
         monkeypatch.setattr(worstcase, "CHUNK", chunk)
         label = f"seed {seed}, {family}, alpha {alpha}, scale {scale}, sizes {sizes}, CHUNK {chunk}"
-        table = worstcase._batch_insurance(u, classes)(np.arange(total))
+        table = whole_table(u, classes)
         scans += 1
-        if family != "dual":
+        ranges, chunk_at = worstcase._chunks(u, classes)
+        assert ranges == scan_chunks(sizes, chunk), label
+        if family == "dual":
+            # each chunk reads every tuple of its rows, with the table's bits
+            for lo, hi in ranges:
+                flat, vals = chunk_at(lo, hi)
+                assert np.array_equal(flat, np.arange(lo, hi)), label
+                assert np.array_equal(bits(vals), bits(table[lo:hi])), label
+            dual_split += np.prod(sizes[1:]) > chunk
+            dual_single += len(sizes) == 1
+        else:
             screen, small, bound = screen_table(u, classes)
             assert np.all(np.abs(screen - table)[~small] <= bound), label
             underflow += bool(small.any())
             # each chunk re-scores, with the table's bits, at least every tuple whose S underflowed
-            ranges, chunk_at = worstcase._chunks(u, classes)
             for lo, hi in ranges:
                 flat, vals = chunk_at(lo, hi)
                 assert np.array_equal(bits(vals), bits(table[flat])), label
@@ -352,6 +370,7 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
             split += total > chunk and np.prod(sizes[1:]) > chunk
         assert_scan_is_the_table(Portfolio(members), u, table, label)
     assert scans >= 60 and screened >= 30 and split >= 10 and underflow >= 5, (scans, screened, split, underflow)
+    assert dual_split >= 10 and dual_single >= 5, (dual_split, dual_single)
 
 
 def test_screen_rescores_a_subnormal_tuple(monkeypatch):
@@ -364,7 +383,7 @@ def test_screen_rescores_a_subnormal_tuple(monkeypatch):
     u = EntropicUtility(sp, 1.0, 0)
     classes = [enumerate_class(X) for X in members]
     screen, small, _ = screen_table(u, classes)
-    table = worstcase._batch_insurance(u, classes)(np.arange(4))
+    table = whole_table(u, classes)
     apart = np.flatnonzero(small[:, 0])
     assert apart.size and np.all(np.isfinite(screen[apart])) and np.all(screen[apart] < table.max() - 100)
     assert np.all(table[apart] == 720.0)
@@ -387,7 +406,7 @@ def test_screened_scan_of_integer_members(alpha):
     u = EntropicUtility(sp, alpha, 1)
     classes = [enumerate_class(X) for X in members]
     total = int(np.prod([c.size for c in classes]))
-    table = worstcase._batch_insurance(u, classes)(np.arange(total))
+    table = whole_table(u, classes)
     screen, small, bound = screen_table(u, classes)
     assert total == 116_640 and np.all(np.abs(screen - table)[~small] <= bound)
     assert not _attains(table).any()
@@ -1145,6 +1164,43 @@ def test_dual_kernel_is_the_penalised_min_of_pairings_bitwise():
 
             assert np.array_equal(bits(u.evaluate(Y).values), bits(oracle(Y))), f"seed {seed}"
             assert np.array_equal(bits(u.insurance(Y).values), bits(0.0 - oracle(-Y))), f"seed {seed}"
+
+
+def test_chained_dual_min_is_the_strided_min_bitwise():
+    """``DualFiniteUtility._combine`` takes the min over scenarios as a chain
+    of ``np.minimum``; it gives the bits of ``_penalised(feats).min(axis=-2)``
+    on one scenario, on scenarios knocked out by -inf penalties, on feature
+    stacks with 1 and 3 leading dimensions, and on features that are +0.0 or
+    -0.0 at random, where coherent scenarios tie at zero.  The insurance of
+    such features is +0.0 wherever it is zero.  Below 9 scenarios: at one
+    atom and 9 or more, numpy's reduction is a contiguous SIMD one that
+    picks between tied zeros in its own order."""
+    single = dead = ties = 0
+    for seed in range(60):
+        g = np.random.default_rng([16, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3)
+        t, T = int(g.integers(0, sp.horizon + 1)), sp.horizon
+        make = random_coherent_utility if seed % 3 == 0 else random_dual_utility
+        u = make(sp, t, T, g, n_scenarios=int(g.integers(1, 6)))
+        if len(u.scenarios) > 1 and seed % 2:  # scenario 0 keeps an atom alive
+            a, gam = u.scenarios[-1]
+            knocked = np.where(g.random(sp.n_atoms(t)) < 0.5, -np.inf, gam.values)
+            u = DualFiniteUtility(sp, t, T, u.scenarios[:-1] + [(a, ConditionalValue(sp, t, knocked))])
+        S, A = len(u.scenarios), sp.n_atoms(t)
+        single += S == 1
+        dead += bool(u._dead.any())
+        for lead in ((int(g.integers(1, 40)),), tuple(int(k) for k in g.integers(1, 5, size=3))):
+            signed_zeros = np.where(g.random(lead + (S, A)) < 0.5, 0.0, -0.0)
+            for feats in (g.normal(size=lead + (S, A)), signed_zeros):
+                label = f"seed {seed}, {S} scenarios, {A} atoms, lead {lead}"
+                got = u._combine(feats)
+                assert got.shape == lead + (A,), label
+                assert np.array_equal(bits(got), bits(u._penalised(feats).min(axis=-2))), label
+                insured = 0.0 - u._combine(-feats)
+                assert not np.any(bits(insured) == bits(-0.0)), label
+            p = bits(u._penalised(signed_zeros))
+            ties += bool(np.any((p == bits(0.0)).any(axis=-2) & (p == bits(-0.0)).any(axis=-2)))
+    assert single >= 5 and dead >= 5 and ties >= 10, (single, dead, ties)
 
 
 def oracle_preservation_hypotheses(up):
