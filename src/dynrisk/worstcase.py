@@ -9,6 +9,7 @@ conclusion and report residuals instead of silently clamping.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -170,8 +171,7 @@ CHUNK = 4096  # tuples per chunk of the scan
 
 
 def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
-    """Insurance values of tuple means in the product of classes, as
-    ``(feats, values, rows)``.
+    """``(feats, values, rows)``: insurance values of tuple means of classes.
 
     Features are linear, so a tuple mean's features are the mean of its
     members' features; ``feats`` holds them once per class member.  Summed in
@@ -209,12 +209,12 @@ def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int,
     of the sizes after it.  A range fixes one row of every class before d and
     takes max(1, chunk // R) rows of class d, so it is one product of rows.
     """
-    d, R = 0, int(np.prod(sizes[1:]))
+    d, R = 0, math.prod(sizes[1:])
     while R > chunk:
         d += 1
         R //= sizes[d]
     step, row = R * max(1, chunk // R), R * sizes[d]
-    bases = range(0, row * int(np.prod(sizes[:d])), row)
+    bases = range(0, row * math.prod(sizes[:d]), row)
     return d, R, [(b + lo, b + min(lo + step, row)) for b in bases for lo in range(0, row, step)]
 
 
@@ -222,8 +222,8 @@ def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
     """The scan's ``_row_ranges`` ranges and its one chunk evaluator,
     ``chunk(lo, hi)`` -> (ascending flat indices, their ``_batch_insurance``
     values): every tuple of the range, broadcast from its class rows, for a
-    dual utility or a scan of at most ``CHUNK`` tuples, else the tuples that
-    the entropic screen keeps, gathered (see ``worst_portfolio_bruteforce``)."""
+    dual utility or a scan of at most ``CHUNK`` tuples, else the tuples of
+    the range that the screen keeps (see ``worst_portfolio_bruteforce``)."""
     feats, values, rows = _batch_insurance(u, classes)
     sizes = [c.size for c in classes]
     n = len(classes)
@@ -234,7 +234,7 @@ def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
         out = [slice(i, i + 1) for i in first[:d]] + [slice(first[d], first[d] + (hi - lo) // R)]
         return out + [slice(None)] * (n - d - 1)
 
-    if not isinstance(u, _EntropicKernel) or int(np.prod(sizes)) <= CHUNK:
+    if not isinstance(u, _EntropicKernel) or math.prod(sizes) <= CHUNK:
         return ranges, lambda lo, hi: (np.arange(lo, hi), rows(sel(lo, hi)))
 
     parts = [u._anchored(f, n) for f in feats]
@@ -267,21 +267,21 @@ def worst_portfolio_bruteforce(
     and equal those of the whole ``_batch_insurance`` table, bit for bit.
     ``workers`` is ignored (see ``parallel``); results never depended on it.
 
-    Both passes read a chunk, a product of class rows, through one
-    evaluator.  It evaluates every tuple on its own for a dual utility (whose
+    Both passes read a chunk, a product of class rows, through one evaluator.
+    It evaluates every tuple on its own for a dual utility (whose
     scenario-side formula is what ``verify_theorem_3_1`` checks, so the scan
-    must not use it) and for a scan of at most ``CHUNK`` tuples.  An
-    entropic chunk is screened by one ``_screen`` contraction per atom:
-    exp(alpha * mean) factors over the members.  Re-scored exactly are the
-    tuples that on some atom screen to a non-finite value, have S < tiny
-    (underflowed or subnormal), or screen within W of the chunk's screened
-    max, taken over the other tuples.  W is 2^9 times ``_screen_error`` at the scale
-    max(1, |that max|, largest |feature|), so at least 6e-10 max(1, |max|).
-    This is exact.  Every screened value not flagged is within the error
-    bound e of its exact value, and W > 1e-12 max(1, |sup|) + 2e.  So the
-    chunk's exact max and its first argmax screen within 2e of the screened
-    max and are re-scored.  Every tuple that ``_attains`` a sup the chunk
-    reaches screens within 1e-12 max(1, |sup|) + 2e of it and is re-scored.
+    must not use it) and for a scan of at most ``CHUNK`` tuples.  An entropic
+    chunk is screened by one ``_screen`` contraction per atom: exp(alpha *
+    mean) factors over the members.  Re-scored exactly are the tuples that on
+    some atom screen to a non-finite value, have S < tiny (underflowed or
+    subnormal), or screen within W of the chunk's screened max, taken over the
+    other tuples.  W is 2^9 times ``_screen_error`` at the scale max(1, |that
+    max|, largest |feature|), so at least 6e-10 max(1, |max|).  This is exact.
+    Every screened value not flagged is within the error bound e of its exact
+    value, and W > 1e-12 max(1, |sup|) + 2e.  So the chunk's exact max and its
+    first argmax screen within 2e of the screened max and are re-scored.
+    Every tuple that ``_attains`` a sup the chunk reaches screens within 1e-12
+    max(1, |sup|) + 2e of it and is re-scored.
     """
     t = u.t_start
     classes = [enumerate_class(X, cap) for X in marginals.members]

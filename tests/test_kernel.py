@@ -4,10 +4,11 @@
 one ``evaluate`` per position, ``insurance`` must be the reflected
 ``evaluate``, and the worst-portfolio scan, which combines averaged member
 features, must report values that the insurance of the reported tuple
-reproduces; its chunked sup pass and attainer search must report what one
-evaluation of the whole table reports, also where the entropic families
-screen each chunk with one contraction and re-score only the tuples near its
-max, and the screen must keep its stated error bound.  ``worst_scenario``,
+reproduces; its sup pass and attainer search over chunks of whole class
+rows must report what one evaluation of the whole table reports, also where
+the entropic families screen each chunk with one contraction and re-score
+only the tuples near its max, and the screen must keep its stated error
+bound.  ``worst_scenario``,
 which reads each class once, must report what one ``average_risk`` per
 candidate reports.  The
 time-consistency check, which stacks every (stopping time,
@@ -22,7 +23,8 @@ and with HiGHS on the same dual, and pricing a stack of densities must give
 the bits of one call per density.  The axiom sweeps, the law-invariance
 check and the matrix sup, which evaluate stacks of positions, must report
 what one public ``evaluate`` per sample, member or matrix reports, and the
-dual kernel must give the bits of the penalised min of per-scenario pairings.
+dual kernel must give the bits of the penalised min of per-scenario pairings,
+its chained min those of numpy's reduction over scenarios.
 """
 
 import itertools
