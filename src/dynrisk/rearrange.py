@@ -5,6 +5,13 @@ same path-vector law.  With non-uniform probabilities, paths are only permuted
 within groups of outcomes of equal probability; the restriction is recorded on
 the class.
 
+``enumerate_class`` backtracks outcome by outcome over tables that the space
+builds once per window and caches (``FiniteFilteredSpace.arrangement_layout``:
+the probability levels and each outcome's atom links).  A process whose
+every level holds one distinct path has a class of one member, returned
+without search; otherwise the search records pool indices and the stack is
+one gather.
+
 A class keeps its members' values as one ``(size, L, M)`` stack, and each
 member is a read-only view into it, built without revalidation because the
 enumeration only emits adapted arrangements.  Pairings of a whole class
@@ -16,13 +23,15 @@ attainers and the linear-driven stage checks all read it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Sequence
 
 import numpy as np
 
 from .processes import AdaptedProcess, DensityProcess, _pairings, pairing
-from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts
+from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts, _probability_levels
 
 PATH_TOL = 1e-12
 
@@ -70,24 +79,12 @@ class RearrangementClass:
         return len(self.members)
 
 
-def _stacked_class(X_hat: AdaptedProcess, rows: list[np.ndarray], restricted: bool) -> RearrangementClass:
+def _stacked_class(X_hat: AdaptedProcess, rows: np.ndarray | list, restricted: bool) -> RearrangementClass:
     """A class whose members are read-only views into one stack of adapted arrangements."""
-    values = np.array(rows, dtype=float).reshape((len(rows),) + X_hat.values.shape)
+    values = np.asarray(rows, dtype=float).reshape((len(rows),) + X_hat.values.shape)
     values.flags.writeable = False
     members = [AdaptedProcess._wrap(X_hat.space, X_hat.t_start, v) for v in values]
     return RearrangementClass(X_hat, members, restricted, values)
-
-
-def _probability_levels(space, tol: float = PATH_TOL) -> list[list[int]]:
-    """Outcomes grouped by probability value; singleton list when uniform."""
-    order = np.argsort(space.probs, kind="stable")
-    levels: list[list[int]] = []
-    for w in order:
-        if levels and abs(space.probs[levels[-1][-1]] - space.probs[w]) <= tol:
-            levels[-1].append(int(w))
-        else:
-            levels.append([int(w)])
-    return levels
 
 
 def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementClass:
@@ -100,71 +97,83 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
     spread (max minus min) by at most ``PATH_TOL``, the test of
     ``_Windowed`` and of the brute-force oracle, so members are adapted by
     construction and are built without revalidation.
+
+    The levels and each outcome's atom links come from the space's cached
+    ``arrangement_layout``.  Each level's pool holds its distinct paths,
+    sorted, each the first row of its group within ``PATH_TOL``, and members
+    carry the pools' rows, not X_hat's.  When every pool holds one path, the
+    class is that one arrangement (none if it spreads on an atom), returned
+    without search.  Otherwise the search records a row of pool indices per
+    member and the stack is one gather from the pools.  More than ``cap``
+    members raise ``CapExceededError``.
     """
     space = X_hat.space
     M, L = space.n_outcomes, X_hat.length
-    levels = _probability_levels(space)
-    level_of = np.empty(M, dtype=int)
-    for li, lev in enumerate(levels):
-        level_of[lev] = li
-    # per level: list of distinct paths with multiplicities
-    level_pool: list[list[tuple[np.ndarray, int]]] = []
+    levels, level_of, links, free = space.arrangement_layout(X_hat.t_start, X_hat.t_end)
+    cols = X_hat.values.T.tolist()  # one path per outcome
+    # paths: every level's pool in turn, with multiplicities in counts
+    paths: list[list[float]] = []
+    counts: list[int] = []
+    pools: list[range] = []
     for lev in levels:
-        pool: list[tuple[np.ndarray, int]] = []
-        rows = sorted((X_hat.values[:, w] for w in lev), key=lambda r: tuple(r))
-        for row in rows:
-            if pool and np.abs(pool[-1][0] - row).max() <= PATH_TOL:
-                pool[-1] = (pool[-1][0], pool[-1][1] + 1)
+        first = len(paths)
+        for row in sorted([cols[w] for w in lev]):
+            if len(paths) > first and max(map(abs, map(sub, paths[-1], row))) <= PATH_TOL:
+                counts[-1] += 1
             else:
-                pool.append((row, 1))
-        level_pool.append(pool)
-    # as float lists: the pruning loop below reads them one value at a time
-    paths = [[row.tolist() for row, _ in pool] for pool in level_pool]
+                paths.append(row)
+                counts.append(1)
+        pools.append(range(first, len(paths)))
 
-    # prev[k][w]: the previous outcome of w's atom at time t_start + k, or -1;
-    # hi/lo[k][w]: the max and min of the values placed on that atom up to w
-    prev = [[-1] * M for _ in range(L)]
-    for k in range(L):
-        for atom in space.atoms(X_hat.t_start + k):
-            for p, w in zip(atom, atom[1:]):
-                prev[k][w] = p
-    hi = [[0.0] * M for _ in range(L)]
-    lo = [[0.0] * M for _ in range(L)]
+    # hi/lo[slot]: the max and min of the values placed so far on the slot's
+    # atom, up to the slot's outcome
+    hi = [0.0] * (M * L)
+    lo = [0.0] * (M * L)
 
-    counts = [[c for _, c in pool] for pool in level_pool]
-    assigned = np.empty((L, M))
-    found: list[np.ndarray] = []
+    def fits(w: int, path: list[float]) -> bool:
+        for k, p, s in links[w]:
+            x, h, l = path[k], hi[p], lo[p]
+            if x > h:
+                h = x
+            elif x < l:
+                l = x
+            if h - l > PATH_TOL:
+                return False
+            hi[s] = h
+            lo[s] = l
+        for k, s in free[w]:
+            hi[s] = lo[s] = path[k]
+        return True
+
+    if len(paths) == len(levels):  # one path per level: one arrangement, a member if adapted
+        member = [paths[li] for li in level_of]
+        if not all(fits(w, path) for w, path in enumerate(member)):
+            return _stacked_class(X_hat, np.empty((0, L, M)), len(levels) > 1)
+        if cap < 1:
+            raise CapExceededError(f"rearrangement class exceeds cap {cap}")
+        return _stacked_class(X_hat, [list(zip(*member))], len(levels) > 1)
+
+    row = array("q", bytes(8 * M))  # the pool index placed on each outcome
+    found = array("q")  # the rows of the members found, back to back
+    limit = cap * M  # len(found) when cap members are found
 
     def place(w: int) -> None:
-        if w == M:
-            if len(found) >= cap:
-                raise CapExceededError(f"rearrangement class exceeds cap {cap}")
-            found.append(assigned.copy())
-            return
-        li = level_of[w]
-        for pi, path in enumerate(paths[li]):
-            if counts[li][pi] == 0:
-                continue
-            ok = True
-            for k in range(L):
-                x = path[k]
-                p = prev[k][w]
-                h = x if p < 0 else max(hi[k][p], x)
-                l = x if p < 0 else min(lo[k][p], x)
-                if h - l > PATH_TOL:
-                    ok = False
-                    break
-                hi[k][w] = h
-                lo[k][w] = l
-            if not ok:
-                continue
-            assigned[:, w] = path
-            counts[li][pi] -= 1
-            place(w + 1)
-            counts[li][pi] += 1
+        for r in pools[level_of[w]]:
+            if counts[r] and fits(w, paths[r]):
+                row[w] = r
+                if w == M - 1:
+                    if len(found) >= limit:
+                        raise CapExceededError(f"rearrangement class exceeds cap {cap}")
+                    found.extend(row)
+                else:
+                    counts[r] -= 1
+                    place(w + 1)
+                    counts[r] += 1
 
     place(0)
-    return _stacked_class(X_hat, found, len(levels) > 1)
+    # member i's value at (k, w) is entry k of path found[i * M + w]
+    slots = np.frombuffer(found, dtype=np.int64).reshape(-1, 1, M) * L + np.arange(L)[:, None]
+    return _stacked_class(X_hat, np.array(paths).ravel()[slots], len(levels) > 1)
 
 
 def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementClass:

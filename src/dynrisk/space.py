@@ -91,6 +91,7 @@ class FiniteFilteredSpace:
                 if len({coarse[i] for i in atom}) != 1:
                     raise ValueError(f"partition at t={t + 1} does not refine partition at t={t}")
         self._layouts: dict[tuple[int, int], tuple] = {}
+        self._arrangements: dict[tuple[int, int], tuple] = {}
 
     @property
     def n_outcomes(self) -> int:
@@ -137,6 +138,35 @@ class FiniteFilteredSpace:
             self._layouts[t, t_end] = cached
         return cached
 
+    def arrangement_layout(self, t: int, t_end: int) -> tuple[list, ...]:
+        """Cached (levels, level_of, links, free) for arranging paths over
+        the window t..t_end, as plain lists.
+
+        ``levels`` are the probability levels of ``_probability_levels`` and
+        ``level_of`` gives each outcome's.  Slot w * L + k stands for outcome
+        w at time t + k, L the window's length.  ``links[w]`` lists (k, slot
+        of p, slot of w) for each k where p is the outcome before w in its
+        time-(t + k) atom; ``free[w]`` lists (k, slot of w) where w is its
+        atom's first.
+        """
+        cached = self._arrangements.get((t, t_end))
+        if cached is None:
+            m, length = self.n_outcomes, t_end - t + 1
+            levels = _probability_levels(self)
+            level_of = [0] * m
+            for li, lev in enumerate(levels):
+                for w in lev:
+                    level_of[w] = li
+            links: list[list[tuple[int, int, int]]] = [[] for _ in range(m)]
+            free: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+            for k in range(length):
+                for atom in self.atoms(t + k):
+                    free[atom[0]].append((k, atom[0] * length + k))
+                    for p, w in zip(atom, atom[1:]):
+                        links[w].append((k, p * length + k, w * length + k))
+            cached = self._arrangements[t, t_end] = (levels, level_of, links, free)
+        return cached
+
     def _check_time(self, t: int) -> None:
         if not 0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
@@ -151,6 +181,18 @@ class FiniteFilteredSpace:
 
     def __repr__(self) -> str:
         return f"FiniteFilteredSpace(M={self.n_outcomes}, T={self.horizon})"
+
+
+def _probability_levels(space: FiniteFilteredSpace, tol: float = PROB_TOL) -> list[list[int]]:
+    """Outcomes grouped by probability value; singleton list when uniform."""
+    order = np.argsort(space.probs, kind="stable")
+    levels: list[list[int]] = []
+    for w in order:
+        if levels and abs(space.probs[levels[-1][-1]] - space.probs[w]) <= tol:
+            levels[-1].append(int(w))
+        else:
+            levels.append([int(w)])
+    return levels
 
 
 def dyadic_uniform(horizon: int) -> FiniteFilteredSpace:

@@ -132,6 +132,7 @@ class DualFiniteUtility(UtilityBase):
         self.scenarios = scenarios
         self._gamma = np.stack([g.values for _, g in scenarios])
         self._dead = np.isneginf(self._gamma)
+        self._any_dead = bool(self._dead.any())
         if validate:
             for i, (inc, gamma) in enumerate(zip(self._increments, self._gamma)):
                 ok, diag = membership(DensityProcess._wrap(space, t_start, inc), "D", t_start)
@@ -177,7 +178,10 @@ class DualFiniteUtility(UtilityBase):
 
     def _penalised(self, feats: np.ndarray) -> np.ndarray:
         # -(-inf) penalties knock a scenario out of the min
-        return np.where(self._dead, np.inf, feats - self._gamma)
+        out = feats - self._gamma
+        if self._any_dead:
+            out[..., self._dead] = np.inf
+        return out
 
     def _combine(self, feats: np.ndarray) -> np.ndarray:
         """Penalised min over scenarios, chained: (..., S, atoms) -> (..., atoms)."""

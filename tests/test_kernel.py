@@ -1176,8 +1176,11 @@ def test_chained_dual_min_is_the_strided_min_bitwise():
     -0.0 at random, where coherent scenarios tie at zero.  The insurance of
     such features is +0.0 wherever it is zero.  Below 9 scenarios: at one
     atom and 9 or more, numpy's reduction is a contiguous SIMD one that
-    picks between tied zeros in its own order."""
-    single = dead = ties = 0
+    picks between tied zeros in its own order.  ``_penalised``, a
+    subtraction then a store of +inf into the knocked-out entries, gives the
+    bits of ``np.where(dead, inf, feats - gamma)``, with and without such
+    entries, also on infinite features."""
+    single = dead = live = ties = 0
     for seed in range(60):
         g = np.random.default_rng([16, seed])
         sp = random_space(g, max_outcomes=6, max_horizon=3)
@@ -1191,10 +1194,13 @@ def test_chained_dual_min_is_the_strided_min_bitwise():
         S, A = len(u.scenarios), sp.n_atoms(t)
         single += S == 1
         dead += bool(u._dead.any())
+        live += not u._dead.any()
         for lead in ((int(g.integers(1, 40)),), tuple(int(k) for k in g.integers(1, 5, size=3))):
             signed_zeros = np.where(g.random(lead + (S, A)) < 0.5, 0.0, -0.0)
             for feats in (g.normal(size=lead + (S, A)), signed_zeros):
                 label = f"seed {seed}, {S} scenarios, {A} atoms, lead {lead}"
+                want = np.where(u._dead, np.inf, feats - u._gamma)
+                assert np.array_equal(bits(u._penalised(feats)), bits(want)), label
                 got = u._combine(feats)
                 assert got.shape == lead + (A,), label
                 assert np.array_equal(bits(got), bits(u._penalised(feats).min(axis=-2))), label
@@ -1202,7 +1208,11 @@ def test_chained_dual_min_is_the_strided_min_bitwise():
                 assert not np.any(bits(insured) == bits(-0.0)), label
             p = bits(u._penalised(signed_zeros))
             ties += bool(np.any((p == bits(0.0)).any(axis=-2) & (p == bits(-0.0)).any(axis=-2)))
-    assert single >= 5 and dead >= 5 and ties >= 10, (single, dead, ties)
+            blown = np.copysign(np.inf, signed_zeros)  # -inf less a -inf penalty is nan, stored over
+            with np.errstate(invalid="ignore"):
+                want = np.where(u._dead, np.inf, blown - u._gamma)
+                assert np.array_equal(bits(u._penalised(blown)), bits(want)), label
+    assert single >= 5 and dead >= 5 and live >= 5 and ties >= 10, (single, dead, live, ties)
 
 
 def oracle_preservation_hypotheses(up):

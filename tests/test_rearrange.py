@@ -17,6 +17,7 @@ from dynrisk import (
     path_law,
 )
 from dynrisk.random_gen import random_adapted, random_density, random_space
+from dynrisk.rearrange import PATH_TOL
 
 
 def members_as_set(cls):
@@ -76,6 +77,17 @@ class TestEnumerateClass:
         with pytest.raises(CapExceededError):
             enumerate_class(X, cap=3)
 
+    def test_cap_boundary(self, four_tree):
+        # a class of n members passes cap n and raises at n - 1
+        X = spread_case()
+        assert enumerate_class(X, cap=432).size == 432
+        with pytest.raises(CapExceededError):
+            enumerate_class(X, cap=431)
+        one = AdaptedProcess.constant(four_tree, 0, 2, 1.5)
+        assert enumerate_class(one, cap=1).size == 1
+        with pytest.raises(CapExceededError):
+            enumerate_class(one, cap=0)
+
     @given(seed=st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
     def test_matches_bruteforce(self, seed):
@@ -99,6 +111,177 @@ class TestEnumerateClass:
         assert len(exact) == fast.size == 432
         for m in fast.members:
             AdaptedProcess(sp, 0, m.values)  # the validating constructor accepts every member
+
+
+def _enumerate_class_reference(X_hat, cap=100_000):
+    """The recursive enumeration that ``enumerate_class`` replaced, kept as a
+    reference: (values stack in member order, level_restricted)."""
+    space = X_hat.space
+    M, L = space.n_outcomes, X_hat.length
+    order = np.argsort(space.probs, kind="stable")
+    levels: list[list[int]] = []
+    for w in order:
+        if levels and abs(space.probs[levels[-1][-1]] - space.probs[w]) <= PATH_TOL:
+            levels[-1].append(int(w))
+        else:
+            levels.append([int(w)])
+    level_of = np.empty(M, dtype=int)
+    for li, lev in enumerate(levels):
+        level_of[lev] = li
+    level_pool = []
+    for lev in levels:
+        pool = []
+        rows = sorted((X_hat.values[:, w] for w in lev), key=lambda r: tuple(r))
+        for row in rows:
+            if pool and np.abs(pool[-1][0] - row).max() <= PATH_TOL:
+                pool[-1] = (pool[-1][0], pool[-1][1] + 1)
+            else:
+                pool.append((row, 1))
+        level_pool.append(pool)
+    paths = [[row.tolist() for row, _ in pool] for pool in level_pool]
+    prev = [[-1] * M for _ in range(L)]
+    for k in range(L):
+        for atom in space.atoms(X_hat.t_start + k):
+            for p, w in zip(atom, atom[1:]):
+                prev[k][w] = p
+    hi = [[0.0] * M for _ in range(L)]
+    lo = [[0.0] * M for _ in range(L)]
+    counts = [[c for _, c in pool] for pool in level_pool]
+    assigned = np.empty((L, M))
+    found = []
+
+    def place(w):
+        if w == M:
+            if len(found) >= cap:
+                raise CapExceededError(f"rearrangement class exceeds cap {cap}")
+            found.append(assigned.copy())
+            return
+        li = level_of[w]
+        for pi, path in enumerate(paths[li]):
+            if counts[li][pi] == 0:
+                continue
+            ok = True
+            for k in range(L):
+                x = path[k]
+                p = prev[k][w]
+                h = x if p < 0 else max(hi[k][p], x)
+                l = x if p < 0 else min(lo[k][p], x)
+                if h - l > PATH_TOL:
+                    ok = False
+                    break
+                hi[k][w] = h
+                lo[k][w] = l
+            if not ok:
+                continue
+            assigned[:, w] = path
+            counts[li][pi] -= 1
+            place(w + 1)
+            counts[li][pi] += 1
+
+    place(0)
+    return np.array(found, dtype=float).reshape((len(found),) + X_hat.values.shape), len(levels) > 1
+
+
+def raises_cap(enumerate_, X, cap):
+    try:
+        enumerate_(X, cap)
+    except CapExceededError:
+        return True
+    return False
+
+
+def assert_same_class(X, label):
+    """Stack bits, member order, level flag, and the cap at which each raises."""
+    want, restricted = _enumerate_class_reference(X)
+    got = enumerate_class(X)
+    assert got.values.shape == want.shape, label
+    assert got.values.tobytes() == want.tobytes(), label
+    assert got.level_restricted == restricted, label
+    assert got.size == len(got.members) == len(want), label
+    for i, m in enumerate(got.members):
+        assert m.values.tobytes() == want[i].tobytes() and m.window == X.window, label
+    for cap in {0, len(want) - 1, len(want)} - {-1}:
+        assert raises_cap(enumerate_class, X, cap) == raises_cap(_enumerate_class_reference, X, cap), (label, cap)
+    return len(want)
+
+
+def spread_case():
+    """Time-1 values within 1e-12 of each atom's first outcome, but 1.8e-12
+    apart from each other: a 432-member class."""
+    sp = FiniteFilteredSpace([1 / 6] * 6, [[range(6)], [[0, 1, 2], [3, 4, 5]], [[w] for w in range(6)]])
+    v = 0.3
+    return AdaptedProcess(sp, 0, [[0.0] * 6, [v, v, v + 9e-13, v - 9e-13, v, v], [1, 2, 3, 4, 5, 6]])
+
+
+class TestEnumerationMatchesTheReference:
+    """``enumerate_class`` gives the recursive reference's stack, bit for bit
+    and in member order, and raises at the same caps."""
+
+    def test_duality_gate_marginals_and_sums(self):
+        # the duality gate's generator, seeds 3000-3099 (tests/test_acceptance.py)
+        sizes = []
+        for seed in range(100):
+            g = np.random.default_rng(3000 + seed)
+            while True:
+                sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
+                t0 = int(g.integers(0, sp.horizon))
+                t1 = min(sp.horizon, t0 + int(g.integers(1, 3)))
+                n = int(g.integers(1, 4))
+                members = []
+                if g.random() < 0.2:
+                    members.append(AdaptedProcess.constant(sp, t0, t1, float(g.normal())))
+                while len(members) < n:
+                    members.append(random_adapted(sp, t0, t1, g))
+                if int(np.prod([enumerate_class(X, 200_000).size for X in members])) <= 200_000:
+                    break
+            total = members[0]
+            for X in members[1:]:
+                total = total + X
+            for i, X in enumerate(members + [total]):
+                sizes.append(assert_same_class(X, f"seed {3000 + seed}, process {i}"))
+        assert sum(s == 1 for s in sizes) >= 50 and sum(s >= 100 for s in sizes) >= 5, sizes
+
+    def test_tied_paths_on_non_uniform_levels(self):
+        # probabilities from three weights, so levels of several outcomes;
+        # values on a half-grid, so equal paths, or within PATH_TOL of equal
+        restricted = tied = 0
+        sizes = []
+        for seed in range(60):
+            g = np.random.default_rng([17, seed])
+            shape = random_space(g, max_outcomes=7, max_horizon=3, min_outcomes=3)
+            raw = g.choice([1.0, 2.0, 3.0], size=shape.n_outcomes)
+            sp = FiniteFilteredSpace(raw / raw.sum(), [list(p) for p in shape.partitions])
+            t0 = int(g.integers(0, sp.horizon + 1))
+            X = random_adapted(sp, t0, sp.horizon, g)
+            vals = np.round(X.values * 2.0) / 2.0
+            if seed % 3 == 0:
+                vals = vals + g.choice([-4e-13, 0.0, 4e-13], size=vals.shape)
+            X = AdaptedProcess(sp, t0, vals)
+            sizes.append(assert_same_class(X, f"seed {seed}"))
+            restricted += len(set(raw)) > 1
+            tied += len({tuple(c) for c in np.round(X.values.T, 9)}) < sp.n_outcomes
+        assert restricted >= 40 and tied >= 40 and sum(s > 1 for s in sizes) >= 20, (restricted, tied, sizes)
+
+    def test_late_windows(self):
+        sizes = []
+        for seed in range(40):
+            g = np.random.default_rng([18, seed])
+            sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(seed % 2))
+            t0 = int(g.integers(1, sp.horizon + 1))
+            X = random_adapted(sp, t0, int(g.integers(t0, sp.horizon + 1)), g)
+            sizes.append(assert_same_class(AdaptedProcess(sp, t0, np.round(X.values)), f"seed {seed}"))
+        assert len(sizes) >= 30 and sum(s > 1 for s in sizes) >= 10, sizes
+
+    def test_atom_spread_case(self):
+        assert assert_same_class(spread_case(), "spread") == 432
+
+    def test_unadapted_stack_gives_an_empty_class(self):
+        # an unvalidated stack spreading 2e-12 on an atom: no arrangement is kept,
+        # on the one-path-per-level return too
+        for probs in ([0.25] * 4, [0.1, 0.2, 0.3, 0.4]):
+            sp = FiniteFilteredSpace(probs, [[range(4)], [[0, 1], [2, 3]]])
+            X = AdaptedProcess._wrap(sp, 1, np.array([[1.0, 1.0 + 2e-12, 5.0, 5.0]]))
+            assert assert_same_class(X, str(probs)) == 0
 
 
 class TestMaxCorrelation:
