@@ -77,7 +77,7 @@ def _per_atom_rows(run: TaskRun, space, t, quantity, values, bounds=None, status
         run.row(atom, quantity, values[k], b, s)
 
 
-def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int | None) -> tuple[TaskRun, str]:
+def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[TaskRun, str]:
     """Read the task's fields, reject any it does not read, then run it."""
     f = Fields(task, f"task {task['name']!r}", scn)
     kind, run, space = f.get("task"), TaskRun(f.get("name")), scn.space
@@ -197,7 +197,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         cap, tol = f.integer("cap", 1_000_000), f.number("tol", DEFAULT_TOL, least=0)
         with f.building():  # marginals whose windows do not fit
             marginals = Portfolio(members)
-            wp = worst_portfolio_bruteforce(marginals, u, cap, workers)
+            wp = worst_portfolio_bruteforce(marginals, u, cap)
             direct = u.insurance(marginals.mean())
         statuses = [PASS if ok else FAIL for ok in wp.sup_value.values >= direct.values - tol]
         _per_atom_rows(run, space, u.t_start, "sup", wp.sup_value.values, direct.values, statuses)
@@ -210,7 +210,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         u, members = f.ref("utility", "utility"), f.refs("marginals", "process")
         cap, tol = f.integer("cap", 1_000_000), f.number("tol", DEFAULT_TOL, least=0)
         with f.building():  # marginals whose windows do not fit, or a utility that is not coherent
-            rep = verify_theorem_3_1(Portfolio(members), u, cap, tol, workers)
+            rep = verify_theorem_3_1(Portfolio(members), u, cap, tol)
         residuals = np.abs(rep.portfolio_value.values - rep.scenario_value.values)
         statuses = [PASS if ok else FAIL for ok in residuals <= tol]
         _per_atom_rows(run, space, u.t_start, "portfolio-sup", rep.portfolio_value.values, rep.scenario_value.values, statuses)
@@ -229,7 +229,7 @@ def run_task(task: dict, scn: Scenario, workers: int | None, seed_override: int 
         with f.building():  # an unknown variant, or a stage-0 portfolio off the process's window
             hyp = build_preservation_hypotheses(up, variant)
             candidate = AdaptedWorstProcess.from_restrictions(Portfolio(members))
-            rep = verify_preservation(hyp, up, candidate, cap, tol, workers)
+            rep = verify_preservation(hyp, up, candidate, cap, tol)
         for note in rep.notes:
             run.row("-", "hypothesis", note, None, INFO)
         run.row("-", "hypotheses-ok", rep.hypotheses_ok, None, INFO)
@@ -309,13 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("file")
     runp.add_argument("--only", default=None, help="run only the task with this name")
     runp.add_argument("--out", default=".", help="report output directory")
-    runp.add_argument("--workers", type=int, default=1, help="accepted and ignored: the scans run on one thread")
     runp.add_argument("--seed", type=int, default=None, help="override all declared seeds")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         runp.error(f"argument --seed: a seed is an integer >= 0, got {args.seed}")
-    if args.workers < 1:
-        runp.error(f"argument --workers: a worker count is an integer >= 1, got {args.workers}")
 
     try:
         scn = load_scenario(args.file)
@@ -338,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     statuses = []
     for task in tasks:
         try:
-            run, status = run_task(task, scn, args.workers, args.seed)
+            run, status = run_task(task, scn, args.seed)
         except CapExceededError as e:
             run = TaskRun(task["name"])
             run.row("-", "cap", str(e), None, CAP)

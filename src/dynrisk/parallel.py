@@ -2,7 +2,9 @@
 
 The worker count is accepted and ignored: a chunk of the worst-portfolio
 scan is a few hundred microseconds of short numpy calls that hold the
-interpreter lock, so threads made it slower.
+interpreter lock, so threads made it slower.  Only the ``map_chunks`` span
+target in ``bench/spans.py`` keeps this module; ROADMAP item 1's bench
+change traces the chunk loop in ``worstcase`` and deletes it.
 """
 
 from __future__ import annotations

@@ -294,7 +294,8 @@ def is_comonotone(
 
     ``rearrangements``, when given, holds each member's class; a rearranged
     member has its marginal's class, so a caller holding the marginals'
-    classes passes them and only the sum's class is enumerated.
+    classes passes them and only the sum's class is enumerated.  The sum of
+    one member is that member, priced on its given class.
     """
     family = list(family)
     if not family:
@@ -317,7 +318,8 @@ def is_comonotone(
     total = family[0]
     for X in family[1:]:
         total = total + X
-    psi_sum = max_correlation(a0, total, t, t_end, cap).value.values
+    sum_cls = rearrangements[0] if rearrangements is not None and len(family) == 1 else None
+    psi_sum = max_correlation(a0, total, t, t_end, cap, rearrangement=sum_cls).value.values
     direct_sum = pairing(total, a0, t, t_end).values
     sum_res = psi_sum - direct_sum
     if sum_res.max() > tol:

@@ -127,7 +127,9 @@ class DualFiniteUtility(UtilityBase):
         # (S, L, M) density increments on the window, (S, atoms) penalties
         self._increments = np.stack([a.values[a._span(t_start, t_end, space)] for a, _ in scenarios])
         for i, (a, g) in enumerate(scenarios):
-            if g.space is not space or g.time != t_start:
+            if g.space is not space:
+                raise ValueError(f"scenario {i} penalty lives on a different space")
+            if g.time != t_start:
                 raise ValueError(f"scenario {i} penalty must live at t={t_start}")
         self.scenarios = scenarios
         self._gamma = np.stack([g.values for _, g in scenarios])
@@ -289,6 +291,8 @@ class RobustEntropicUtility(_EntropicKernel):
         super().__init__(space, alpha, t_start, t_end)
         if not densities:
             raise ValueError("need at least one terminal density")
+        if any(f.space is not space for f in densities):
+            raise ValueError("terminal density lives on a different space")
         self.densities = list(densities)
         # one weight row per density, probabilities tilted by it
         self._w = np.stack([(space.probs * f.h)[self._order] for f in self.densities])

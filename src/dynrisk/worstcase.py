@@ -265,7 +265,8 @@ def worst_portfolio_bruteforce(
     alone, and only if it holds none, the others in one more pass.  On one
     atom the first always holds one.  Results do not depend on the chunking
     and equal those of the whole ``_batch_insurance`` table, bit for bit.
-    ``workers`` is ignored (see ``parallel``); results never depended on it.
+    ``workers`` is ignored; only ``build_scan`` in ``bench/workloads.py``
+    passes it, and ROADMAP item 1's bench change removes it.
 
     Both passes read a chunk, a product of class rows, through one evaluator.
     It evaluates every tuple on its own for a dual utility (whose
@@ -346,7 +347,6 @@ def verify_theorem_3_1(
     u: DualFiniteUtility,
     cap: int = 1_000_000,
     tol: float = DEFAULT_TOL,
-    workers: int | None = None,
 ) -> Thm31Report:
     """Duality check: portfolio sup equals scenario sup; a comonotone tuple,
     when one exists, attains it.
@@ -358,7 +358,7 @@ def verify_theorem_3_1(
         raise ValueError("the duality harness needs a coherent utility with an explicit scenario set")
     t, t_end = u.t_start, u.t_end
     # each marginal's class is enumerated once, here, and read by every later step
-    lhs = worst_portfolio_bruteforce(marginals, u, cap, workers)
+    lhs = worst_portfolio_bruteforce(marginals, u, cap)
     ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap, rearrangements=lhs.classes)
     residual = lhs.sup_value.max_residual(ws.value)
     equal = residual <= tol
@@ -538,10 +538,10 @@ def _check_window(candidate: AdaptedWorstProcess, up: UtilityProcess) -> None:
         raise ValueError(f"candidate window {candidate.t_start}..{candidate.t_end} is not {up.t_start}..{up.t_end}")
 
 
-def _stage_check(port: Portfolio, u: UtilityBase, cap: int, tol: float, workers: int | None) -> StageCheck:
+def _stage_check(port: Portfolio, u: UtilityBase, cap: int, tol: float) -> StageCheck:
     """The one worst-portfolio certificate of a stage: the brute-force sup
     against the portfolio's own insurance value."""
-    res = worst_portfolio_bruteforce(port, u, cap, workers).sup_value.max_residual(u.insurance(port.mean()))
+    res = worst_portfolio_bruteforce(port, u, cap).sup_value.max_residual(u.insurance(port.mean()))
     return StageCheck(u.t_start, res, res <= tol)
 
 
@@ -550,7 +550,6 @@ def check_adapted_worst_process(
     up: UtilityProcess,
     cap: int = 1_000_000,
     tol: float = DEFAULT_TOL,
-    workers: int | None = None,
 ) -> AdaptedWorstReport:
     """Certify worst-portfolio status at every stage plus the law links
     between consecutive stages."""
@@ -559,7 +558,7 @@ def check_adapted_worst_process(
     T = candidate.t_end
     for t in range(candidate.t_start, T + 1):
         port = candidate.stages[t]
-        stage_checks.append(_stage_check(port, up.stage(t), cap, tol, workers))
+        stage_checks.append(_stage_check(port, up.stage(t), cap, tol))
         if t == T:
             continue
         for i, (X, Y) in enumerate(zip(port.members, candidate.stages[t + 1].members)):
@@ -756,7 +755,6 @@ def verify_preservation(
     candidate: AdaptedWorstProcess,
     cap: int = 1_000_000,
     tol: float = DEFAULT_TOL,
-    workers: int | None = None,
 ) -> PreservationReport:
     """Re-certify the stage-0 portfolio as worst at every later stage.
 
@@ -768,7 +766,7 @@ def verify_preservation(
     """
     _check_window(candidate, up)
     ok, notes = _verify_hypotheses(hyp, up, candidate, cap, tol)
-    adapted = check_adapted_worst_process(candidate, up, cap, tol, workers)
+    adapted = check_adapted_worst_process(candidate, up, cap, tol)
     if not adapted.passed:
         notes.append("candidate is not an adapted worst portfolio process")
     if not (ok and adapted.passed):
@@ -779,7 +777,7 @@ def verify_preservation(
     for t in range(t0 + 1, candidate.t_end + 1):
         restricted = stage0.restrict(t)
         same = all(np.array_equal(X.values, Y.values) for X, Y in zip(restricted.members, candidate.stages[t].members))
-        checks.append(adapted.stage_checks[t - t0] if same else _stage_check(restricted, up.stage(t), cap, tol, workers))
+        checks.append(adapted.stage_checks[t - t0] if same else _stage_check(restricted, up.stage(t), cap, tol))
     return PreservationReport(hyp.variant, ok, notes, adapted.passed, checks, False)
 
 

@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +12,19 @@ import pytest
 from dynrisk import (
     DualFiniteUtility,
     ScenarioError,
+    check_adapted_worst_process,
     load_scenario,
     save_scenario,
     serialize_scenario,
+    verify_preservation,
+    verify_theorem_3_1,
 )
-from dynrisk.cli import main
+from dynrisk.cli import main, run_task
 from dynrisk.scenario import parse_scenario
 
-BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "full_verification.json"
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED = ROOT / "demos" / "full_verification.json"
+README = ROOT / "README.md"
 
 
 def base_doc():
@@ -221,16 +228,6 @@ class TestCLI:
         code2, rep2 = self.run_cli(tmp_path, doc)
         assert code1 == code2 == 0
         assert rep1 == rep2
-
-    def test_reports_byte_identical_across_workers(self, tmp_path):
-        doc = base_doc()
-        doc["tasks"] = [
-            {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": ["pos1", "pos2"]},
-            {"task": "verify-thm31", "name": "duality", "utility": "coh", "marginals": ["pos1", "pos2"]},
-        ]
-        _, rep1 = self.run_cli(tmp_path, doc, ("--workers", "1"))
-        _, rep4 = self.run_cli(tmp_path, doc, ("--workers", "4"))
-        assert rep1 == rep4
 
     def test_only_selects_task(self, tmp_path, capsys):
         doc = base_doc()
@@ -555,15 +552,28 @@ class TestCLI:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_worker_count_below_one_is_rejected(self, tmp_path, capsys, workers):
-        doc = base_doc()
-        doc["tasks"] = [{"task": "axioms", "name": "ax", "utility": "ent", "samples": 2}]
+    def test_workers_flag_is_unrecognized(self, tmp_path, capsys):
+        # the scans run on one thread, so there is no worker count to set
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            self.run_cli(tmp_path, doc, ("--workers", workers))
+            main(["run", str(BUNDLED), "--out", str(out), "--workers", "2"])
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_harnesses_take_no_worker_count(self):
+        for fn in (verify_theorem_3_1, check_adapted_worst_process, verify_preservation, run_task):
+            assert "workers" not in inspect.signature(fn).parameters, fn.__name__
+
+    def test_readme_lists_the_run_flags(self, capsys):
+        readme = README.read_text()
+        section = readme[readme.index("## Command line"):]
+        flags = section[section.index("Flags:"):].split("\n\n", 1)[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        printed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", flags)) == printed
 
     def test_verification_failure_exit_code(self, tmp_path):
         doc = base_doc()

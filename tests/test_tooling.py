@@ -1,7 +1,8 @@
-"""The repository's own tooling, run in-process: the benchmark's span tracer
-and the demos' expected outputs; and, in a fresh interpreter, what importing
-dynrisk loads."""
+"""The repository's own tooling, run in-process: the benchmark's span tracer,
+the demos' expected outputs and the oldest supported Python's grammar; and,
+in a fresh interpreter, what importing dynrisk loads."""
 
+import ast
 import contextlib
 import io
 import os
@@ -20,6 +21,7 @@ from dynrisk.random_gen import random_adapted, random_coherent_utility, random_d
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "bench", "demos") for p in (ROOT / d).rglob("*.py"))
 
 
 def small_calls() -> None:
@@ -83,3 +85,9 @@ def test_demo_prints_its_expected_output(demo):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(demo), run_name="__main__")
     assert out.getvalue() == (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_text()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_source_parses_as_python_3_10(path):
+    # pyproject.toml promises 3.10; this catches syntax that only a later Python accepts
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

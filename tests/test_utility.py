@@ -97,6 +97,15 @@ class TestDualFiniteUtility:
         only_a = pairing(X, a, 0).values[0]
         assert u.evaluate(X).values[0] == pytest.approx(only_a)
 
+    def test_penalty_on_another_space_or_time_rejected(self, four_tree):
+        a = DensityProcess.uniform(four_tree, 0, 2)
+        foreign = zero_gamma(dyadic_uniform(2), 0)
+        with pytest.raises(ValueError, match="scenario 0 penalty lives on a different space"):
+            DualFiniteUtility(four_tree, 0, 2, [(a, foreign)])
+        late = ConditionalValue.constant(four_tree, 1, 0.0)
+        with pytest.raises(ValueError, match="scenario 0 penalty must live at t=0"):
+            DualFiniteUtility(four_tree, 0, 2, [(a, late)])
+
 
 class TestEntropic:
     def test_two_point_value(self, two_uniform):
@@ -145,6 +154,15 @@ class TestEntropic:
         fam = RobustEntropicUtility(four_tree, 1.0, [f, g], 1)
         singles = [RobustEntropicUtility(four_tree, 1.0, [d], 1).evaluate(X).values for d in (f, g)]
         assert np.abs(fam.evaluate(X).values - np.minimum(*singles)).max() <= 1e-12
+
+    @pytest.mark.parametrize("horizon", [2, 3], ids=["same-shape", "other-shape"])
+    def test_robust_rejects_density_on_another_space(self, four_tree, horizon):
+        other = dyadic_uniform(horizon)
+        f = TerminalDensity(other, np.ones(other.n_outcomes))
+        with pytest.raises(ValueError, match="terminal density lives on a different space"):
+            RobustEntropicUtility(four_tree, 1.0, [f], 0)
+        with pytest.raises(ValueError, match="terminal density lives on a different space"):
+            robust_entropic_process(four_tree, 1.0, [TerminalDensity(four_tree, np.ones(4)), f])
 
 
 class TestPenalty:

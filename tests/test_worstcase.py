@@ -37,7 +37,7 @@ from dynrisk.random_gen import (
     random_density,
     random_space,
 )
-from dynrisk import worstcase
+from dynrisk import rearrange, worstcase
 
 
 def zero_gamma(space, t):
@@ -173,6 +173,31 @@ class TestTheorem31:
         assert rep.comonotone_found
         assert rep.attains
         assert rep.attain_residual <= 1e-9
+
+    def test_one_marginal_enumerates_its_class_once(self, four_tree, monkeypatch):
+        # the sum of a one-member family is the member, priced on the scan's class
+        enumerate_class, is_comonotone = rearrange.enumerate_class, rearrange.is_comonotone
+        enumerated, certified = [], []
+
+        def counted(X, cap):
+            enumerated.append(X)
+            return enumerate_class(X, cap)
+
+        def kept(a0, family, tol, cap, rearrangements=None):
+            cert = is_comonotone(a0, family, tol, cap, rearrangements)
+            certified.append(((a0, family, tol, cap), cert))
+            return cert
+
+        monkeypatch.setattr(rearrange, "enumerate_class", counted)
+        monkeypatch.setattr(worstcase, "enumerate_class", counted)
+        monkeypatch.setattr(worstcase, "is_comonotone", kept)
+        marg = Portfolio([random_adapted(four_tree, 0, 2, np.random.default_rng(50))])
+        rep = verify_theorem_3_1(marg, coherent_pair(four_tree, 21))
+        assert rep.comonotone_found and len(enumerated) == 1 and certified
+        for args, cert in certified:
+            old = is_comonotone(*args)  # enumerates the sum's class again
+            assert np.array_equal(cert.sum_residuals, old.sum_residuals)
+            assert all(np.array_equal(x, y) for x, y in zip(cert.member_residuals, old.member_residuals, strict=True))
 
 
 class TestLinearDriven:
