@@ -17,8 +17,9 @@ member is a read-only view into it, built without revalidation because the
 enumeration only emits adapted arrangements.  Pairings of a whole class
 against a density are one call of the stacked kernel
 ``processes._pairings``, whose rows carry the bits of one ``pairing`` call
-per member; the max-correlation table, the duality harness's uniform
-attainers and the linear-driven stage checks all read it.
+per member; the max-correlation table, the comonotonicity certificate and
+the linear-driven stage checks read it, and the duality harness reads the
+same rows from the scan's dual features.
 """
 
 from __future__ import annotations
@@ -234,6 +235,30 @@ def _class_pairings(cls: RearrangementClass, a: DensityProcess, t: int, t_end: i
     return _pairings(rep.space, cls.values[:, rep._span(t, t_end)], a.values[a._span(t, t_end, rep.space)], t)
 
 
+def _check_member(X: AdaptedProcess, cls: RearrangementClass, name: str) -> None:
+    """Refuse a class that X is not in: X must be the class's representative,
+    or lie within ``PATH_TOL`` of one of its members on the same space and window."""
+    if X is cls.representative:
+        return
+    rep = cls.representative
+    if rep.space is not X.space or rep.window != X.window:
+        raise ValueError(f"{name} is not on its rearrangement class's space and window")
+    if not bool((np.abs(cls.values - X.values).max(axis=(1, 2)) <= PATH_TOL).any()):
+        raise ValueError(f"{name} is not in its rearrangement class")
+
+
+def _given_classes(family: Sequence[AdaptedProcess], classes: Sequence[RearrangementClass]) -> list[RearrangementClass]:
+    """The public boundary of a caller's classes: one per member, each
+    holding its member.  The harnesses pass the classes they enumerated to
+    the private routines, unchecked."""
+    classes = list(classes)
+    if len(classes) != len(family):
+        raise ValueError(f"{len(classes)} rearrangement classes for {len(family)} members")
+    for i, (X, cls) in enumerate(zip(family, classes)):
+        _check_member(X, cls, f"member {i}")
+    return classes
+
+
 def max_correlation(
     a: DensityProcess,
     X_hat: AdaptedProcess,
@@ -242,10 +267,15 @@ def max_correlation(
     cap: int = 100_000,
     rearrangement: RearrangementClass | None = None,
 ) -> MaxCorrelationResult:
-    """Largest pairing against a over the rearrangement class, per atom."""
+    """Largest pairing against a over the rearrangement class, per atom.
+    ``rearrangement``, when given, must hold X_hat (see ``_check_member``)."""
     if t_end is None:
         t_end = X_hat.t_end
-    cls = rearrangement if rearrangement is not None else enumerate_class(X_hat, cap)
+    if rearrangement is None:
+        cls = enumerate_class(X_hat, cap)
+    else:
+        _check_member(X_hat, rearrangement, "position")
+        cls = rearrangement
     table = _class_pairings(cls, a, t, t_end)
     return MaxCorrelationResult(ConditionalValue(X_hat.space, t, table.max(axis=0)), _first_near_max(table), cls)
 
@@ -282,6 +312,33 @@ class ComonotonicityCertificate:
     details: list[str] = field(default_factory=list)
 
 
+def _certificate(
+    a0: DensityProcess,
+    family: list[AdaptedProcess],
+    psis: Sequence[np.ndarray],
+    directs: Sequence[np.ndarray],
+    tol: float,
+    cap: int,
+) -> ComonotonicityCertificate:
+    """The certificate from each member's max correlation against a0,
+    ``psis[i]``, and its own pairing, ``directs[i]``.  The sum of one member
+    is that member; the sum of several has its class enumerated and priced here."""
+    member_res = [psi - direct for psi, direct in zip(psis, directs)]
+    if len(family) == 1:
+        sum_res = member_res[0]
+    else:
+        t, t_end = family[0].window
+        total = family[0]
+        for X in family[1:]:
+            total = total + X
+        direct_sum = _pairings(total.space, total.values, a0.values[a0._span(t, t_end, total.space)], t)
+        sum_res = _class_pairings(enumerate_class(total, cap), a0, t, t_end).max(axis=0) - direct_sum
+    details = [f"member {i} misses its max correlation by {r.max():.3g}" for i, r in enumerate(member_res) if r.max() > tol]
+    if sum_res.max() > tol:
+        details.append(f"sum misses its max correlation by {sum_res.max():.3g}")
+    return ComonotonicityCertificate(not details, member_res, sum_res, tol, details)
+
+
 def is_comonotone(
     a0: DensityProcess,
     family: Sequence[AdaptedProcess],
@@ -292,37 +349,22 @@ def is_comonotone(
     """Certify that each member, and their sum, attains its max correlation
     against a0.
 
-    ``rearrangements``, when given, holds each member's class; a rearranged
-    member has its marginal's class, so a caller holding the marginals'
-    classes passes them and only the sum's class is enumerated.  The sum of
-    one member is that member, priced on its given class.
+    ``rearrangements``, when given, holds each member's class, checked by
+    ``_given_classes``; a rearranged member has its marginal's class, so a
+    caller holding the marginals' classes passes them and only the sum's
+    class is enumerated.  The sum of one member is that member, priced on
+    its class.
     """
     family = list(family)
     if not family:
         raise ValueError("empty family")
-    t = family[0].t_start
-    t_end = family[0].t_end
-    member_res = []
-    details = []
-    ok = True
-    for i, X in enumerate(family):
-        family[0]._same_window(X)
-        cls = None if rearrangements is None else rearrangements[i]
-        psi = max_correlation(a0, X, t, t_end, cap, rearrangement=cls).value.values
-        direct = pairing(X, a0, t, t_end).values
-        res = psi - direct
-        member_res.append(res)
-        if res.max() > tol:
-            ok = False
-            details.append(f"member {i} misses its max correlation by {res.max():.3g}")
-    total = family[0]
     for X in family[1:]:
-        total = total + X
-    sum_cls = rearrangements[0] if rearrangements is not None and len(family) == 1 else None
-    psi_sum = max_correlation(a0, total, t, t_end, cap, rearrangement=sum_cls).value.values
-    direct_sum = pairing(total, a0, t, t_end).values
-    sum_res = psi_sum - direct_sum
-    if sum_res.max() > tol:
-        ok = False
-        details.append(f"sum misses its max correlation by {sum_res.max():.3g}")
-    return ComonotonicityCertificate(ok, member_res, sum_res, tol, details)
+        family[0]._same_window(X)
+    t, t_end = family[0].window
+    if rearrangements is None:
+        classes = [enumerate_class(X, cap) for X in family]
+    else:
+        classes = _given_classes(family, rearrangements)
+    psis = [_class_pairings(cls, a0, t, t_end).max(axis=0) for cls in classes]
+    directs = [pairing(X, a0, t, t_end).values for X in family]
+    return _certificate(a0, family, psis, directs, tol, cap)

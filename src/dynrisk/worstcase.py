@@ -20,10 +20,10 @@ from .processes import AdaptedProcess, DensityProcess, _pairings, mean_portfolio
 from .rearrange import (
     RearrangementClass,
     _attains,
-    _class_pairings,
+    _certificate,
     _first_near_max,
+    _given_classes,
     enumerate_class,
-    is_comonotone,
     max_correlation,
     path_law,
 )
@@ -118,6 +118,25 @@ class WorstScenarioResult:
     single_attainment: bool
 
 
+def _glued(
+    candidates: list[DensityProcess], incs: np.ndarray, maxima: list[np.ndarray], u: DualFiniteUtility
+) -> WorstScenarioResult:
+    """The scenario side from its table: ``maxima`` holds per marginal the
+    (K, atoms) max correlations of the K candidates, whose window increments
+    are ``incs`` (K, L, M).  The average risks sum them in marginal order and
+    add the penalties, priced in one pass; each atom takes its first best
+    candidate, and the candidates' increments are glued along the
+    window-start atoms."""
+    space, t = u.space, u.t_start
+    table = sum(maxima[1:], maxima[0]) * (1.0 / len(maxima)) + _penalties(u, candidates)
+    best = table.max(axis=0)
+    choice = _first_near_max(table)
+    glued = incs[np.array(choice)[space.atom_index(t)], :, np.arange(space.n_outcomes)].T
+    return WorstScenarioResult(
+        DensityProcess(space, t, glued), ConditionalValue(space, t, best), choice, bool(_attains(table, best).any())
+    )
+
+
 def worst_scenario(
     candidates: Sequence[DensityProcess],
     marginals: Portfolio,
@@ -126,30 +145,24 @@ def worst_scenario(
     rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> WorstScenarioResult:
     """Atom-wise best candidate under the average risk, glued by indicators.
-    Each marginal's class is enumerated once, or taken from ``rearrangements``."""
+    Each marginal's class is enumerated once, or taken from ``rearrangements``
+    (checked by ``_given_classes``), and paired with every candidate in one pass."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate list")
     t, t_end = u.t_start, u.t_end
     space = u.space
     marginals.members[0]._span(t, t_end, space)  # marginals on u's space and window
-    # average_risk of every candidate: max correlations summed in marginal
-    # order, penalties priced in one pass
-    table = None
-    for i, X in enumerate(marginals.members):
-        cls = enumerate_class(X, cap) if rearrangements is None else rearrangements[i]
-        psi = np.stack([_class_pairings(cls, c, t, t_end).max(axis=0) for c in candidates])
-        table = psi if table is None else table + psi
-    table = table * (1.0 / marginals.n) + _penalties(u, candidates)
-    best = table.max(axis=0)
-    choice = _first_near_max(table)
-
-    # glue the chosen candidates' increments along the window-start atoms
     incs = np.stack([c.values[c._span(t, t_end, space)] for c in candidates])
-    glued = incs[np.array(choice)[space.atom_index(t)], :, np.arange(space.n_outcomes)].T
-    return WorstScenarioResult(
-        DensityProcess(space, t, glued), ConditionalValue(space, t, best), choice, bool(_attains(table, best).any())
-    )
+    if rearrangements is None:
+        classes = [enumerate_class(X, cap) for X in marginals.members]
+    else:
+        classes = _given_classes(marginals.members, rearrangements)
+    maxima = [
+        _pairings(space, cls.values[:, None, cls.representative._span(t, t_end)], incs, t).max(axis=0)
+        for cls in classes
+    ]
+    return _glued(candidates, incs, maxima, u)
 
 
 @dataclass
@@ -160,6 +173,9 @@ class WorstCaseResult:
     per_atom_argmax: list[int]
     search_size: int
     classes: list[RearrangementClass] = field(repr=False, default_factory=list)
+    # per class, the (size, ...) features of its members that the scan read:
+    # for a dual utility, (size, S, atoms) pairings with every scenario
+    _features: list[np.ndarray] = field(repr=False, default_factory=list)
 
     def tuple_at(self, flat_index: int) -> Portfolio:
         sizes = [c.size for c in self.classes]
@@ -219,11 +235,12 @@ def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int,
 
 
 def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
-    """The scan's ``_row_ranges`` ranges and its one chunk evaluator,
+    """The scan's ``_row_ranges`` ranges, its one chunk evaluator,
     ``chunk(lo, hi)`` -> (ascending flat indices, their ``_batch_insurance``
-    values): every tuple of the range, broadcast from its class rows, for a
-    dual utility or a scan of at most ``CHUNK`` tuples, else the tuples of
-    the range that the screen keeps (see ``worst_portfolio_bruteforce``)."""
+    values), and the classes' features: every tuple of the range, broadcast
+    from its class rows, for a dual utility or a scan of at most ``CHUNK``
+    tuples, else the tuples of the range that the screen keeps (see
+    ``worst_portfolio_bruteforce``)."""
     feats, values, rows = _batch_insurance(u, classes)
     sizes = [c.size for c in classes]
     n = len(classes)
@@ -235,7 +252,7 @@ def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
         return out + [slice(None)] * (n - d - 1)
 
     if not isinstance(u, _EntropicKernel) or math.prod(sizes) <= CHUNK:
-        return ranges, lambda lo, hi: (np.arange(lo, hi), rows(sel(lo, hi)))
+        return ranges, lambda lo, hi: (np.arange(lo, hi), rows(sel(lo, hi))), feats
 
     parts = [u._anchored(f, n) for f in feats]
     scale = max(1.0, *(float(np.abs(f).max()) for f in feats))
@@ -248,7 +265,7 @@ def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
         flat = lo + np.flatnonzero(np.any(unsafe | near, axis=1))
         return flat, values(flat)
 
-    return ranges, screened
+    return ranges, screened, feats
 
 
 def worst_portfolio_bruteforce(
@@ -291,7 +308,7 @@ def worst_portfolio_bruteforce(
         raise CapExceededError(
             f"{total} tuples exceed cap {cap}; prune with the assignment-problem bound first"
         )
-    ranges, chunk = _chunks(u, classes)
+    ranges, chunk, feats = _chunks(u, classes)
 
     def scan(lo: int, hi: int):
         flat, vals = chunk(lo, hi)
@@ -317,6 +334,7 @@ def worst_portfolio_bruteforce(
         [int(x) for x in arg],
         total,
         classes,
+        feats,
     )
     if first >= 0:
         result.attaining_tuple = result.tuple_at(first)
@@ -352,27 +370,44 @@ def verify_theorem_3_1(
     when one exists, attains it.
 
     Needs a coherent utility, where the scenario search over the generating
-    densities is provably exhaustive.
+    densities is provably exhaustive, and marginals on the utility's window,
+    where the certificate prices its pairings.
+
+    Every pairing is read from one table per marginal class: the scan's dual
+    features, each member paired with each scenario, (size, S, atoms).  The
+    scenario side takes, per class, the max over members, sums the classes
+    and adds the penalties (``_glued``, as ``worst_scenario``).  Pairings
+    against the glued a0 are the gathered columns ``feats[:, choice, atom]``,
+    bit for bit: a pairing is priced atom by atom, and on atom k a0 copies
+    scenario choice[k].  They give the uniform attainers and each member's
+    max correlation and own pairing (``_certificate``, as ``is_comonotone``);
+    only the sum of several members has its class enumerated and priced.
+    Sharing the table does not make the check circular: the portfolio side
+    is the sup over tuples of the min over scenarios of the tuple's mean
+    pairing, the scenario side the max over scenarios of the sum of each
+    class's sup.  The two share pairings, not the order of sup and min.
     """
     if not isinstance(u, DualFiniteUtility) or not u.coherent:
         raise ValueError("the duality harness needs a coherent utility with an explicit scenario set")
-    t, t_end = u.t_start, u.t_end
-    # each marginal's class is enumerated once, here, and read by every later step
+    if marginals.window != u.window:
+        raise ValueError(f"portfolio window {marginals.window} is not the utility window {u.window}")
     lhs = worst_portfolio_bruteforce(marginals, u, cap)
-    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap, rearrangements=lhs.classes)
+    feats = lhs._features
+    ws = _glued([a for a, _ in u.scenarios], u._increments, [f.max(axis=0) for f in feats], u)
     residual = lhs.sup_value.max_residual(ws.value)
     equal = residual <= tol
 
+    # pairings against a0: on atom k, those with scenario choice[k]
+    tables = [f[:, ws.per_atom_choice, np.arange(f.shape[-1])] for f in feats]
+    psis = [table.max(axis=0) for table in tables]
     # member condition: uniform attainers of the max correlation against a0
-    a0 = ws.a0
-    uniform_sets = [
-        [m for m, keep in zip(cls.members, _attains(_class_pairings(cls, a0, t, t_end))) if keep]
-        for cls in lhs.classes
-    ]
+    uniform_sets = [np.flatnonzero(_attains(table)).tolist() for table in tables]
     tuple_found: Portfolio | None = None
-    for combo in itertools.product(*uniform_sets):
-        if is_comonotone(a0, list(combo), tol, cap, rearrangements=lhs.classes).comonotone:
-            tuple_found = Portfolio(list(combo))
+    for rows in itertools.product(*uniform_sets):
+        family = [cls.members[j] for cls, j in zip(lhs.classes, rows)]
+        directs = [table[j] for table, j in zip(tables, rows)]
+        if _certificate(ws.a0, family, psis, directs, tol, cap).comonotone:
+            tuple_found = Portfolio(family)
             break
     attains = None
     attain_res = None

@@ -89,10 +89,10 @@ from dynrisk.random_gen import (
 )
 from dynrisk import lp, worstcase
 from dynrisk.processes import _pairings
-from dynrisk.rearrange import _attains
+from dynrisk.rearrange import _attains, _class_pairings
 from dynrisk.space import enumerate_stopping_events
 from dynrisk.utility import _check_relevance, _penalties
-from dynrisk.worstcase import apply_matrix
+from dynrisk.worstcase import Thm31Report, apply_matrix
 from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
 
 FAMILIES = ("dual", "coherent", "entropic", "robust")
@@ -349,7 +349,7 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
         label = f"seed {seed}, {family}, alpha {alpha}, scale {scale}, sizes {sizes}, CHUNK {chunk}"
         table = whole_table(u, classes)
         scans += 1
-        ranges, chunk_at = worstcase._chunks(u, classes)
+        ranges, chunk_at, _ = worstcase._chunks(u, classes)
         assert ranges == scan_chunks(sizes, chunk), label
         if family == "dual":
             # each chunk reads every tuple of its rows, with the table's bits
@@ -389,7 +389,7 @@ def test_screen_rescores_a_subnormal_tuple(monkeypatch):
     apart = np.flatnonzero(small[:, 0])
     assert apart.size and np.all(np.isfinite(screen[apart])) and np.all(screen[apart] < table.max() - 100)
     assert np.all(table[apart] == 720.0)
-    ranges, chunk_at = worstcase._chunks(u, classes)
+    ranges, chunk_at, _ = worstcase._chunks(u, classes)
     rescored = np.concatenate([chunk_at(lo, hi)[0] for lo, hi in ranges])
     assert set(apart.tolist()) <= set(rescored.tolist())
     assert_scan_is_the_table(Portfolio(members), u, table, "subnormal S")
@@ -766,6 +766,119 @@ def test_class_reusing_duality_harness_matches_per_call_oracle():
         else:
             assert rep.attain_residual is None and rep.attains is None, label
     assert found >= 10, "too few comonotone tuples were compared"
+
+
+def _verify_theorem_3_1_reference(marginals, u, cap=1_000_000, tol=1e-9):
+    """verify_theorem_3_1 with every pairing priced where it is used: the
+    public worst_scenario on the scan's classes, uniform attainers from
+    _class_pairings against a0, and the public is_comonotone per combination."""
+    t, t_end = u.t_start, u.t_end
+    lhs = worst_portfolio_bruteforce(marginals, u, cap)
+    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap, rearrangements=lhs.classes)
+    residual = lhs.sup_value.max_residual(ws.value)
+    uniform_sets = [
+        [m for m, keep in zip(cls.members, _attains(_class_pairings(cls, ws.a0, t, t_end))) if keep]
+        for cls in lhs.classes
+    ]
+    found = None
+    for combo in itertools.product(*uniform_sets):
+        if is_comonotone(ws.a0, list(combo), tol, cap, rearrangements=lhs.classes).comonotone:
+            found = Portfolio(list(combo))
+            break
+    attain_res = attains = None
+    if found is not None:
+        attain_res = lhs.sup_value.max_residual(u.insurance(found.mean()))
+        attains = attain_res <= tol
+    return Thm31Report(residual, residual <= tol, lhs.sup_value, ws.value, found is not None, found, attain_res, attains, tol)
+
+
+def gate_shaped_instance(i, values=None):
+    """The duality gate's instance 3000 + i (tests/test_acceptance.py); with
+    ``values``, the same shapes with values drawn from default_rng([values, 3000 + i])."""
+    g = np.random.default_rng(3000 + i)
+    v = g if values is None else np.random.default_rng([values, 3000 + i])
+    while True:
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
+        t0 = int(g.integers(0, sp.horizon))
+        t1 = min(sp.horizon, t0 + int(g.integers(1, 3)))
+        n = int(g.integers(1, 4))
+        members = []
+        if g.random() < 0.2:
+            members.append(AdaptedProcess.constant(sp, t0, t1, float(v.normal())))
+        while len(members) < n:
+            members.append(random_adapted(sp, t0, t1, v))
+        if int(np.prod([enumerate_class(X, 200_000).size for X in members])) <= 200_000:
+            break
+    zero = ConditionalValue.constant(sp, t0, 0.0)
+    scenarios = [(random_density(sp, t0, t1, v, strict=True), zero) for _ in range(int(g.integers(1, 4)))]
+    return Portfolio(members), DualFiniteUtility(sp, t0, t1, scenarios)
+
+
+def drawn_instance(seed, late, one_member):
+    """A coherent instance on a random window, from t >= 1 when ``late``,
+    of one member when ``one_member``; None when its search exceeds 5000 tuples."""
+    g = np.random.default_rng([19, seed, late, one_member])
+    sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.6))
+    if late and sp.horizon < 2:
+        return None
+    t0 = int(g.integers(1 if late else 0, sp.horizon))
+    t1 = min(sp.horizon, t0 + int(g.integers(0, 3)))
+    members = [random_adapted(sp, t0, t1, g) for _ in range(1 if one_member else int(g.integers(1, 4)))]
+    if g.random() < 0.2:
+        members[-1] = AdaptedProcess.constant(sp, t0, t1, float(g.normal()))
+    if np.prod([enumerate_class(X).size for X in members]) > 5000:
+        return None
+    return Portfolio(members), random_coherent_utility(sp, t0, t1, g, n_scenarios=int(g.integers(1, 4)))
+
+
+DUALITY_FAMILIES = {
+    "gate": lambda: (gate_shaped_instance(i) for i in range(100)),
+    "seed-drawn": lambda: (gate_shaped_instance(i, s) for s in (1, 2, 3) for i in range(100)),
+    "late": lambda: (drawn_instance(s, True, False) for s in range(100)),
+    "one-member": lambda: (drawn_instance(s, False, True) for s in range(60)),
+}
+
+
+@pytest.mark.parametrize("family", DUALITY_FAMILIES)
+def test_shared_pairing_table_matches_reference_duality_route(family):
+    """verify_theorem_3_1 reads the scenario side, the uniform attainers and
+    the member certificates from the scan's dual features; every field of its
+    report has the bits of the route that prices each pairing where it is used."""
+    checked = found = 0
+    for k, inst in enumerate(DUALITY_FAMILIES[family]()):
+        if inst is None:
+            continue
+        marg, u = inst
+        label = f"{family} {k}"
+        got = verify_theorem_3_1(marg, u, cap=400_000, tol=1e-9)
+        want = _verify_theorem_3_1_reference(marg, u, cap=400_000, tol=1e-9)
+        checked += 1
+        assert bits(got.equality_residual) == bits(want.equality_residual), label
+        assert got.equality_holds == want.equality_holds, label
+        assert np.array_equal(bits(got.portfolio_value.values), bits(want.portfolio_value.values)), label
+        assert np.array_equal(bits(got.scenario_value.values), bits(want.scenario_value.values)), label
+        assert got.comonotone_found == want.comonotone_found, label
+        assert got.attains == want.attains and got.tol == want.tol, label
+        if want.comonotone_tuple is None:
+            assert got.comonotone_tuple is None and got.attain_residual is None, label
+            continue
+        found += 1
+        assert bits(got.attain_residual) == bits(want.attain_residual), label
+        for x, y in zip(got.comonotone_tuple.members, want.comonotone_tuple.members, strict=True):
+            assert x.values.tobytes() == y.values.tobytes(), label
+    assert checked >= 40 and found >= 10, (checked, found)
+
+
+def test_pairings_against_the_glued_scenario_are_gathered_feature_columns():
+    """On atom k the worst scenario a0 copies scenario choice[k], so a class's
+    pairings against a0 are its dual features' columns feats[:, choice, atom]."""
+    for k, inst in enumerate(DUALITY_FAMILIES["gate"]()):
+        marg, u = inst
+        lhs = worst_portfolio_bruteforce(marg, u, 400_000)
+        ws = worst_scenario([a for a, _ in u.scenarios], marg, u, rearrangements=lhs.classes)
+        for cls, f in zip(lhs.classes, lhs._features, strict=True):
+            gathered = f[:, ws.per_atom_choice, np.arange(f.shape[-1])]
+            assert _class_pairings(cls, ws.a0, u.t_start, u.t_end).tobytes() == gathered.tobytes(), f"gate {k}"
 
 
 def test_worst_scenario_matches_per_candidate_average_risk_bitwise():

@@ -7,6 +7,7 @@ from dynrisk import (
     CapExceededError,
     DensityProcess,
     FiniteFilteredSpace,
+    Portfolio,
     dyadic_uniform,
     enumerate_class,
     enumerate_class_bruteforce,
@@ -15,8 +16,9 @@ from dynrisk import (
     max_correlation,
     pairing,
     path_law,
+    worst_scenario,
 )
-from dynrisk.random_gen import random_adapted, random_density, random_space
+from dynrisk.random_gen import random_adapted, random_coherent_utility, random_density, random_space
 from dynrisk.rearrange import PATH_TOL
 
 
@@ -384,3 +386,51 @@ class TestComonotone:
         Y = AdaptedProcess.constant(four_tree, 1, 2, 1.0)
         with pytest.raises(ValueError, match="window"):
             is_comonotone(a0, [X, Y])
+
+
+class TestGivenClasses:
+    """A class passed in by the caller must hold its member: the member is
+    the class's representative, or within PATH_TOL of one of its members on
+    the same space and window; one class per member."""
+
+    @pytest.fixture
+    def setup(self, four_tree):
+        g = np.random.default_rng(1)
+        X0, X1 = (random_adapted(four_tree, 0, 2, g) for _ in range(2))
+        a = random_density(four_tree, 0, 2, g)
+        return a, X0, X1, enumerate_class(X0), enumerate_class(X1)
+
+    def test_max_correlation_refuses_another_class(self, setup):
+        a, X0, X1, c0, c1 = setup
+        with pytest.raises(ValueError, match="position is not in its rearrangement class"):
+            max_correlation(a, X0, 0, rearrangement=c1)
+
+    def test_is_comonotone_refuses_swapped_or_missing_classes(self, setup):
+        a, X0, X1, c0, c1 = setup
+        with pytest.raises(ValueError, match="member 0 is not in its rearrangement class"):
+            is_comonotone(a, [X0, X1], rearrangements=[c1, c0])
+        with pytest.raises(ValueError, match="1 rearrangement classes for 2 members"):
+            is_comonotone(a, [X0, X1], rearrangements=[c0])
+        with pytest.raises(ValueError, match="member 1 is not on its rearrangement class's space and window"):
+            is_comonotone(a, [X0, X1], rearrangements=[c0, enumerate_class(X1.restrict(1))])
+
+    def test_worst_scenario_refuses_swapped_classes(self, setup, four_tree):
+        a, X0, X1, c0, c1 = setup
+        u = random_coherent_utility(four_tree, 0, 2, np.random.default_rng(2), n_scenarios=2)
+        with pytest.raises(ValueError, match="member 1 is not in its rearrangement class"):
+            worst_scenario([a], Portfolio([X0, X1]), u, rearrangements=[c0, c0])
+
+    def test_members_and_near_members_are_accepted(self, setup):
+        # a rearranged member, the representative and a copy within PATH_TOL of
+        # a member price as the member's enumerated class does
+        a, X0, X1, c0, c1 = setup
+        Y0, Y1 = c0.members[-1], c1.members[-1]
+        near = AdaptedProcess(X1.space, 0, Y1.values + PATH_TOL / 2)
+        for Y, cls, same in ((Y0, c0, Y0), (X0, c0, X0), (near, c1, Y1)):
+            given = max_correlation(a, Y, 0, rearrangement=cls).value.values
+            assert given.tobytes() == max_correlation(a, same, 0).value.values.tobytes()
+        cert = is_comonotone(a, [Y0, Y1], rearrangements=[c0, c1])
+        old = is_comonotone(a, [Y0, Y1])
+        assert cert.sum_residuals.tobytes() == old.sum_residuals.tobytes()
+        assert [r.tobytes() for r in cert.member_residuals] == [r.tobytes() for r in old.member_residuals]
+        assert is_comonotone(a, [Y0, near], rearrangements=[c0, c1]).comonotone == old.comonotone

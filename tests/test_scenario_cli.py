@@ -506,6 +506,10 @@ class TestCLI:
                 },
                 "portfolio window (0, 2) is not the utility window (1, 2)",
             ),
+            (
+                {"task": "verify-thm31", "name": "duality", "utility": "latecoh", "marginals": ["pos1", "pos2"]},
+                "portfolio window (0, 2) is not the utility window (1, 2)",
+            ),
         ],
         ids=[
             "evaluate-late-position",
@@ -519,6 +523,7 @@ class TestCLI:
             "stability-mixed-windows",
             "matrix-compare-late-portfolios",
             "matrix-compare-early-portfolios",
+            "duality-early-marginals",
         ],
     )
     def test_objects_that_do_not_fit_are_input_errors(self, tmp_path, capsys, task, message):
@@ -527,6 +532,7 @@ class TestCLI:
         doc["processes"]["late"] = {"t_start": 1, "values": [[1, 1, 2, 2], [0, 3, 1, -2]]}
         doc["densities"]["lateden"] = {"t_start": 1, "class": "De", "increments": [[0.5] * 4, [0.5] * 4]}
         doc["utilities"]["lateent"] = {"variant": "entropic", "alpha": 1.0, "t_start": 1}
+        doc["utilities"]["latecoh"] = {"variant": "dual", "t_start": 1, "t_end": 2, "scenarios": [{"density": "lateden", "gamma": 0.0}]}
         doc["tasks"] = [task]
         code, _ = self.run_cli(tmp_path, doc)
         err = capsys.readouterr().err

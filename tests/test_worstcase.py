@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +36,11 @@ from dynrisk import (
 from dynrisk.random_gen import (
     preservation_instance,
     random_adapted,
+    random_coherent_utility,
     random_density,
     random_space,
 )
-from dynrisk import rearrange, worstcase
+from dynrisk import processes, rearrange, utility, worstcase
 
 
 def zero_gamma(space, t):
@@ -166,6 +169,16 @@ class TestTheorem31:
             assert rep.equality_holds, rep.equality_residual
             assert rep.passed
 
+    def test_marginals_off_the_utility_window_are_refused(self, four_tree):
+        # marginals from t=0 against a utility from t=1: the scan and the
+        # scenario side would read the window (1, 2), but no certificate could
+        for seed in range(40):
+            g = np.random.default_rng(seed)
+            marg = Portfolio([random_adapted(four_tree, 0, 2, g) for _ in range(1 + seed % 2)])
+            u = random_coherent_utility(four_tree, 1, 2, g, n_scenarios=2)
+            with pytest.raises(ValueError, match=re.escape("portfolio window (0, 2) is not the utility window (1, 2)")):
+                verify_theorem_3_1(marg, u)
+
     def test_constants_attain_trivially(self, four_tree):
         u = coherent_pair(four_tree, 70)
         marg = Portfolio([AdaptedProcess.constant(four_tree, 0, 2, c) for c in (1.0, -0.5)])
@@ -176,28 +189,66 @@ class TestTheorem31:
 
     def test_one_marginal_enumerates_its_class_once(self, four_tree, monkeypatch):
         # the sum of a one-member family is the member, priced on the scan's class
-        enumerate_class, is_comonotone = rearrange.enumerate_class, rearrange.is_comonotone
+        enumerate_class, certificate = rearrange.enumerate_class, rearrange._certificate
+        is_comonotone = rearrange.is_comonotone
         enumerated, certified = [], []
 
         def counted(X, cap):
             enumerated.append(X)
             return enumerate_class(X, cap)
 
-        def kept(a0, family, tol, cap, rearrangements=None):
-            cert = is_comonotone(a0, family, tol, cap, rearrangements)
+        def kept(a0, family, psis, directs, tol, cap):
+            cert = certificate(a0, family, psis, directs, tol, cap)
             certified.append(((a0, family, tol, cap), cert))
             return cert
 
         monkeypatch.setattr(rearrange, "enumerate_class", counted)
         monkeypatch.setattr(worstcase, "enumerate_class", counted)
-        monkeypatch.setattr(worstcase, "is_comonotone", kept)
+        monkeypatch.setattr(worstcase, "_certificate", kept)
         marg = Portfolio([random_adapted(four_tree, 0, 2, np.random.default_rng(50))])
         rep = verify_theorem_3_1(marg, coherent_pair(four_tree, 21))
         assert rep.comonotone_found and len(enumerated) == 1 and certified
         for args, cert in certified:
-            old = is_comonotone(*args)  # enumerates the sum's class again
-            assert np.array_equal(cert.sum_residuals, old.sum_residuals)
-            assert all(np.array_equal(x, y) for x, y in zip(cert.member_residuals, old.member_residuals, strict=True))
+            old = is_comonotone(*args)  # enumerates the member's class again
+            assert cert.comonotone == old.comonotone and cert.details == old.details
+            assert cert.sum_residuals.tobytes() == old.sum_residuals.tobytes()
+            assert [r.tobytes() for r in cert.member_residuals] == [r.tobytes() for r in old.member_residuals]
+
+    def test_member_pairings_are_computed_once_per_class(self, four_tree, monkeypatch):
+        """Two marginals: each class is paired once, by the scan's features;
+        every other pairing prices a certificate's sum or the found tuple."""
+        g = np.random.default_rng(51)
+        marg = Portfolio([random_adapted(four_tree, 0, 2, g) for _ in range(2)])
+        u = coherent_pair(four_tree, 22)
+        enumerate_class, certificate = rearrange.enumerate_class, rearrange._certificate
+        classes, calls, certs = [], [], []
+
+        def counted_class(X, cap):
+            classes.append(enumerate_class(X, cap))
+            return classes[-1]
+
+        def counted_certificate(*args):
+            certs.append(certificate(*args))
+            return certs[-1]
+
+        for module in (rearrange, worstcase):
+            monkeypatch.setattr(module, "enumerate_class", counted_class)
+        monkeypatch.setattr(worstcase, "_certificate", counted_certificate)
+        for module in (processes, rearrange, utility, worstcase):
+            kernel = module._pairings
+
+            def counted(space, x, a, t, kernel=kernel):
+                calls.append(x)
+                return kernel(space, x, a, t)
+
+            monkeypatch.setattr(module, "_pairings", counted)
+        rep = verify_theorem_3_1(marg, u)
+        marginal_classes = classes[:2]  # the scan's; each certificate then enumerates its sum's
+        assert min(c.size for c in marginal_classes) > 1 and rep.comonotone_found and certs
+        for cls in marginal_classes:
+            assert sum(np.shares_memory(x, cls.values) for x in calls) == 1
+        # per certificate, the sum's class and the sum itself; then the found tuple's insurance
+        assert len(calls) == 2 + 2 * len(certs) + 1
 
 
 class TestLinearDriven:
