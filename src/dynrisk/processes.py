@@ -83,6 +83,13 @@ class _Windowed:
         obj.values = values
         return obj
 
+    @staticmethod
+    def _length(t_start: int, t_end: int) -> int:
+        """The length of a factory's window, refusing one that ends before it starts."""
+        if t_end < t_start:
+            raise ValueError(f"window [{t_start}, {t_end}] ends before it starts")
+        return t_end - t_start + 1
+
     @property
     def window(self) -> tuple[int, int]:
         return (self.t_start, self.t_end)
@@ -128,7 +135,7 @@ class AdaptedProcess(_Windowed):
 
     @classmethod
     def constant(cls, space: FiniteFilteredSpace, t_start: int, t_end: int, c: float) -> "AdaptedProcess":
-        return cls(space, t_start, np.full((t_end - t_start + 1, space.n_outcomes), float(c)))
+        return cls(space, t_start, np.full((cls._length(t_start, t_end), space.n_outcomes), float(c)))
 
     @classmethod
     def zero(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "AdaptedProcess":
@@ -146,7 +153,10 @@ class AdaptedProcess(_Windowed):
         return AdaptedProcess._wrap(self.space, self.t_start, -self.values)
 
     def __mul__(self, scalar: float) -> "AdaptedProcess":
-        return AdaptedProcess._wrap(self.space, self.t_start, self.values * float(scalar))
+        scalar = float(scalar)
+        if not np.isfinite(scalar):
+            raise ValueError(f"cannot scale a position by {scalar}")
+        return AdaptedProcess._wrap(self.space, self.t_start, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -183,7 +193,7 @@ class DensityProcess(_Windowed):
 
     @classmethod
     def uniform(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "DensityProcess":
-        L = t_end - t_start + 1
+        L = cls._length(t_start, t_end)
         return cls(space, t_start, np.full((L, space.n_outcomes), 1.0 / L))
 
     def total_mass(self) -> np.ndarray:

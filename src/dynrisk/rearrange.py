@@ -35,6 +35,7 @@ from .processes import AdaptedProcess, DensityProcess, _pairings, pairing
 from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts, _probability_levels
 
 PATH_TOL = 1e-12
+_EMPTY_CLASS = "empty rearrangement class: every arrangement of the paths kept by merging within PATH_TOL spreads on an atom"
 
 
 @dataclass
@@ -103,10 +104,11 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
     ``arrangement_layout``.  Each level's pool holds its distinct paths,
     sorted, each the first row of its group within ``PATH_TOL``, and members
     carry the pools' rows, not X_hat's.  When every pool holds one path, the
-    class is that one arrangement (none if it spreads on an atom), returned
-    without search.  Otherwise the search records a row of pool indices per
-    member and the stack is one gather from the pools.  More than ``cap``
-    members raise ``CapExceededError``.
+    class is that one arrangement, returned without search.  Otherwise the
+    search records a row of pool indices per member and the stack is one
+    gather from the pools.  More than ``cap`` members raise
+    ``CapExceededError``; no member (every arrangement of the kept rows
+    spreads on an atom) raises ``ValueError``.
     """
     space = X_hat.space
     M, L = space.n_outcomes, X_hat.length
@@ -149,7 +151,7 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
     if len(paths) == len(levels):  # one path per level: one arrangement, a member if adapted
         member = [paths[li] for li in level_of]
         if not all(fits(w, path) for w, path in enumerate(member)):
-            return _stacked_class(X_hat, np.empty((0, L, M)), len(levels) > 1)
+            raise ValueError(_EMPTY_CLASS)
         if cap < 1:
             raise CapExceededError(f"rearrangement class exceeds cap {cap}")
         return _stacked_class(X_hat, [list(zip(*member))], len(levels) > 1)
@@ -172,6 +174,8 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
                     counts[r] += 1
 
     place(0)
+    if not found:
+        raise ValueError(_EMPTY_CLASS)
     # member i's value at (k, w) is entry k of path found[i * M + w]
     slots = np.frombuffer(found, dtype=np.int64).reshape(-1, 1, M) * L + np.arange(L)[:, None]
     return _stacked_class(X_hat, np.array(paths).ravel()[slots], len(levels) > 1)
@@ -235,47 +239,18 @@ def _class_pairings(cls: RearrangementClass, a: DensityProcess, t: int, t_end: i
     return _pairings(rep.space, cls.values[:, rep._span(t, t_end)], a.values[a._span(t, t_end, rep.space)], t)
 
 
-def _check_member(X: AdaptedProcess, cls: RearrangementClass, name: str) -> None:
-    """Refuse a class that X is not in: X must be the class's representative,
-    or lie within ``PATH_TOL`` of one of its members on the same space and window."""
-    if X is cls.representative:
-        return
-    rep = cls.representative
-    if rep.space is not X.space or rep.window != X.window:
-        raise ValueError(f"{name} is not on its rearrangement class's space and window")
-    if not bool((np.abs(cls.values - X.values).max(axis=(1, 2)) <= PATH_TOL).any()):
-        raise ValueError(f"{name} is not in its rearrangement class")
-
-
-def _given_classes(family: Sequence[AdaptedProcess], classes: Sequence[RearrangementClass]) -> list[RearrangementClass]:
-    """The public boundary of a caller's classes: one per member, each
-    holding its member.  The harnesses pass the classes they enumerated to
-    the private routines, unchecked."""
-    classes = list(classes)
-    if len(classes) != len(family):
-        raise ValueError(f"{len(classes)} rearrangement classes for {len(family)} members")
-    for i, (X, cls) in enumerate(zip(family, classes)):
-        _check_member(X, cls, f"member {i}")
-    return classes
-
-
 def max_correlation(
     a: DensityProcess,
     X_hat: AdaptedProcess,
     t: int,
     t_end: int | None = None,
     cap: int = 100_000,
-    rearrangement: RearrangementClass | None = None,
 ) -> MaxCorrelationResult:
-    """Largest pairing against a over the rearrangement class, per atom.
-    ``rearrangement``, when given, must hold X_hat (see ``_check_member``)."""
+    """Largest pairing against a over X_hat's rearrangement class, per atom;
+    the class is enumerated here and kept on the result."""
     if t_end is None:
         t_end = X_hat.t_end
-    if rearrangement is None:
-        cls = enumerate_class(X_hat, cap)
-    else:
-        _check_member(X_hat, rearrangement, "position")
-        cls = rearrangement
+    cls = enumerate_class(X_hat, cap)
     table = _class_pairings(cls, a, t, t_end)
     return MaxCorrelationResult(ConditionalValue(X_hat.space, t, table.max(axis=0)), _first_near_max(table), cls)
 
@@ -344,16 +319,13 @@ def is_comonotone(
     family: Sequence[AdaptedProcess],
     tol: float = DEFAULT_TOL,
     cap: int = 100_000,
-    rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> ComonotonicityCertificate:
     """Certify that each member, and their sum, attains its max correlation
     against a0.
 
-    ``rearrangements``, when given, holds each member's class, checked by
-    ``_given_classes``; a rearranged member has its marginal's class, so a
-    caller holding the marginals' classes passes them and only the sum's
-    class is enumerated.  The sum of one member is that member, priced on
-    its class.
+    Each member's class is enumerated here, and so is the sum's when the
+    family has several members; the sum of one member is that member,
+    priced on its class.
     """
     family = list(family)
     if not family:
@@ -361,10 +333,6 @@ def is_comonotone(
     for X in family[1:]:
         family[0]._same_window(X)
     t, t_end = family[0].window
-    if rearrangements is None:
-        classes = [enumerate_class(X, cap) for X in family]
-    else:
-        classes = _given_classes(family, rearrangements)
-    psis = [_class_pairings(cls, a0, t, t_end).max(axis=0) for cls in classes]
+    psis = [_class_pairings(enumerate_class(X, cap), a0, t, t_end).max(axis=0) for X in family]
     directs = [pairing(X, a0, t, t_end).values for X in family]
     return _certificate(a0, family, psis, directs, tol, cap)

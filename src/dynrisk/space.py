@@ -268,11 +268,12 @@ class ConditionalValue:
 
     def __mul__(self, scalar: float) -> "ConditionalValue":
         scalar = float(scalar)
+        if not np.isfinite(scalar):
+            raise ValueError(f"cannot scale a conditional value by {scalar}")
         if scalar < 0 and not self.is_finite():
             raise ValueError("cannot scale a -inf value by a negative factor")
-        out = self.values * scalar
-        out[np.isnan(out)] = 0.0  # 0 * -inf
-        return ConditionalValue(self.space, self.time, out)
+        vals = self.values if scalar else np.where(np.isneginf(self.values), 0.0, self.values)  # 0 * -inf = 0
+        return ConditionalValue(self.space, self.time, vals * scalar)
 
     __rmul__ = __mul__
 

@@ -22,7 +22,6 @@ from .rearrange import (
     _attains,
     _certificate,
     _first_near_max,
-    _given_classes,
     enumerate_class,
     max_correlation,
     path_law,
@@ -142,11 +141,10 @@ def worst_scenario(
     marginals: Portfolio,
     u: DualFiniteUtility,
     cap: int = 100_000,
-    rearrangements: Sequence[RearrangementClass] | None = None,
 ) -> WorstScenarioResult:
     """Atom-wise best candidate under the average risk, glued by indicators.
-    Each marginal's class is enumerated once, or taken from ``rearrangements``
-    (checked by ``_given_classes``), and paired with every candidate in one pass."""
+    Each marginal's class is enumerated once and paired with every candidate
+    in one pass."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("empty candidate list")
@@ -154,13 +152,9 @@ def worst_scenario(
     space = u.space
     marginals.members[0]._span(t, t_end, space)  # marginals on u's space and window
     incs = np.stack([c.values[c._span(t, t_end, space)] for c in candidates])
-    if rearrangements is None:
-        classes = [enumerate_class(X, cap) for X in marginals.members]
-    else:
-        classes = _given_classes(marginals.members, rearrangements)
     maxima = [
-        _pairings(space, cls.values[:, None, cls.representative._span(t, t_end)], incs, t).max(axis=0)
-        for cls in classes
+        _pairings(space, enumerate_class(X, cap).values[:, None, X._span(t, t_end)], incs, t).max(axis=0)
+        for X in marginals.members
     ]
     return _glued(candidates, incs, maxima, u)
 
@@ -440,6 +434,8 @@ def build_linear_driven_portfolio(
     space = a.space
     L = a.length
     mask = _outcome_mask(event_mask, space)
+    if len(matrices) != len(shifts):
+        raise ValueError(f"{len(matrices)} matrices but {len(shifts)} shifts: one shift per matrix")
     members = []
     for i, (B, shift) in enumerate(zip(matrices, shifts)):
         B = np.asarray(B, dtype=float)

@@ -51,6 +51,7 @@ from dynrisk.random_gen import (
     random_stopping_time,
     random_terminal_density,
 )
+from dynrisk.rearrange import _class_pairings
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "full_verification.json"
 GOLDEN = Path(__file__).resolve().parent / "data" / "full_verification"
@@ -289,9 +290,10 @@ def test_rearrangement_fast_path_matches_oracle():
         checked += 1
         a = random_density(sp, 0, sp.horizon, g)
         t = int(g.integers(0, sp.horizon + 1))
-        mc_fast = max_correlation(a, X, t, rearrangement=fast).value.values
-        mc_slow = max_correlation(a, X, t, rearrangement=slow).value.values
+        mc_fast = _class_pairings(fast, a, t, X.t_end).max(axis=0)
+        mc_slow = _class_pairings(slow, a, t, X.t_end).max(axis=0)
         assert np.array_equal(mc_fast, mc_slow)
+        assert np.array_equal(max_correlation(a, X, t).value.values, mc_fast)
         lap = lap_upper_bound(a, X, t).values
         assert np.all(lap >= mc_fast - 1e-9)
     assert checked >= 40

@@ -769,12 +769,13 @@ def test_class_reusing_duality_harness_matches_per_call_oracle():
 
 
 def _verify_theorem_3_1_reference(marginals, u, cap=1_000_000, tol=1e-9):
-    """verify_theorem_3_1 with every pairing priced where it is used: the
-    public worst_scenario on the scan's classes, uniform attainers from
-    _class_pairings against a0, and the public is_comonotone per combination."""
+    """verify_theorem_3_1 with every pairing priced where it is used, each
+    public call enumerating its own classes: the public worst_scenario,
+    uniform attainers from _class_pairings of the scan's classes against a0,
+    and the public is_comonotone per combination."""
     t, t_end = u.t_start, u.t_end
     lhs = worst_portfolio_bruteforce(marginals, u, cap)
-    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap, rearrangements=lhs.classes)
+    ws = worst_scenario([a for a, _ in u.scenarios], marginals, u, cap)
     residual = lhs.sup_value.max_residual(ws.value)
     uniform_sets = [
         [m for m, keep in zip(cls.members, _attains(_class_pairings(cls, ws.a0, t, t_end))) if keep]
@@ -782,7 +783,7 @@ def _verify_theorem_3_1_reference(marginals, u, cap=1_000_000, tol=1e-9):
     ]
     found = None
     for combo in itertools.product(*uniform_sets):
-        if is_comonotone(ws.a0, list(combo), tol, cap, rearrangements=lhs.classes).comonotone:
+        if is_comonotone(ws.a0, list(combo), tol, cap).comonotone:
             found = Portfolio(list(combo))
             break
     attain_res = attains = None
@@ -875,7 +876,7 @@ def test_pairings_against_the_glued_scenario_are_gathered_feature_columns():
     for k, inst in enumerate(DUALITY_FAMILIES["gate"]()):
         marg, u = inst
         lhs = worst_portfolio_bruteforce(marg, u, 400_000)
-        ws = worst_scenario([a for a, _ in u.scenarios], marg, u, rearrangements=lhs.classes)
+        ws = worst_scenario([a for a, _ in u.scenarios], marg, u)
         for cls, f in zip(lhs.classes, lhs._features, strict=True):
             gathered = f[:, ws.per_atom_choice, np.arange(f.shape[-1])]
             assert _class_pairings(cls, ws.a0, u.t_start, u.t_end).tobytes() == gathered.tobytes(), f"gate {k}"
@@ -907,12 +908,11 @@ def test_worst_scenario_matches_per_candidate_average_risk_bitwise():
         single = any(bool(np.all(row >= floor)) for row in table)
         choice = np.argmax(table >= best - 1e-15, axis=0).tolist()
         knocked += bool(np.isneginf(table).any())
-        for rearrangements in (None, classes):
-            res = worst_scenario(candidates, marg, u, rearrangements=rearrangements)
-            label = f"seed {seed}, classes {'given' if rearrangements else 'enumerated'}"
-            assert np.array_equal(bits(res.value.values), bits(best)), label
-            assert res.per_atom_choice == choice, label
-            assert res.single_attainment == single, label
+        res = worst_scenario(candidates, marg, u)
+        label = f"seed {seed}"
+        assert np.array_equal(bits(res.value.values), bits(best)), label
+        assert res.per_atom_choice == choice, label
+        assert res.single_attainment == single, label
     assert knocked >= 10, "too few tables held a -inf penalty"
 
 

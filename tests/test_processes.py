@@ -80,6 +80,23 @@ class TestAdaptedProcess:
         Z = X.shift_by(5.0)
         assert np.array_equal(Z.values - X.values, np.full((2, 4), 5.0))
 
+    @pytest.mark.parametrize("scalar", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_rejected(self, four_tree, scalar):
+        X = AdaptedProcess(four_tree, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])
+        with pytest.raises(ValueError, match="cannot scale a position"):
+            X * scalar
+        with pytest.raises(ValueError, match="cannot scale a position"):
+            scalar * X
+
+    def test_constant_on_a_reversed_window_rejected(self, four_tree):
+        with pytest.raises(ValueError, match=r"window \[2, 0\] ends before it starts"):
+            AdaptedProcess.constant(four_tree, 2, 0, 1.0)
+
+
+def test_uniform_density_on_a_reversed_window_rejected(four_tree):
+    with pytest.raises(ValueError, match=r"window \[2, 1\] ends before it starts"):
+        DensityProcess.uniform(four_tree, 2, 1)
+
 
 class TestProject:
     def test_full_window_identity(self, four_tree):

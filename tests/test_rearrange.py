@@ -8,6 +8,8 @@ from dynrisk import (
     DensityProcess,
     FiniteFilteredSpace,
     Portfolio,
+    average_risk,
+    check_law_invariance,
     dyadic_uniform,
     enumerate_class,
     enumerate_class_bruteforce,
@@ -16,6 +18,8 @@ from dynrisk import (
     max_correlation,
     pairing,
     path_law,
+    verify_theorem_3_1,
+    worst_portfolio_bruteforce,
     worst_scenario,
 )
 from dynrisk.random_gen import random_adapted, random_coherent_utility, random_density, random_space
@@ -275,12 +279,16 @@ class TestEnumerationMatchesTheReference:
         assert assert_same_class(spread_case(), "spread") == 432
 
     def test_unadapted_stack_gives_an_empty_class(self):
-        # an unvalidated stack spreading 2e-12 on an atom: no arrangement is kept,
-        # on the one-path-per-level return too
+        # an unvalidated stack spreading 2e-12 on an atom: the reference keeps no
+        # arrangement, and the enumeration refuses the empty class, on the
+        # one-path-per-level return too
         for probs in ([0.25] * 4, [0.1, 0.2, 0.3, 0.4]):
             sp = FiniteFilteredSpace(probs, [[range(4)], [[0, 1], [2, 3]]])
             X = AdaptedProcess._wrap(sp, 1, np.array([[1.0, 1.0 + 2e-12, 5.0, 5.0]]))
-            assert assert_same_class(X, str(probs)) == 0
+            assert len(_enumerate_class_reference(X)[0]) == 0
+            for cap in (0, 1):
+                with pytest.raises(ValueError, match="PATH_TOL"):
+                    enumerate_class(X, cap)
 
 
 class TestMaxCorrelation:
@@ -388,49 +396,65 @@ class TestComonotone:
             is_comonotone(a0, [X, Y])
 
 
-class TestGivenClasses:
-    """A class passed in by the caller must hold its member: the member is
-    the class's representative, or within PATH_TOL of one of its members on
-    the same space and window; one class per member."""
+def empty_class_case():
+    """An adapted position whose class the oracle finds 8 members in; merging
+    paths within PATH_TOL keeps rows that spread on a time-1 atom in every
+    arrangement, so the enumeration finds none."""
+    return AdaptedProcess(dyadic_uniform(2), 0, [[0, 0, 0, 0], [0, 9e-13, 1.8e-12, 2.7e-12], [5, 7, 7, 9]])
 
-    @pytest.fixture
-    def setup(self, four_tree):
-        g = np.random.default_rng(1)
-        X0, X1 = (random_adapted(four_tree, 0, 2, g) for _ in range(2))
-        a = random_density(four_tree, 0, 2, g)
-        return a, X0, X1, enumerate_class(X0), enumerate_class(X1)
 
-    def test_max_correlation_refuses_another_class(self, setup):
-        a, X0, X1, c0, c1 = setup
-        with pytest.raises(ValueError, match="position is not in its rearrangement class"):
-            max_correlation(a, X0, 0, rearrangement=c1)
+EMPTY_CLASS_CONSUMERS = {
+    "enumerate_class": lambda X, a, u: enumerate_class(X),
+    "max_correlation": lambda X, a, u: max_correlation(a, X, 0),
+    "is_comonotone": lambda X, a, u: is_comonotone(a, [X]),
+    "is_comonotone, second member": lambda X, a, u: is_comonotone(a, [AdaptedProcess.zero(X.space, 0, 2), X]),
+    "worst_scenario": lambda X, a, u: worst_scenario([a], Portfolio([X]), u),
+    "average_risk": lambda X, a, u: average_risk(a, Portfolio([X]), u),
+    "worst_portfolio_bruteforce": lambda X, a, u: worst_portfolio_bruteforce(Portfolio([X]), u),
+    "verify_theorem_3_1": lambda X, a, u: verify_theorem_3_1(Portfolio([X]), u),
+    "check_law_invariance": lambda X, a, u: check_law_invariance(u, X),
+}
 
-    def test_is_comonotone_refuses_swapped_or_missing_classes(self, setup):
-        a, X0, X1, c0, c1 = setup
-        with pytest.raises(ValueError, match="member 0 is not in its rearrangement class"):
-            is_comonotone(a, [X0, X1], rearrangements=[c1, c0])
-        with pytest.raises(ValueError, match="1 rearrangement classes for 2 members"):
-            is_comonotone(a, [X0, X1], rearrangements=[c0])
-        with pytest.raises(ValueError, match="member 1 is not on its rearrangement class's space and window"):
-            is_comonotone(a, [X0, X1], rearrangements=[c0, enumerate_class(X1.restrict(1))])
 
-    def test_worst_scenario_refuses_swapped_classes(self, setup, four_tree):
-        a, X0, X1, c0, c1 = setup
-        u = random_coherent_utility(four_tree, 0, 2, np.random.default_rng(2), n_scenarios=2)
-        with pytest.raises(ValueError, match="member 1 is not in its rearrangement class"):
-            worst_scenario([a], Portfolio([X0, X1]), u, rearrangements=[c0, c0])
+class TestEmptyClass:
+    def test_the_merge_rule_loses_the_oracles_members(self):
+        X = empty_class_case()
+        assert enumerate_class_bruteforce(X).size == 8
+        assert len(_enumerate_class_reference(X)[0]) == 0
 
-    def test_members_and_near_members_are_accepted(self, setup):
-        # a rearranged member, the representative and a copy within PATH_TOL of
-        # a member price as the member's enumerated class does
-        a, X0, X1, c0, c1 = setup
-        Y0, Y1 = c0.members[-1], c1.members[-1]
-        near = AdaptedProcess(X1.space, 0, Y1.values + PATH_TOL / 2)
-        for Y, cls, same in ((Y0, c0, Y0), (X0, c0, X0), (near, c1, Y1)):
-            given = max_correlation(a, Y, 0, rearrangement=cls).value.values
-            assert given.tobytes() == max_correlation(a, same, 0).value.values.tobytes()
-        cert = is_comonotone(a, [Y0, Y1], rearrangements=[c0, c1])
-        old = is_comonotone(a, [Y0, Y1])
-        assert cert.sum_residuals.tobytes() == old.sum_residuals.tobytes()
-        assert [r.tobytes() for r in cert.member_residuals] == [r.tobytes() for r in old.member_residuals]
-        assert is_comonotone(a, [Y0, near], rearrangements=[c0, c1]).comonotone == old.comonotone
+    @pytest.mark.parametrize("consumer", EMPTY_CLASS_CONSUMERS)
+    def test_consumers_refuse_an_empty_class(self, consumer):
+        X = empty_class_case()
+        g = np.random.default_rng(3)
+        a = random_density(X.space, 0, 2, g)
+        u = random_coherent_utility(X.space, 0, 2, g, n_scenarios=2)
+        with pytest.raises(ValueError, match="PATH_TOL"):
+            EMPTY_CLASS_CONSUMERS[consumer](X, a, u)
+
+
+def test_class_enumeration_is_law_invariant_bit_for_bit():
+    """Every member Y of X's class has X's class, the same stack bit for bit
+    and in member order, and so X's max correlation."""
+    checked = restricted = 0
+    for seed in range(80):
+        g = np.random.default_rng([20, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=True, min_outcomes=3)
+        if seed % 2:  # probabilities from three weights: levels of several outcomes
+            raw = g.choice([1.0, 2.0, 3.0], size=sp.n_outcomes)
+            sp = FiniteFilteredSpace(raw / raw.sum(), [list(p) for p in sp.partitions])
+        t0 = int(g.integers(0, sp.horizon + 1))
+        X = random_adapted(sp, t0, sp.horizon, g)
+        if seed % 3 == 0:  # half-grid values: tied paths
+            X = AdaptedProcess(sp, t0, np.round(X.values * 2.0) / 2.0)
+        cls = enumerate_class(X)
+        if cls.size > 60:
+            continue
+        restricted += cls.level_restricted and cls.size > 1
+        a = random_density(sp, t0, sp.horizon, g)
+        t = int(g.integers(t0, sp.horizon + 1))
+        want = max_correlation(a, X, t).value.values.tobytes()
+        for Y in cls.members:
+            assert enumerate_class(Y).values.tobytes() == cls.values.tobytes(), f"seed {seed}"
+            assert max_correlation(a, Y, t).value.values.tobytes() == want, f"seed {seed}"
+            checked += 1
+    assert checked >= 400 and restricted >= 15, (checked, restricted)

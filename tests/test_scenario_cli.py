@@ -190,6 +190,9 @@ class TestParse:
             serialize_scenario(scn)
 
 
+EMPTY_CLASS = "empty rearrangement class: every arrangement of the paths kept by merging within PATH_TOL"
+
+
 class TestCLI:
     def run_cli(self, tmp_path, doc, extra=()):
         path = write_doc(tmp_path, doc)
@@ -510,6 +513,26 @@ class TestCLI:
                 {"task": "verify-thm31", "name": "duality", "utility": "latecoh", "marginals": ["pos1", "pos2"]},
                 "portfolio window (0, 2) is not the utility window (1, 2)",
             ),
+            (
+                {"task": "max-correlation", "name": "mc", "density": "gen1", "position": "tiny"},
+                EMPTY_CLASS,
+            ),
+            (
+                {"task": "comonotone", "name": "co", "density": "gen1", "family": ["pos1", "tiny"]},
+                EMPTY_CLASS,
+            ),
+            (
+                {"task": "worst-scenario", "name": "ws", "utility": "coh", "candidates": ["gen1"], "marginals": ["tiny"]},
+                EMPTY_CLASS,
+            ),
+            (
+                {"task": "worst-portfolio", "name": "wp", "utility": "coh", "marginals": ["pos2", "tiny"]},
+                EMPTY_CLASS,
+            ),
+            (
+                {"task": "verify-thm31", "name": "duality", "utility": "coh", "marginals": ["tiny"]},
+                EMPTY_CLASS,
+            ),
         ],
         ids=[
             "evaluate-late-position",
@@ -524,6 +547,11 @@ class TestCLI:
             "matrix-compare-late-portfolios",
             "matrix-compare-early-portfolios",
             "duality-early-marginals",
+            "max-correlation-empty-class",
+            "comonotone-empty-class",
+            "worst-scenario-empty-class",
+            "worst-portfolio-empty-class",
+            "duality-empty-class",
         ],
     )
     def test_objects_that_do_not_fit_are_input_errors(self, tmp_path, capsys, task, message):
@@ -533,6 +561,8 @@ class TestCLI:
         doc["densities"]["lateden"] = {"t_start": 1, "class": "De", "increments": [[0.5] * 4, [0.5] * 4]}
         doc["utilities"]["lateent"] = {"variant": "entropic", "alpha": 1.0, "t_start": 1}
         doc["utilities"]["latecoh"] = {"variant": "dual", "t_start": 1, "t_end": 2, "scenarios": [{"density": "lateden", "gamma": 0.0}]}
+        # adapted, but merging its paths within PATH_TOL leaves no adapted arrangement
+        doc["processes"]["tiny"] = {"t_start": 0, "values": [[0, 0, 0, 0], [0, 9e-13, 1.8e-12, 2.7e-12], [5, 7, 7, 9]]}
         doc["tasks"] = [task]
         code, _ = self.run_cli(tmp_path, doc)
         err = capsys.readouterr().err

@@ -133,6 +133,18 @@ class TestConditionalValue:
         with pytest.raises(ValueError):
             _ = w - v
 
+    @pytest.mark.parametrize("scalar", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_rejected(self, two_uniform, scalar):
+        v = ConditionalValue(two_uniform, 1, [1.0, 2.0])
+        with pytest.raises(ValueError, match="cannot scale a conditional value"):
+            v * scalar
+
+    def test_zero_times_neg_inf_is_zero_without_a_warning(self, two_uniform):
+        # the pytest configuration turns numpy's invalid-value warning into an error
+        v = ConditionalValue(two_uniform, 1, [-np.inf, 2.0])
+        assert (v * 0.0).values.tolist() == [0.0, 0.0]
+        assert (v * 2.0).values.tolist() == [-np.inf, 4.0]
+
 
 class TestEssSup:
     def test_singleton(self, two_uniform):

@@ -293,6 +293,14 @@ class TestLinearDriven:
         with pytest.raises(ValueError, match=message):
             build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], [True, False])
 
+    def test_matrices_and_shifts_of_different_counts_rejected(self, four_tree):
+        a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
+        mask = np.ones(4, dtype=bool)
+        with pytest.raises(ValueError, match="3 matrices but 2 shifts"):
+            build_linear_driven_portfolio(a, [np.eye(3)] * 3, [np.zeros(3)] * 2, mask)
+        with pytest.raises(ValueError, match="1 matrices but 2 shifts"):
+            build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)] * 2, mask)
+
     def test_non_psd_rejected(self, four_tree):
         a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
         with pytest.raises(ValueError, match="positive semidefinite"):
