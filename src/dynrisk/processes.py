@@ -141,13 +141,21 @@ class AdaptedProcess(_Windowed):
     def zero(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "AdaptedProcess":
         return cls.constant(space, t_start, t_end, 0.0)
 
+    def _result(self, op, other) -> "AdaptedProcess":
+        """``op(values, other)`` on this window, refused when it overflows."""
+        with np.errstate(over="ignore"):
+            values = op(self.values, other)
+        if not np.isfinite(values).all():
+            raise ValueError("the result overflows: process values must be finite")
+        return AdaptedProcess._wrap(self.space, self.t_start, values)
+
     def __add__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         self._same_window(other)
-        return AdaptedProcess._wrap(self.space, self.t_start, self.values + other.values)
+        return self._result(np.add, other.values)
 
     def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         self._same_window(other)
-        return AdaptedProcess._wrap(self.space, self.t_start, self.values - other.values)
+        return self._result(np.subtract, other.values)
 
     def __neg__(self) -> "AdaptedProcess":
         return AdaptedProcess._wrap(self.space, self.t_start, -self.values)
@@ -156,7 +164,7 @@ class AdaptedProcess(_Windowed):
         scalar = float(scalar)
         if not np.isfinite(scalar):
             raise ValueError(f"cannot scale a position by {scalar}")
-        return AdaptedProcess._wrap(self.space, self.t_start, self.values * scalar)
+        return self._result(np.multiply, scalar)
 
     __rmul__ = __mul__
 

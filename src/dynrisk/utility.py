@@ -34,6 +34,7 @@ and ``worstcase.matrix_sup`` evaluate stacks of positions through the kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -684,19 +685,28 @@ def time_consistency_check(
         rhs = up._phi(t, tail)
         direct.append(rhs.take(space.atom_index(t), axis=-1))
         res = np.abs(up._fold(t, thetas[sel], tail, glued[sel]) - rhs).max(axis=-1)
-        worst = max(worst, float(res.max(initial=0.0)))
+        worst, bad = _residuals(worst, res, tol)
         checked += res.size
-        for k, idx in np.argwhere(res > tol):
+        for k, idx in bad:
             failures.append(f"t={t}, theta={thetas[sel][k].tolist()}, sample {idx}: residual {res[k, idx]:.3g}")
     # stage collapse at deterministic times: the constant rows of thetas, in time order
     const = np.flatnonzero(thetas.min(axis=1) == thetas.max(axis=1))
     const = const[np.argsort(thetas[const, 0], kind="stable")]
     res = np.abs(glued[const] - np.array(direct)).max(axis=-1)
-    worst = max(worst, float(res.max(initial=0.0)))
+    worst, bad = _residuals(worst, res, tol)
     checked += res.size
-    for k, idx in np.argwhere(res > tol):
+    for k, idx in bad:
         failures.append(f"deterministic tau={up.t_start + k}, sample {idx}: glue residual {res[k, idx]:.3g}")
     return ConsistencyReport(not failures, worst, checked, failures, mode)
+
+
+def _residuals(worst: float, res: np.ndarray, tol: float):
+    """The running max residual with ``res`` folded in, and the indices of
+    the entries of ``res`` above ``tol``.  A NaN entry counts as above
+    ``tol``, and once met, NaN stays the max."""
+    m = float(res.max(initial=0.0))  # NaN when any entry is NaN
+    worst = m if m > worst or math.isnan(m) else worst
+    return worst, (() if m <= tol else np.argwhere(~(res <= tol)))
 
 
 def entropic_process(space: FiniteFilteredSpace, alpha: float, start: int = 0) -> UtilityProcess:

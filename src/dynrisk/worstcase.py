@@ -41,6 +41,7 @@ from .utility import (
     _EntropicKernel,
     _check_relevance,
     _penalties,
+    _residuals,
     normalize_to_window,
     penalty,
     time_consistency_check,
@@ -118,16 +119,16 @@ class WorstScenarioResult:
 
 
 def _glued(
-    candidates: list[DensityProcess], incs: np.ndarray, maxima: list[np.ndarray], u: DualFiniteUtility
+    incs: np.ndarray, maxima: list[np.ndarray], penalties: np.ndarray | float, u: DualFiniteUtility
 ) -> WorstScenarioResult:
     """The scenario side from its table: ``maxima`` holds per marginal the
     (K, atoms) max correlations of the K candidates, whose window increments
     are ``incs`` (K, L, M).  The average risks sum them in marginal order and
-    add the penalties, priced in one pass; each atom takes its first best
-    candidate, and the candidates' increments are glued along the
-    window-start atoms."""
+    add the caller's ``penalties``, (K, atoms) or a scalar; each atom takes
+    its first best candidate, and the candidates' increments are glued along
+    the window-start atoms."""
     space, t = u.space, u.t_start
-    table = sum(maxima[1:], maxima[0]) * (1.0 / len(maxima)) + _penalties(u, candidates)
+    table = sum(maxima[1:], maxima[0]) * (1.0 / len(maxima)) + penalties
     best = table.max(axis=0)
     choice = _first_near_max(table)
     glued = incs[np.array(choice)[space.atom_index(t)], :, np.arange(space.n_outcomes)].T
@@ -156,7 +157,7 @@ def worst_scenario(
         _pairings(space, enumerate_class(X, cap).values[:, None, X._span(t, t_end)], incs, t).max(axis=0)
         for X in marginals.members
     ]
-    return _glued(candidates, incs, maxima, u)
+    return _glued(incs, maxima, _penalties(u, candidates), u)
 
 
 @dataclass
@@ -370,7 +371,12 @@ def verify_theorem_3_1(
     Every pairing is read from one table per marginal class: the scan's dual
     features, each member paired with each scenario, (size, S, atoms).  The
     scenario side takes, per class, the max over members, sums the classes
-    and adds the penalties (``_glued``, as ``worst_scenario``).  Pairings
+    and adds the penalties (``_glued``, as ``worst_scenario``).  Those
+    penalties are zero, so no LP prices them.  With gamma = 0, the penalty
+    of the utility's own scenario a_j on a start atom is min {G_j.x : G.x >= 0},
+    G the scenarios' billing rows on that atom.  Row j is a constraint, so
+    G_j.x >= 0 for every feasible x, and x = 0 is feasible: the min is 0.
+    Adding 0.0 turns a -0.0 entry into the +0.0 that the LP returns.  Pairings
     against the glued a0 are the gathered columns ``feats[:, choice, atom]``,
     bit for bit: a pairing is priced atom by atom, and on atom k a0 copies
     scenario choice[k].  They give the uniform attainers and each member's
@@ -387,7 +393,7 @@ def verify_theorem_3_1(
         raise ValueError(f"portfolio window {marginals.window} is not the utility window {u.window}")
     lhs = worst_portfolio_bruteforce(marginals, u, cap)
     feats = lhs._features
-    ws = _glued([a for a, _ in u.scenarios], u._increments, [f.max(axis=0) for f in feats], u)
+    ws = _glued(u._increments, [f.max(axis=0) for f in feats], 0.0, u)
     residual = lhs.sup_value.max_residual(ws.value)
     equal = residual <= tol
 
@@ -503,7 +509,7 @@ def verify_linear_driven_portfolio(
             Xres = X.restrict(t)
             direct = _pairings(space, Xres.values, m_vals, t)
             best = np.maximum(direct, _pairings(space, enumerate_class(Xres, cap).values, m_vals, t).max(axis=0))
-            worst_res = max(worst_res, float((best - direct).max()))
+            worst_res = _residuals(worst_res, best - direct, tol)[0]  # a NaN gap stays, and fails
         stages.append(StageCheck(t, worst_res, worst_res <= tol))
     return LinearDrivenReport(stages, mask)
 

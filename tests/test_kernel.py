@@ -1044,15 +1044,59 @@ def test_dual_penalty_above_the_support_limit_goes_to_highs(monkeypatch):
     assert seen == {True, False}, "needs finite and -inf targets"
 
 
-def test_coherent_penalty_is_positive_zero_at_its_own_scenarios():
+def assert_own_penalties_positive_zero(u, label):
+    for i, (a, _) in enumerate(u.scenarios):
+        vals = penalty(u, a).values
+        assert np.array_equal(bits(vals), bits(np.zeros_like(vals))), f"{label}, scenario {i}: {vals}"
+
+
+def test_coherent_penalty_is_positive_zero_at_its_own_scenarios(monkeypatch):
+    """What lets verify_theorem_3_1 skip the penalty LPs: at a coherent
+    utility's own scenarios they return +0.0, on windows to the horizon, on
+    the duality gate's windows (some end before it), and from HiGHS above
+    the support limit."""
     for seed in range(40):
         g = np.random.default_rng([17, seed])
         sp = random_space(g, max_outcomes=6, max_horizon=3)
         t0 = int(g.integers(0, sp.horizon + 1))
         u = random_coherent_utility(sp, t0, sp.horizon, g, n_scenarios=int(g.integers(1, 5)))
-        for i, (a, _) in enumerate(u.scenarios):
-            vals = penalty(u, a).values
-            assert np.array_equal(bits(vals), bits(np.zeros_like(vals))), f"seed {seed}, scenario {i}: {vals}"
+        assert_own_penalties_positive_zero(u, f"seed {seed}")
+    short = 0
+    for k, (_, u) in enumerate(DUALITY_FAMILIES["gate"]()):
+        short += u.t_end < u.space.horizon
+        assert_own_penalties_positive_zero(u, f"gate {k}")
+    assert short >= 10, "too few gate windows end before the horizon"
+    # 11 scenarios on the 15 variables of dyadic_uniform(3): 2,047 supports, priced by HiGHS
+    u = random_coherent_utility(dyadic_uniform(3), 0, 3, np.random.default_rng(18), n_scenarios=11)
+    assert lp.support_count(11, 15) > lp.SUPPORT_LIMIT and u._variables[2].size == 15
+    calls = []
+    solve = lp.maximize_dual_highs
+    monkeypatch.setattr(lp, "maximize_dual_highs", lambda *args: calls.append(1) or solve(*args))
+    assert_own_penalties_positive_zero(u, "above the support limit")
+    assert len(calls) == 11 and not u._supports, "the penalties did not go to HiGHS"
+
+
+def test_duality_check_prices_no_penalty(monkeypatch):
+    """verify_theorem_3_1 adds zero penalties without an LP; worst_scenario,
+    whose candidates are arbitrary, still prices them."""
+    penalties, supports = [], []
+    price, factor = worstcase._penalties, lp.DualSupports
+
+    def counted_penalties(*args):
+        penalties.append(1)
+        return price(*args)
+
+    def counted_supports(*args):
+        supports.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(worstcase, "_penalties", counted_penalties)
+    monkeypatch.setattr(lp, "DualSupports", counted_supports)
+    marg, u = gate_shaped_instance(0)
+    verify_theorem_3_1(marg, u, cap=400_000, tol=1e-9)
+    assert (len(penalties), len(supports)) == (0, 0)
+    worst_scenario([a for a, _ in u.scenarios], marg, u)
+    assert len(penalties) == 1 and len(supports) == u.space.n_atoms(u.t_start)
 
 
 def test_duality_gate_equality_is_exact(duality_instances):  # noqa: F811

@@ -92,6 +92,16 @@ class TestAdaptedProcess:
         with pytest.raises(ValueError, match=r"window \[2, 0\] ends before it starts"):
             AdaptedProcess.constant(four_tree, 2, 0, 1.0)
 
+    @pytest.mark.parametrize(
+        "op", [lambda X: X * 1e10, lambda X: X * 1e8 + X * 1e8, lambda X: X * 1e8 - X * -1e8], ids=["mul", "add", "sub"]
+    )
+    def test_overflowing_arithmetic_rejected(self, op):
+        # finite operands whose result overflows: a ValueError, not numpy's warning
+        # (an error under the suite's RuntimeWarning filter) and not an infinite position
+        X = AdaptedProcess(dyadic_uniform(1), 0, [[1e300, 1e300], [2e300, -1e300]])
+        with pytest.raises(ValueError, match="the result overflows"):
+            op(X)
+
 
 def test_uniform_density_on_a_reversed_window_rejected(four_tree):
     with pytest.raises(ValueError, match=r"window \[2, 1\] ends before it starts"):

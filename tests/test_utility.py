@@ -25,7 +25,7 @@ from dynrisk import (
     robust_entropic_process,
     time_consistency_check,
 )
-from dynrisk.random_gen import random_adapted, random_density
+from dynrisk.random_gen import random_adapted, random_density, random_space
 from dynrisk.utility import AXIOMS
 
 NEG_INF = float("-inf")
@@ -329,6 +329,18 @@ class TestUtilityProcess:
             time_consistency_check(up, sample_count=0)
         with pytest.raises(ValueError, match="samples must not be empty"):
             time_consistency_check(up, samples=[])
+
+    def test_nan_residuals_fail(self):
+        # alpha 1e300 on positions of 1e300-1e306 overflows the recursion into NaN;
+        # a NaN residual must fail the check and be the reported max residual
+        for s in range(20):
+            g = np.random.default_rng([9, s])
+            sp = random_space(g)
+            X = random_adapted(sp, 0, sp.horizon, g, scale=10.0 ** g.uniform(300, 306))
+            with np.errstate(all="ignore"):
+                rep = time_consistency_check(entropic_process(sp, alpha=1e300), [X])
+            assert not rep.passed and np.isnan(rep.max_residual), f"tree {s}"
+            assert any("residual nan" in line for line in rep.failures), f"tree {s}"
 
     def test_robust_entropic_process_consistency_reported(self, four_tree):
         f = TerminalDensity.normalized(four_tree, [1.6, 0.8, 0.8, 0.8])

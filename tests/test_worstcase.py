@@ -277,6 +277,16 @@ class TestLinearDriven:
         assert not rep.passed
         assert rep.stages[2].residual > 0.05
 
+    def test_nan_gap_fails(self):
+        # each pairing sums +inf and -inf halves: a NaN gap must fail its stage
+        sp = dyadic_uniform(1)
+        a = DensityProcess(sp, 0, [[0.0, 0.0], [1e300, 1e300]])
+        X = AdaptedProcess(sp, 0, [[0.0, 0.0], [1e300, -1e300]])
+        with np.errstate(all="ignore"):
+            rep = verify_linear_driven_portfolio(Portfolio([X]), a)
+        assert [np.isnan(s.residual) for s in rep.stages] == [True, True]
+        assert not any(s.passed for s in rep.stages)
+
     def test_density_on_another_space_rejected(self, four_tree):
         a = random_density(four_tree, 0, 2, np.random.default_rng(73), strict=True)
         port = build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], np.ones(4, dtype=bool))
