@@ -171,7 +171,9 @@ class AdaptedProcess(_Windowed):
     def shift_by(self, m: ConditionalValue | float) -> "AdaptedProcess":
         """X + m 1_{[t_start, oo)} with m measurable at the window start."""
         add = m.lift() if isinstance(m, ConditionalValue) else float(m)
-        return AdaptedProcess(self.space, self.t_start, self.values + add)
+        if not np.isfinite(add).all():
+            raise ValueError("cannot shift a position by a non-finite amount")
+        return self._result(np.add, add)
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())

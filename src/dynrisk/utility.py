@@ -464,13 +464,14 @@ def _sample_events(space: FiniteFilteredSpace, t: int, rng) -> list[np.ndarray]:
     return [(rng.random(space.n_atoms(t)) < 0.5)[space.atom_index(t)] for _ in range(32)]
 
 
-def _first_failure(bad: np.ndarray, describe: Callable[[int], str]) -> AxiomResult:
-    """The result of a sweep whose samples, in sampling order, fail where
-    ``bad`` is set: as a loop that stops at the first failure, it counts the
-    samples up to that one and describes it."""
-    hit = np.flatnonzero(bad)
+def _first_failure(ok: np.ndarray, describe: Callable[[int], str]) -> AxiomResult:
+    """The result of a sweep whose samples, in sampling order, pass where
+    ``ok`` is set, so a NaN residual, compared into ``ok``, fails: as a loop
+    that stops at the first failure, it counts the samples up to that one
+    and describes it."""
+    hit = np.flatnonzero(~ok)
     if not hit.size:
-        return AxiomResult(True, bad.size)
+        return AxiomResult(True, ok.size)
     return AxiomResult(False, int(hit[0]) + 1, describe(int(hit[0])))
 
 
@@ -514,19 +515,19 @@ def check_axioms(
         sizes.append(masks.sum(axis=-1))
     gaps, sizes = np.concatenate(gaps), np.concatenate(sizes)
     report.results["locality"] = _first_failure(
-        gaps > tol, lambda k: f"event of size {int(sizes[k])}, residual {gaps[k]:.3g}"
+        gaps <= tol, lambda k: f"event of size {int(sizes[k])}, residual {gaps[k]:.3g}"
     )
 
     # (1) monotonicity
     mono = (base - phi(xs + np.abs(adapted()))).max(axis=-1)
     report.results["monotonicity"] = _first_failure(
-        mono > tol, lambda k: f"phi(X) exceeds phi(Y) by {mono[k]:.3g} despite X <= Y"
+        mono <= tol, lambda k: f"phi(X) exceeds phi(Y) by {mono[k]:.3g} despite X <= Y"
     )
 
     # (2) cash invariance with measurable shifts
     m = np.stack([random_conditional(space, t, rng, -2.0, 2.0).values for _ in xs])
     shift = np.abs(phi(xs + m.take(lift, axis=-1)[:, None, :]) - (base + m)).max(axis=-1)
-    report.results["cash_invariance"] = _first_failure(shift > tol, lambda k: f"shift residual {shift[k]:.3g}")
+    report.results["cash_invariance"] = _first_failure(shift <= tol, lambda k: f"shift residual {shift[k]:.3g}")
 
     # (3) concavity with measurable weights
     draws = [(random_adapted(space, t, T, rng).values, random_conditional(space, t, rng, 0.0, 1.0).values) for _ in xs]
@@ -534,7 +535,7 @@ def check_axioms(
     mix = xs * lam.take(lift, axis=-1)[:, None, :] + ys * (1.0 - lam).take(lift, axis=-1)[:, None, :]
     concave = (lam * base + (1.0 - lam) * phi(ys) - phi(mix)).max(axis=-1)
     report.results["concavity"] = _first_failure(
-        concave > tol, lambda k: f"concavity violated by {concave[k]:.3g}"
+        concave <= tol, lambda k: f"concavity violated by {concave[k]:.3g}"
     )
 
     # (4) coherence: positive homogeneity with measurable factors, three per position
@@ -543,7 +544,7 @@ def check_axioms(
     homog = np.abs(phi(xs[:, None] * lams.take(lift, axis=-1)[:, :, None, :]) - lams * base[:, None]).max(axis=-1)
     homog, lams = homog.ravel(), lams.reshape(-1, n)
     report.results["coherence"] = _first_failure(
-        homog > tol, lambda k: f"scaling by {np.array2string(lams[k], precision=3)} moves the value by {homog[k]:.3g}"
+        homog <= tol, lambda k: f"scaling by {np.array2string(lams[k], precision=3)} moves the value by {homog[k]:.3g}"
     )
 
     # (5) continuity: nothing to test on a finite space
@@ -567,7 +568,7 @@ def _check_relevance(u: UtilityBase, relevance_eps: Sequence[float] = (1.0, 0.1,
         vals[c, s - t :] = -eps * masks[c]
     lifted = u._stacked(vals).take(space.atom_index(t), axis=-1)
     return _first_failure(
-        np.any((lifted >= 0) & masks, axis=-1),
+        np.all((lifted < 0) | ~masks, axis=-1),
         lambda k: "loss of {2} on atom {1} at t={0} not priced below zero".format(*cases[k]),
     )
 

@@ -178,7 +178,7 @@ class WorstCaseResult:
         return Portfolio([self.classes[i].members[int(j)] for i, j in enumerate(idx)])
 
 
-CHUNK = 4096  # tuples per chunk of the scan
+CHUNK = 2**14 - 1  # floats in a chunk's widest temporary: under 128 KiB, glibc's default M_MMAP_THRESHOLD
 
 
 def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
@@ -216,15 +216,16 @@ def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
 def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int, int]]]:
     """Flat ranges of whole rows, the scan's chunks: ``(d, R, ranges)``.
 
-    d is the first class whose rows hold R <= ``chunk`` tuples, R the product
-    of the sizes after it.  A range fixes one row of every class before d and
-    takes max(1, chunk // R) rows of class d, so it is one product of rows.
+    ``chunk`` is a budget in tuples, at least 1.  d is the first class whose
+    rows hold R <= ``chunk`` tuples, R the product of the sizes after it.  A
+    range fixes one row of every class before d and takes chunk // R rows of
+    class d, so it is one product of rows.
     """
     d, R = 0, math.prod(sizes[1:])
     while R > chunk:
         d += 1
         R //= sizes[d]
-    step, row = R * max(1, chunk // R), R * sizes[d]
+    step, row = R * (chunk // R), R * sizes[d]
     bases = range(0, row * math.prod(sizes[:d]), row)
     return d, R, [(b + lo, b + min(lo + step, row)) for b in bases for lo in range(0, row, step)]
 
@@ -232,21 +233,27 @@ def _row_ranges(sizes: list[int], chunk: int) -> tuple[int, int, list[tuple[int,
 def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
     """The scan's ``_row_ranges`` ranges, its one chunk evaluator,
     ``chunk(lo, hi)`` -> (ascending flat indices, their ``_batch_insurance``
-    values), and the classes' features: every tuple of the range, broadcast
-    from its class rows, for a dual utility or a scan of at most ``CHUNK``
-    tuples, else the tuples of the range that the screen keeps (see
-    ``worst_portfolio_bruteforce``)."""
+    values), and the classes' features.  A range holds ``CHUNK`` // w
+    tuples (at least one), w the floats per tuple in its route's widest
+    temporary.  ``rows(sel)`` reads every tuple, broadcast from its class
+    rows: w is S * atoms for a dual utility, M (or D * M for D weight rows)
+    for the entropic families.  An entropic scan longer than one such chunk
+    is screened instead (see ``worst_portfolio_bruteforce``), reading the
+    tuples that ``_screen`` keeps: w is atoms (or D * atoms)."""
     feats, values, rows = _batch_insurance(u, classes)
     sizes = [c.size for c in classes]
     n = len(classes)
-    d, R, ranges = _row_ranges(sizes, CHUNK)
+    entropic = isinstance(u, _EntropicKernel)
+    row = max(1, CHUNK // (u._w.size if entropic else feats[0][0].size))  # tuples per row-route chunk
+    screen = entropic and math.prod(sizes) > row
+    d, R, ranges = _row_ranges(sizes, max(1, CHUNK // u._log_wsum.size) if screen else row)
 
     def sel(lo: int, hi: int) -> list[slice]:
         first = np.unravel_index(lo, sizes)
         out = [slice(i, i + 1) for i in first[:d]] + [slice(first[d], first[d] + (hi - lo) // R)]
         return out + [slice(None)] * (n - d - 1)
 
-    if not isinstance(u, _EntropicKernel) or math.prod(sizes) <= CHUNK:
+    if not screen:
         return ranges, lambda lo, hi: (np.arange(lo, hi), rows(sel(lo, hi))), feats
 
     parts = [u._anchored(f, n) for f in feats]
@@ -280,10 +287,11 @@ def worst_portfolio_bruteforce(
     ``workers`` is ignored; only ``build_scan`` in ``bench/workloads.py``
     passes it, and ROADMAP item 1's bench change removes it.
 
-    Both passes read a chunk, a product of class rows, through one evaluator.
-    It evaluates every tuple on its own for a dual utility (whose
-    scenario-side formula is what ``verify_theorem_3_1`` checks, so the scan
-    must not use it) and for a scan of at most ``CHUNK`` tuples.  An entropic
+    Both passes read a chunk, a product of class rows that holds at most
+    ``CHUNK`` floats in its widest temporary, through one evaluator.  It
+    evaluates every tuple on its own for a dual utility (whose scenario-side
+    formula is what ``verify_theorem_3_1`` checks, so the scan must not use
+    it) and for an entropic scan that fits in one such chunk.  An entropic
     chunk is screened by one ``_screen`` contraction per atom: exp(alpha *
     mean) factors over the members.  Re-scored exactly are the tuples that on
     some atom screen to a non-finite value, have S < tiny (underflowed or

@@ -29,6 +29,8 @@ its chained min those of numpy's reduction over scenarios.
 
 import itertools
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,29 @@ def scan_chunks(sizes, chunk):
     return list(zip(starts, starts[1:] + [total]))
 
 
+def scan_widths(u):
+    """Floats per tuple in the widest temporary of the scan's row route and
+    of its screen route: S * atoms for a dual utility, which has no screen;
+    M and atoms for the entropic utility; D * M and D * atoms for a robust
+    one over D densities."""
+    atoms = u.space.n_atoms(u.t_start)
+    if isinstance(u, DualFiniteUtility):
+        return len(u.scenarios) * atoms, None
+    D = len(u.densities) if isinstance(u, RobustEntropicUtility) else 1
+    return D * u.space.n_outcomes, D * atoms
+
+
+def scan_budget(u, sizes):
+    """The scan's tuples per chunk, ``CHUNK`` floats over its route's width
+    (at least one tuple), and whether it screens: an entropic scan screens
+    when it holds more tuples than one row-route chunk."""
+    row, screen = scan_widths(u)
+    budget = max(1, worstcase.CHUNK // row)
+    if screen is None or np.prod(sizes) <= budget:
+        return budget, False
+    return max(1, worstcase.CHUNK // screen), True
+
+
 def whole_table(u, classes):
     """One ``_batch_insurance`` evaluation of every tuple, the scan's oracle."""
     return worstcase._batch_insurance(u, classes)[1](np.arange(int(np.prod([c.size for c in classes]))))
@@ -229,7 +254,7 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
     only when that chunk holds no attainer; each chunk read is one
     evaluation: of every tuple, broadcast from the chunk's class rows, or of
     the tuples the entropic screen keeps, gathered by flat index."""
-    monkeypatch.setattr(worstcase, "CHUNK", 4)
+    monkeypatch.setattr(worstcase, "CHUNK", 16)
     batch_insurance, evaluated = worstcase._batch_insurance, []
 
     def counted(u, classes):
@@ -262,9 +287,10 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
             for flat, row in enumerate(table):
                 tup = Portfolio([c.members[i] for c, i in zip(classes, np.unravel_index(flat, sizes))])
                 assert np.abs(u.insurance(tup.mean()).values - row).max() <= 1e-12, label
-            chunks = scan_chunks(sizes, 4)
+            budget, screened = scan_budget(u, sizes)
+            chunks = scan_chunks(sizes, budget)
             assert worstcase._chunks(u, classes)[0] == chunks, label
-            every = isinstance(u, DualFiniteUtility) or np.prod(sizes) <= 4
+            every = not screened
             near = [hi for lo, hi in chunks if np.all(table[lo:hi].max(axis=0) >= sup - 1e-12 * np.maximum(1.0, np.abs(sup)))]
             unattained += hits.size == 0
             late += bool(hits.size) and hits[0] >= near[0]
@@ -283,7 +309,7 @@ def test_scan_matches_one_evaluation_of_the_whole_table(monkeypatch):
                 else:
                     assert res.attaining_tuple is None, label
     # both ends of the search are reached: an attainer past the first chunk that
-    # reaches the sup (5 of 94 scans), and no attainer at all (22)
+    # reaches the sup (11 of 94 scans), and no attainer at all (22)
     assert late >= 3 and unattained >= 10, (scans, late, unattained)
 
 
@@ -320,7 +346,7 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
     every tuple of each chunk of whole rows.  The screen keeps its stated
     error bound wherever S does not underflow, and underflow, alpha down to
     1e-3 and values up to 1e6 are reached; dual scans reach rows of the first
-    class longer than ``CHUNK`` and one-member portfolios."""
+    class longer than one chunk and one-member portfolios."""
     scans = screened = split = underflow = dual_split = dual_single = 0
     for seed in range(150):
         g = np.random.default_rng([15, seed])
@@ -344,20 +370,21 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
             u = EntropicUtility(sp, alpha, t0)
         else:
             u = RobustEntropicUtility(sp, alpha, [random_terminal_density(sp, g) for _ in range(int(g.integers(1, 4)))], t0)
-        chunk = int(g.integers(2, 12))
+        chunk = 3 * int(g.integers(2, 12))  # 6 to 33 floats, up to 16 tuples a chunk
         monkeypatch.setattr(worstcase, "CHUNK", chunk)
+        budget, screens = scan_budget(u, sizes)
         label = f"seed {seed}, {family}, alpha {alpha}, scale {scale}, sizes {sizes}, CHUNK {chunk}"
         table = whole_table(u, classes)
         scans += 1
         ranges, chunk_at, _ = worstcase._chunks(u, classes)
-        assert ranges == scan_chunks(sizes, chunk), label
+        assert ranges == scan_chunks(sizes, budget), label
         if family == "dual":
             # each chunk reads every tuple of its rows, with the table's bits
             for lo, hi in ranges:
                 flat, vals = chunk_at(lo, hi)
                 assert np.array_equal(flat, np.arange(lo, hi)), label
                 assert np.array_equal(bits(vals), bits(table[lo:hi])), label
-            dual_split += np.prod(sizes[1:]) > chunk
+            dual_split += np.prod(sizes[1:]) > budget
             dual_single += len(sizes) == 1
         else:
             screen, small, bound = screen_table(u, classes)
@@ -368,11 +395,76 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
                 flat, vals = chunk_at(lo, hi)
                 assert np.array_equal(bits(vals), bits(table[flat])), label
                 assert set(lo + np.flatnonzero(small[lo:hi].any(axis=1))) <= set(flat.tolist()), label
-            screened += total > chunk
-            split += total > chunk and np.prod(sizes[1:]) > chunk
+            screened += screens
+            split += screens and np.prod(sizes[1:]) > budget
         assert_scan_is_the_table(Portfolio(members), u, table, label)
     assert scans >= 60 and screened >= 30 and split >= 10 and underflow >= 5, (scans, screened, split, underflow)
     assert dual_split >= 10 and dual_single >= 5, (dual_split, dual_single)
+
+
+def test_scan_chunks_fit_the_float_budget(monkeypatch):
+    """Every chunk of every family, on the row route and on the screen route,
+    holds at most ``CHUNK`` floats in its route's widest temporary, or is one
+    tuple wider than that, and the chunks tile the scan in flat order."""
+    routes, shipped = set(), worstcase.CHUNK
+    for seed in range(30):
+        g = np.random.default_rng([22, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
+        t0 = int(g.integers(0, sp.horizon + 1))
+        members = [random_adapted(sp, t0, sp.horizon, g) for _ in range(int(g.integers(1, 4)))]
+        classes = [enumerate_class(X) for X in members]
+        sizes = [c.size for c in classes]
+        total = int(np.prod(sizes))
+        if total > 5000:
+            continue
+        densities = [random_terminal_density(sp, g) for _ in range(int(g.integers(1, 4)))]
+        utilities = (
+            random_dual_utility(sp, t0, sp.horizon, g, n_scenarios=int(g.integers(1, 4))),
+            EntropicUtility(sp, 1.0, t0),
+            RobustEntropicUtility(sp, 1.0, densities, t0),
+        )
+        for u in utilities:
+            row, screen = scan_widths(u)
+            for chunk in (1, 5, 24, 100, shipped):
+                monkeypatch.setattr(worstcase, "CHUNK", chunk)
+                screens = scan_budget(u, sizes)[1]
+                width = screen if screens else row
+                ranges = worstcase._chunks(u, classes)[0]
+                label = f"seed {seed}, {type(u).__name__}, CHUNK {chunk}"
+                assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]], label
+                assert ranges[-1][1] == total, label
+                assert all(hi - lo == 1 or (hi - lo) * width <= chunk for lo, hi in ranges), label
+                routes.add((type(u).__name__, screens))
+    assert routes == {
+        ("DualFiniteUtility", False),
+        ("EntropicUtility", False),
+        ("EntropicUtility", True),
+        ("RobustEntropicUtility", False),
+        ("RobustEntropicUtility", True),
+    }
+
+
+def test_bench_scan_takes_72_24_72_chunks():
+    """The bench's 72^3 scans, three members on ``scan_space``, at the shipped
+    ``CHUNK``: a dual utility over three scenarios reads 72 chunks of one
+    first-class row (3 floats a tuple on its one atom), the entropic screen
+    24 of three rows (1 float) and the robust screen over three densities 72
+    of one row (3 floats)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    sp = workloads.scan_space()
+    g = np.random.default_rng(5)
+    classes = [enumerate_class(random_adapted(sp, 0, 2, g)) for _ in range(3)]
+    assert [c.size for c in classes] == [72, 72, 72]
+    utilities = (
+        random_coherent_utility(sp, 0, 2, g, n_scenarios=3),
+        EntropicUtility(sp, 1.0, 0),
+        RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(3)], 0),
+    )
+    assert [len(worstcase._chunks(u, classes)[0]) for u in utilities] == [72, 24, 72]
 
 
 def test_screen_rescores_a_subnormal_tuple(monkeypatch):

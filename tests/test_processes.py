@@ -103,6 +103,17 @@ class TestAdaptedProcess:
             op(X)
 
 
+    def test_overflowing_shift_rejected(self):
+        # a shift goes through the same refusal as the other arithmetic
+        sp = dyadic_uniform(1)
+        X = AdaptedProcess(sp, 0, [[1e308, 1e308], [1e308, -1e308]])
+        for m in (1e308, ConditionalValue(sp, 0, [1e308])):
+            with pytest.raises(ValueError, match="the result overflows"):
+                X.shift_by(m)
+        for m in (np.nan, np.inf, ConditionalValue(sp, 0, [-np.inf])):
+            with pytest.raises(ValueError, match="cannot shift a position by a non-finite amount"):
+                X.shift_by(m)
+
 def test_uniform_density_on_a_reversed_window_rejected(four_tree):
     with pytest.raises(ValueError, match=r"window \[2, 1\] ends before it starts"):
         DensityProcess.uniform(four_tree, 2, 1)

@@ -276,6 +276,22 @@ class TestAxioms:
         assert "not priced" in res.counterexample
 
 
+    def test_nan_values_fail_every_sweep(self, four_tree):
+        # a NaN residual compares false both ways, so it must fail, not pass, a sweep
+        class Undefined(EntropicUtility):
+            def _stacked(self, vals):
+                return np.full((*vals.shape[:-2], self.space.n_atoms(self.t_start)), np.nan)
+
+        rep = check_axioms(Undefined(four_tree, 1.0, 0), sample_count=3, seed=0)
+        tested = [a for a in AXIOMS if a != "continuity"]
+        assert [rep.results[a].passed for a in tested] == [False] * 6
+        assert all(rep.results[a].samples == 1 for a in tested)
+        # alpha 1.7e308 overflows -alpha X on the sampled positions into NaN values
+        with np.errstate(all="ignore"):
+            rep = check_axioms(EntropicUtility(dyadic_uniform(2), 1.7e308, 0))
+        assert not any(rep.results[a].passed for a in tested[:5])
+        assert "residual nan" in rep.results["locality"].counterexample
+
     def test_zero_samples_are_refused(self, four_tree):
         # an empty sweep would pass coherence for the entropic utility, which is not coherent
         with pytest.raises(ValueError, match="sample_count must be at least 1, got 0"):
