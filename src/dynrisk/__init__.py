@@ -13,8 +13,6 @@ from .space import (
     dyadic_uniform,
     enumerate_events,
     enumerate_stopping_times,
-    ess_inf_family,
-    ess_sup_family,
     is_stopping_time,
 )
 from .processes import (
@@ -27,7 +25,6 @@ from .processes import (
     membership,
     pairing,
     paste,
-    project,
     remaining_mass,
     stability_check,
 )
@@ -75,6 +72,6 @@ from .worstcase import (
     worst_portfolio_bruteforce,
     worst_scenario,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, save_scenario, serialize_scenario
+from .scenario import Scenario, ScenarioError, load_scenario
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -308,22 +308,6 @@ def remaining_mass(a: DensityProcess, t: int, t_end: int | None = None) -> Condi
     return pairing(ones, a, t, t_end)
 
 
-def project(X: AdaptedProcess, tau: StoppingTime, theta: StoppingTime) -> AdaptedProcess:
-    """Projection: zero before tau, frozen at theta: out_s = 1_{tau<=s} X_{s^theta}."""
-    _same_space(X.space, tau, theta)
-    if not np.all(tau.values <= theta.values):
-        raise ValueError("projection requires tau <= theta pointwise")
-    if np.any(tau.values < X.t_start) or np.any(theta.values > X.t_end):
-        raise ValueError("stopping times leave the process window")
-    out = np.zeros_like(X.values)
-    for k in range(X.length):
-        s = X.t_start + k
-        for w in range(X.space.n_outcomes):
-            if tau.values[w] <= s:
-                out[k, w] = X.values[min(s, theta.values[w]) - X.t_start, w]
-    return AdaptedProcess(X.space, X.t_start, out)
-
-
 def membership(a: DensityProcess, kind: str, t: int | None = None) -> tuple[bool, str | None]:
     """Check class membership: 'A1plus', 'D', or 'De'; diagnostics name the first violation."""
     if kind not in ("A1plus", "D", "De"):

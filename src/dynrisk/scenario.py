@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -161,11 +160,9 @@ class Scenario:
     space: FiniteFilteredSpace
     processes: dict[str, AdaptedProcess] = field(default_factory=dict)
     densities: dict[str, DensityProcess] = field(default_factory=dict)
-    density_classes: dict[str, str] = field(default_factory=dict)
     terminal_densities: dict[str, TerminalDensity] = field(default_factory=dict)
     utilities: dict[str, UtilityBase] = field(default_factory=dict)
     utility_processes: dict[str, UtilityProcess] = field(default_factory=dict)
-    utility_process_specs: dict[str, dict] = field(default_factory=dict)
     tasks: list[dict] = field(default_factory=list)
     seed: int = 0
 
@@ -224,7 +221,7 @@ def parse_scenario(doc: dict) -> Scenario:
             ok, diag = membership(a, klass, t0)
         if not ok:
             f.fail(diag)
-        scn.densities[name], scn.density_classes[name] = a, klass
+        scn.densities[name] = a
 
     for name, f in _declared(top, "terminal_densities", "terminal density", scn):
         h = f.numbers("h")
@@ -236,7 +233,6 @@ def parse_scenario(doc: dict) -> Scenario:
 
     for name, f in _declared(top, "utility_processes", "utility process", scn):
         scn.utility_processes[name] = _build_utility_process(f)
-        scn.utility_process_specs[name] = dict(f.obj)
 
     for i, raw in enumerate(top.check("tasks", [], lambda v: isinstance(v, list), "a list")):
         task = Fields(raw, f"tasks[{i}]")
@@ -290,77 +286,3 @@ def _build_utility_process(f: Fields) -> UtilityProcess:
     with f.building():
         return robust_entropic_process(space, alpha, densities, start)
 
-
-def _name_of(table: dict, obj, what: str) -> str:
-    """The name under which ``obj`` itself is declared in ``table``."""
-    for name, declared in table.items():
-        if declared is obj:
-            return name
-    raise ScenarioError(f"{what} not declared by name")
-
-
-def serialize_scenario(scn: Scenario) -> dict:
-    """Back to the document shape, numbers as decimal strings."""
-    doc: dict[str, Any] = {
-        "seed": scn.seed,
-        "space": {
-            "probs": [repr(float(p)) for p in scn.space.probs],
-            "partitions": [
-                [list(atom) for atom in scn.space.atoms(t)] for t in range(scn.space.horizon + 1)
-            ],
-        },
-    }
-    if scn.processes:
-        doc["processes"] = {
-            name: {"t_start": X.t_start, "values": [[repr(float(v)) for v in row] for row in X.values]}
-            for name, X in scn.processes.items()
-        }
-    if scn.densities:
-        doc["densities"] = {
-            name: {
-                "t_start": a.t_start,
-                "class": scn.density_classes.get(name, "D"),
-                "increments": [[repr(float(v)) for v in row] for row in a.values],
-            }
-            for name, a in scn.densities.items()
-        }
-    if scn.terminal_densities:
-        doc["terminal_densities"] = {
-            name: {"h": [repr(float(v)) for v in f.h]} for name, f in scn.terminal_densities.items()
-        }
-    if scn.utilities:
-        out = {}
-        for name, u in scn.utilities.items():
-            if isinstance(u, DualFiniteUtility):
-                entries = [
-                    {"density": _name_of(scn.densities, a, f"utility {name}: scenario density"),
-                     "gamma": [repr(float(v)) for v in g.values]}
-                    for a, g in u.scenarios
-                ]
-                out[name] = {
-                    "variant": "dual", "t_start": u.t_start, "t_end": u.t_end, "scenarios": entries,
-                }
-            elif isinstance(u, RobustEntropicUtility):
-                names = [_name_of(scn.terminal_densities, f, f"utility {name}: terminal density") for f in u.densities]
-                out[name] = {
-                    "variant": "robust", "alpha": repr(u.alpha), "t_start": u.t_start,
-                    "t_end": u.t_end, "densities": names,
-                }
-            elif isinstance(u, EntropicUtility):
-                out[name] = {
-                    "variant": "entropic", "alpha": repr(u.alpha), "t_start": u.t_start, "t_end": u.t_end,
-                }
-            else:
-                raise ScenarioError(f"utility {name}: unknown variant {type(u).__name__}")
-        doc["utilities"] = out
-    if scn.utility_process_specs:
-        doc["utility_processes"] = {n: dict(s) for n, s in scn.utility_process_specs.items()}
-    if scn.tasks:
-        doc["tasks"] = [dict(t) for t in scn.tasks]
-    return doc
-
-
-def save_scenario(scn: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(serialize_scenario(scn), fh, indent=2)
-        fh.write("\n")

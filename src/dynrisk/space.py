@@ -327,30 +327,6 @@ def _cond_expect(space: FiniteFilteredSpace, y: np.ndarray, t: int) -> np.ndarra
     return out
 
 
-def _family_values(family: Sequence[ConditionalValue]) -> tuple[ConditionalValue, np.ndarray]:
-    """First member and the stacked values of a non-empty family at a common time."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty family")
-    first = family[0]
-    for v in family[1:]:
-        if v.space is not first.space or v.time != first.time:
-            raise ValueError("family members live at different times or spaces")
-    return first, np.stack([v.values for v in family])
-
-
-def ess_sup_family(family: Sequence[ConditionalValue]) -> ConditionalValue:
-    """Atom-wise maximum of a non-empty family at a common time."""
-    first, stacked = _family_values(family)
-    return ConditionalValue(first.space, first.time, stacked.max(axis=0))
-
-
-def ess_inf_family(family: Sequence[ConditionalValue]) -> ConditionalValue:
-    """Atom-wise minimum of a non-empty family at a common time."""
-    first, stacked = _family_values(family)
-    return ConditionalValue(first.space, first.time, stacked.min(axis=0))
-
-
 class StoppingTime:
     """Outcome-indexed integer time whose sublevel sets respect the filtration."""
 

@@ -239,14 +239,20 @@ def _chunks(u: UtilityBase, classes: list[RearrangementClass]):
     rows: w is S * atoms for a dual utility, M (or D * M for D weight rows)
     for the entropic families.  An entropic scan longer than one such chunk
     is screened instead (see ``worst_portfolio_bruteforce``), reading the
-    tuples that ``_screen`` keeps: w is atoms (or D * atoms)."""
+    tuples that ``_screen`` keeps: w is D * max(atoms, ceil(M / s)), D = 1
+    for the entropic utility and s the last class's size, since ``_screen``
+    builds (D, tuples, atoms) values and a P of D * M floats per tuple of
+    the members but the last."""
     feats, values, rows = _batch_insurance(u, classes)
     sizes = [c.size for c in classes]
     n = len(classes)
     entropic = isinstance(u, _EntropicKernel)
-    row = max(1, CHUNK // (u._w.size if entropic else feats[0][0].size))  # tuples per row-route chunk
-    screen = entropic and math.prod(sizes) > row
-    d, R, ranges = _row_ranges(sizes, max(1, CHUNK // u._log_wsum.size) if screen else row)
+    budget = max(1, CHUNK // (u._w.size if entropic else feats[0][0].size))  # tuples per row-route chunk
+    screen = entropic and math.prod(sizes) > budget
+    if screen:  # tuples per screened chunk
+        atoms, M = u._log_wsum.shape[-1], u._w.shape[-1]
+        budget = max(1, CHUNK // (u._log_wsum.size // atoms * max(atoms, -(-M // sizes[-1]))))
+    d, R, ranges = _row_ranges(sizes, budget)
 
     def sel(lo: int, hi: int) -> list[slice]:
         first = np.unravel_index(lo, sizes)

@@ -8,7 +8,7 @@ reproduces; its sup pass and attainer search over chunks of whole class
 rows must report what one evaluation of the whole table reports, also where
 the entropic families screen each chunk with one contraction and re-score
 only the tuples near its max, and the screen must keep its stated error
-bound.  ``worst_scenario``,
+bound and its chunks the float budget.  ``worst_scenario``,
 which reads each class once, must report what one ``average_risk`` per
 candidate reports.  The
 time-consistency check, which stacks every (stopping time,
@@ -89,7 +89,7 @@ from dynrisk.random_gen import (
     random_space,
     random_terminal_density,
 )
-from dynrisk import lp, worstcase
+from dynrisk import lp, utility, worstcase
 from dynrisk.processes import _pairings
 from dynrisk.rearrange import _attains, _class_pairings
 from dynrisk.space import enumerate_stopping_events
@@ -217,23 +217,25 @@ def scan_chunks(sizes, chunk):
     return list(zip(starts, starts[1:] + [total]))
 
 
-def scan_widths(u):
+def scan_widths(u, last):
     """Floats per tuple in the widest temporary of the scan's row route and
-    of its screen route: S * atoms for a dual utility, which has no screen;
-    M and atoms for the entropic utility; D * M and D * atoms for a robust
-    one over D densities."""
+    of its screen route, with ``last`` the last class's size: S * atoms for
+    a dual utility, which has no screen; M and max(atoms, ceil(M / last))
+    for the entropic utility; D times those for a robust one over D
+    densities."""
     atoms = u.space.n_atoms(u.t_start)
     if isinstance(u, DualFiniteUtility):
         return len(u.scenarios) * atoms, None
     D = len(u.densities) if isinstance(u, RobustEntropicUtility) else 1
-    return D * u.space.n_outcomes, D * atoms
+    M = u.space.n_outcomes
+    return D * M, D * max(atoms, -(-M // last))
 
 
 def scan_budget(u, sizes):
     """The scan's tuples per chunk, ``CHUNK`` floats over its route's width
     (at least one tuple), and whether it screens: an entropic scan screens
     when it holds more tuples than one row-route chunk."""
-    row, screen = scan_widths(u)
+    row, screen = scan_widths(u, sizes[-1])
     budget = max(1, worstcase.CHUNK // row)
     if screen is None or np.prod(sizes) <= budget:
         return budget, False
@@ -424,7 +426,7 @@ def test_scan_chunks_fit_the_float_budget(monkeypatch):
             RobustEntropicUtility(sp, 1.0, densities, t0),
         )
         for u in utilities:
-            row, screen = scan_widths(u)
+            row, screen = scan_widths(u, sizes[-1])
             for chunk in (1, 5, 24, 100, shipped):
                 monkeypatch.setattr(worstcase, "CHUNK", chunk)
                 screens = scan_budget(u, sizes)[1]
@@ -444,18 +446,23 @@ def test_scan_chunks_fit_the_float_budget(monkeypatch):
     }
 
 
+def scan_space():
+    """``bench/workloads.py``'s scan space: 6 uniform outcomes, two atoms at t=1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.scan_space()
+
+
 def test_bench_scan_takes_72_24_72_chunks():
     """The bench's 72^3 scans, three members on ``scan_space``, at the shipped
     ``CHUNK``: a dual utility over three scenarios reads 72 chunks of one
     first-class row (3 floats a tuple on its one atom), the entropic screen
     24 of three rows (1 float) and the robust screen over three densities 72
     of one row (3 floats)."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    sp = workloads.scan_space()
+    sp = scan_space()
     g = np.random.default_rng(5)
     classes = [enumerate_class(random_adapted(sp, 0, 2, g)) for _ in range(3)]
     assert [c.size for c in classes] == [72, 72, 72]
@@ -465,6 +472,60 @@ def test_bench_scan_takes_72_24_72_chunks():
         RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(3)], 0),
     )
     assert [len(worstcase._chunks(u, classes)[0]) for u in utilities] == [72, 24, 72]
+
+
+def record_screens(monkeypatch):
+    """Wraps ``_screen``: each call appends (tuples, floats in its widest
+    temporary), from the parts it is given: P holds D * M floats per tuple
+    of their rows but the last one's, its values D * atoms per tuple."""
+    screen, calls = utility._EntropicKernel._screen, []
+
+    def recorded(self, parts):
+        rows = [E.shape[0] for E, _ in parts]
+        tuples = int(np.prod(rows))
+        calls.append((tuples, max(self._w.size * (tuples // rows[-1]), self._log_wsum.size * tuples)))
+        return screen(self, parts)
+
+    monkeypatch.setattr(utility._EntropicKernel, "_screen", recorded)
+    return calls
+
+
+def test_screen_temporaries_fit_the_float_budget(monkeypatch):
+    """Every ``_screen`` call of a scan builds at most ``CHUNK`` floats in its
+    widest temporary, or screens one tuple, also where the last class holds
+    fewer than M / atoms members and P is wider than the values: on the
+    bench's space with classes of 72, 72 and 2 at the shipped ``CHUNK``, and
+    on random spaces at a ``CHUNK`` of 1 to 4 times D * M, with a last
+    member rounded to integers, whose class is small."""
+    calls = record_screens(monkeypatch)
+    sp, g = scan_space(), np.random.default_rng(23)
+    two = AdaptedProcess(sp, 0, [[0.0] * 6, [1.0, 1, 1, 2, 2, 2], [1.0, 1, 1, 2, 2, 2]])
+    bench = [random_adapted(sp, 0, 2, g) for _ in range(2)] + [two]
+    dens = [random_terminal_density(sp, g) for _ in range(3)]
+    cases = [(bench, u, worstcase.CHUNK) for u in (EntropicUtility(sp, 1.0, 0), RobustEntropicUtility(sp, 1.0, dens, 0))]
+    for seed in range(300):
+        g = np.random.default_rng([23, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
+        t0 = int(g.integers(0, sp.horizon))
+        members = [random_adapted(sp, t0, sp.horizon, g) for _ in range(int(g.integers(1, 3)))]
+        members.append(AdaptedProcess(sp, t0, np.round(random_adapted(sp, t0, sp.horizon, g, scale=0.7).values)))
+        sizes = [enumerate_class(X).size for X in members]
+        if sizes[-1] * sp.n_atoms(t0) >= sp.n_outcomes or not 2 <= np.prod(sizes) <= 3000:
+            continue
+        D = int(g.integers(1, 4))
+        u = EntropicUtility(sp, 1.0, t0) if D == 1 else RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(D)], t0)
+        cases.append((members, u, D * sp.n_outcomes * int(g.integers(1, 5))))
+    wide = set()
+    for i, (members, u, chunk) in enumerate(cases):
+        monkeypatch.setattr(worstcase, "CHUNK", chunk)
+        calls.clear()
+        worst_portfolio_bruteforce(Portfolio(members), u)
+        label = f"case {i}, {type(u).__name__}, CHUNK {chunk}, calls {calls}"
+        assert all(tuples == 1 or floats <= chunk for tuples, floats in calls), label
+        if any(floats > u._log_wsum.size * tuples for tuples, floats in calls):
+            wide.add((type(u).__name__, i < 2))
+    # P is the wider temporary on both families, on the bench's space and on random ones
+    assert wide == {(name, on_bench) for name in ("EntropicUtility", "RobustEntropicUtility") for on_bench in (True, False)}, wide
 
 
 def test_screen_rescores_a_subnormal_tuple(monkeypatch):

@@ -34,7 +34,6 @@ from dynrisk import (
     paste,
     penalty,
     penalty_vertices,
-    project,
     remaining_mass,
     stability_check,
     time_consistency_check,
@@ -117,39 +116,6 @@ class TestAdaptedProcess:
 def test_uniform_density_on_a_reversed_window_rejected(four_tree):
     with pytest.raises(ValueError, match=r"window \[2, 1\] ends before it starts"):
         DensityProcess.uniform(four_tree, 2, 1)
-
-
-class TestProject:
-    def test_full_window_identity(self, four_tree):
-        X = random_adapted(four_tree, 0, 2, np.random.default_rng(0))
-        tau = StoppingTime.constant(four_tree, 0)
-        theta = StoppingTime.constant(four_tree, 2)
-        assert project(X, tau, theta).approx_eq(X, 0)
-
-    def test_freeze_at_start(self, four_tree):
-        X = AdaptedProcess(four_tree, 0, [[1, 1, 1, 1], [2, 2, 3, 3], [4, 5, 6, 7]])
-        frozen = project(X, StoppingTime.constant(four_tree, 0), StoppingTime.constant(four_tree, 0))
-        assert np.array_equal(frozen.values, np.ones((3, 4)))
-
-    def test_branch_dependent_freeze(self, four_tree):
-        X = AdaptedProcess(four_tree, 0, [[1, 1, 1, 1], [2, 2, 3, 3], [4, 5, 6, 7]])
-        theta = StoppingTime(four_tree, [1, 1, 2, 2])
-        out = project(X, StoppingTime.constant(four_tree, 0), theta)
-        # up-branch freezes at X_1 = 2, down-branch follows X through time 2
-        assert np.array_equal(out.slice_at(2), [2, 2, 6, 7])
-
-    def test_idempotent(self, four_tree):
-        X = random_adapted(four_tree, 0, 2, np.random.default_rng(1))
-        tau = StoppingTime(four_tree, [1, 1, 2, 2])
-        theta = StoppingTime.constant(four_tree, 2)
-        once = project(X, tau, theta)
-        twice = project(once, tau, theta)
-        assert twice.approx_eq(once, 0)
-
-    def test_rejects_tau_after_theta(self, four_tree):
-        X = random_adapted(four_tree, 0, 2, np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            project(X, StoppingTime.constant(four_tree, 2), StoppingTime.constant(four_tree, 1))
 
 
 class TestPairing:

@@ -23,11 +23,8 @@ from dynrisk import (
     enumerate_events,
     entropic_process,
     enumerate_stopping_times,
-    ess_inf_family,
-    ess_sup_family,
     is_stopping_time,
     paste,
-    project,
 )
 from dynrisk.random_gen import random_adapted, random_space
 from dynrisk.space import (
@@ -146,34 +143,6 @@ class TestConditionalValue:
         assert (v * 2.0).values.tolist() == [-np.inf, 4.0]
 
 
-class TestEssSup:
-    def test_singleton(self, two_uniform):
-        v = ConditionalValue(two_uniform, 1, [1.0, 3.0])
-        assert ess_sup_family([v]).approx_eq(v)
-
-    def test_pointwise_max(self, two_uniform):
-        a = ConditionalValue(two_uniform, 1, [1.0, 3.0])
-        b = ConditionalValue(two_uniform, 1, [2.0, 2.0])
-        assert np.array_equal(ess_sup_family([a, b]).values, [2.0, 3.0])
-        assert np.array_equal(ess_inf_family([a, b]).values, [1.0, 2.0])
-
-    def test_neg_inf_dominated(self, two_uniform):
-        a = ConditionalValue(two_uniform, 1, [-np.inf, 3.0])
-        b = ConditionalValue(two_uniform, 1, [2.0, 2.0])
-        assert np.array_equal(ess_sup_family([a, b]).values, [2.0, 3.0])
-
-    def test_merge_order_irrelevant(self, two_uniform):
-        g = np.random.default_rng(0)
-        fam = [ConditionalValue(two_uniform, 1, g.normal(size=2)) for _ in range(5)]
-        left = ess_sup_family(fam)
-        right = ess_sup_family(fam[::-1])
-        assert np.array_equal(left.values, right.values)
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            ess_sup_family([])
-
-
 class TestStoppingTimes:
     def test_deterministic_valid(self, four_tree):
         ok, diag = is_stopping_time(four_tree, [1, 1, 1, 1])
@@ -258,7 +227,6 @@ FOREIGN_STOPPING_CALLS = {
     "enumerate_stopping_events": lambda sp, th, X: enumerate_stopping_events(sp, th),
     "concatenate": lambda sp, th, X: concatenate(*[DensityProcess.uniform(sp, 0, 2)] * 2, th, np.ones(4, dtype=bool)),
     "conditional_tail": lambda sp, th, X: DensityProcess.uniform(sp, 0, 2).conditional_tail(th),
-    "project": lambda sp, th, X: project(X, StoppingTime.constant(sp, 0), th),
     "evaluate_at_stopping": lambda sp, th, X: entropic_process(sp, 1.0).evaluate_at_stopping(th, X),
     "consistency_residual": lambda sp, th, X: entropic_process(sp, 1.0).consistency_residual(0, th, X),
     "__le__": lambda sp, th, X: StoppingTime.constant(sp, 1) <= th,

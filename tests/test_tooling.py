@@ -1,9 +1,11 @@
 """The repository's own tooling, run in-process: the benchmark's span tracer,
-the demos' expected outputs and the oldest supported Python's grammar; and,
-in a fresh interpreter, what importing dynrisk loads."""
+the demos' expected outputs, the oldest supported Python's grammar and the
+program's use of every public name; and, in a fresh interpreter, what
+importing dynrisk loads."""
 
 import ast
 import contextlib
+import inspect
 import io
 import os
 import re
@@ -91,3 +93,27 @@ def test_demo_prints_its_expected_output(demo):
 def test_source_parses_as_python_3_10(path):
     # pyproject.toml promises 3.10; this catches syntax that only a later Python accepts
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# oracles and claim checks that stay public though only the tests call them
+TEST_ONLY = {
+    "enumerate_class_bruteforce",
+    "penalty_consistency_check",
+    "average_risk",
+    "build_linear_driven_portfolio",
+    "verify_linear_driven_portfolio",
+}
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a public function that nothing but a test calls is code the program never runs
+    package = ROOT / "src" / "dynrisk" / "__init__.py"
+    texts = [p.read_text() for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py") if p != package]
+    unused = []
+    for name in dr.__all__:
+        if inspect.ismodule(getattr(dr, name)) or name in TEST_ONLY:
+            continue
+        own = re.compile(rf"\b(?:def|class)\s+{name}\b")
+        if not any(re.search(rf"\b{name}\b", own.sub("", text)) for text in texts):
+            unused.append(name)
+    assert unused == []
