@@ -490,19 +490,21 @@ def record_screens(monkeypatch):
     return calls
 
 
-def test_screen_temporaries_fit_the_float_budget(monkeypatch):
-    """Every ``_screen`` call of a scan builds at most ``CHUNK`` floats in its
-    widest temporary, or screens one tuple, also where the last class holds
-    fewer than M / atoms members and P is wider than the values: on the
-    bench's space with classes of 72, 72 and 2 at the shipped ``CHUNK``, and
-    on random spaces at a ``CHUNK`` of 1 to 4 times D * M, with a last
-    member rounded to integers, whose class is small."""
-    calls = record_screens(monkeypatch)
-    sp, g = scan_space(), np.random.default_rng(23)
-    two = AdaptedProcess(sp, 0, [[0.0] * 6, [1.0, 1, 1, 2, 2, 2], [1.0, 1, 1, 2, 2, 2]])
-    bench = [random_adapted(sp, 0, 2, g) for _ in range(2)] + [two]
-    dens = [random_terminal_density(sp, g) for _ in range(3)]
-    cases = [(bench, u, worstcase.CHUNK) for u in (EntropicUtility(sp, 1.0, 0), RobustEntropicUtility(sp, 1.0, dens, 0))]
+def screen_cases(family, where):
+    """(members, utility, CHUNK) scans whose last class holds fewer than
+    M / atoms members: on the bench's space, classes of 72, 72 and 2 at the
+    shipped ``CHUNK``; on random spaces, a last member rounded to integers,
+    whose class is small, at a ``CHUNK`` of 1 to 4 times D * M, with D = 1
+    for the entropic family and 2 or 3 densities for the robust one."""
+    robust = family == "robust"
+    if where == "bench":
+        sp, g = scan_space(), np.random.default_rng(23)
+        two = AdaptedProcess(sp, 0, [[0.0] * 6, [1.0, 1, 1, 2, 2, 2], [1.0, 1, 1, 2, 2, 2]])
+        members = [random_adapted(sp, 0, 2, g) for _ in range(2)] + [two]
+        dens = [random_terminal_density(sp, g) for _ in range(3)]
+        u = RobustEntropicUtility(sp, 1.0, dens, 0) if robust else EntropicUtility(sp, 1.0, 0)
+        return [(members, u, worstcase.CHUNK)]
+    cases = []
     for seed in range(300):
         g = np.random.default_rng([23, seed])
         sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
@@ -512,20 +514,29 @@ def test_screen_temporaries_fit_the_float_budget(monkeypatch):
         sizes = [enumerate_class(X).size for X in members]
         if sizes[-1] * sp.n_atoms(t0) >= sp.n_outcomes or not 2 <= np.prod(sizes) <= 3000:
             continue
-        D = int(g.integers(1, 4))
-        u = EntropicUtility(sp, 1.0, t0) if D == 1 else RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(D)], t0)
+        D = int(g.integers(2, 4)) if robust else 1
+        u = RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(D)], t0) if robust else EntropicUtility(sp, 1.0, t0)
         cases.append((members, u, D * sp.n_outcomes * int(g.integers(1, 5))))
-    wide = set()
-    for i, (members, u, chunk) in enumerate(cases):
+    return cases
+
+
+@pytest.mark.parametrize("where", ("bench", "random"))
+@pytest.mark.parametrize("family", ("entropic", "robust"))
+def test_screen_temporaries_fit_the_float_budget(monkeypatch, family, where):
+    """Every ``_screen`` call of a scan builds at most ``CHUNK`` floats in its
+    widest temporary, or screens one tuple, also where the last class is so
+    small that P is wider than the values."""
+    calls = record_screens(monkeypatch)
+    wide = 0
+    for i, (members, u, chunk) in enumerate(screen_cases(family, where)):
         monkeypatch.setattr(worstcase, "CHUNK", chunk)
         calls.clear()
         worst_portfolio_bruteforce(Portfolio(members), u)
-        label = f"case {i}, {type(u).__name__}, CHUNK {chunk}, calls {calls}"
+        label = f"case {i}, CHUNK {chunk}, calls {calls}"
         assert all(tuples == 1 or floats <= chunk for tuples, floats in calls), label
-        if any(floats > u._log_wsum.size * tuples for tuples, floats in calls):
-            wide.add((type(u).__name__, i < 2))
-    # P is the wider temporary on both families, on the bench's space and on random ones
-    assert wide == {(name, on_bench) for name in ("EntropicUtility", "RobustEntropicUtility") for on_bench in (True, False)}, wide
+        wide += any(floats > u._log_wsum.size * tuples for tuples, floats in calls)
+    # the cases reach the screen with P the wider temporary
+    assert wide > 0
 
 
 def test_screen_rescores_a_subnormal_tuple(monkeypatch):

@@ -68,6 +68,44 @@ def base_doc():
     }
 
 
+X = "0.30000000000000004"  # the repr of 0.1 + 0.2, a float that is not dyadic
+# field: (write its number as a string into base_doc(), read it back from the scenario, the float expected)
+REPR_FIELDS = {
+    "probs": (
+        lambda d: d.update(space={**d["space"], "probs": ["0.1", "0.2", X, "0.4"]}, densities={}, terminal_densities={}, utilities={}, utility_processes={}),
+        lambda s: s.space.probs.tolist(),
+        [0.1, 0.2, 0.1 + 0.2, 0.4],
+    ),
+    "h": (
+        lambda d: d["terminal_densities"]["tilt"].update(h=["1.6", "0.8", "0.8", "0.8"]),
+        lambda s: s.terminal_densities["tilt"].h.tolist(),
+        [1.6, 0.8, 0.8, 0.8],
+    ),
+    "gamma": (
+        lambda d: d["utilities"]["coh"]["scenarios"][0].update(gamma="-" + X),
+        lambda s: s.utilities["coh"].scenarios[0][1].values.tolist(),
+        [-(0.1 + 0.2)],
+    ),
+    "gamma-vector": (
+        lambda d: d["utilities"]["coh"]["scenarios"][0].update(gamma=["-" + X]),
+        lambda s: s.utilities["coh"].scenarios[0][1].values.tolist(),
+        [-(0.1 + 0.2)],
+    ),
+    "utility-alpha": (lambda d: d["utilities"]["ent"].update(alpha=X), lambda s: s.utilities["ent"].alpha, 0.1 + 0.2),
+    "robust-alpha": (lambda d: d["utilities"]["rob"].update(alpha=X), lambda s: s.utilities["rob"].alpha, 0.1 + 0.2),
+    "process-alpha": (
+        lambda d: d["utility_processes"]["entproc"].update(alpha=X),
+        lambda s: s.utility_processes["entproc"].stage(1).alpha,
+        0.1 + 0.2,
+    ),
+    "robust-process-alpha": (
+        lambda d: d["utility_processes"].update(robproc={"variant": "robust", "alpha": X, "densities": ["tilt"]}),
+        lambda s: s.utility_processes["robproc"].stage(2).alpha,
+        0.1 + 0.2,
+    ),
+}
+
+
 def write_doc(tmp_path, doc, name="scn.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -93,6 +131,14 @@ class TestParse:
         scn = parse_scenario(doc)
         for v in (scn.processes["pos1"].values[2, 0], scn.densities["gen1"].values[1, 0]):
             assert v == 0.1 + 0.2 != 0.3
+
+    @pytest.mark.parametrize("field", REPR_FIELDS)
+    def test_every_number_field_parses_a_repr_exactly(self, field):
+        # each reader of numbers, in each section, turns a float's repr into that float
+        doc = base_doc()
+        write, read, expected = REPR_FIELDS[field]
+        write(doc)
+        assert read(parse_scenario(doc)) == expected
 
     def test_neg_inf_only_for_penalties(self):
         doc = base_doc()

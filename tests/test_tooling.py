@@ -105,15 +105,24 @@ TEST_ONLY = {
 }
 
 
+def used_outside_the_tests(name):
+    """Whether ``src/``, ``bench/`` or ``demos/`` names ``name`` outside its
+    own ``def`` or ``class`` and the package's ``__init__.py``."""
+    package = ROOT / "src" / "dynrisk" / "__init__.py"
+    own = re.compile(rf"\b(?:def|class)\s+{name}\b")
+    texts = (p.read_text() for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py") if p != package)
+    return any(re.search(rf"\b{name}\b", own.sub("", text)) for text in texts)
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # a public function that nothing but a test calls is code the program never runs
-    package = ROOT / "src" / "dynrisk" / "__init__.py"
-    texts = [p.read_text() for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py") if p != package]
-    unused = []
-    for name in dr.__all__:
-        if inspect.ismodule(getattr(dr, name)) or name in TEST_ONLY:
-            continue
-        own = re.compile(rf"\b(?:def|class)\s+{name}\b")
-        if not any(re.search(rf"\b{name}\b", own.sub("", text)) for text in texts):
-            unused.append(name)
+    unused = [n for n in dr.__all__ if not inspect.ismodule(getattr(dr, n)) and n not in TEST_ONLY and not used_outside_the_tests(n)]
     assert unused == []
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ONLY))
+def test_kept_oracle_is_public_and_used_only_by_the_tests(name):
+    # the allow-list names no deleted function, and none that the program came to call
+    assert name in dr.__all__
+    assert not used_outside_the_tests(name)
+    assert any(re.search(rf"\b{name}\b", p.read_text()) for p in (ROOT / "tests").glob("test_*.py"))
