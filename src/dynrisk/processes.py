@@ -137,10 +137,6 @@ class AdaptedProcess(_Windowed):
     def constant(cls, space: FiniteFilteredSpace, t_start: int, t_end: int, c: float) -> "AdaptedProcess":
         return cls(space, t_start, np.full((cls._length(t_start, t_end), space.n_outcomes), float(c)))
 
-    @classmethod
-    def zero(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "AdaptedProcess":
-        return cls.constant(space, t_start, t_end, 0.0)
-
     def _result(self, op, other) -> "AdaptedProcess":
         """``op(values, other)`` on this window, refused when it overflows."""
         with np.errstate(over="ignore"):
@@ -233,16 +229,6 @@ class DensityProcess(_Windowed):
             cond = cond_expect(self.space, tail, s).lift()
             out[level] = cond[level]
         return out
-
-    def a1_norm(self) -> float:
-        return float(self.space.probs @ np.abs(self.values).sum(axis=0))
-
-    def extend_to(self, new_start: int) -> "DensityProcess":
-        """Pad with zero increments so the window starts at new_start <= t_start."""
-        if new_start > self.t_start:
-            raise ValueError("can only extend the window backwards")
-        pad = np.zeros((self.t_start - new_start, self.space.n_outcomes))
-        return DensityProcess(self.space, new_start, np.vstack([pad, self.values]))
 
 
 class TerminalDensity:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .processes import AdaptedProcess, DensityProcess, TerminalDensity
-from .space import ConditionalValue, FiniteFilteredSpace, StoppingTime
+from .space import ConditionalValue, FiniteFilteredSpace
 from .utility import DualFiniteUtility
 
 
@@ -69,12 +69,10 @@ def random_distinct_space(
     return FiniteFilteredSpace(probs, [list(p) for p in sp.partitions])
 
 
-def random_adapted(
-    space: FiniteFilteredSpace, t_start: int, t_end: int, rng: np.random.Generator, scale: float = 1.0
-) -> AdaptedProcess:
+def random_adapted(space: FiniteFilteredSpace, t_start: int, t_end: int, rng: np.random.Generator) -> AdaptedProcess:
     vals = np.empty((t_end - t_start + 1, space.n_outcomes))
     for s in range(t_start, t_end + 1):
-        per_atom = rng.normal(0.0, scale, size=space.n_atoms(s))
+        per_atom = rng.normal(0.0, 1.0, size=space.n_atoms(s))
         vals[s - t_start] = per_atom[space.atom_index(s)]
     return AdaptedProcess(space, t_start, vals)
 
@@ -114,17 +112,6 @@ def random_terminal_density(space: FiniteFilteredSpace, rng: np.random.Generator
     return TerminalDensity.normalized(space, rng.random(space.n_outcomes) + 0.1)
 
 
-def random_stopping_time(
-    space: FiniteFilteredSpace, rng: np.random.Generator, t_low: int = 0, stop_prob: float = 0.4
-) -> StoppingTime:
-    values = np.full(space.n_outcomes, space.horizon, dtype=int)  # the horizon marks an outcome still running
-    for s in range(t_low, space.horizon):
-        for atom in space.atoms(s):
-            if values[atom[0]] == space.horizon and rng.random() < stop_prob:
-                values[list(atom)] = s
-    return StoppingTime(space, values)
-
-
 def random_coherent_utility(
     space: FiniteFilteredSpace,
     t_start: int,
@@ -143,7 +130,6 @@ def random_dual_utility(
     t_end: int,
     rng: np.random.Generator,
     n_scenarios: int = 2,
-    gamma_low: float = -2.0,
 ) -> DualFiniteUtility:
     """Concave variant: first scenario penalty 0 keeps the normalization."""
     scen = []
@@ -152,7 +138,7 @@ def random_dual_utility(
         if i == 0:
             g = ConditionalValue.constant(space, t_start, 0.0)
         else:
-            g = random_conditional(space, t_start, rng, gamma_low, 0.0)
+            g = random_conditional(space, t_start, rng, -2.0, 0.0)
         scen.append((a, g))
     return DualFiniteUtility(space, t_start, t_end, scen)
 

@@ -229,9 +229,6 @@ class MaxCorrelationResult:
     argmax_index: list[int]  # per window-start atom, first maximizing member
     rearrangement: RearrangementClass
 
-    def argmax_member(self, atom_k: int) -> AdaptedProcess:
-        return self.rearrangement.members[self.argmax_index[atom_k]]
-
 
 def _class_pairings(cls: RearrangementClass, a: DensityProcess, t: int, t_end: int) -> np.ndarray:
     """(size, atoms at t): every member's pairing against a, in one pass over the stack."""

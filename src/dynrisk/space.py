@@ -183,12 +183,12 @@ class FiniteFilteredSpace:
         return f"FiniteFilteredSpace(M={self.n_outcomes}, T={self.horizon})"
 
 
-def _probability_levels(space: FiniteFilteredSpace, tol: float = PROB_TOL) -> list[list[int]]:
+def _probability_levels(space: FiniteFilteredSpace) -> list[list[int]]:
     """Outcomes grouped by probability value; singleton list when uniform."""
     order = np.argsort(space.probs, kind="stable")
     levels: list[list[int]] = []
     for w in order:
-        if levels and abs(space.probs[levels[-1][-1]] - space.probs[w]) <= tol:
+        if levels and abs(space.probs[levels[-1][-1]] - space.probs[w]) <= PROB_TOL:
             levels[-1].append(int(w))
         else:
             levels.append([int(w)])

@@ -107,10 +107,11 @@ class DualFiniteUtility(UtilityBase):
     [-inf, 0] whose atom-wise maximum is zero.  gamma identically zero means
     the utility is coherent (a max of linear functionals).
 
-    The scenarios are stacked once, and validated from those stacks.
-    ``validate=False`` skips the density, sign and normalization checks; it
-    still refuses windows that do not cover the utility's, penalties at
-    another time, and an atom where every penalty is -inf (phi would be +inf).
+    The scenarios are stacked once, and validated from those stacks: the
+    constructor refuses a density whose window does not cover the utility's
+    or that is not a density there, a penalty on another space or at another
+    time, a positive penalty, and penalties whose atom-wise max is not 0,
+    which covers an atom where every penalty is -inf (phi would be +inf).
     """
 
     def __init__(
@@ -119,7 +120,6 @@ class DualFiniteUtility(UtilityBase):
         t_start: int,
         t_end: int,
         scenarios: Sequence[tuple[DensityProcess, ConditionalValue]],
-        validate: bool = True,
     ):
         super().__init__(space, t_start, t_end)
         scenarios = [(a, g) for a, g in scenarios]
@@ -136,18 +136,14 @@ class DualFiniteUtility(UtilityBase):
         self._gamma = np.stack([g.values for _, g in scenarios])
         self._dead = np.isneginf(self._gamma)
         self._any_dead = bool(self._dead.any())
-        if validate:
-            for i, (inc, gamma) in enumerate(zip(self._increments, self._gamma)):
-                ok, diag = membership(DensityProcess._wrap(space, t_start, inc), "D", t_start)
-                if not ok:
-                    raise ValueError(f"scenario {i} not a density on the window: {diag}")
-                if np.any(gamma > 1e-12):
-                    raise ValueError(f"scenario {i} penalty takes a positive value")
-            if np.any(np.abs(self._gamma.max(axis=0)) > 1e-9):
-                raise ValueError("penalties are not normalized: atom-wise max gamma must be 0")
-        knocked = np.flatnonzero(self._dead.all(axis=0))
-        if knocked.size:
-            raise ValueError(f"every scenario's penalty is -inf on atom {space.atoms(t_start)[knocked[0]]}: phi is +inf there")
+        for i, (inc, gamma) in enumerate(zip(self._increments, self._gamma)):
+            ok, diag = membership(DensityProcess._wrap(space, t_start, inc), "D", t_start)
+            if not ok:
+                raise ValueError(f"scenario {i} not a density on the window: {diag}")
+            if np.any(gamma > 1e-12):
+                raise ValueError(f"scenario {i} penalty takes a positive value")
+        if np.any(np.abs(self._gamma.max(axis=0)) > 1e-9):
+            raise ValueError("penalties are not normalized: atom-wise max gamma must be 0")
         self._supports: dict[int, lp.DualSupports] = {}  # penalty dual per start atom, built on first use
 
     @property
@@ -345,17 +341,9 @@ def _penalties(u: DualFiniteUtility, densities: Sequence[DensityProcess]) -> np.
     G = u._coefficients(u._increments)
     _, _, owner, _ = u._variables
     out = np.empty((len(densities), u.space.n_atoms(t)))
-    for k, atom in enumerate(u.space.atoms(t)):
+    for k in range(u.space.n_atoms(t)):
         live = np.flatnonzero(~u._dead[:, k])
-        h = u._gamma[live, k]
-        if np.any(h > 1e-12):
-            # the dual is bounded by 0 only when every live penalty is <= 0
-            i = int(np.argmax(h))
-            raise RuntimeError(
-                f"penalty came out positive: scenario {live[i]} has penalty {h[i]:.3g} on atom {atom}; "
-                "zero must be feasible"
-            )
-        h = np.minimum(h, 0.0)  # the constructor's 1e-12 slack
+        h = np.minimum(u._gamma[live, k], 0.0)  # the constructor's 1e-12 slack
         Gk, Ck = G[live][:, owner == k], C[:, owner == k]
         if lp.support_count(*Gk.shape) > lp.SUPPORT_LIMIT:
             out[:, k] = [lp.maximize_dual_highs(Gk, h, c) for c in Ck]
@@ -414,9 +402,7 @@ def penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> ConditionalValu
     return ConditionalValue(space, t, out)
 
 
-def argmax_density(
-    u: DualFiniteUtility, X: AdaptedProcess, tol: float = DEFAULT_TOL
-) -> tuple[DensityProcess, ConditionalValue, bool]:
+def argmax_density(u: DualFiniteUtility, X: AdaptedProcess) -> tuple[DensityProcess, ConditionalValue, bool]:
     """Scenario density attaining the insurance value, glued across atoms.
 
     Per window-start atom the best scenario is selected (first index on
@@ -437,7 +423,7 @@ def argmax_density(
     check = pairing(X, a_star, t, T) + ConditionalValue(u.space, t, glued_gamma)
     if check.max_residual(value) > 1e-9:
         raise RuntimeError("glued density does not reproduce the insurance value")
-    attained = any(float(np.abs(a_star.values - inc).max()) <= tol for inc in u._increments)
+    attained = any(float(np.abs(a_star.values - inc).max()) <= DEFAULT_TOL for inc in u._increments)
     return a_star, value, attained
 
 
@@ -602,10 +588,6 @@ class UtilityProcess:
         rows = [X.values[X._span(t0, self.t_end, self.space)] for X in samples]
         return np.array(rows).reshape(len(rows), self.t_end - t0 + 1, self.space.n_outcomes)
 
-    def _phi(self, t: int, vals: np.ndarray) -> np.ndarray:
-        """Stage t on stacked (..., L, M) slices of [t, horizon]: -> (..., atoms at t)."""
-        return self.stage(t)._stacked(vals)
-
     def _glue(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """phi_theta(X), the sum over t of phi_t(1_{theta=t} X) glued along the level sets
         of theta: (K, M) stopping values x (S, L, M) slices on the last L times -> (K, S, M)."""
@@ -613,7 +595,7 @@ class UtilityProcess:
         out = np.zeros((len(thetas), len(xs), self.space.n_outcomes))
         for t in range(t0, self.t_end + 1):
             level = (thetas == t)[:, None, None, :]
-            val = self._phi(t, xs[:, t - t0:] * level).take(self.space.atom_index(t), axis=-1)
+            val = self.stage(t)._stacked(xs[:, t - t0:] * level).take(self.space.atom_index(t), axis=-1)
             out = np.where(level[:, :, 0], val, out)
         return out
 
@@ -621,7 +603,7 @@ class UtilityProcess:
         """phi_t of each position frozen at theta and continued by its glued
         value: (K, M), (S, L, M) slices on [t, horizon], (K, S, M) -> (K, S, atoms)."""
         srange = np.arange(t, self.t_end + 1)[:, None]
-        return self._phi(t, np.where(srange < thetas[:, None, None, :], xs, glued[:, :, None, :]))
+        return self.stage(t)._stacked(np.where(srange < thetas[:, None, None, :], xs, glued[:, :, None, :]))
 
     def evaluate_at_stopping(self, theta: StoppingTime, X: AdaptedProcess) -> np.ndarray:
         """Outcome-indexed value of the stage picked by the stopping time."""
@@ -634,7 +616,7 @@ class UtilityProcess:
         """Gap in the one-step dynamic-programming identity at (t, theta)."""
         xs = self._positions([X], t)
         lhs = self._fold(t, theta.values[None], xs, self.evaluate_at_stopping(theta, X)[None, None])
-        return float(np.abs(lhs - self._phi(t, xs)).max())
+        return float(np.abs(lhs - self.stage(t)._stacked(xs)).max())
 
 
 @dataclass
@@ -683,7 +665,7 @@ def time_consistency_check(
     for t in range(up.t_start, up.t_end + 1):
         sel = thetas.min(axis=1) >= t
         tail = xs[:, t - up.t_start:]
-        rhs = up._phi(t, tail)
+        rhs = up.stage(t)._stacked(tail)
         direct.append(rhs.take(space.atom_index(t), axis=-1))
         res = np.abs(up._fold(t, thetas[sel], tail, glued[sel]) - rhs).max(axis=-1)
         worst, bad = _residuals(worst, res, tol)
@@ -722,14 +704,12 @@ def robust_entropic_process(
     )
 
 
-def normalize_to_window(a: DensityProcess, t: int, t_end: int | None = None) -> DensityProcess:
-    """Rescale the tail of a so its conditional mass on [t, t_end] is one."""
-    if t_end is None:
-        t_end = a.t_end
-    mass = remaining_mass(a, t, t_end)
+def normalize_to_window(a: DensityProcess, t: int) -> DensityProcess:
+    """Rescale the tail of a so its conditional mass on [t, a.t_end] is one."""
+    mass = remaining_mass(a, t, a.t_end)
     if np.any(mass.values <= 1e-12):
         raise ValueError(f"no remaining mass on some atom at t={t}; cannot normalize")
-    incs = np.stack([a.slice_at(s) for s in range(t, t_end + 1)]) / mass.lift()[None, :]
+    incs = np.stack([a.slice_at(s) for s in range(t, a.t_end + 1)]) / mass.lift()[None, :]
     return DensityProcess(a.space, t, incs)
 
 

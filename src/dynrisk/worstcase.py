@@ -492,10 +492,6 @@ class LinearDrivenReport:
     def passed(self) -> bool:
         return all(s.passed for s in self.stages)
 
-    @property
-    def stage0_passed(self) -> bool:
-        return self.stages[0].passed
-
 
 def verify_linear_driven_portfolio(
     portfolio: Portfolio,
@@ -880,12 +876,6 @@ class MatrixCompareReport:
     conclusion_holds: bool | None
     conclusion_residual: float | None
     seed: int
-
-    @property
-    def all_hypotheses(self) -> bool:
-        return (
-            self.hyp_eigenvector and self.hyp_nonnegative and self.hyp_acceptance and self.hyp_dominance
-        )
 
 
 def matrix_compare(

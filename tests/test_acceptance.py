@@ -29,6 +29,7 @@ from dynrisk import (
     entropic_process,
     enumerate_class,
     enumerate_class_bruteforce,
+    enumerate_stopping_times,
     lap_upper_bound,
     matrix_compare,
     max_correlation,
@@ -48,7 +49,6 @@ from dynrisk.random_gen import (
     random_density,
     random_dual_utility,
     random_space,
-    random_stopping_time,
     random_terminal_density,
 )
 from dynrisk.rearrange import _class_pairings
@@ -202,7 +202,7 @@ def test_penalty_agrees_with_vertex_oracle():
         u = random_dual_utility(sp, 0, sp.horizon, g, n_scenarios=1 + seed % 3)
         if seed % 5 == 0 and len(u.scenarios) > 1:
             dead = ConditionalValue.constant(sp, 0, NEG)
-            u = DualFiniteUtility(sp, 0, sp.horizon, [u.scenarios[0], (u.scenarios[1][0], dead)], validate=False)
+            u = DualFiniteUtility(sp, 0, sp.horizon, [u.scenarios[0], (u.scenarios[1][0], dead)])
         targets = [u.scenarios[0][0], random_density(sp, 0, sp.horizon, g, strict=True)]
         conc = np.zeros((sp.horizon + 1, sp.n_outcomes))
         conc[-1] = DensityProcess.uniform(sp, 0, sp.horizon).tail_from(0) * 0.0
@@ -231,7 +231,8 @@ def test_splice_and_paste_closure():
         sp = random_space(g, max_outcomes=6, max_horizon=3)
         a = random_density(sp, 0, sp.horizon, g, strict=True)
         b = random_density(sp, 0, sp.horizon, g, strict=bool(g.random() < 0.5))
-        theta = random_stopping_time(sp, g)
+        thetas = enumerate_stopping_times(sp)
+        theta = thetas[int(g.integers(len(thetas)))]
         mask = stopping_measurable_event(sp, theta, g)
         out = concatenate(a, b, theta, mask)
         assert out.values.min() >= -1e-10
@@ -337,10 +338,10 @@ def test_matrix_comparison_conclusion_and_guards():
         tilde = Portfolio([random_adapted(sp, 0, sp.horizon, g) for _ in range(2)])
         bar = Portfolio([m.shift_by(float(g.random() + 0.1)) for m in tilde.members])
         rep = matrix_compare(A, u, tilde, bar, sample_count=10, seed=attempts, tol=1e-9)
-        if not rep.all_hypotheses:
-            assert not rep.conclusion_tested and rep.conclusion_holds is None
+        assert rep.conclusion_tested == (rep.hyp_eigenvector and rep.hyp_nonnegative and rep.hyp_acceptance and rep.hyp_dominance)
+        if not rep.conclusion_tested:
+            assert rep.conclusion_holds is None
             continue
-        assert rep.conclusion_tested
         assert rep.conclusion_holds, f"attempt {attempts}: residual {rep.conclusion_residual:.3g}"
         passed += 1
     assert passed == 50, f"only {passed} hypothesis-passing instances in {attempts} attempts"

@@ -123,7 +123,7 @@ def test_stacked_kernel_matches_evaluate_bitwise(family):
         sp = random_space(g, max_outcomes=8, max_horizon=3, uniform=bool(g.random() < 0.5))
         t0 = int(g.integers(0, sp.horizon + 1))
         u = make_utility(family, sp, t0, g)
-        positions = [random_adapted(sp, 0, sp.horizon, g, scale=3.0) for _ in range(int(g.integers(1, 9)))]
+        positions = [random_adapted(sp, 0, sp.horizon, g) * 3.0 for _ in range(int(g.integers(1, 9)))]
         stack = np.stack([X.values[t0:] for X in positions])
         batched = u._combine(u._features(stack))
         rows = np.stack([u.evaluate(X).values for X in positions])
@@ -137,7 +137,7 @@ def test_insurance_is_reflected_evaluate_bitwise(family):
         g = np.random.default_rng([8, seed])
         sp = random_space(g, max_outcomes=8, max_horizon=3)
         u = make_utility(family, sp, int(g.integers(0, sp.horizon + 1)), g)
-        X = random_adapted(sp, 0, sp.horizon, g, scale=3.0)
+        X = random_adapted(sp, 0, sp.horizon, g) * 3.0
         assert np.array_equal(bits(u.insurance(X).values), bits(-u.evaluate(-X).values)), f"seed {seed}"
 
 
@@ -148,7 +148,7 @@ def test_zero_position_insures_to_positive_zero(family):
     g = np.random.default_rng(10)
     sp = random_space(g, max_outcomes=6, max_horizon=2)
     u = make_utility(family, sp, int(g.integers(0, sp.horizon + 1)), g)
-    zero = AdaptedProcess.zero(sp, 0, sp.horizon)
+    zero = AdaptedProcess.constant(sp, 0, sp.horizon, 0.0)
     assert np.array_equal(bits(u.evaluate(zero).values), bits(np.zeros(sp.n_atoms(u.t_start))))
     assert np.array_equal(bits(u.insurance(zero).values), bits(np.zeros(sp.n_atoms(u.t_start))))
     scan = worst_portfolio_bruteforce(Portfolio([zero.restrict(u.t_start)] * 2), u)
@@ -358,7 +358,7 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
             sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
             t0 = int(g.integers(0, sp.horizon + 1))
         scale = float(10.0 ** g.integers(0, 7))
-        members = [random_adapted(sp, t0, sp.horizon, g, scale=scale) for _ in range(int(g.integers(1, 5)))]
+        members = [random_adapted(sp, t0, sp.horizon, g) * scale for _ in range(int(g.integers(1, 5)))]
         classes = [enumerate_class(X) for X in members]
         sizes = [c.size for c in classes]
         total = int(np.prod(sizes))
@@ -510,7 +510,7 @@ def screen_cases(family, where):
         sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
         t0 = int(g.integers(0, sp.horizon))
         members = [random_adapted(sp, t0, sp.horizon, g) for _ in range(int(g.integers(1, 3)))]
-        members.append(AdaptedProcess(sp, t0, np.round(random_adapted(sp, t0, sp.horizon, g, scale=0.7).values)))
+        members.append(AdaptedProcess(sp, t0, np.round((random_adapted(sp, t0, sp.horizon, g) * 0.7).values)))
         sizes = [enumerate_class(X).size for X in members]
         if sizes[-1] * sp.n_atoms(t0) >= sp.n_outcomes or not 2 <= np.prod(sizes) <= 3000:
             continue
@@ -645,7 +645,7 @@ def test_stacked_recursion_matches_per_check_oracle(kind):
         g = np.random.default_rng([11, seed])
         sp = random_space(g, max_outcomes=6, max_horizon=3)
         up = make_process(kind, sp, g)
-        samples = [random_adapted(sp, up.t_start, up.t_end, g, scale=2.0) for _ in range(2)]
+        samples = [random_adapted(sp, up.t_start, up.t_end, g) * 2.0 for _ in range(2)]
         rep = time_consistency_check(up, samples=samples, tol=1e-9)
         worst, checked, failures, glued = oracle_consistency(up, samples, 1e-9)
         assert rep.stopping_times == "all"
@@ -1142,7 +1142,7 @@ def penalty_instance(g):
         dead = np.where(g.random(sp.n_atoms(0)) < 0.6, -np.inf, 0.0)
         dead[0] = -np.inf
         scen = u.scenarios[:-1] + [(u.scenarios[-1][0], ConditionalValue(sp, 0, dead))]
-        u = DualFiniteUtility(sp, 0, sp.horizon, scen, validate=False)
+        u = DualFiniteUtility(sp, 0, sp.horizon, scen)
     (a1, _), (a2, _) = u.scenarios[0], u.scenarios[-1]
     conc = np.zeros((sp.horizon + 1, sp.n_outcomes))
     conc[0] = 1.0
@@ -1379,8 +1379,8 @@ def test_stacked_axiom_sweeps_match_per_sample_oracle():
     for sp, t0 in ((random_space(g, min_outcomes=4, max_outcomes=4, max_horizon=2), 0), (wide_space(g), 1)):
         a = random_density(sp, t0, sp.horizon, g, strict=True)
         zero = ConditionalValue.constant(sp, t0, 0.0)
-        scenarios = [(DensityProcess(sp, t0, a.values - 0.8), zero), (a, zero)]
-        u = DualFiniteUtility(sp, t0, sp.horizon, scenarios, validate=False)
+        u = DualFiniteUtility(sp, t0, sp.horizon, [(a, zero), (a, zero)])
+        u._increments[0] -= 0.8  # not a density, which the constructor refuses
         want = oracle_axioms(u, 6, 3, 1e-9)
         assert want["monotonicity"][0] is False
         assert axiom_table(check_axioms(u, 6, 3, 1e-9)) == want
@@ -1388,19 +1388,17 @@ def test_stacked_axiom_sweeps_match_per_sample_oracle():
 
 def test_stacked_routes_refuse_what_evaluate_refuses():
     """A dual with every scenario knocked out on an atom would be +inf there,
-    which no conditional value holds.  The constructor refuses it, so that
-    neither evaluate nor a route that stacks positions ever meets it: without
-    validation by naming the atom, with it by the normalization message."""
+    which no conditional value holds.  The constructor refuses it, as penalties
+    whose atom-wise max is not 0, so that neither evaluate nor a route that
+    stacks positions ever meets it."""
     sp = FiniteFilteredSpace([0.25] * 4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]])
     dead = ConditionalValue(sp, 1, [0.0, -np.inf])
     scenarios = [(DensityProcess.uniform(sp, 1, 2), dead), (DensityProcess.uniform(sp, 1, 2), dead)]
-    with pytest.raises(ValueError, match=re.escape("every scenario's penalty is -inf on atom (2, 3)")):
-        DualFiniteUtility(sp, 1, 2, scenarios, validate=False)
     with pytest.raises(ValueError, match="penalties are not normalized"):
         DualFiniteUtility(sp, 1, 2, scenarios)
     # one live scenario on the atom is enough
     live = ConditionalValue(sp, 1, [-np.inf, 0.0])
-    u = DualFiniteUtility(sp, 1, 2, [scenarios[0], (DensityProcess.uniform(sp, 1, 2), live)], validate=False)
+    u = DualFiniteUtility(sp, 1, 2, [scenarios[0], (DensityProcess.uniform(sp, 1, 2), live)])
     assert np.isfinite(u.evaluate(AdaptedProcess(sp, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])).values).all()
 
 
@@ -1474,7 +1472,7 @@ def test_dual_kernel_is_the_penalised_min_of_pairings_bitwise():
             u = DualFiniteUtility(sp, t, T, u.scenarios[:-1] + [(a, ConditionalValue(sp, t, dead))])
         X = random_adapted(sp, t, T, g)
         signed_zeros = np.where(g.random(X.values.shape) < 0.5, 0.0, -0.0)
-        for Y in (X, AdaptedProcess.zero(sp, t, T), AdaptedProcess(sp, t, -0.0 * np.abs(X.values)),
+        for Y in (X, AdaptedProcess.constant(sp, t, T, 0.0), AdaptedProcess(sp, t, -0.0 * np.abs(X.values)),
                   AdaptedProcess(sp, t, np.where(X.values > 0, X.values, signed_zeros))):
 
             def oracle(Z):

@@ -152,17 +152,6 @@ class TestPairing:
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
-class TestNorms:
-    def test_density_norm_one(self, four_tree):
-        a = random_density(four_tree, 0, 2, np.random.default_rng(5))
-        assert a.a1_norm() == pytest.approx(1.0)
-
-    def test_doubling(self, four_tree):
-        a = random_density(four_tree, 0, 2, np.random.default_rng(6))
-        doubled = DensityProcess(four_tree, 0, 2.0 * a.values)
-        assert doubled.a1_norm() == pytest.approx(2.0 * a.a1_norm())
-
-
 class TestMembership:
     def test_uniform_in_both(self, four_tree):
         a = DensityProcess.uniform(four_tree, 0, 2)

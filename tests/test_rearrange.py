@@ -304,7 +304,7 @@ class TestMaxCorrelation:
         a = random_density(four_tree, 0, 2, g)
         X = random_adapted(four_tree, 0, 2, g)
         res = max_correlation(a, X, 0)
-        m = res.argmax_member(0)
+        m = res.rearrangement.members[res.argmax_index[0]]
         assert pairing(m, a, 0).values[0] == pytest.approx(res.value.values[0])
 
     def test_frozen_strict_gap_instance(self):
@@ -351,7 +351,7 @@ class TestMaxCorrelation:
         res = max_correlation(a, X, 1)
         assert res.value.values.shape == (2,)
         for k in range(2):
-            m = res.argmax_member(k)
+            m = res.rearrangement.members[res.argmax_index[k]]
             assert pairing(m, a, 1).values[k] == pytest.approx(res.value.values[k])
 
 
@@ -407,7 +407,7 @@ EMPTY_CLASS_CONSUMERS = {
     "enumerate_class": lambda X, a, u: enumerate_class(X),
     "max_correlation": lambda X, a, u: max_correlation(a, X, 0),
     "is_comonotone": lambda X, a, u: is_comonotone(a, [X]),
-    "is_comonotone, second member": lambda X, a, u: is_comonotone(a, [AdaptedProcess.zero(X.space, 0, 2), X]),
+    "is_comonotone, second member": lambda X, a, u: is_comonotone(a, [AdaptedProcess.constant(X.space, 0, 2, 0.0), X]),
     "worst_scenario": lambda X, a, u: worst_scenario([a], Portfolio([X]), u),
     "average_risk": lambda X, a, u: average_risk(a, Portfolio([X]), u),
     "worst_portfolio_bruteforce": lambda X, a, u: worst_portfolio_bruteforce(Portfolio([X]), u),

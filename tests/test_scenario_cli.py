@@ -172,6 +172,26 @@ class TestParse:
         with pytest.raises(ScenarioError, match="gen1"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize(
+        "gammas, t_start, message",
+        [
+            ([0.0, 0.0], 1, "scenario 0 not a density on the window: conditional mass on atom (0, 1) at t=1 is 0.8, not 1"),
+            ([0.0, 0.5], 0, "scenario 1 penalty takes a positive value"),
+            ([-0.5, -0.25], 0, "penalties are not normalized"),
+            # phi would be +inf on the atom; its max penalty, -inf, is not 0
+            (["-inf", "-inf"], 0, "penalties are not normalized"),
+        ],
+        ids=["not-a-density-on-the-window", "positive-penalty", "not-normalized", "every-penalty-neg-inf"],
+    )
+    def test_dual_utility_refusals_name_the_utility(self, gammas, t_start, message):
+        doc = base_doc()
+        coh = doc["utilities"]["coh"]
+        coh["t_start"] = t_start
+        for entry, gamma in zip(coh["scenarios"], gammas):
+            entry["gamma"] = gamma
+        with pytest.raises(ScenarioError, match=re.escape(f"utility coh: {message}")):
+            parse_scenario(doc)
+
     def test_duplicate_task_names(self):
         doc = base_doc()
         doc["tasks"] = [{"task": "check-space", "name": "a"}, {"task": "check-space", "name": "a"}]

@@ -367,7 +367,7 @@ def test_one_numbering_matches_the_per_time_references():
                 assert np.array_equal(seg, want_seg) and np.array_equal(wsum, np.add.reduceat(w_ord, starts)), where
                 assert np.array_equal(w_ord, np.tile(sp.probs, L)[order]), where
                 inc = DensityProcess._wrap(sp, t, np.full((L, M), 1.0 / L))
-                u = DualFiniteUtility(sp, t, t_end, [(inc, ConditionalValue.constant(sp, t, 0.0))], validate=False)
+                u = DualFiniteUtility(sp, t, t_end, [(inc, ConditionalValue.constant(sp, t, 0.0))])
                 variables = u._variables
                 assert np.array_equal(variables[0], want_order) and np.array_equal(variables[1], want_starts), where
                 base = np.stack([g.normal(size=sp.n_atoms(s))[sp.atom_index(s)] for s in range(t, t_end + 1)])

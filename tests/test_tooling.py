@@ -1,18 +1,21 @@
 """The repository's own tooling, run in-process: the benchmark's span tracer,
 the demos' expected outputs, the oldest supported Python's grammar and the
-program's use of every public name; and, in a fresh interpreter, what
+program's use of every public name and method; and, in a fresh interpreter, what
 importing dynrisk loads."""
 
 import ast
 import contextlib
+import importlib
 import inspect
 import io
 import os
+import pkgutil
 import re
 import runpy
 import subprocess
 import sys
 import textwrap
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,22 +105,56 @@ TEST_ONLY = {
     "average_risk",
     "build_linear_driven_portfolio",
     "verify_linear_driven_portfolio",
+    "check_law_invariance",
 }
 
 
-def used_outside_the_tests(name):
-    """Whether ``src/``, ``bench/`` or ``demos/`` names ``name`` outside its
-    own ``def`` or ``class`` and the package's ``__init__.py``."""
+@cache
+def program_names():
+    """The names that code in ``src/``, ``bench/`` and ``demos/``, bar the
+    package's ``__init__.py``, reads or imports, and the attributes it reads,
+    from the AST: a name in a docstring or comment is not a use."""
     package = ROOT / "src" / "dynrisk" / "__init__.py"
-    own = re.compile(rf"\b(?:def|class)\s+{name}\b")
-    texts = (p.read_text() for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py") if p != package)
-    return any(re.search(rf"\b{name}\b", own.sub("", text)) for text in texts)
+    names, attributes = set(), set()
+    for p in (p for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py") if p != package):
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names, attributes
+
+
+def used_outside_the_tests(name):
+    """Whether ``src/``, ``bench/`` or ``demos/`` code uses ``name``."""
+    names, attributes = program_names()
+    return name in names or name in attributes
 
 
 def test_every_public_name_is_used_outside_the_tests():
     # a public function that nothing but a test calls is code the program never runs
     unused = [n for n in dr.__all__ if not inspect.ismodule(getattr(dr, n)) and n not in TEST_ONLY and not used_outside_the_tests(n)]
     assert unused == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    # a method, property or classmethod that only a test reads is code the program never runs
+    _, attributes = program_names()
+    modules = [importlib.import_module(f"dynrisk.{m.name}") for m in pkgutil.iter_modules(dr.__path__)]
+    classes = [c for m in modules for n, c in vars(m).items() if inspect.isclass(c) and c.__module__ == m.__name__ and not n.startswith("_")]
+    unused = {
+        f"{base.__name__}.{name}"
+        for cls in classes
+        for base in cls.__mro__
+        if base.__module__.startswith("dynrisk.")
+        for name, member in vars(base).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(member) or isinstance(member, (property, cached_property, classmethod, staticmethod)))
+        and name not in attributes
+    }
+    assert sorted(unused) == []
 
 
 @pytest.mark.parametrize("name", sorted(TEST_ONLY))

@@ -265,7 +265,7 @@ class TestLinearDriven:
         B = np.diag([0.0, 1.3, 0.4])
         port = build_linear_driven_portfolio(a, [B], [np.zeros(3)], np.ones(4, dtype=bool))
         rep = verify_linear_driven_portfolio(port, a)
-        assert rep.stage0_passed
+        assert rep.stages[0].passed
 
     def test_identity_drive_can_lose_later_stages(self):
         # frozen instance: the stage-0 optimum fails re-certification at 2
@@ -273,7 +273,7 @@ class TestLinearDriven:
         a = random_density(sp, 0, 2, np.random.default_rng(0), strict=True)
         port = build_linear_driven_portfolio(a, [np.eye(3)], [np.zeros(3)], np.ones(4, dtype=bool))
         rep = verify_linear_driven_portfolio(port, a)
-        assert rep.stage0_passed
+        assert rep.stages[0].passed
         assert not rep.passed
         assert rep.stages[2].residual > 0.05
 
@@ -458,7 +458,7 @@ class TestPreservation:
             for t, u in up.stages.items():
                 (a, gamma), = u.scenarios
                 after = np.ones((sp.horizon - t_end, sp.n_outcomes))
-                wide[t] = DualFiniteUtility(sp, t, t_end, [(DensityProcess(sp, 0, np.vstack([a.extend_to(0).values, after])), gamma)])
+                wide[t] = DualFiniteUtility(sp, t, t_end, [(DensityProcess(sp, 0, np.vstack([np.zeros((t, sp.n_outcomes)), a.values, after])), gamma)])
             padded = UtilityProcess(wide)
             cand = AdaptedWorstProcess.from_restrictions(Portfolio([AdaptedProcess.constant(sp, 1, t_end, 1.5)]))
             want = verify_preservation(build_preservation_hypotheses(up, variant), up, cand)
@@ -524,7 +524,7 @@ class TestMatrix:
         tilde = Portfolio([random_adapted(four_tree, 0, 2, g) for _ in range(2)])
         bar = Portfolio([m.shift_by(0.5) for m in tilde.members])
         rep = matrix_compare(np.eye(3), u, tilde, bar)
-        assert rep.all_hypotheses
+        assert rep.hyp_eigenvector and rep.hyp_nonnegative and rep.hyp_acceptance and rep.hyp_dominance
         assert rep.conclusion_tested
         assert rep.conclusion_holds
 
@@ -536,7 +536,7 @@ class TestMatrix:
         bar = Portfolio([m.shift_by(1.0) for m in tilde.members])
         rep = matrix_compare(avg, u, tilde, bar)
         assert rep.hyp_eigenvector and rep.hyp_nonnegative
-        if rep.all_hypotheses:
+        if rep.conclusion_tested:
             assert rep.conclusion_holds
 
     def test_negative_entry_blocks_conclusion(self, four_tree):
