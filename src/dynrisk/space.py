@@ -417,15 +417,17 @@ def _stopping_times(space: FiniteFilteredSpace, t_low: int = 0, cap: int = 100_0
     rows = np.full((1, space.n_outcomes), T)  # T marks an outcome still running
     for s in range(t_low, T):
         order, starts = space.atom_layout(s)[:2]
-        running = rows[:, order[starts]] == T
-        n = running.sum(axis=1)
+        live = rows == T
+        rank = live[:, order[starts]].cumsum(axis=1)  # a running atom's rank, from 1; n in the last column
+        n = rank[:, -1]
         if (2.0**n).sum() > cap:  # in floats: 1 << n wraps past 62 atoms
             raise CapExceededError(f"more than {cap} stopping times")
         # choice c of a row stops its j-th running atom when bit n - 1 - j of c is set
-        shifts = (n[:, None] - running.cumsum(axis=1))[:, space.atom_index(s)]
-        k = np.repeat(np.arange(len(rows)), 1 << n)
-        choice = np.arange(len(k)) - np.searchsorted(k, k)  # each child's place among its row's
-        rows = np.where((rows[k] == T) & (choice[:, None] >> shifts[k] & 1).astype(bool), s, rows[k])
+        shifts = (n[:, None] - rank)[:, space._atom_index[s]]
+        size = 1 << n
+        k = np.arange(len(rows)).repeat(size)
+        choice = np.arange(len(k)) - (size.cumsum() - size).repeat(size)  # each child's place among its row's
+        rows = np.where(live[k] & (choice[:, None] >> shifts[k] & 1).astype(bool), s, rows[k])
     if len(rows) > cap:  # from t_low = T, the one stopping time T
         raise CapExceededError(f"more than {cap} stopping times")
     return rows
@@ -445,11 +447,11 @@ def _times_to_check(
     """(stopping times with values in [t_low, t_high], mode) for a harness: every one on spaces
     within ``EXHAUSTIVE_LIMIT`` ("all"), else the deterministic ones ("deterministic-only").
     With ``deterministic`` they are all the harness wants, as for pasting ("all")."""
-    levels = np.repeat(np.arange(t_low, t_high + 1)[:, None], space.n_outcomes, axis=1)
     if deterministic or space.n_outcomes > EXHAUSTIVE_LIMIT[0] or space.horizon > EXHAUSTIVE_LIMIT[1]:
+        levels = np.repeat(np.arange(t_low, t_high + 1)[:, None], space.n_outcomes, axis=1)
         return levels, "all" if deterministic else "deterministic-only"
     rows = _stopping_times(space, t_low)
-    return rows[rows.max(axis=1) <= t_high], "all"
+    return (rows if t_high == space.horizon else rows[rows.max(axis=1) <= t_high]), "all"
 
 
 class _Splices:

@@ -27,9 +27,10 @@ and ``_screen`` contracts the weight row with those factors per atom;
 and the scan re-scores exactly every tuple that could be a chunk's max.
 The time-consistency recursion (``UtilityProcess._glue`` and ``_fold``)
 stacks every (stopping time, sample) pair and calls each stage's kernel
-once per step.  The axiom sweeps
-(``check_axioms``, ``_check_relevance``), ``worstcase.check_law_invariance``
-and ``worstcase.matrix_sup`` evaluate stacks of positions through the kernel.
+twice: the glue, which also gives the stage's direct value, then the fold.
+The axiom sweeps (``check_axioms``, ``_check_relevance``),
+``worstcase.check_law_invariance`` and ``worstcase.matrix_sup`` evaluate
+stacks of positions through the kernel.
 """
 
 from __future__ import annotations
@@ -588,16 +589,25 @@ class UtilityProcess:
         rows = [X.values[X._span(t0, self.t_end, self.space)] for X in samples]
         return np.array(rows).reshape(len(rows), self.t_end - t0 + 1, self.space.n_outcomes)
 
-    def _glue(self, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def _glue(self, thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """phi_theta(X), the sum over t of phi_t(1_{theta=t} X) glued along the level sets
-        of theta: (K, M) stopping values x (S, L, M) slices on the last L times -> (K, S, M)."""
+        of theta, and each stage's direct value phi_t(X), from one kernel call per stage on
+        the stack [X; X 1_{theta=t}]; with ``_fold`` a check runs each stage twice.
+        (K, M) stopping values x (S, L, M) slices on the last L times -> (K, S, M), and
+        per t in turn (S, atoms)."""
         t0 = self.t_end + 1 - xs.shape[1]
         out = np.zeros((len(thetas), len(xs), self.space.n_outcomes))
+        direct = []
         for t in range(t0, self.t_end + 1):
             level = (thetas == t)[:, None, None, :]
-            val = self.stage(t)._stacked(xs[:, t - t0:] * level).take(self.space.atom_index(t), axis=-1)
-            out = np.where(level[:, :, 0], val, out)
-        return out
+            tail = xs[:, t - t0:]
+            stack = np.empty((len(thetas) + 1,) + tail.shape)
+            stack[0] = tail
+            np.multiply(tail, level, out=stack[1:])
+            vals = self.stage(t)._stacked(stack)
+            direct.append(vals[0])
+            np.copyto(out, vals[1:].take(self.space._atom_index[t], axis=-1), where=level[:, :, 0])
+        return out, direct
 
     def _fold(self, t: int, thetas: np.ndarray, xs: np.ndarray, glued: np.ndarray) -> np.ndarray:
         """phi_t of each position frozen at theta and continued by its glued
@@ -610,7 +620,7 @@ class UtilityProcess:
         _same_space(self.space, theta)
         if theta.min_value() < self.t_start or theta.max_value() > self.t_end:
             raise ValueError("stopping time leaves the stage range")
-        return self._glue(theta.values[None], self._positions([X], theta.min_value()))[0, 0]
+        return self._glue(theta.values[None], self._positions([X], theta.min_value()))[0][0, 0]
 
     def consistency_residual(self, t: int, theta: StoppingTime, X: AdaptedProcess) -> float:
         """Gap in the one-step dynamic-programming identity at (t, theta)."""
@@ -640,7 +650,9 @@ def time_consistency_check(
     Stopping times are enumerated exhaustively on small spaces, otherwise the
     deterministic ones are used; the report also confirms that the glued
     stopping-time evaluation collapses to the stage value at deterministic
-    times.
+    times.  Every (stopping time, sample) pair is checked at once, and each
+    stage's kernel runs twice: in the glue, which also gives its direct value
+    phi_t(X), then in the fold.
     """
     from .random_gen import random_adapted
 
@@ -654,32 +666,32 @@ def time_consistency_check(
         raise ValueError("samples must not be empty")
     # on exhaustive spaces the rows with min >= t are every stopping time from t, in order
     thetas, mode = _times_to_check(space, up.t_start, up.t_end)
-    # every (stopping time, sample) pair at once: one glue, then one fold per stage
+    # one glue, which also gives each stage's direct value, then one fold per stage
     xs = up._positions(samples, up.t_start)
-    glued = up._glue(thetas, xs)
+    glued, direct = up._glue(thetas, xs)
+    first = thetas.min(axis=1)
 
     worst = 0.0
     checked = 0
     failures: list[str] = []
-    direct = []
-    for t in range(up.t_start, up.t_end + 1):
-        sel = thetas.min(axis=1) >= t
-        tail = xs[:, t - up.t_start:]
-        rhs = up.stage(t)._stacked(tail)
-        direct.append(rhs.take(space.atom_index(t), axis=-1))
-        res = np.abs(up._fold(t, thetas[sel], tail, glued[sel]) - rhs).max(axis=-1)
+    for t, rhs in enumerate(direct, up.t_start):
+        sel = first >= t
+        res = np.abs(up._fold(t, thetas[sel], xs[:, t - up.t_start:], glued[sel]) - rhs).max(axis=-1)
         worst, bad = _residuals(worst, res, tol)
         checked += res.size
         for k, idx in bad:
             failures.append(f"t={t}, theta={thetas[sel][k].tolist()}, sample {idx}: residual {res[k, idx]:.3g}")
-    # stage collapse at deterministic times: the constant rows of thetas, in time order
-    const = np.flatnonzero(thetas.min(axis=1) == thetas.max(axis=1))
+    # stage collapse at deterministic times: the constant rows of thetas, in time order,
+    # each against the direct value at its own time
+    const = np.flatnonzero(first == thetas.max(axis=1))
     const = const[np.argsort(thetas[const, 0], kind="stable")]
-    res = np.abs(glued[const] - np.array(direct)).max(axis=-1)
+    taus = thetas[const, 0]
+    lifted = np.array([d.take(space._atom_index[t], axis=-1) for t, d in enumerate(direct, up.t_start)])
+    res = np.abs(glued[const] - lifted[taus - up.t_start]).max(axis=-1)
     worst, bad = _residuals(worst, res, tol)
     checked += res.size
     for k, idx in bad:
-        failures.append(f"deterministic tau={up.t_start + k}, sample {idx}: glue residual {res[k, idx]:.3g}")
+        failures.append(f"deterministic tau={taus[k]}, sample {idx}: glue residual {res[k, idx]:.3g}")
     return ConsistencyReport(not failures, worst, checked, failures, mode)
 
 

@@ -10,11 +10,14 @@ the entropic families screen each chunk with one contraction and re-score
 only the tuples near its max, and the screen must keep its stated error
 bound and its chunks the float budget.  ``worst_scenario``,
 which reads each class once, must report what one ``average_risk`` per
-candidate reports.  The
-time-consistency check, which stacks every (stopping time,
-sample) pair, must report what one check at a time reports, and so must the
-stability checks and the pasting closure, which stack every splice, against
-one public ``concatenate`` or ``paste`` per splice.  Stacked pairings of a
+candidate reports.  The time-consistency check stacks every (stopping
+time, sample) pair and runs each stage twice: in the glue, which also gives
+the stage's direct value, then in the fold.  It must report what one check
+at a time over the recursive reference's stopping times reports, and a
+defect planted in the glued or the direct values, or a stopping time dropped
+from the enumeration, must make the two disagree.  The stability checks and
+the pasting closure, which stack every splice, must report what one public
+``concatenate`` or ``paste`` per splice reports.  Stacked pairings of a
 whole rearrangement class must give the bits of one ``pairing`` per member,
 and the duality and linear-driven harnesses, which enumerate each class once
 and pair it in one pass, must report what per-call routes report.  The
@@ -90,12 +93,14 @@ from dynrisk.random_gen import (
     random_terminal_density,
 )
 from dynrisk import lp, utility, worstcase
+from dynrisk import space as space_module
 from dynrisk.processes import _pairings
 from dynrisk.rearrange import _attains, _class_pairings
 from dynrisk.space import enumerate_stopping_events
 from dynrisk.utility import _check_relevance, _penalties
 from dynrisk.worstcase import Thm31Report, apply_matrix
 from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
+from test_space import grow_reference
 
 FAMILIES = ("dual", "coherent", "entropic", "robust")
 
@@ -589,7 +594,8 @@ def test_attains_tolerance_is_relative_above_one():
 
 def oracle_consistency(up, samples, tol):
     """time_consistency_check one (t, theta, sample) at a time, through
-    public constructors and one stage ``evaluate`` per folded position."""
+    public constructors and one stage ``evaluate`` per folded position, over
+    the stopping times of ``test_space.grow_reference``."""
     sp = up.space
 
     def glue(theta, X):
@@ -603,7 +609,8 @@ def oracle_consistency(up, samples, tol):
 
     worst, checked, failures, glued = 0.0, 0, [], {}
     for t in range(up.t_start, up.t_end + 1):
-        for theta in enumerate_stopping_times(sp, t_low=t):
+        # the recursive reference, not the level-wise enumeration the harness reads
+        for theta in (StoppingTime(sp, values) for values in grow_reference(sp, t)):
             if theta.max_value() > up.t_end:
                 continue
             for idx, X in enumerate(samples):
@@ -660,6 +667,60 @@ def test_stacked_recursion_matches_per_check_oracle(kind):
     if kind == "mixed-alpha":
         # on one-step trees the last stage is X_T itself, so only deeper trees fail
         assert failing >= 5, "the failing reports' lists were not compared"
+
+
+def plant_glue_defect(monkeypatch, where):
+    """Make ``UtilityProcess._glue`` add 1e-6 on the last atom at the horizon,
+    to its glued values or to the last stage's direct values."""
+    real = UtilityProcess._glue
+
+    def glue(self, thetas, xs):
+        glued, direct = real(self, thetas, xs)
+        if where == "glued":
+            glued = glued.copy()
+            glued[..., list(self.space.atoms(self.t_end)[-1])] += 1e-6
+        else:
+            direct = direct[:-1] + [direct[-1].copy()]
+            direct[-1][..., -1] += 1e-6
+        return glued, direct
+
+    monkeypatch.setattr(UtilityProcess, "_glue", glue)
+
+
+def planted_instance(kind, seed):
+    g = np.random.default_rng([13, seed])
+    sp = random_space(g, max_outcomes=6, max_horizon=3)
+    up = make_process(kind, sp, g)
+    return up, [random_adapted(sp, up.t_start, up.t_end, g) for _ in range(2)]
+
+
+@pytest.mark.parametrize("kind", ("entropic", "normalized"))
+@pytest.mark.parametrize("where", ("glued", "direct"))
+def test_planted_glue_defect_fails_the_check_and_the_oracle(monkeypatch, kind, where):
+    for seed in range(3):
+        up, samples = planted_instance(kind, seed)
+        T, M = up.t_end, up.space.n_outcomes
+        rep = time_consistency_check(up, samples=samples)
+        oracle = oracle_consistency(up, samples, 1e-9)
+        assert rep.passed and (rep.checked, rep.failures) == oracle[1:3], f"seed {seed}"
+        with monkeypatch.context() as m:
+            plant_glue_defect(m, where)
+            bad = time_consistency_check(up, samples=samples)
+        # at t = T the fold is the glued value itself: the defect's 1e-6, exactly
+        row = f"t={T}, theta={[T] * M}, sample 0: residual 1e-06"
+        assert not bad.passed and row in bad.failures, f"seed {seed}"
+        assert (bad.checked, bad.failures) != oracle[1:3], f"seed {seed}"
+
+
+def test_dropped_stopping_time_changes_what_the_check_counts(monkeypatch):
+    real = space_module._stopping_times
+    for seed in range(3):
+        up, samples = planted_instance("entropic", seed)
+        want = oracle_consistency(up, samples, 1e-9)[1]
+        assert time_consistency_check(up, samples=samples).checked == want, f"seed {seed}"
+        with monkeypatch.context() as m:
+            m.setattr(space_module, "_stopping_times", lambda *args: real(*args)[:-1])
+            assert time_consistency_check(up, samples=samples).checked != want, f"seed {seed}"
 
 
 def splice_times(sp, kind):

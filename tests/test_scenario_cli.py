@@ -19,6 +19,7 @@ from dynrisk import (
 )
 from dynrisk.cli import main, run_task
 from dynrisk.scenario import parse_scenario
+from test_kernel import plant_glue_defect
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "demos" / "full_verification.json"
@@ -660,6 +661,21 @@ class TestCLI:
         code, reports = self.run_cli(tmp_path, doc)
         assert code == 1
         assert b"FAIL" in reports["ax.tsv"]
+
+    def test_planted_glue_defect_writes_time_consistency_fail_rows(self, tmp_path, monkeypatch, capsys):
+        doc = base_doc()
+        doc["tasks"] = [{"task": "time-consistency", "name": "tc", "process": "entproc", "samples": 2}]
+        code, reports = self.run_cli(tmp_path, doc)
+        assert code == 0 and b"FAIL" not in reports["tc.tsv"]
+        plant_glue_defect(monkeypatch, "glued")
+        code, reports = self.run_cli(tmp_path, doc)
+        rows = reports["tc.tsv"].decode().splitlines()
+        assert code == 1 and "tc\tFAIL" in capsys.readouterr().out
+        quantity, value, bound, status = rows[1].split("\t")[2:]
+        assert (quantity, bound, status) == ("max-residual", "1e-09", "FAIL") and abs(float(value) - 1e-6) < 1e-12
+        failures = [row for row in rows if "\tfailure\t" in row]
+        assert len(failures) == 10 and all(row.endswith("\t-\tFAIL") for row in failures)
+        assert failures[0] == "tc\t-\tfailure\tt=0, theta=[2, 2, 2, 2], sample 0: residual 1.23e-07\t-\tFAIL"
 
     def test_cap_exit_code(self, tmp_path):
         doc = base_doc()

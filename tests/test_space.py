@@ -28,6 +28,7 @@ from dynrisk import (
 )
 from dynrisk.random_gen import random_adapted, random_space
 from dynrisk.space import (
+    EXHAUSTIVE_LIMIT,
     _atom_cuts,
     _first_cut,
     _Splices,
@@ -279,9 +280,20 @@ def unions_reference(space, atoms):
     return masks
 
 
+def largest_exhaustive_trees(draws):
+    """The trees among ``draws`` random ones at ``EXHAUSTIVE_LIMIT`` with every
+    outcome its own atom from t=1: 1 + 3**M stopping times, the most any tree
+    the harnesses check exhaustively has."""
+    m, horizon = EXHAUSTIVE_LIMIT
+    spaces = (random_space(np.random.default_rng([77, s]), m, horizon) for s in range(draws))
+    return [sp for sp in spaces if (sp.n_outcomes, sp.horizon, sp.n_atoms(1)) == (m, horizon, m)]
+
+
 def test_level_wise_enumeration_matches_the_recursive_references():
     spaces = [random_space(np.random.default_rng(seed), max_outcomes=8, max_horizon=3) for seed in range(200)]
-    for n, sp in enumerate(spaces + [dyadic_uniform(3), dyadic_uniform(4)]):
+    largest = largest_exhaustive_trees(700)
+    assert len(largest) >= 4 and all(len(_stopping_times(sp)) == 6562 for sp in largest)
+    for n, sp in enumerate(spaces + [dyadic_uniform(3), dyadic_uniform(4)] + largest):
         for t in range(sp.horizon + 1):
             got, want = _stopping_times(sp, t), grow_reference(sp, t)
             assert got.shape == want.shape and np.array_equal(got, want), f"space {n}, t_low={t}"
