@@ -352,7 +352,3 @@ def main(argv: list[str] | None = None) -> int:
     if CAP in statuses:
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -51,12 +51,8 @@ def solve_box_lp_highs(c, G, h, box: float) -> BoxSolution:
     """Minimize c.x s.t. G.x >= h, |x| <= box, via HiGHS."""
     from scipy.optimize import linprog  # on use, so importing dynrisk skips scipy.optimize
     c = np.asarray(c, dtype=float)
-    if G is None or len(G) == 0:
-        kwargs = {}
-    else:
-        kwargs = {"A_ub": -np.asarray(G, dtype=float), "b_ub": -np.asarray(h, dtype=float)}
     # one (lo, hi) pair: linprog broadcasts it to every variable
-    res = linprog(c, bounds=(-box, box), method="highs", **kwargs)
+    res = linprog(c, A_ub=-np.asarray(G, dtype=float), b_ub=-np.asarray(h, dtype=float), bounds=(-box, box), method="highs")
     if res.status == 2:
         raise InfeasibleError("penalty program infeasible")
     if not res.success:

@@ -149,10 +149,6 @@ class AdaptedProcess(_Windowed):
         self._same_window(other)
         return self._result(np.add, other.values)
 
-    def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
-        self._same_window(other)
-        return self._result(np.subtract, other.values)
-
     def __neg__(self) -> "AdaptedProcess":
         return AdaptedProcess._wrap(self.space, self.t_start, -self.values)
 
@@ -243,7 +239,7 @@ class TerminalDensity:
         if not np.all(arr > 0):  # NaN too
             raise ValueError("terminal density must be strictly positive")
         if abs(float(space.probs @ arr) - 1.0) > 1e-12:
-            raise ValueError(f"terminal density has expectation {space.probs @ arr!r}, not 1")
+            raise ValueError(f"terminal density has expectation {float(space.probs @ arr)!r}, not 1")
         arr = arr.copy()
         arr.flags.writeable = False
         self.space = space
@@ -379,11 +375,6 @@ class StabilityReport:
     context: str | None
     generated: int
     stopping_times: str  # "all" or "deterministic-only"
-
-    def __bool__(self) -> bool:
-        return self.stable
-
-
 
 
 def _contains(items, candidate, tol: float) -> bool:

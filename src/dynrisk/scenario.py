@@ -149,8 +149,6 @@ class Fields:
         self.finish()
         try:
             yield
-        except ScenarioError:
-            raise
         except ValueError as e:
             self.fail(str(e))
 

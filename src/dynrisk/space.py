@@ -259,13 +259,6 @@ class ConditionalValue:
             raise ValueError("cannot negate a -inf conditional value")
         return ConditionalValue(self.space, self.time, -self.values)
 
-    def __sub__(self, other) -> "ConditionalValue":
-        other_vals = self._coerce(other)
-        if np.any(np.isneginf(other_vals)):
-            raise ValueError("cannot subtract a -inf value")
-        out = np.where(np.isneginf(self.values), NEG_INF, self.values - other_vals)
-        return ConditionalValue(self.space, self.time, out)
-
     def __mul__(self, scalar: float) -> "ConditionalValue":
         scalar = float(scalar)
         if not np.isfinite(scalar):
@@ -276,9 +269,6 @@ class ConditionalValue:
         return ConditionalValue(self.space, self.time, vals * scalar)
 
     __rmul__ = __mul__
-
-    def approx_eq(self, other, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_residual(other) <= tol
 
     def max_residual(self, other) -> float:
         """Largest absolute atom-wise gap; inf when -inf flags disagree."""
@@ -359,10 +349,6 @@ class StoppingTime:
 
     def max_value(self) -> int:
         return int(self.values.max())
-
-    def __le__(self, other: "StoppingTime") -> bool:
-        _same_space(self.space, other)
-        return bool(np.all(self.values <= other.values))
 
     def __repr__(self) -> str:
         return f"StoppingTime({self.values.tolist()})"

@@ -88,9 +88,6 @@ class UtilityBase:
         vals = X.values if stack is None else stack
         return vals[..., X._span(self.t_start, self.t_end, self.space), :]
 
-    def evaluate(self, X: AdaptedProcess) -> ConditionalValue:
-        raise NotImplementedError
-
     def _stacked(self, vals: np.ndarray) -> np.ndarray:
         """The kernel on stacked (..., L, M) window slices."""
         return self._combine(self._features(vals))
@@ -390,11 +387,7 @@ def penalty_vertices(u: DualFiniteUtility, a: DensityProcess) -> ConditionalValu
                 continue
             G.append(coeffs(a_i))
             h.append(rhs)
-        if G:
-            G_arr, h_arr = np.array(G), np.array(h)
-        else:
-            G_arr, h_arr = np.zeros((0, len(variables))), np.zeros(0)
-        val, _ = lp.minimize_with_escalation(c, G_arr, h_arr, bound)
+        val, _ = lp.minimize_with_escalation(c, np.array(G), np.array(h), bound)
         if np.isfinite(val) and val > 1e-7 * max(1.0, bound / 1e6):
             raise RuntimeError(
                 f"penalty came out positive ({val:.3g}) on atom {atom}; zero must be feasible"

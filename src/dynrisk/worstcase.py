@@ -552,10 +552,6 @@ class AdaptedWorstProcess:
     def t_end(self) -> int:
         return self.stages[self.t_start].t_end
 
-    @property
-    def n(self) -> int:
-        return self.stages[self.t_start].n
-
     @classmethod
     def from_restrictions(cls, stage0: Portfolio) -> "AdaptedWorstProcess":
         """Stage-t portfolios as restrictions of the stage-0 one; the law

@@ -89,3 +89,20 @@ class TestDual:
     def test_no_rows(self):
         sup = DualSupports(np.zeros((0, 2)), np.zeros(0))
         assert list(sup.maximize(np.array([[0.0, 0.0], [1.0, 0.0]]))) == [0.0, float("-inf")]
+
+
+HIGHS_CALLS = {
+    "box": lambda: solve_box_lp_highs([1.0], [[1.0]], [-1.0], 10.0),
+    "dual": lambda: maximize_dual_highs(np.array([[1.0]]), np.array([-1.0]), np.array([1.0])),
+}
+
+
+@pytest.mark.parametrize("route", HIGHS_CALLS)
+def test_solver_failure_raises(route, monkeypatch):
+    # a status neither optimal nor infeasible, such as an iteration limit
+    import scipy.optimize
+
+    failed = scipy.optimize.OptimizeResult(status=1, success=False, message="Iteration limit reached.")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(RuntimeError, match="LP solver failed: Iteration limit reached."):
+        HIGHS_CALLS[route]()

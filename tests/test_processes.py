@@ -29,6 +29,7 @@ from dynrisk import (
     matrix_compare,
     matrix_sup,
     max_correlation,
+    mean_portfolio,
     membership,
     pairing,
     paste,
@@ -440,3 +441,41 @@ def test_objects_that_do_not_fit_are_refused_by_the_window_rule(entry, misfit):
         message = f"{noun} window (1, 2) does not cover (0, 2)"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(sp, obj)
+
+
+# refusals at the trust boundary: (a call on dyadic_uniform(2), the message it raises)
+REFUSALS = {
+    "window-shape": (lambda sp: AdaptedProcess(sp, 0, [1.0, 2.0, 3.0, 4.0]), "expected a (times, 4) array, got (4,)"),
+    "window-past-the-horizon": (lambda sp: DensityProcess(sp, 2, np.ones((2, 4))), "window [2, 3] outside [0, 2]"),
+    "terminal-shape": (lambda sp: TerminalDensity(sp, [1.0, 1.0]), "one density value per outcome required"),
+    "terminal-mean": (lambda sp: TerminalDensity(sp, [2.0] * 4), "terminal density has expectation 2.0, not 1"),
+    "mean-of-nothing": (lambda sp: mean_portfolio([]), "empty portfolio"),
+    "concatenate-off-the-stopping-time": (
+        lambda sp: concatenate(*[DensityProcess.uniform(sp, 0, 2)] * 2, StoppingTime.constant(sp, 1), [True, False, False, False]),
+        "event not measurable at the stopping time",
+    ),
+    "paste-off-the-time": (
+        lambda sp: paste(*[TerminalDensity(sp, [1.0] * 4)] * 2, 1, [True, False, False, False]),
+        "event not measurable at t=1",
+    ),
+    "stability-of-nothing": (lambda sp: stability_check([], "m1"), "empty set"),
+    "stability-of-the-wrong-kind": (
+        lambda sp: stability_check([DensityProcess.uniform(sp, 0, 2)], "m1"),
+        "m1 stability applies to terminal densities",
+    ),
+    "closure-of-nothing": (lambda sp: m1_closure([]), "empty set"),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_refusal_names_what_is_wrong(entry):
+    call, message = REFUSALS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(dyadic_uniform(2))
+
+
+def test_reprs_show_the_window_and_the_values():
+    sp = dyadic_uniform(1)
+    assert repr(AdaptedProcess(sp, 0, [[1, 1], [2, 3]])) == "AdaptedProcess([0,1], [[1. 1.]\n [2. 3.]])"
+    assert repr(DensityProcess.uniform(sp, 1, 1)) == "DensityProcess([1,1], [[1. 1.]])"
+    assert repr(TerminalDensity(sp, [1.5, 0.5])) == "TerminalDensity([1.5 0.5])"

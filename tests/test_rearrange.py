@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,3 +460,31 @@ def test_class_enumeration_is_law_invariant_bit_for_bit():
             assert max_correlation(a, Y, t).value.values.tobytes() == want, f"seed {seed}"
             checked += 1
     assert checked >= 400 and restricted >= 15, (checked, restricted)
+
+
+def three_levels():
+    """18 outcomes in three probability levels of six: 720**3 level-preserving permutations."""
+    return FiniteFilteredSpace([k / 36 for k in (1, 2, 3) for _ in range(6)], [[list(range(18))], [[w] for w in range(18)]])
+
+
+# refusals at the trust boundary: (a call, the exception, the message it raises)
+REFUSALS = {
+    "comonotone-of-nothing": (lambda: is_comonotone(DensityProcess.uniform(dyadic_uniform(1), 0, 1), []), ValueError, "empty family"),
+    "oracle-beyond-its-permutations": (
+        lambda: enumerate_class_bruteforce(AdaptedProcess.constant(three_levels(), 0, 1, 0.0)),
+        CapExceededError,
+        "oracle permutation count 373248000 too large",
+    ),
+    "oracle-beyond-its-cap": (
+        lambda: enumerate_class_bruteforce(AdaptedProcess(dyadic_uniform(1), 0, [[0.0, 0.0], [3.0, -1.0]]), cap=1),
+        CapExceededError,
+        "rearrangement class exceeds cap 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_refusal_names_what_is_wrong(entry):
+    call, error, message = REFUSALS[entry]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -17,9 +17,11 @@ from dynrisk import (
     verify_preservation,
     verify_theorem_3_1,
 )
+from dynrisk import cli
 from dynrisk.cli import main, run_task
 from dynrisk.scenario import parse_scenario
 from test_kernel import plant_glue_defect
+from test_worstcase import plant_duality_defect
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED = ROOT / "demos" / "full_verification.json"
@@ -676,6 +678,88 @@ class TestCLI:
         failures = [row for row in rows if "\tfailure\t" in row]
         assert len(failures) == 10 and all(row.endswith("\t-\tFAIL") for row in failures)
         assert failures[0] == "tc\t-\tfailure\tt=0, theta=[2, 2, 2, 2], sample 0: residual 1.23e-07\t-\tFAIL"
+
+    def test_planted_duality_defect_writes_an_equality_fail_row(self, tmp_path, monkeypatch, capsys):
+        doc = base_doc()
+        doc["tasks"] = [{"task": "verify-thm31", "name": "duality", "utility": "coh", "marginals": ["pos1", "pos2"]}]
+        code, reports = self.run_cli(tmp_path, doc)
+        assert code == 0 and b"FAIL" not in reports["duality.tsv"]
+        plant_duality_defect(monkeypatch)
+        code, reports = self.run_cli(tmp_path, doc)
+        rows = reports["duality.tsv"].decode().splitlines()
+        assert code == 1 and "duality\tFAIL" in capsys.readouterr().out
+        quantity, value, bound, status = next(row for row in rows if "\tequality-residual\t" in row).split("\t")[2:]
+        assert (quantity, bound, status) == ("equality-residual", "1e-09", "FAIL") and abs(float(value) - 1e-6) < 1e-12
+
+    # rows that only a rare path writes: (objects to declare beside base_doc()'s, the task,
+    # the line its report or, on an input error, stderr must hold, the exit code)
+    RARE_ROWS = {
+        "membership-diagnostic": (
+            {"densities": {"heavy": {"class": "A1plus", "increments": [[1] * 4] * 3}}},
+            {"task": "check-membership", "density": "heavy"},
+            "rare\t-\tdiagnostic\tconditional mass on atom (0, 1, 2, 3) at t=0 is 3, not 1\t-\tFAIL",
+            1,
+        ),
+        "membership-of-a-terminal-density": (
+            {},
+            {"task": "check-membership", "density": "tilt"},
+            "rare\t-\tin-Drel\ttrue\t-\tPASS",
+            0,
+        ),
+        "penalty-error": (
+            {},
+            {"task": "penalty", "utility": "coh", "density": "gen1"},
+            "rare\t-\terror\tLP solver failed: Iteration limit reached.\t-\tFAIL",
+            1,
+        ),
+        "comonotone-detail": (
+            {},
+            {"task": "comonotone", "density": "gen1", "family": ["pos1", "pos2"]},
+            "rare\t-\tdetail\tmember 0 misses its max correlation by 0.1\t-\tINFO",
+            0,
+        ),
+        # the identity wins the atom {0, 1} on the terminal slice X_2, and -X_1 wins {2, 3}
+        "matrix-sup-directedness": (
+            {"utilities": {"ent1": {"variant": "entropic", "alpha": 1.0, "t_start": 1}}},
+            {"task": "matrix-sup", "utility": "ent1", "position": "pos1", "matrices": [np.eye(3).tolist(), [[1, 0, 0], [0, 1, 0], [0, -1, 0]]]},
+            "rare\t-\tdirectedness\tno single maximizer; upward directedness failed\t-\tINFO",
+            0,
+        ),
+        # both atoms at t=1 want the paths whose X_1 is 2, so no member attains its max correlation on both
+        "thm31-without-a-comonotone-tuple": (
+            {
+                "densities": {"flat1": {"t_start": 1, "increments": [[0.5] * 4] * 2}},
+                "processes": {"late": {"t_start": 1, "values": [[1, 1, 2, 2], [0, 1, 2, 3]]}},
+                "utilities": {"coh1": {"variant": "dual", "t_start": 1, "scenarios": [{"density": "flat1"}]}},
+            },
+            {"task": "verify-thm31", "utility": "coh1", "marginals": ["late"]},
+            "rare\t-\tcomonotone-search\tnot-applicable\t-\tINFO",
+            0,
+        ),
+        "unknown-task-kind": ({}, {"task": "bogus"}, "input error: task 'rare': unknown task kind 'bogus'", 2),
+        "missing-file": ({}, None, "input error: cannot read {path}: [Errno 2] No such file or directory", 2),
+    }
+
+    @pytest.mark.parametrize("case", RARE_ROWS)
+    def test_rare_rows_and_their_exit_codes(self, tmp_path, capsys, monkeypatch, case):
+        declared, task, line, want = self.RARE_ROWS[case]
+        if case == "penalty-error":
+
+            def penalty(u, a):
+                raise RuntimeError("LP solver failed: Iteration limit reached.")
+
+            monkeypatch.setattr(cli, "penalty", penalty)
+        doc = base_doc()
+        for section, objects in declared.items():
+            doc[section].update(objects)
+        doc["tasks"] = [{**task, "name": "rare"}] if task else []
+        path = write_doc(tmp_path, doc) if task else str(tmp_path / "missing.json")
+        code = main(["run", path, "--out", str(tmp_path / "out")])
+        assert code == want
+        if want == 2:
+            assert capsys.readouterr().err.startswith(line.format(path=path))
+        else:
+            assert line in (tmp_path / "out" / "rare.tsv").read_text().splitlines()
 
     def test_cap_exit_code(self, tmp_path):
         doc = base_doc()

@@ -125,11 +125,15 @@ class TestConditionalValue:
         w = ConditionalValue(two_uniform, 1, [2.0, 3.0])
         assert np.array_equal((v + w).values, [3.0, -np.inf])
 
-    def test_subtracting_neg_inf_errors(self, two_uniform):
-        v = ConditionalValue(two_uniform, 1, [1.0, -np.inf])
-        w = ConditionalValue(two_uniform, 1, [2.0, 3.0])
-        with pytest.raises(ValueError):
-            _ = w - v
+    def test_max_residual_across_neg_inf(self, two_uniform):
+        v = lambda *x: ConditionalValue(two_uniform, 1, x)
+        # -inf flags that disagree are infinitely far apart; where they agree the finite atoms decide
+        assert v(1.0, -np.inf).max_residual(v(1.0, 3.0)) == np.inf
+        assert v(1.0, -np.inf).max_residual(v(1.5, -np.inf)) == 0.5
+        assert v(-np.inf, -np.inf).max_residual(v(-np.inf, -np.inf)) == 0.0
+
+    def test_repr(self, two_uniform):
+        assert repr(ConditionalValue(two_uniform, 1, [0.5, -np.inf])) == "ConditionalValue(t=1, [ 0.5 -inf])"
 
     @pytest.mark.parametrize("scalar", [np.nan, np.inf, -np.inf])
     def test_non_finite_scalar_rejected(self, two_uniform, scalar):
@@ -230,7 +234,6 @@ FOREIGN_STOPPING_CALLS = {
     "conditional_tail": lambda sp, th, X: DensityProcess.uniform(sp, 0, 2).conditional_tail(th),
     "evaluate_at_stopping": lambda sp, th, X: entropic_process(sp, 1.0).evaluate_at_stopping(th, X),
     "consistency_residual": lambda sp, th, X: entropic_process(sp, 1.0).consistency_residual(0, th, X),
-    "__le__": lambda sp, th, X: StoppingTime.constant(sp, 1) <= th,
 }
 
 
@@ -241,6 +244,44 @@ def test_stopping_time_of_another_space_is_refused(entry):
     X = random_adapted(sp, 0, 2, np.random.default_rng(4))
     with pytest.raises(ValueError, match="stopping time lives on a different space"):
         FOREIGN_STOPPING_CALLS[entry](sp, theta, X)
+
+
+# refusals at the trust boundary: (a call on dyadic_uniform(2), the message it raises)
+REFUSALS = {
+    "space-without-outcomes": (lambda sp: FiniteFilteredSpace([], [[[]], [[]]]), "probs must be a non-empty vector"),
+    "space-without-a-step": (lambda sp: FiniteFilteredSpace([1.0], [[[0]]]), "need partitions for t = 0..T with T >= 1"),
+    "space-empty-atom": (lambda sp: FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1], []]]), "empty atom in partition at t=1"),
+    "time-off-the-horizon": (lambda sp: sp.atoms(3), "time 3 outside [0, 2]"),
+    "layout-ending-early": (lambda sp: sp.atom_layout(2, 1), "end time 1 outside [2, 2]"),
+    "value-shape": (lambda sp: ConditionalValue(sp, 1, [1.0, 2.0, 3.0]), "expected 2 atom values at t=1, got shape (3,)"),
+    "value-plus-inf": (lambda sp: ConditionalValue.constant(sp, 1, 0.0) + np.inf, "cannot add +inf"),
+    "value-other-time": (
+        lambda sp: ConditionalValue.constant(sp, 1, 0.0) + ConditionalValue.constant(sp, 2, 0.0),
+        "conditional values live at different times or spaces",
+    ),
+    "value-negate-neg-inf": (lambda sp: -ConditionalValue(sp, 1, [0.0, -np.inf]), "cannot negate a -inf conditional value"),
+    "value-scale-neg-inf": (
+        lambda sp: ConditionalValue(sp, 1, [0.0, -np.inf]) * -1.0,
+        "cannot scale a -inf value by a negative factor",
+    ),
+    "cond-expect-shape": (lambda sp: cond_expect(sp, [1.0, 2.0], 1), "expected 4 outcome values, got shape (2,)"),
+    "stopping-time-shape": (lambda sp: StoppingTime(sp, [1, 1]), "one stopping value per outcome required"),
+    "stopping-time-range": (lambda sp: is_stopping_time(sp, [0, 0, 3, 3]), "stopping values must lie in [0, 2]"),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_refusal_names_what_is_wrong(entry):
+    call, message = REFUSALS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(dyadic_uniform(2))
+
+
+def test_stopping_event_is_an_event_at_the_horizon(four_paired):
+    # F_2 = {01}{23} is not discrete: one outcome is no event at any stopping time
+    theta = StoppingTime.constant(four_paired, 2)
+    assert not is_stopping_event(four_paired, [True, False, False, False], theta)
+    assert is_stopping_event(four_paired, [True, True, False, False], theta)
 
 
 def grow_reference(space, t_low=0):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dynrisk import (
     cond_expect,
     dyadic_uniform,
     entropic_process,
+    normalize_to_window,
     normalized_scenario_process,
     pairing,
     penalty,
@@ -26,6 +29,7 @@ from dynrisk import (
     time_consistency_check,
 )
 from dynrisk.random_gen import random_adapted, random_density, random_space
+from dynrisk import lp, utility
 from dynrisk.utility import AXIOMS
 
 NEG_INF = float("-inf")
@@ -389,6 +393,23 @@ class TestPenaltyConsistency:
         assert [(i, gap.tolist()) for i, gap in penalty_consistency_check(up, 0, 2).residuals] == [(0, [0.0]), (1, [0.0])]
         assert [(i, gap.tolist()) for i, gap in penalty_consistency_check(up, 1, 1).residuals] == [(0, [0.0, 0.0]), (1, [0.0, 0.0])]
 
+    def test_one_sided_neg_inf_is_an_infinite_residual(self, four_tree, monkeypatch):
+        # a planted -inf on one side only: the stage-1 penalty of every tail on atom {0, 1}
+        up = normalized_scenario_process(four_tree, random_density(four_tree, 0, 2, np.random.default_rng(3), strict=True))
+        assert penalty_consistency_check(up, 0, 1).max_abs_residual <= 1e-8
+        real = utility._penalties
+
+        def planted(u, densities):
+            out = real(u, densities)
+            if u.t_start == 1:
+                out[:, 0] = NEG_INF
+            return out
+
+        monkeypatch.setattr(utility, "_penalties", planted)
+        rep = penalty_consistency_check(up, 0, 1)
+        assert rep.max_abs_residual == np.inf
+        assert [gap.tolist() for _, gap in rep.residuals] == [[np.inf]]
+
     def test_stages_read_on_their_windows(self):
         # a later stage whose densities start before it evaluates with the same
         # bits, and so must leave the report alone
@@ -404,3 +425,50 @@ class TestPenaltyConsistency:
             assert narrow.max_abs_residual <= 1e-8, (t, s)
             assert widened.max_abs_residual == narrow.max_abs_residual, (t, s)
             assert [(i, gap.tobytes()) for i, gap in widened.residuals] == [(i, gap.tobytes()) for i, gap in narrow.residuals]
+
+
+# refusals at the trust boundary: (a call on dyadic_uniform(2), the message it raises)
+REFUSALS = {
+    "dual-without-scenarios": (lambda sp: DualFiniteUtility(sp, 0, 2, []), "need at least one scenario"),
+    "robust-without-densities": (lambda sp: RobustEntropicUtility(sp, 1.0, [], 0), "need at least one terminal density"),
+    "window-past-the-horizon": (lambda sp: EntropicUtility(sp, 1.0, 3), "window [3, 2] outside [0, 2]"),
+    "process-without-stages": (lambda sp: UtilityProcess({}), "empty utility process"),
+    "process-short-of-the-horizon": (
+        lambda sp: UtilityProcess({0: EntropicUtility(sp, 1.0, 0, 1)}),
+        "the last stage must sit at the common horizon",
+    ),
+    "normalize-without-mass": (
+        lambda sp: normalize_to_window(DensityProcess(sp, 0, [[1.0] * 4, [0.0] * 4, [0.0] * 4]), 1),
+        "no remaining mass on some atom at t=1; cannot normalize",
+    ),
+    "stopping-before-the-stages": (
+        lambda sp: entropic_process(sp, 1.0, start=1).evaluate_at_stopping(StoppingTime.constant(sp, 0), AdaptedProcess.constant(sp, 0, 2, 1.0)),
+        "stopping time leaves the stage range",
+    ),
+    "penalty-decomposition-times": (
+        lambda sp: penalty_consistency_check(normalized_scenario_process(sp, DensityProcess.uniform(sp, 0, 2)), 2, 1),
+        "need start <= t <= s <= horizon",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_refusal_names_what_is_wrong(entry):
+    call, message = REFUSALS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(dyadic_uniform(2))
+
+
+@pytest.mark.parametrize("invariant", ["penalty-not-positive", "glue-reproduces-the-value"])
+def test_broken_internal_invariant_raises(invariant, four_tree, monkeypatch):
+    u = coherent_two_scenario(four_tree)
+    if invariant == "penalty-not-positive":
+        # the primal oracle's LP claims a positive optimum, though x = 0 is feasible at cost 0
+        monkeypatch.setattr(lp, "minimize_with_escalation", lambda *args: (1.0, {}))
+        with pytest.raises(RuntimeError, match=r"penalty came out positive \(1\) on atom \(0, 1, 2, 3\)"):
+            penalty_vertices(u, DensityProcess.uniform(four_tree, 0, 2))
+    else:
+        real = utility.pairing
+        monkeypatch.setattr(utility, "pairing", lambda *args: real(*args) + 1.0)
+        with pytest.raises(RuntimeError, match="glued density does not reproduce the insurance value"):
+            argmax_density(u, random_adapted(four_tree, 0, 2, np.random.default_rng(30)))

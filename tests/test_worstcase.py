@@ -14,6 +14,7 @@ from dynrisk import (
     EntropicUtility,
     FiniteFilteredSpace,
     Portfolio,
+    PreservationHypotheses,
     UtilityProcess,
     apply_matrix,
     average_risk,
@@ -53,6 +54,18 @@ def coherent_pair(space, seed):
     a2 = random_density(space, 0, space.horizon, g, strict=True)
     z = zero_gamma(space, 0)
     return DualFiniteUtility(space, 0, space.horizon, [(a1, z), (a2, z)])
+
+
+def plant_duality_defect(monkeypatch):
+    """Make ``worstcase._glued`` add 1e-6 to its table on the last window-start atom."""
+    real = worstcase._glued
+
+    def glued(incs, maxima, penalties, u):
+        plant = np.zeros(u.space.n_atoms(u.t_start))
+        plant[-1] = 1e-6
+        return real(incs, maxima, penalties + plant, u)
+
+    monkeypatch.setattr(worstcase, "_glued", glued)
 
 
 class TestPortfolio:
@@ -168,6 +181,16 @@ class TestTheorem31:
             rep = verify_theorem_3_1(marg, u)
             assert rep.equality_holds, rep.equality_residual
             assert rep.passed
+
+    def test_planted_table_defect_fails_the_equality(self, four_tree, monkeypatch):
+        u = coherent_pair(four_tree, 21)
+        marg = Portfolio([random_adapted(four_tree, 0, 2, np.random.default_rng(50)) for _ in range(2)])
+        assert verify_theorem_3_1(marg, u).passed
+        plant_duality_defect(monkeypatch)
+        rep = verify_theorem_3_1(marg, u)
+        assert not rep.equality_holds and abs(rep.equality_residual - 1e-6) < 1e-12
+        # the comonotone side is untouched: the equality alone fails the report
+        assert rep.attains is not False and not rep.passed
 
     def test_marginals_off_the_utility_window_are_refused(self, four_tree):
         # marginals from t=0 against a utility from t=1: the scan and the
@@ -622,3 +645,118 @@ class TestLawInvariance:
         u = DualFiniteUtility(two_uniform, 0, 1, [(a, zero_gamma(two_uniform, 0))])
         X = AdaptedProcess(two_uniform, 0, [[0.0, 0.0], [3.0, -1.0]])
         assert not check_law_invariance(u, X)
+
+
+def constant_candidate(sp):
+    return AdaptedWorstProcess.from_restrictions(Portfolio([AdaptedProcess.constant(sp, 0, sp.horizon, 1.0)]))
+
+
+def scenario_process(sp):
+    return normalized_scenario_process(sp, random_density(sp, 0, sp.horizon, np.random.default_rng(80), strict=True))
+
+
+def non_coherent_process(sp):
+    """Stages with a second scenario penalised by 0.5: concave, not coherent."""
+    g = np.random.default_rng(81)
+    scenarios = lambda t: [
+        (DensityProcess.uniform(sp, t, 2), zero_gamma(sp, t)),
+        (random_density(sp, t, 2, g, strict=True), ConditionalValue.constant(sp, t, -0.5)),
+    ]
+    return UtilityProcess({t: DualFiniteUtility(sp, t, 2, scenarios(t)) for t in range(3)})
+
+
+def without_bounds(up):
+    """The scenario families alone: no increment bound and no tail bounds."""
+    built = build_preservation_hypotheses(up, "thm33")
+    return PreservationHypotheses("thm33", built.families, convex=built.convex)
+
+
+def unstable_base_set(up):
+    hyp = build_preservation_hypotheses(up, "thm42")
+    sp = up.space
+    hyp.base_set = [DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, np.random.default_rng(82), strict=True)]
+    return hyp
+
+
+# hypotheses that fail: (the process on dyadic_uniform(2), its hypotheses, patterns of the notes they must report)
+FAILED_HYPOTHESES = {
+    "missing-alpha": (lambda sp: entropic_process(sp, 1.0), lambda up: PreservationHypotheses("thm32"), ["missing alpha"]),
+    "missing-bounds": (
+        scenario_process,
+        without_bounds,
+        ["missing increment upper bound", "missing tail lower bound at stage 0", "missing tail lower bound at stage 1"],
+    ),
+    "stages-not-entropic": (
+        scenario_process,
+        lambda up: PreservationHypotheses("thm32", alpha=1.0),
+        ["stage 0 is not entropic", "stage 1 is not entropic", "stage 2 is not entropic"],
+    ),
+    "stages-not-coherent": (
+        non_coherent_process,
+        lambda up: build_preservation_hypotheses(up, "thm42"),
+        ["stage 0 not coherent", "stage 1 not coherent", "stage 2 not coherent"],
+    ),
+    "base-set-not-stable": (
+        scenario_process,
+        unstable_base_set,
+        [r"base set not concatenation-stable: concat\(a\d, b\d, theta=\[.*\], \|A\|=\d\)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_HYPOTHESES)
+def test_failed_hypothesis_is_noted_and_skips_the_conclusion(case):
+    sp = dyadic_uniform(2)
+    process, hypotheses, patterns = FAILED_HYPOTHESES[case]
+    up = process(sp)
+    rep = verify_preservation(hypotheses(up), up, constant_candidate(sp))
+    assert rep.skipped and not rep.hypotheses_ok and not rep.passed
+    for pattern in patterns:
+        assert any(re.fullmatch(pattern, note) for note in rep.notes), (pattern, rep.notes)
+
+
+# refusals at the trust boundary: (a call on dyadic_uniform(2), the message it raises)
+REFUSALS = {
+    "portfolio-of-nothing": (lambda sp: Portfolio([]), "empty portfolio"),
+    "scenario-of-nothing": (
+        lambda sp: worst_scenario([], Portfolio([AdaptedProcess.constant(sp, 0, 2, 1.0)]), coherent_pair(sp, 0)),
+        "empty candidate list",
+    ),
+    "sup-over-no-matrices": (lambda sp: matrix_sup(coherent_pair(sp, 0), AdaptedProcess.constant(sp, 0, 2, 1.0), []), "empty matrix list"),
+    "matrix-shape": (
+        lambda sp: apply_matrix(np.eye(2), AdaptedProcess.constant(sp, 0, 2, 1.0)),
+        "matrix shape (2, 2) does not match window length 3",
+    ),
+    "driving-matrix-shape": (
+        lambda sp: build_linear_driven_portfolio(DensityProcess.uniform(sp, 0, 2), [np.eye(2)], [np.zeros(3)], np.ones(4, dtype=bool)),
+        "matrix 0 must be 3x3",
+    ),
+    "driving-shift-shape": (
+        lambda sp: build_linear_driven_portfolio(DensityProcess.uniform(sp, 0, 2), [np.eye(3)], [np.zeros(2)], np.ones(4, dtype=bool)),
+        "shift 0 must have one entry per window time",
+    ),
+    "process-without-stages": (lambda sp: AdaptedWorstProcess({}), "no stages"),
+    "process-with-a-gap": (
+        lambda sp: AdaptedWorstProcess({t: Portfolio([AdaptedProcess.constant(sp, t, 2, 1.0)]) for t in (0, 2)}),
+        "stages must cover a contiguous range",
+    ),
+    "process-changing-its-members": (
+        lambda sp: AdaptedWorstProcess({t: Portfolio([AdaptedProcess.constant(sp, t, 2, 1.0)] * (t + 1)) for t in (0, 1)}),
+        "stages disagree on space or member count",
+    ),
+    "process-stage-window": (
+        lambda sp: AdaptedWorstProcess({t: Portfolio([AdaptedProcess.constant(sp, 0, 2, 1.0)]) for t in (0, 1)}),
+        "stage 1 window (0, 2), expected (1, 2)",
+    ),
+    "two-step-variant-of-dual-stages": (
+        lambda sp: build_preservation_hypotheses(scenario_process(sp), "thm32"),
+        "the two-step variant needs entropic stages",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", REFUSALS)
+def test_refusal_names_what_is_wrong(entry):
+    call, message = REFUSALS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(dyadic_uniform(2))
