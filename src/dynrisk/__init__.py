@@ -57,7 +57,6 @@ from .rearrange import (
 from .worstcase import (
     AdaptedWorstProcess,
     Portfolio,
-    PreservationHypotheses,
     apply_matrix,
     average_risk,
     build_linear_driven_portfolio,

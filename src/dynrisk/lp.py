@@ -69,13 +69,9 @@ def solve_box_lp_vertices(c, G, h, box: float) -> BoxSolution:
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows = [np.asarray(G, dtype=float)] if G is not None and len(G) else []
-    rhs = [np.asarray(h, dtype=float)] if rows else []
     eye = np.eye(n)
-    rows.extend([eye, -eye])
-    rhs.extend([np.full(n, -box), np.full(n, -box)])
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
+    A = np.vstack([np.asarray(G, dtype=float), eye, -eye])
+    b = np.concatenate([np.asarray(h, dtype=float), np.full(2 * n, -box)])
 
     best_val = None
     best_x = None

@@ -153,8 +153,8 @@ def preservation_instance(rng: np.random.Generator, variant: str):
     on a uniform space, and arbitrary adapted portfolios on a space with
     pairwise distinct outcome probabilities (singleton law classes).
 
-    Returns (hyp, up, candidate); hypotheses come pre-verified but the
-    harness re-checks everything in-run.
+    Returns (hyp, up, candidate); the harness reads every hypothesis from
+    up's stages.
     """
     from .utility import entropic_process, normalized_scenario_process
     from .worstcase import (

@@ -58,7 +58,7 @@ class FiniteFilteredSpace:
         if not np.all(self.probs > 0):  # NaN too
             raise ValueError("all outcome probabilities must be strictly positive")
         if abs(self.probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {self.probs.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(self.probs.sum())!r}, not 1")
         if len(partitions) < 2:
             raise ValueError("need partitions for t = 0..T with T >= 1")
 

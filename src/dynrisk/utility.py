@@ -64,6 +64,7 @@ from .space import (
 )
 
 AXIOMS = ("locality", "monotonicity", "cash_invariance", "concavity", "coherence", "continuity", "relevance")
+RELEVANCE_LOSSES = (1.0, 0.1, 0.01)  # loss sizes the relevance check tries on every atom
 
 
 class UtilityBase:
@@ -535,12 +536,12 @@ def check_axioms(
     return report
 
 
-def _check_relevance(u: UtilityBase, relevance_eps: Sequence[float] = (1.0, 0.1, 0.01)) -> AxiomResult:
+def _check_relevance(u: UtilityBase) -> AxiomResult:
     """Relevance: a loss on any atom at any time of the window must be priced
     below zero there; every atom and loss size is tried, with no sampling,
     in one kernel call over every (time, atom, loss) case."""
     space, t, T = u.space, u.t_start, u.t_end
-    cases = [(s, atom, eps) for s in range(t, T + 1) for atom in space.atoms(s) for eps in relevance_eps]
+    cases = [(s, atom, eps) for s in range(t, T + 1) for atom in space.atoms(s) for eps in RELEVANCE_LOSSES]
     masks = np.zeros((len(cases), space.n_outcomes), dtype=bool)
     vals = np.zeros((len(cases), T - t + 1, space.n_outcomes))
     for c, (s, atom, eps) in enumerate(cases):

@@ -611,66 +611,44 @@ def check_adapted_worst_process(
     return AdaptedWorstReport(stage_checks, links)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreservationHypotheses:
-    """Inputs to the preservation theorem harness, one variant at a time.
+    """The preservation theorem that ``verify_preservation`` checks; it reads
+    every hypothesis from the utility process's stages.
 
-    thm33: scenario families per stage with an increment upper bound and
-    positive tail lower bounds; thm42: a concatenation-stable base set of
-    strictly-positive-tail densities generating coherent relevant stages;
-    thm32: entropic stages over a two-step horizon.
+    thm33: each stage a finite scenario family of strictly-positive-tail
+    densities, certified convex when it is a single scenario.  On a finite
+    space the increment upper bound and the positive tail lower bound then
+    exist: the families' own maximum and minimum.  thm42: besides, coherent
+    relevant stages whose scenarios are the tail-normalized densities of
+    stage t0's family, the base set, which must be concatenation-stable.
+    thm32: entropic stages over a two-step window.
     """
 
     variant: str  # "thm33" | "thm42" | "thm32"
-    families: dict[int, list[DensityProcess]] = field(default_factory=dict)
-    bound: DensityProcess | None = None
-    eps: dict[int, ConditionalValue] = field(default_factory=dict)
-    convex: dict[int, bool] = field(default_factory=dict)
-    base_set: list[DensityProcess] = field(default_factory=list)
-    alpha: float | None = None
+
+
+def _check_variant(up: UtilityProcess, variant: str) -> None:
+    """Refuse a variant whose hypotheses cannot be read from ``up``'s stages."""
+    if variant not in ("thm33", "thm42", "thm32"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "thm32":
+        if not isinstance(up.stage(up.t_start), EntropicUtility):
+            raise ValueError("the two-step variant needs entropic stages")
+    elif not all(isinstance(u, DualFiniteUtility) for u in up.stages.values()):
+        raise ValueError("scenario-family variants need finite scenario sets")
 
 
 def build_preservation_hypotheses(up: UtilityProcess, variant: str) -> PreservationHypotheses:
-    """Derive the hypothesis objects from the utility process itself.
-
-    The scenario-family variants read each stage's window stack, its
-    density increments on [t, T], whatever the windows of the densities it
-    was built from: ``families[t]`` holds the stack's rows, ``bound`` is the
-    running maximum of every stage's rows placed at the stage's offset, and
-    ``eps[s]`` is the per-atom minimum of the stage-s tails past each time
-    t in [s, T).
-    """
-    if variant not in ("thm33", "thm42", "thm32"):
-        raise ValueError(f"unknown variant {variant!r}")
-    t0, T = up.t_start, up.t_end
-    if variant == "thm32":
-        stage = up.stage(t0)
-        if not isinstance(stage, EntropicUtility):
-            raise ValueError("the two-step variant needs entropic stages")
-        return PreservationHypotheses(variant, alpha=stage.alpha)
-
-    stages = {t: up.stage(t) for t in range(t0, T + 1)}
-    if not all(isinstance(u, DualFiniteUtility) for u in stages.values()):
-        raise ValueError("scenario-family variants need finite scenario sets")
-    space = up.space
-    stacks = {t: u._increments for t, u in stages.items()}
-    families = {t: [DensityProcess._wrap(space, t, inc) for inc in stack] for t, stack in stacks.items()}
-    bound = np.zeros((T - t0 + 1, space.n_outcomes))
-    for t, stack in stacks.items():
-        bound[t - t0 :] = np.maximum(bound[t - t0 :], stack.max(axis=0))
-    eps = {}
-    for s in range(t0, T):
-        # tail_from(t + 1) of every scenario, for t in [s, T)
-        tails = np.concatenate([stacks[s][:, k:].sum(axis=1) for k in range(1, T - s + 1)])
-        order, starts = space.atom_layout(s)[:2]
-        eps[s] = ConditionalValue(space, s, np.minimum.reduceat(tails.min(axis=0).take(order), starts))
-    convex = {t: len(fam) == 1 for t, fam in families.items()}
-    bound = DensityProcess._wrap(space, t0, bound)
-    return PreservationHypotheses(variant, families, bound, eps, convex, base_set=list(families[t0]))
+    """The hypotheses of ``variant`` on ``up``.  Refused unless ``up``'s
+    stages are of the variant's family: an entropic stage t0 for thm32,
+    finite scenario sets at every stage for thm33 and thm42."""
+    _check_variant(up, variant)
+    return PreservationHypotheses(variant)
 
 
 def _verify_hypotheses(
-    hyp: PreservationHypotheses, up: UtilityProcess, candidate: AdaptedWorstProcess, cap: int, tol: float
+    variant: str, up: UtilityProcess, candidate: AdaptedWorstProcess, cap: int, tol: float
 ) -> tuple[bool, list[str]]:
     notes: list[str] = []
     failed: list[str] = []  # the notes that fail a hypothesis
@@ -679,7 +657,7 @@ def _verify_hypotheses(
         failed.append(note)
         notes.append(note)
 
-    t0, T = up.t_start, up.t_end
+    t0, T, space = up.t_start, up.t_end, up.space
 
     tc = time_consistency_check(up, sample_count=3, seed=0, tol=tol)
     if tc.passed:
@@ -687,73 +665,53 @@ def _verify_hypotheses(
     else:
         fail(f"time-consistency FAILED: {tc.failures[0]}")
 
-    if hyp.variant == "thm32":
+    if variant == "thm32":
         if T - t0 != 2:
             fail(f"two-step variant needs a window of length 2, got {T - t0}")
-        if hyp.alpha is None:
-            fail("missing alpha")
-        else:
-            # dual attainment at the exponential-tilt density, per stage
-            stage0 = candidate.stages[t0]
-            for t in range(t0, T + 1):
-                u = up.stage(t)
-                if not isinstance(u, EntropicUtility):
-                    fail(f"stage {t} is not entropic")
-                    continue
-                X = stage0.restrict(t).mean()
-                Y = X.slice_at(T)
-                space = up.space
-                z = np.exp(hyp.alpha * Y)
-                norm = cond_expect(space, z, t).lift()
-                g = z / norm
-                lhs = u.insurance(X).values
-                tilt = cond_expect(space, Y * g, t).values
-                ent = cond_expect(space, g * np.log(g), t).values
-                res = float(np.abs(lhs - (tilt - ent / hyp.alpha)).max())
-                if res > 1e-8:
-                    fail(f"stage {t}: tilt-density attainment residual {res:.3g}")
-            if not failed:
-                notes.append("dual attainment at the exponential tilt verified at every stage")
-        return not failed, notes
-
-    for t, fam in hyp.families.items():
-        for j, a in enumerate(fam):
-            member, diag = membership(a, "De", t)
-            if not member:
-                fail(f"stage {t} scenario {j} outside the positive-tail class: {diag}")
-        if not hyp.convex.get(t, False):
-            fail(f"stage {t} family of size {len(fam)} not certified convex")
-    if hyp.bound is None:
-        fail("missing increment upper bound")
-    else:
-        for t, fam in hyp.families.items():
-            for j, a in enumerate(fam):
-                for s in range(a.t_start, a.t_end + 1):
-                    if np.any(a.slice_at(s) > hyp.bound.slice_at(s) + 1e-12):
-                        fail(f"stage {t} scenario {j} exceeds the bound at time {s}")
-    for s in range(t0, T):
-        e = hyp.eps.get(s)
-        if e is None:
-            fail(f"missing tail lower bound at stage {s}")
-            continue
-        if np.any(e.values <= 0):
-            fail(f"tail lower bound at stage {s} not strictly positive")
-        for a in hyp.families[s]:
-            for t in range(s, T):
-                if np.any(e.lift() > a.tail_from(t + 1) + 1e-12):
-                    fail(f"tail bound at stage {s} exceeds a scenario tail past {t}")
-
-    if hyp.variant == "thm42":
+        alpha = up.stage(t0).alpha
+        # dual attainment at the exponential-tilt density, per stage
+        stage0 = candidate.stages[t0]
         for t in range(t0, T + 1):
             u = up.stage(t)
-            if not (isinstance(u, DualFiniteUtility) and u.coherent):
+            if not isinstance(u, EntropicUtility):
+                fail(f"stage {t} is not entropic")
+                continue
+            X = stage0.restrict(t).mean()
+            Y = X.slice_at(T)
+            z = np.exp(alpha * Y)
+            norm = cond_expect(space, z, t).lift()
+            g = z / norm
+            lhs = u.insurance(X).values
+            tilt = cond_expect(space, Y * g, t).values
+            ent = cond_expect(space, g * np.log(g), t).values
+            res = float(np.abs(lhs - (tilt - ent / alpha)).max())
+            if res > 1e-8:
+                fail(f"stage {t}: tilt-density attainment residual {res:.3g}")
+        if not failed:
+            notes.append("dual attainment at the exponential tilt verified at every stage")
+        return not failed, notes
+
+    # each stage's scenario stack: its density increments on [t, T]
+    stacks = {t: up.stage(t)._increments for t in range(t0, T + 1)}
+    for t, stack in stacks.items():
+        for j, inc in enumerate(stack):
+            member, diag = membership(DensityProcess._wrap(space, t, inc), "De", t)
+            if not member:
+                fail(f"stage {t} scenario {j} outside the positive-tail class: {diag}")
+        if len(stack) != 1:
+            fail(f"stage {t} family of size {len(stack)} not certified convex")
+
+    if variant == "thm42":
+        for t in range(t0, T + 1):
+            if not up.stage(t).coherent:
                 fail(f"stage {t} not coherent")
         relevance = _check_relevance(up.stage(t0))
         if not relevance.passed:
             fail(f"relevance failed: {relevance.counterexample}")
         from .processes import stability_check
 
-        stab = stability_check(hyp.base_set, "concatenation", cap=cap, tol=tol)
+        base_set = [DensityProcess._wrap(space, t0, inc) for inc in stacks[t0]]
+        stab = stability_check(base_set, "concatenation", cap=cap, tol=tol)
         if stab.stable:
             notes.append(
                 f"base set concatenation-stable over {stab.generated} splices ({stab.stopping_times})"
@@ -762,15 +720,15 @@ def _verify_hypotheses(
             fail(f"base set not concatenation-stable: {stab.context}")
         # stage scenarios must be the tail-normalized base densities; a base
         # density without remaining mass at t has none
-        for t in range(t0, T + 1):
+        for t, stack in stacks.items():
             targets = []
-            for i, b in enumerate(hyp.base_set):
+            for i, b in enumerate(base_set):
                 if np.all(remaining_mass(b, t).values > 1e-12):
                     targets.append(normalize_to_window(b, t))
                 else:
                     fail(f"base density {i} has no remaining mass at t={t}")
-            for j, inc in enumerate(up.stage(t)._increments):
-                window = DensityProcess._wrap(up.space, t, inc)
+            for j, inc in enumerate(stack):
+                window = DensityProcess._wrap(space, t, inc)
                 if not any(window.approx_eq(b, 1e-9) for b in targets):
                     fail(f"stage {t} scenario {j} is not a normalized base density")
     return not failed, notes
@@ -801,14 +759,17 @@ def verify_preservation(
 ) -> PreservationReport:
     """Re-certify the stage-0 portfolio as worst at every later stage.
 
-    Hypotheses (including the adapted-worst-process property of the
-    candidate) are verified first; when they fail, the conclusion is not
-    tested and the report says so.  A stage whose candidate portfolio is
+    Hypotheses, read from ``up``'s stages (and the adapted-worst-process
+    property of the candidate), are verified first; when they fail, the
+    conclusion is not tested and the report says so.  A variant that
+    ``up``'s stages do not fit is refused as ``build_preservation_hypotheses``
+    refuses it.  A stage whose candidate portfolio is
     stage 0's restriction keeps the adapted check's certificate; any other
     stage scans the restriction.
     """
+    _check_variant(up, hyp.variant)
     _check_window(candidate, up)
-    ok, notes = _verify_hypotheses(hyp, up, candidate, cap, tol)
+    ok, notes = _verify_hypotheses(hyp.variant, up, candidate, cap, tol)
     adapted = check_adapted_worst_process(candidate, up, cap, tol)
     if not adapted.passed:
         notes.append("candidate is not an adapted worst portfolio process")

@@ -564,6 +564,51 @@ def test_screen_rescores_a_subnormal_tuple(monkeypatch):
     assert_scan_is_the_table(Portfolio(members), u, table, "subnormal S")
 
 
+def plant_screen_defect(monkeypatch):
+    """Make ``_EntropicKernel._screen`` hide a chunk's best tuples: each
+    tuple that screens highest on some atom screens at the float minimum on
+    every atom, so beside any other tuple it is never re-scored."""
+    screen = utility._EntropicKernel._screen
+
+    def hidden(self, parts):
+        values, small = screen(self, parts)
+        best = np.unique(values.reshape(-1, *values.shape[-2:]).max(axis=0).argmax(axis=0))
+        values[..., best, :] = np.finfo(float).min
+        small[..., best, :] = False
+        return values, small
+
+    monkeypatch.setattr(utility._EntropicKernel, "_screen", hidden)
+
+
+@pytest.mark.parametrize("family", ["entropic", "robust"])
+def test_planted_screen_defect_is_caught_by_the_whole_table(monkeypatch, family):
+    """The whole ``_batch_insurance`` table guards the screen: with each
+    chunk's best tuple left un-scored, the scan's sup disagrees with the
+    table's on at least five seeded screened scans, and unpatched it agrees
+    on all of them."""
+    monkeypatch.setattr(worstcase, "CHUNK", 24)
+    scans = []
+    for seed in range(60):
+        g = np.random.default_rng([83, seed])
+        sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=True)
+        t0 = int(g.integers(0, sp.horizon))
+        members = [random_adapted(sp, t0, sp.horizon, g) for _ in range(int(g.integers(2, 4)))]
+        classes = [enumerate_class(X) for X in members]
+        sizes = [c.size for c in classes]
+        if family == "entropic":
+            u = EntropicUtility(sp, 1.0, t0)
+        else:
+            u = RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(2)], t0)
+        if np.prod(sizes) <= 2000 and scan_budget(u, sizes)[1]:
+            scans.append((Portfolio(members), u, whole_table(u, classes).max(axis=0)))
+    assert len(scans) >= 10, len(scans)
+    sup = lambda marg, u: bits(worst_portfolio_bruteforce(marg, u).sup_value.values)
+    assert all(np.array_equal(sup(marg, u), bits(want)) for marg, u, want in scans)
+    plant_screen_defect(monkeypatch)
+    missed = sum(not np.array_equal(sup(marg, u), bits(want)) for marg, u, want in scans)
+    assert missed >= 5, (missed, len(scans))
+
+
 @pytest.mark.parametrize("alpha", (1e-3, 0.3, 1.0, 5.0, 50.0))
 def test_screened_scan_of_integer_members(alpha):
     """Three members with values 0-3 on a two-atom window: hundreds of
@@ -1346,7 +1391,7 @@ def first_failure(cases):
     return True, len(cases), None
 
 
-def oracle_relevance(u, eps_grid=(1.0, 0.1, 0.01)):
+def oracle_relevance(u):
     """A loss on each atom at each time of the window, one evaluate per case."""
     sp, t, T = u.space, u.t_start, u.t_end
     cases = []
@@ -1354,7 +1399,7 @@ def oracle_relevance(u, eps_grid=(1.0, 0.1, 0.01)):
         for atom in sp.atoms(s):
             mask = np.zeros(sp.n_outcomes, dtype=bool)
             mask[list(atom)] = True
-            for eps in eps_grid:
+            for eps in (1.0, 0.1, 0.01):
                 vals = np.zeros((T - t + 1, sp.n_outcomes))
                 vals[s - t :] = -eps * mask
                 lifted = u.evaluate(AdaptedProcess(sp, t, vals)).lift()
@@ -1464,7 +1509,6 @@ def test_stacked_routes_refuse_what_evaluate_refuses():
 
 
 def test_stacked_relevance_matches_per_case_oracle():
-    blind_seen = 0
     for seed in range(30):
         g = np.random.default_rng([20, seed])
         sp = random_space(g, max_outcomes=6, max_horizon=3)
@@ -1472,13 +1516,10 @@ def test_stacked_relevance_matches_per_case_oracle():
         res = _check_relevance(u)
         assert (res.passed, res.samples, res.counterexample) == oracle_relevance(u), f"seed {seed}"
     two = FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1]]])
-    for eps_grid in ((1.0, 0.1, 0.01), (0.5,)):
-        blind = DualFiniteUtility(two, 0, 1, [(DensityProcess(two, 0, [[0, 0], [2, 0]]), ConditionalValue.constant(two, 0, 0.0))])
-        res = _check_relevance(blind, eps_grid)
-        assert res.passed is False
-        assert (res.passed, res.samples, res.counterexample) == oracle_relevance(blind, eps_grid)
-        blind_seen += 1
-    assert blind_seen == 2
+    blind = DualFiniteUtility(two, 0, 1, [(DensityProcess(two, 0, [[0, 0], [2, 0]]), ConditionalValue.constant(two, 0, 0.0))])
+    res = _check_relevance(blind)
+    assert res.passed is False
+    assert (res.passed, res.samples, res.counterexample) == oracle_relevance(blind)
 
 
 def test_stacked_law_invariance_matches_per_member_oracle():
@@ -1595,47 +1636,13 @@ def test_chained_dual_min_is_the_strided_min_bitwise():
     assert single >= 5 and dead >= 5 and live >= 5 and ties >= 10, (single, dead, live, ties)
 
 
-def oracle_preservation_hypotheses(up):
-    """The hypotheses by per-density loops: families of the stage densities,
-    each read over its own times, which here are its stage's window."""
-    t0, T, space = up.t_start, up.t_end, up.space
-    families = {t: [a for a, _ in up.stage(t).scenarios] for t in range(t0, T + 1)}
-    bound = np.zeros((T - t0 + 1, space.n_outcomes))
-    for fam in families.values():
-        for a in fam:
-            for s in range(a.t_start, a.t_end + 1):
-                bound[s - t0] = np.maximum(bound[s - t0], a.slice_at(s))
-    eps = {}
-    for s in range(t0, T):
-        per_atom = np.full(space.n_atoms(s), np.inf)
-        atom_of = space.atom_index(s)
-        for a in families[s]:
-            for t in range(s, T):
-                tail = a.tail_from(t + 1)
-                for k in range(space.n_atoms(s)):
-                    per_atom[k] = min(per_atom[k], tail[atom_of == k].min())
-        eps[s] = per_atom
-    return families, bound, eps
-
-
 def test_preservation_hypotheses_and_conclusions_match_per_stage_oracles():
-    """Hypotheses read from the stage stacks carry the bits of the
-    per-density loops, and each stage's conclusion is the residual of one
-    brute-force scan of stage 0's restriction."""
-    windows = lambda fam: [(a.window, bits(a.values).tolist()) for a in fam]
+    """Each stage's conclusion is the residual of one brute-force scan of
+    stage 0's restriction."""
     for seed in range(40):
         for variant in ("thm33", "thm42", "thm32"):
             hyp, up, cand = preservation_instance(np.random.default_rng([31, seed]), variant)
             t0, T = up.t_start, up.t_end
-            if variant != "thm32":
-                families, bound, eps = oracle_preservation_hypotheses(up)
-                assert {t: windows(f) for t, f in hyp.families.items()} == {t: windows(f) for t, f in families.items()}
-                assert hyp.bound.window == (t0, T) and np.array_equal(bits(hyp.bound.values), bits(bound))
-                assert hyp.eps.keys() == eps.keys()
-                for s, e in eps.items():
-                    assert hyp.eps[s].time == s and np.array_equal(bits(hyp.eps[s].values), bits(e)), f"seed {seed}"
-                assert hyp.convex == {t: len(f) == 1 for t, f in families.items()}
-                assert windows(hyp.base_set) == windows(families[t0])
             rep = verify_preservation(hyp, up, cand, tol=1e-9)
             assert rep.passed, (variant, seed, rep.notes)
             want = []
@@ -1659,27 +1666,16 @@ def test_preservation_notes_on_hand_made_failures():
         assert rep.skipped and not rep.hypotheses_ok
         return rep.notes
 
-    hyp = build_preservation_hypotheses(up, "thm33")
-    low = hyp.bound.values.copy()
-    low[1, :2] -= 0.01
-    hyp.bound = DensityProcess(sp, 0, low)
-    assert notes(hyp) == [consistent, "stage 1 scenario 0 exceeds the bound at time 1"]
-
-    hyp = build_preservation_hypotheses(up, "thm33")
-    hyp.eps[0] = hyp.eps[0] + 0.01
-    assert notes(hyp) == [consistent, "tail bound at stage 0 exceeds a scenario tail past 1"]
-
     a0 = up.stage(0).scenarios[0][0]
     zero = ConditionalValue.constant(sp, 0, 0.0)
     two = UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(a0, zero), (a0, zero)]), 1: up.stage(1), 2: up.stage(2)})
     assert notes(build_preservation_hypotheses(two, "thm33"), two) == [consistent, "stage 0 family of size 2 not certified convex"]
 
-    hyp = build_preservation_hypotheses(up, "thm42")
-    hyp.base_set = [DensityProcess.uniform(sp, 0, 2)]
-    assert notes(hyp) == [
-        consistent,
+    # a uniform stage 0, whose normalizations are not the later stages
+    flat = UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(DensityProcess.uniform(sp, 0, 2), zero)]), 1: up.stage(1), 2: up.stage(2)})
+    assert notes(build_preservation_hypotheses(flat, "thm42"), flat) == [
+        "time-consistency FAILED: t=0, theta=[2, 2, 1, 1], sample 0: residual 0.0121",
         "base set concatenation-stable over 38 splices (all)",
-        "stage 0 scenario 0 is not a normalized base density",
         "stage 1 scenario 0 is not a normalized base density",
     ]
 

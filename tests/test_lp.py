@@ -44,7 +44,7 @@ class TestSolversAgree:
 
 class TestEscalation:
     def test_unconstrained_descent_is_minus_inf(self):
-        val, diag = minimize_with_escalation([1.0], None, None, 10.0)
+        val, diag = minimize_with_escalation([1.0], np.empty((0, 1)), np.empty(0), 10.0)
         assert val == float("-inf")
         assert diag["rounds"] == 3
 

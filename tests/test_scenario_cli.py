@@ -536,6 +536,10 @@ class TestCLI:
                 "candidate window 1..2 is not 0..2",
             ),
             (
+                {"task": "verify-preservation", "name": "pres", "process": "scenproc", "variant": "thm32", "stage0": ["pos1"]},
+                "the two-step variant needs entropic stages",
+            ),
+            (
                 {"task": "stability", "name": "stab", "densities": ["gen1", "lateden"]},
                 "different spaces or windows",
             ),
@@ -587,6 +591,7 @@ class TestCLI:
             "worst-portfolio-mixed-windows",
             "duality-entropic-utility",
             "preservation-late-stage0",
+            "preservation-two-step-variant-of-dual-stages",
             "stability-mixed-windows",
             "matrix-compare-late-portfolios",
             "matrix-compare-early-portfolios",

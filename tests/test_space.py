@@ -250,6 +250,7 @@ def test_stopping_time_of_another_space_is_refused(entry):
 REFUSALS = {
     "space-without-outcomes": (lambda sp: FiniteFilteredSpace([], [[[]], [[]]]), "probs must be a non-empty vector"),
     "space-without-a-step": (lambda sp: FiniteFilteredSpace([1.0], [[[0]]]), "need partitions for t = 0..T with T >= 1"),
+    "space-probabilities-off-one": (lambda sp: FiniteFilteredSpace([0.5, 0.4], [[[0, 1]], [[0], [1]]]), "probabilities sum to 0.9, not 1"),
     "space-empty-atom": (lambda sp: FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1], []]]), "empty atom in partition at t=1"),
     "time-off-the-horizon": (lambda sp: sp.atoms(3), "time 3 outside [0, 2]"),
     "layout-ending-early": (lambda sp: sp.atom_layout(2, 1), "end time 1 outside [2, 2]"),

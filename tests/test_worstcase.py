@@ -14,7 +14,6 @@ from dynrisk import (
     EntropicUtility,
     FiniteFilteredSpace,
     Portfolio,
-    PreservationHypotheses,
     UtilityProcess,
     apply_matrix,
     average_risk,
@@ -418,11 +417,8 @@ class TestPreservation:
                 1: DualFiniteUtility(two_uniform, 1, 1, [(last, zero_gamma(two_uniform, 1))]),
             }
         )
-        hyp = build_preservation_hypotheses(up, "thm42")
-        # a base set that normalizes at every stage, so the harness reaches its last check
-        hyp.base_set = [DensityProcess.uniform(two_uniform, 0, 1)]
         stage0 = Portfolio([AdaptedProcess.constant(two_uniform, 0, 1, 1.0)])
-        rep = verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(stage0))
+        rep = verify_preservation(build_preservation_hypotheses(up, "thm42"), up, AdaptedWorstProcess.from_restrictions(stage0))
         notes = [n for n in rep.notes if n.startswith("relevance failed:")]
         assert len(notes) == 1 and "not priced below zero" in notes[0]
         assert not rep.hypotheses_ok and rep.skipped
@@ -450,12 +446,12 @@ class TestPreservation:
                 "base density 0 has no remaining mass at t=2",
                 "stage 2 scenario 0 is not a normalized base density",
             ]
-            # a hand-built base set beside a positive-tail stage family: the
-            # vanishing density is noted though the uniform one matches every stage
-            up = UtilityProcess({t: DualFiniteUtility(four_tree, t, 2, [dense(t, [[1 / (3 - t)] * 4] * (3 - t))]) for t in range(3)})
-            hyp = build_preservation_hypotheses(up, variant)
-            hyp.base_set = [DensityProcess(four_tree, 0, [[1] * 4, [0] * 4, [0] * 4]), DensityProcess.uniform(four_tree, 0, 2)]
-            rep = verify_preservation(hyp, up, AdaptedWorstProcess.from_restrictions(stage0))
+            # a vanishing base density beside a uniform one: it is noted though
+            # the uniform one matches every stage
+            flat = lambda t: dense(t, [[1 / (3 - t)] * 4] * (3 - t))
+            stages = {0: DualFiniteUtility(four_tree, 0, 2, [dense(0, [[1] * 4, [0] * 4, [0] * 4]), flat(0)])}
+            up = UtilityProcess({**stages, **{t: DualFiniteUtility(four_tree, t, 2, [flat(t)]) for t in (1, 2)}})
+            rep = verify_preservation(build_preservation_hypotheses(up, variant), up, AdaptedWorstProcess.from_restrictions(stage0))
             assert rep.skipped and not rep.hypotheses_ok
             assert [n for n in rep.notes if "base density" in n] == [
                 "base density 0 has no remaining mass at t=1",
@@ -665,40 +661,31 @@ def non_coherent_process(sp):
     return UtilityProcess({t: DualFiniteUtility(sp, t, 2, scenarios(t)) for t in range(3)})
 
 
-def without_bounds(up):
-    """The scenario families alone: no increment bound and no tail bounds."""
-    built = build_preservation_hypotheses(up, "thm33")
-    return PreservationHypotheses("thm33", built.families, convex=built.convex)
+def entropic_then_scenarios(sp):
+    """An entropic stage 0 before the scenario process's later stages."""
+    up = scenario_process(sp)
+    return UtilityProcess({0: EntropicUtility(sp, 1.0, 0), 1: up.stage(1), 2: up.stage(2)})
 
 
-def unstable_base_set(up):
-    hyp = build_preservation_hypotheses(up, "thm42")
-    sp = up.space
-    hyp.base_set = [DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, np.random.default_rng(82), strict=True)]
-    return hyp
+def unstable_base_process(sp):
+    """The scenario process's later stages after a stage 0 whose two
+    densities, the base set, are not concatenation-stable."""
+    up = scenario_process(sp)
+    base = [DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, np.random.default_rng(82), strict=True)]
+    return UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(b, zero_gamma(sp, 0)) for b in base]), 1: up.stage(1), 2: up.stage(2)})
 
 
-# hypotheses that fail: (the process on dyadic_uniform(2), its hypotheses, patterns of the notes they must report)
+# hypotheses that fail: (a process on dyadic_uniform(2), the variant, patterns of the notes it must report)
 FAILED_HYPOTHESES = {
-    "missing-alpha": (lambda sp: entropic_process(sp, 1.0), lambda up: PreservationHypotheses("thm32"), ["missing alpha"]),
-    "missing-bounds": (
-        scenario_process,
-        without_bounds,
-        ["missing increment upper bound", "missing tail lower bound at stage 0", "missing tail lower bound at stage 1"],
-    ),
-    "stages-not-entropic": (
-        scenario_process,
-        lambda up: PreservationHypotheses("thm32", alpha=1.0),
-        ["stage 0 is not entropic", "stage 1 is not entropic", "stage 2 is not entropic"],
-    ),
+    "stages-not-entropic": (entropic_then_scenarios, "thm32", ["stage 1 is not entropic", "stage 2 is not entropic"]),
     "stages-not-coherent": (
         non_coherent_process,
-        lambda up: build_preservation_hypotheses(up, "thm42"),
+        "thm42",
         ["stage 0 not coherent", "stage 1 not coherent", "stage 2 not coherent"],
     ),
     "base-set-not-stable": (
-        scenario_process,
-        unstable_base_set,
+        unstable_base_process,
+        "thm42",
         [r"base set not concatenation-stable: concat\(a\d, b\d, theta=\[.*\], \|A\|=\d\)"],
     ),
 }
@@ -707,9 +694,9 @@ FAILED_HYPOTHESES = {
 @pytest.mark.parametrize("case", FAILED_HYPOTHESES)
 def test_failed_hypothesis_is_noted_and_skips_the_conclusion(case):
     sp = dyadic_uniform(2)
-    process, hypotheses, patterns = FAILED_HYPOTHESES[case]
+    process, variant, patterns = FAILED_HYPOTHESES[case]
     up = process(sp)
-    rep = verify_preservation(hypotheses(up), up, constant_candidate(sp))
+    rep = verify_preservation(build_preservation_hypotheses(up, variant), up, constant_candidate(sp))
     assert rep.skipped and not rep.hypotheses_ok and not rep.passed
     for pattern in patterns:
         assert any(re.fullmatch(pattern, note) for note in rep.notes), (pattern, rep.notes)
@@ -751,6 +738,19 @@ REFUSALS = {
     "two-step-variant-of-dual-stages": (
         lambda sp: build_preservation_hypotheses(scenario_process(sp), "thm32"),
         "the two-step variant needs entropic stages",
+    ),
+    # hypotheses built by hand are refused by the harness as the builder refuses them
+    "hand-built-two-step-variant-of-dual-stages": (
+        lambda sp: verify_preservation(worstcase.PreservationHypotheses("thm32"), scenario_process(sp), constant_candidate(sp)),
+        "the two-step variant needs entropic stages",
+    ),
+    "hand-built-scenario-variant-of-entropic-stages": (
+        lambda sp: verify_preservation(worstcase.PreservationHypotheses("thm33"), entropic_process(sp, 1.0), constant_candidate(sp)),
+        "scenario-family variants need finite scenario sets",
+    ),
+    "hand-built-unknown-variant": (
+        lambda sp: verify_preservation(worstcase.PreservationHypotheses("thm99"), entropic_process(sp, 1.0), constant_candidate(sp)),
+        "unknown variant 'thm99'",
     ),
 }
 
