@@ -343,7 +343,11 @@ def main(argv: list[str] | None = None) -> int:
         except ScenarioError as e:
             print(f"input error: {e}", file=sys.stderr)
             return 2
-        run.write(args.out)
+        try:
+            run.write(args.out)
+        except OSError as e:  # a name that the file system refuses, as one too long
+            print(f"input error: cannot write the report of task {task['name']!r}: {e}", file=sys.stderr)
+            return 2
         statuses.append(status)
         print(f"{task['name']}\t{status}")
 

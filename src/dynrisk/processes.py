@@ -152,14 +152,6 @@ class AdaptedProcess(_Windowed):
     def __neg__(self) -> "AdaptedProcess":
         return AdaptedProcess._wrap(self.space, self.t_start, -self.values)
 
-    def __mul__(self, scalar: float) -> "AdaptedProcess":
-        scalar = float(scalar)
-        if not np.isfinite(scalar):
-            raise ValueError(f"cannot scale a position by {scalar}")
-        return self._result(np.multiply, scalar)
-
-    __rmul__ = __mul__
-
     def shift_by(self, m: ConditionalValue | float) -> "AdaptedProcess":
         """X + m 1_{[t_start, oo)} with m measurable at the window start."""
         add = m.lift() if isinstance(m, ConditionalValue) else float(m)
@@ -176,9 +168,7 @@ def mean_portfolio(members: Sequence[AdaptedProcess]) -> AdaptedProcess:
     members = list(members)
     if not members:
         raise ValueError("empty portfolio")
-    total = members[0]
-    for x in members[1:]:
-        total = total + x
+    total = sum(members[1:], members[0])
     # a division, as in the worst-portfolio scan, which averages member
     # features in the same order; the two then agree bit for bit
     return AdaptedProcess._wrap(total.space, total.t_start, total.values / len(members))
@@ -192,11 +182,6 @@ class DensityProcess(_Windowed):
     """
 
     _noun = "density"
-
-    @classmethod
-    def uniform(cls, space: FiniteFilteredSpace, t_start: int, t_end: int) -> "DensityProcess":
-        L = cls._length(t_start, t_end)
-        return cls(space, t_start, np.full((L, space.n_outcomes), 1.0 / L))
 
     def total_mass(self) -> np.ndarray:
         """Per-outcome sum of increments over the window."""

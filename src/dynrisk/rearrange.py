@@ -300,9 +300,7 @@ def _certificate(
         sum_res = member_res[0]
     else:
         t, t_end = family[0].window
-        total = family[0]
-        for X in family[1:]:
-            total = total + X
+        total = sum(family[1:], family[0])
         direct_sum = _pairings(total.space, total.values, a0.values[a0._span(t, t_end, total.space)], t)
         sum_res = _class_pairings(enumerate_class(total, cap), a0, t, t_end).max(axis=0) - direct_sum
     details = [f"member {i} misses its max correlation by {r.max():.3g}" for i, r in enumerate(member_res) if r.max() > tol]

@@ -181,12 +181,14 @@ class Scenario:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:  # arrays or objects nested past the interpreter's recursion limit
+        raise ScenarioError(f"{path}: parse error: {e}") from e
     return parse_scenario(doc)
 
 
@@ -235,7 +237,7 @@ def parse_scenario(doc: dict) -> Scenario:
     for i, raw in enumerate(top.check("tasks", [], lambda v: isinstance(v, list), "a list")):
         task = Fields(raw, f"tasks[{i}]")
         task.get("task")
-        name = task.check("name", f"task{i}", lambda v: isinstance(v, str) and v and "/" not in v, "a file name")
+        name = task.check("name", f"task{i}", lambda v: isinstance(v, str) and v and "/" not in v and "\0" not in v, "a file name")
         if any(t["name"] == name for t in scn.tasks):
             raise ScenarioError(f"duplicate task name {name!r}")
         scn.tasks.append({**raw, "name": name})

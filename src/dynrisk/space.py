@@ -208,8 +208,10 @@ def dyadic_uniform(horizon: int) -> FiniteFilteredSpace:
 class ConditionalValue:
     """A time-t measurable quantity: one extended real per time-t atom.
 
-    ``-inf`` is allowed (penalty values), ``+inf`` never is.  Addition
-    saturates at ``-inf``; negating a ``-inf`` entry is an error.
+    ``-inf`` is allowed (penalty values), ``+inf`` and NaN never are.  It is a
+    validated holder with no arithmetic: callers compute with numpy on
+    ``values``, where, with no ``+inf`` and no NaN, a plain sum saturates at
+    ``-inf`` without a warning.
     """
 
     __slots__ = ("space", "time", "values")
@@ -235,45 +237,11 @@ class ConditionalValue:
         """Outcome-indexed representation."""
         return self.values[self.space.atom_index(self.time)]
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, ConditionalValue):
-            if other.space is not self.space or other.time != self.time:
-                raise ValueError("conditional values live at different times or spaces")
-            return other.values
-        return np.full_like(self.values, float(other))
-
-    def __add__(self, other) -> "ConditionalValue":
-        a, b = self.values, self._coerce(other)
-        if np.any(np.isposinf(b)):
-            raise ValueError("cannot add +inf")
-        out = np.where(np.isneginf(a) | np.isneginf(b), NEG_INF, a + b)
-        return ConditionalValue(self.space, self.time, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ConditionalValue":
-        if not self.is_finite():
-            raise ValueError("cannot negate a -inf conditional value")
-        return ConditionalValue(self.space, self.time, -self.values)
-
-    def __mul__(self, scalar: float) -> "ConditionalValue":
-        scalar = float(scalar)
-        if not np.isfinite(scalar):
-            raise ValueError(f"cannot scale a conditional value by {scalar}")
-        if scalar < 0 and not self.is_finite():
-            raise ValueError("cannot scale a -inf value by a negative factor")
-        vals = self.values if scalar else np.where(np.isneginf(self.values), 0.0, self.values)  # 0 * -inf = 0
-        return ConditionalValue(self.space, self.time, vals * scalar)
-
-    __rmul__ = __mul__
-
-    def max_residual(self, other) -> float:
+    def max_residual(self, other: "ConditionalValue") -> float:
         """Largest absolute atom-wise gap; inf when -inf flags disagree."""
-        b = self._coerce(other)
-        a = self.values
+        if other.space is not self.space or other.time != self.time:
+            raise ValueError("conditional values live at different times or spaces")
+        a, b = self.values, other.values
         na, nb = np.isneginf(a), np.isneginf(b)
         if not (na.any() or nb.any()):
             return float(np.abs(a - b).max())

@@ -415,7 +415,7 @@ def argmax_density(u: DualFiniteUtility, X: AdaptedProcess) -> tuple[DensityProc
     a_star = DensityProcess(u.space, t, u._increments[choice, :, outcomes].T)
     glued_gamma = u._gamma[best, np.arange(best.size)]
 
-    check = pairing(X, a_star, t, T) + ConditionalValue(u.space, t, glued_gamma)
+    check = ConditionalValue(u.space, t, pairing(X, a_star, t, T).values + glued_gamma)
     if check.max_residual(value) > 1e-9:
         raise RuntimeError("glued density does not reproduce the insurance value")
     attained = any(float(np.abs(a_star.values - inc).max()) <= DEFAULT_TOL for inc in u._increments)
@@ -434,9 +434,6 @@ class AxiomResult:
 class AxiomReport:
     seed: int
     results: dict[str, AxiomResult] = field(default_factory=dict)
-
-    def passed(self, *axioms: str) -> bool:
-        return all(self.results[a].passed for a in axioms)
 
 
 def _sample_events(space: FiniteFilteredSpace, t: int, rng) -> list[np.ndarray]:
@@ -771,8 +768,7 @@ def penalty_consistency_check(up: UtilityProcess, t: int, s: int) -> PenaltyCons
     rows = []
     worst = 0.0
     for i, lhs in enumerate(priced[: len(lefts)]):
-        best = ConditionalValue(space, t, spliced[i].max(axis=0))
-        rhs = (best + cond_expect(space, ConditionalValue(space, s, tails[i]).lift(), t)).values
+        rhs = spliced[i].max(axis=0) + cond_expect(space, ConditionalValue(space, s, tails[i]).lift(), t).values
         with np.errstate(invalid="ignore"):  # -inf - -inf, where the gap is set to 0
             gap = np.where(np.isneginf(lhs) & np.isneginf(rhs), 0.0, lhs - rhs)
         rows.append((i, gap))

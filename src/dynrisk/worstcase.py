@@ -84,10 +84,7 @@ class Portfolio:
         return mean_portfolio(self.members)
 
     def total(self) -> AdaptedProcess:
-        out = self.members[0]
-        for m in self.members[1:]:
-            out = out + m
-        return out
+        return sum(self.members[1:], self.members[0])
 
     def restrict(self, t: int) -> "Portfolio":
         return Portfolio([m.restrict(t) for m in self.members])
@@ -106,8 +103,8 @@ def average_risk(
     """
     t, t_end = u.t_start, u.t_end
     marginals.members[0]._span(t, t_end, u.space)  # marginals on u's space and window
-    psi = [max_correlation(a, X, t, t_end, cap).value for X in marginals.members]
-    return sum(psi[1:], psi[0]) * (1.0 / marginals.n) + penalty(u, a)
+    psi = [max_correlation(a, X, t, t_end, cap).value.values for X in marginals.members]
+    return ConditionalValue(u.space, t, sum(psi[1:], psi[0]) * (1.0 / marginals.n) + penalty(u, a).values)
 
 
 @dataclass

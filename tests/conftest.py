@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynrisk import FiniteFilteredSpace, dyadic_uniform
+from dynrisk import DensityProcess, FiniteFilteredSpace, dyadic_uniform
 
 
 @pytest.fixture
@@ -24,5 +24,7 @@ def four_paired():
     )
 
 
-def rng(seed):
-    return np.random.default_rng(seed)
+def uniform_density(space, t_start, t_end):
+    """Increments 1/L at each of the window's L times: a density in every class."""
+    L = t_end - t_start + 1
+    return DensityProcess(space, t_start, np.full((L, space.n_outcomes), 1.0 / L))

@@ -99,6 +99,7 @@ from dynrisk.rearrange import _attains, _class_pairings
 from dynrisk.space import enumerate_stopping_events
 from dynrisk.utility import _check_relevance, _penalties
 from dynrisk.worstcase import Thm31Report, apply_matrix
+from conftest import uniform_density
 from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
 from test_space import grow_reference
 
@@ -128,7 +129,7 @@ def test_stacked_kernel_matches_evaluate_bitwise(family):
         sp = random_space(g, max_outcomes=8, max_horizon=3, uniform=bool(g.random() < 0.5))
         t0 = int(g.integers(0, sp.horizon + 1))
         u = make_utility(family, sp, t0, g)
-        positions = [random_adapted(sp, 0, sp.horizon, g) * 3.0 for _ in range(int(g.integers(1, 9)))]
+        positions = [AdaptedProcess(sp, 0, random_adapted(sp, 0, sp.horizon, g).values * 3.0) for _ in range(int(g.integers(1, 9)))]
         stack = np.stack([X.values[t0:] for X in positions])
         batched = u._combine(u._features(stack))
         rows = np.stack([u.evaluate(X).values for X in positions])
@@ -142,7 +143,7 @@ def test_insurance_is_reflected_evaluate_bitwise(family):
         g = np.random.default_rng([8, seed])
         sp = random_space(g, max_outcomes=8, max_horizon=3)
         u = make_utility(family, sp, int(g.integers(0, sp.horizon + 1)), g)
-        X = random_adapted(sp, 0, sp.horizon, g) * 3.0
+        X = AdaptedProcess(sp, 0, random_adapted(sp, 0, sp.horizon, g).values * 3.0)
         assert np.array_equal(bits(u.insurance(X).values), bits(-u.evaluate(-X).values)), f"seed {seed}"
 
 
@@ -363,7 +364,7 @@ def test_screened_scan_matches_the_whole_table(monkeypatch):
             sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
             t0 = int(g.integers(0, sp.horizon + 1))
         scale = float(10.0 ** g.integers(0, 7))
-        members = [random_adapted(sp, t0, sp.horizon, g) * scale for _ in range(int(g.integers(1, 5)))]
+        members = [AdaptedProcess(sp, t0, random_adapted(sp, t0, sp.horizon, g).values * scale) for _ in range(int(g.integers(1, 5)))]
         classes = [enumerate_class(X) for X in members]
         sizes = [c.size for c in classes]
         total = int(np.prod(sizes))
@@ -515,7 +516,7 @@ def screen_cases(family, where):
         sp = random_space(g, max_outcomes=6, max_horizon=3, uniform=bool(g.random() < 0.5))
         t0 = int(g.integers(0, sp.horizon))
         members = [random_adapted(sp, t0, sp.horizon, g) for _ in range(int(g.integers(1, 3)))]
-        members.append(AdaptedProcess(sp, t0, np.round((random_adapted(sp, t0, sp.horizon, g) * 0.7).values)))
+        members.append(AdaptedProcess(sp, t0, np.round(random_adapted(sp, t0, sp.horizon, g).values * 0.7)))
         sizes = [enumerate_class(X).size for X in members]
         if sizes[-1] * sp.n_atoms(t0) >= sp.n_outcomes or not 2 <= np.prod(sizes) <= 3000:
             continue
@@ -697,7 +698,7 @@ def test_stacked_recursion_matches_per_check_oracle(kind):
         g = np.random.default_rng([11, seed])
         sp = random_space(g, max_outcomes=6, max_horizon=3)
         up = make_process(kind, sp, g)
-        samples = [random_adapted(sp, up.t_start, up.t_end, g) * 2.0 for _ in range(2)]
+        samples = [AdaptedProcess(sp, up.t_start, random_adapted(sp, up.t_start, up.t_end, g).values * 2.0) for _ in range(2)]
         rep = time_consistency_check(up, samples=samples, tol=1e-9)
         worst, checked, failures, glued = oracle_consistency(up, samples, 1e-9)
         assert rep.stopping_times == "all"
@@ -902,7 +903,7 @@ def test_stacked_checks_raise_what_the_per_splice_oracle_raises():
     sp = random_space(g, min_outcomes=4, max_outcomes=4, max_horizon=2)
     a = random_density(sp, 0, sp.horizon, g, strict=True)
     negative = DensityProcess(sp, 0, -a.values)
-    later = DensityProcess.uniform(sp, 1, sp.horizon)
+    later = uniform_density(sp, 1, sp.horizon)
     two = FiniteFilteredSpace([0.5, 0.5], [[[0, 1]], [[0], [1]]])
     # pasting these at t=1 multiplies 1e-200 by 1e-200 and underflows to 0
     tiny = [TerminalDensity.normalized(two, [1e-200, 1.0]), TerminalDensity.normalized(two, [1e-200, 3.0])]
@@ -1437,7 +1438,7 @@ def oracle_axioms(u, sample_count, seed, tol):
     shifts = [random_conditional(sp, t, rng, -2.0, 2.0) for _ in xs]
     cases = []
     for X, m in zip(xs, shifts):
-        res = u.evaluate(AdaptedProcess(sp, t, X.values + m.lift())).max_residual(u.evaluate(X) + m)
+        res = u.evaluate(AdaptedProcess(sp, t, X.values + m.lift())).max_residual(ConditionalValue(sp, t, u.evaluate(X).values + m.values))
         cases.append((res > tol, f"shift residual {res:.3g}"))
     out["cash_invariance"] = first_failure(cases)
     draws = [(random_adapted(sp, t, T, rng), random_conditional(sp, t, rng, 0.0, 1.0)) for _ in xs]
@@ -1499,12 +1500,12 @@ def test_stacked_routes_refuse_what_evaluate_refuses():
     stacks positions ever meets it."""
     sp = FiniteFilteredSpace([0.25] * 4, [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]])
     dead = ConditionalValue(sp, 1, [0.0, -np.inf])
-    scenarios = [(DensityProcess.uniform(sp, 1, 2), dead), (DensityProcess.uniform(sp, 1, 2), dead)]
+    scenarios = [(uniform_density(sp, 1, 2), dead), (uniform_density(sp, 1, 2), dead)]
     with pytest.raises(ValueError, match="penalties are not normalized"):
         DualFiniteUtility(sp, 1, 2, scenarios)
     # one live scenario on the atom is enough
     live = ConditionalValue(sp, 1, [-np.inf, 0.0])
-    u = DualFiniteUtility(sp, 1, 2, [scenarios[0], (DensityProcess.uniform(sp, 1, 2), live)])
+    u = DualFiniteUtility(sp, 1, 2, [scenarios[0], (uniform_density(sp, 1, 2), live)])
     assert np.isfinite(u.evaluate(AdaptedProcess(sp, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])).values).all()
 
 
@@ -1672,7 +1673,7 @@ def test_preservation_notes_on_hand_made_failures():
     assert notes(build_preservation_hypotheses(two, "thm33"), two) == [consistent, "stage 0 family of size 2 not certified convex"]
 
     # a uniform stage 0, whose normalizations are not the later stages
-    flat = UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(DensityProcess.uniform(sp, 0, 2), zero)]), 1: up.stage(1), 2: up.stage(2)})
+    flat = UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(uniform_density(sp, 0, 2), zero)]), 1: up.stage(1), 2: up.stage(2)})
     assert notes(build_preservation_hypotheses(flat, "thm42"), flat) == [
         "time-consistency FAILED: t=0, theta=[2, 2, 1, 1], sample 0: residual 0.0121",
         "base set concatenation-stable over 38 splices (all)",

@@ -44,6 +44,7 @@ from dynrisk import (
 )
 from dynrisk.random_gen import random_adapted, random_density, random_space
 from dynrisk.space import enumerate_stopping_events
+from conftest import uniform_density
 
 
 @pytest.fixture
@@ -75,33 +76,23 @@ class TestAdaptedProcess:
 
     def test_arithmetic(self, four_tree):
         X = AdaptedProcess(four_tree, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])
-        Y = (2.0 * X) + (-X)
+        Y = AdaptedProcess(four_tree, 1, X.values * 2.0) + (-X)
         assert Y.approx_eq(X, 0)
         Z = X.shift_by(5.0)
         assert np.array_equal(Z.values - X.values, np.full((2, 4), 5.0))
-
-    @pytest.mark.parametrize("scalar", [np.nan, np.inf, -np.inf])
-    def test_non_finite_scalar_rejected(self, four_tree, scalar):
-        X = AdaptedProcess(four_tree, 1, [[1, 1, 2, 2], [1, 2, 3, 4]])
-        with pytest.raises(ValueError, match="cannot scale a position"):
-            X * scalar
-        with pytest.raises(ValueError, match="cannot scale a position"):
-            scalar * X
 
     def test_constant_on_a_reversed_window_rejected(self, four_tree):
         with pytest.raises(ValueError, match=r"window \[2, 0\] ends before it starts"):
             AdaptedProcess.constant(four_tree, 2, 0, 1.0)
 
-    @pytest.mark.parametrize(
-        "op", [lambda X: X * 1e10, lambda X: X * 1e8 + X * 1e8, lambda X: X * 1e8 - X * -1e8], ids=["mul", "add", "sub"]
-    )
+    @pytest.mark.parametrize("op", [lambda X: X + X, lambda X: -X + -X], ids=["add", "sub"])
     def test_overflowing_arithmetic_rejected(self, op):
-        # finite operands whose result overflows: a ValueError, not numpy's warning
-        # (an error under the suite's RuntimeWarning filter) and not an infinite position
-        X = AdaptedProcess(dyadic_uniform(1), 0, [[1e300, 1e300], [2e300, -1e300]])
+        # finite operands whose sum or difference (a sum with a negated operand)
+        # overflows: a ValueError, not numpy's warning (an error under the
+        # suite's RuntimeWarning filter) and not an infinite position
+        X = AdaptedProcess(dyadic_uniform(1), 0, [[1e308, 1e308], [1.5e308, -1e308]])
         with pytest.raises(ValueError, match="the result overflows"):
             op(X)
-
 
     def test_overflowing_shift_rejected(self):
         # a shift goes through the same refusal as the other arithmetic
@@ -113,10 +104,6 @@ class TestAdaptedProcess:
         for m in (np.nan, np.inf, ConditionalValue(sp, 0, [-np.inf])):
             with pytest.raises(ValueError, match="cannot shift a position by a non-finite amount"):
                 X.shift_by(m)
-
-def test_uniform_density_on_a_reversed_window_rejected(four_tree):
-    with pytest.raises(ValueError, match=r"window \[2, 1\] ends before it starts"):
-        DensityProcess.uniform(four_tree, 2, 1)
 
 
 class TestPairing:
@@ -148,14 +135,14 @@ class TestPairing:
         X = random_adapted(sp, 0, T, g)
         Y = random_adapted(sp, 0, T, g)
         al, be = g.normal(size=2)
-        lhs = pairing(al * X + be * Y, a, 0).values
+        lhs = pairing(AdaptedProcess(sp, 0, al * X.values + be * Y.values), a, 0).values
         rhs = al * pairing(X, a, 0).values + be * pairing(Y, a, 0).values
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
 class TestMembership:
     def test_uniform_in_both(self, four_tree):
-        a = DensityProcess.uniform(four_tree, 0, 2)
+        a = uniform_density(four_tree, 0, 2)
         assert membership(a, "D", 0)[0]
         assert membership(a, "De", 0)[0]
 
@@ -374,7 +361,7 @@ def position(sp):
 
 def dual(sp):
     """A coherent one-scenario utility on window (0, 2)."""
-    return DualFiniteUtility(sp, 0, 2, [(DensityProcess.uniform(sp, 0, 2), ConditionalValue.constant(sp, 0, 0.0))])
+    return DualFiniteUtility(sp, 0, 2, [(uniform_density(sp, 0, 2), ConditionalValue.constant(sp, 0, 0.0))])
 
 
 UTILITIES = {
@@ -389,7 +376,7 @@ MISFIT_CALLS = {
     "pairing": ("density", lambda sp, a: pairing(position(sp), a, 0, 2)),
     "max_correlation": ("density", lambda sp, a: max_correlation(a, position(sp), 0, 2)),
     "lap_upper_bound": ("density", lambda sp, a: lap_upper_bound(a, position(sp), 0, 2)),
-    "is_comonotone": (None, lambda sp, X: is_comonotone(DensityProcess.uniform(sp, 0, 2), [position(sp), X])),
+    "is_comonotone": (None, lambda sp, X: is_comonotone(uniform_density(sp, 0, 2), [position(sp), X])),
     **{f"evaluate[{k}]": ("position", lambda sp, X, k=k: UTILITIES[k](sp).evaluate(X)) for k in UTILITIES},
     **{f"insurance[{k}]": ("position", lambda sp, X, k=k: UTILITIES[k](sp).insurance(X)) for k in UTILITIES},
     "DualFiniteUtility": ("density", lambda sp, a: DualFiniteUtility(sp, 0, 2, [(a, ConditionalValue.constant(sp, 0, 0.0))])),
@@ -402,12 +389,12 @@ MISFIT_CALLS = {
     "worst_scenario": ("density", lambda sp, a: worst_scenario([a], Portfolio([position(sp)]), dual(sp))),
     "worst_scenario[marginals]": (
         "position",
-        lambda sp, X: worst_scenario([DensityProcess.uniform(sp, 0, 2)], Portfolio([X]), dual(sp)),
+        lambda sp, X: worst_scenario([uniform_density(sp, 0, 2)], Portfolio([X]), dual(sp)),
     ),
     "average_risk": ("density", lambda sp, a: average_risk(a, Portfolio([position(sp)]), dual(sp))),
     "average_risk[marginals]": (
         "position",
-        lambda sp, X: average_risk(DensityProcess.uniform(sp, 0, 2), Portfolio([X]), dual(sp)),
+        lambda sp, X: average_risk(uniform_density(sp, 0, 2), Portfolio([X]), dual(sp)),
     ),
     "worst_portfolio_bruteforce": ("position", lambda sp, X: worst_portfolio_bruteforce(Portfolio([X]), dual(sp))),
     "verify_linear_driven_portfolio": ("density", lambda sp, a: verify_linear_driven_portfolio(Portfolio([position(sp)]), a)),
@@ -451,7 +438,7 @@ REFUSALS = {
     "terminal-mean": (lambda sp: TerminalDensity(sp, [2.0] * 4), "terminal density has expectation 2.0, not 1"),
     "mean-of-nothing": (lambda sp: mean_portfolio([]), "empty portfolio"),
     "concatenate-off-the-stopping-time": (
-        lambda sp: concatenate(*[DensityProcess.uniform(sp, 0, 2)] * 2, StoppingTime.constant(sp, 1), [True, False, False, False]),
+        lambda sp: concatenate(*[uniform_density(sp, 0, 2)] * 2, StoppingTime.constant(sp, 1), [True, False, False, False]),
         "event not measurable at the stopping time",
     ),
     "paste-off-the-time": (
@@ -460,7 +447,7 @@ REFUSALS = {
     ),
     "stability-of-nothing": (lambda sp: stability_check([], "m1"), "empty set"),
     "stability-of-the-wrong-kind": (
-        lambda sp: stability_check([DensityProcess.uniform(sp, 0, 2)], "m1"),
+        lambda sp: stability_check([uniform_density(sp, 0, 2)], "m1"),
         "m1 stability applies to terminal densities",
     ),
     "closure-of-nothing": (lambda sp: m1_closure([]), "empty set"),
@@ -477,5 +464,5 @@ def test_refusal_names_what_is_wrong(entry):
 def test_reprs_show_the_window_and_the_values():
     sp = dyadic_uniform(1)
     assert repr(AdaptedProcess(sp, 0, [[1, 1], [2, 3]])) == "AdaptedProcess([0,1], [[1. 1.]\n [2. 3.]])"
-    assert repr(DensityProcess.uniform(sp, 1, 1)) == "DensityProcess([1,1], [[1. 1.]])"
+    assert repr(uniform_density(sp, 1, 1)) == "DensityProcess([1,1], [[1. 1.]])"
     assert repr(TerminalDensity(sp, [1.5, 0.5])) == "TerminalDensity([1.5 0.5])"

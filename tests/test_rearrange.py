@@ -26,6 +26,7 @@ from dynrisk import (
 )
 from dynrisk.random_gen import random_adapted, random_coherent_utility, random_density, random_space
 from dynrisk.rearrange import PATH_TOL
+from conftest import uniform_density
 
 
 def members_as_set(cls):
@@ -469,7 +470,7 @@ def three_levels():
 
 # refusals at the trust boundary: (a call, the exception, the message it raises)
 REFUSALS = {
-    "comonotone-of-nothing": (lambda: is_comonotone(DensityProcess.uniform(dyadic_uniform(1), 0, 1), []), ValueError, "empty family"),
+    "comonotone-of-nothing": (lambda: is_comonotone(uniform_density(dyadic_uniform(1), 0, 1), []), ValueError, "empty family"),
     "oracle-beyond-its-permutations": (
         lambda: enumerate_class_bruteforce(AdaptedProcess.constant(three_levels(), 0, 1, 0.0)),
         CapExceededError,

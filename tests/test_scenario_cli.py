@@ -294,6 +294,35 @@ class TestCLI:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+            (b"[" * 100_000 + b"]" * 100_000, "{path}: parse error: "),
+        ],
+        ids=["not-utf-8", "nested-100000-deep"],
+    )
+    def test_unparsable_file_is_input_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("input error: " + message.format(path=path))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("a\0b", "tasks[0]: name must be a file name, got 'a\\x00b'"),
+            ("x" * 300, f"cannot write the report of task {'x' * 300!r}: "),
+        ],
+        ids=["nul", "too-long"],
+    )
+    def test_task_name_the_file_system_refuses_is_input_error(self, tmp_path, capsys, name, message):
+        doc = base_doc()
+        doc["tasks"] = [{"task": "check-space", "name": name}]
+        code, reports = self.run_cli(tmp_path, doc)
+        assert code == 2 and reports == {}
+        assert capsys.readouterr().err.startswith("input error: " + message)
+
     def assert_input_error(self, tmp_path, capsys, task, message):
         doc = base_doc()
         doc["tasks"] = [task]

@@ -1,19 +1,21 @@
 """The repository's own tooling, run in-process: the benchmark's span tracer,
 the demos' expected outputs, the oldest supported Python's grammar and the
-program's use of every public name and method; and, in a fresh interpreter, what
-importing dynrisk loads."""
+program's calls, when it runs, of every public name, method and operator; and,
+in a fresh interpreter, what importing dynrisk loads."""
 
 import ast
 import contextlib
 import importlib
 import inspect
 import io
+import json
 import os
 import pkgutil
 import re
 import runpy
 import subprocess
 import sys
+import tempfile
 import textwrap
 from functools import cache, cached_property
 from pathlib import Path
@@ -22,7 +24,9 @@ import numpy as np
 import pytest
 
 import dynrisk as dr
+from dynrisk import cli
 from dynrisk.random_gen import random_adapted, random_coherent_utility, random_density, random_terminal_density
+from conftest import uniform_density
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -42,7 +46,7 @@ def small_calls() -> None:
     port = dr.Portfolio([random_adapted(sp, 0, 2, g) for _ in range(2)])
     dr.worst_portfolio_bruteforce(port, dr.EntropicUtility(sp, 1.0, 0), workers=1)
     dr.stability_check([random_terminal_density(sp, g) for _ in range(2)], "m1")
-    dr.stability_check([dr.DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, g, strict=True)], "concatenation")
+    dr.stability_check([uniform_density(sp, 0, 2), random_density(sp, 0, 2, g, strict=True)], "concatenation")
     dr.penalty(random_coherent_utility(sp, 0, 2, g, n_scenarios=2), random_density(sp, 0, 2, g))
     dr.penalty_vertices(random_coherent_utility(sp, 0, 1, g, n_scenarios=2), random_density(sp, 0, 1, g))
 
@@ -98,7 +102,8 @@ def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-# oracles and claim checks that stay public though only the tests call them
+# oracles and claim checks that stay public though only the tests call them,
+# and the verdict property of one of them
 TEST_ONLY = {
     "enumerate_class_bruteforce",
     "penalty_consistency_check",
@@ -106,60 +111,108 @@ TEST_ONLY = {
     "build_linear_driven_portfolio",
     "verify_linear_driven_portfolio",
     "check_law_invariance",
+    "LinearDrivenReport.passed",
+}
+OPERATORS = {
+    "__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__lt__",
+    "__le__", "__gt__", "__ge__", "__bool__", "__len__", "__iter__", "__getitem__", "__contains__",
+}
+# a misspelt task field: an input error, exit 2
+MALFORMED = {
+    "space": {"probs": [0.5, 0.5], "partitions": [[[0, 1]], [[0], [1]]]},
+    "tasks": [{"task": "check-space", "name": "space", "expcet": True}],
 }
 
 
+def code_of(member):
+    """The code object of a function, property, cached property, classmethod
+    or staticmethod; None for any other class attribute."""
+    if isinstance(member, property):
+        member = member.fget
+    elif isinstance(member, cached_property):
+        member = member.func
+    elif isinstance(member, (classmethod, staticmethod)):
+        member = member.__func__
+    return member.__code__ if inspect.isfunction(member) else None
+
+
 @cache
-def program_names():
-    """The names that code in ``src/``, ``bench/`` and ``demos/``, bar the
-    package's ``__init__.py``, reads or imports, and the attributes it reads,
-    from the AST: a name in a docstring or comment is not a use."""
-    package = ROOT / "src" / "dynrisk" / "__init__.py"
-    names, attributes = set(), set()
-    for p in (p for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py") if p != package):
-        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-    return names, attributes
+def program_scope():
+    """Name -> code object of every function in ``dynrisk.__all__`` and every
+    public method, property, classmethod and staticmethod of a public class,
+    with its arithmetic and comparison operators, whose code is in ``src/dynrisk/``."""
+    scope = {n: code_of(getattr(dr, n)) for n in dr.__all__}
+    modules = [importlib.import_module(f"dynrisk.{m.name}") for m in pkgutil.iter_modules(dr.__path__)]
+    classes = [c for m in modules for n, c in vars(m).items() if inspect.isclass(c) and c.__module__ == m.__name__ and not n.startswith("_")]
+    for cls in classes:
+        for base in cls.__mro__:
+            if base.__module__.startswith("dynrisk."):
+                for name, member in vars(base).items():
+                    if not name.startswith("_") or name in OPERATORS:
+                        scope[f"{base.__name__}.{name}"] = code_of(member)
+    package = Path(dr.__file__).resolve().parent
+    return {n: c for n, c in scope.items() if c is not None and Path(c.co_filename).resolve().parent == package}
 
 
-def used_outside_the_tests(name):
-    """Whether ``src/``, ``bench/`` or ``demos/`` code uses ``name``."""
-    names, attributes = program_names()
-    return name in names or name in attributes
+@cache
+def traffic():
+    """The code objects that the program calls when it runs: every demo,
+    ``dynrisk run`` on the bundled scenario and on a malformed one, and one
+    pass of each bench workload, recorded on call events of ``sys.setprofile``."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for demo in DEMOS:
+                runpy.run_path(str(demo), run_name="__main__")
+            codes = [cli.main(["run", str(ROOT / "demos" / "full_verification.json"), "--out", out])]
+            bad = Path(out) / "malformed.json"
+            bad.write_text(json.dumps(MALFORMED))
+            codes.append(cli.main(["run", str(bad), "--out", out]))
+            verdicts = []
+            for build in workloads.BUILDERS.values():
+                earlier = {}
+                for instance in build(0):
+                    earlier[instance.name] = instance.run()
+                    verdicts.append(instance.check(earlier[instance.name], earlier).ok)
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0, 2] and all(verdicts)
+    return frozenset(called)
+
+
+def uncalled(members):
+    """The entries of ``program_scope``, class members or functions, that the
+    traffic does not call, bar ``TEST_ONLY``."""
+    called = traffic()
+    return sorted(n for n, code in program_scope().items() if ("." in n) == members and code not in called and n not in TEST_ONLY)
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    # a public function that nothing but a test calls is code the program never runs
-    unused = [n for n in dr.__all__ if not inspect.ismodule(getattr(dr, n)) and n not in TEST_ONLY and not used_outside_the_tests(n)]
-    assert unused == []
+    # a public function that only a test calls is code the program never runs
+    assert uncalled(members=False) == []
 
 
 def test_every_public_method_is_used_outside_the_tests():
-    # a method, property or classmethod that only a test reads is code the program never runs
-    _, attributes = program_names()
-    modules = [importlib.import_module(f"dynrisk.{m.name}") for m in pkgutil.iter_modules(dr.__path__)]
-    classes = [c for m in modules for n, c in vars(m).items() if inspect.isclass(c) and c.__module__ == m.__name__ and not n.startswith("_")]
-    unused = {
-        f"{base.__name__}.{name}"
-        for cls in classes
-        for base in cls.__mro__
-        if base.__module__.startswith("dynrisk.")
-        for name, member in vars(base).items()
-        if not name.startswith("_")
-        and (inspect.isfunction(member) or isinstance(member, (property, cached_property, classmethod, staticmethod)))
-        and name not in attributes
-    }
-    assert sorted(unused) == []
+    # a method, property, classmethod or operator that only a test calls is code the program never runs
+    assert uncalled(members=True) == []
 
 
 @pytest.mark.parametrize("name", sorted(TEST_ONLY))
 def test_kept_oracle_is_public_and_used_only_by_the_tests(name):
-    # the allow-list names no deleted function, and none that the program came to call
-    assert name in dr.__all__
-    assert not used_outside_the_tests(name)
-    assert any(re.search(rf"\b{name}\b", p.read_text()) for p in (ROOT / "tests").glob("test_*.py"))
+    # the allow-list names nothing deleted, and nothing that the program came to call
+    scope = program_scope()
+    assert name in scope and scope[name] not in traffic()
+    word = name.rpartition(".")[2]
+    assert any(re.search(rf"\b{word}\b", p.read_text()) for p in (ROOT / "tests").glob("test_*.py"))

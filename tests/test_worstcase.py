@@ -2,7 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from dynrisk import (
     AdaptedProcess,
@@ -26,7 +25,6 @@ from dynrisk import (
     matrix_compare,
     matrix_sup,
     normalized_scenario_process,
-    pairing,
     verify_linear_driven_portfolio,
     verify_preservation,
     verify_theorem_3_1,
@@ -38,9 +36,9 @@ from dynrisk.random_gen import (
     random_adapted,
     random_coherent_utility,
     random_density,
-    random_space,
 )
 from dynrisk import processes, rearrange, utility, worstcase
+from conftest import uniform_density
 
 
 def zero_gamma(space, t):
@@ -655,7 +653,7 @@ def non_coherent_process(sp):
     """Stages with a second scenario penalised by 0.5: concave, not coherent."""
     g = np.random.default_rng(81)
     scenarios = lambda t: [
-        (DensityProcess.uniform(sp, t, 2), zero_gamma(sp, t)),
+        (uniform_density(sp, t, 2), zero_gamma(sp, t)),
         (random_density(sp, t, 2, g, strict=True), ConditionalValue.constant(sp, t, -0.5)),
     ]
     return UtilityProcess({t: DualFiniteUtility(sp, t, 2, scenarios(t)) for t in range(3)})
@@ -671,7 +669,7 @@ def unstable_base_process(sp):
     """The scenario process's later stages after a stage 0 whose two
     densities, the base set, are not concatenation-stable."""
     up = scenario_process(sp)
-    base = [DensityProcess.uniform(sp, 0, 2), random_density(sp, 0, 2, np.random.default_rng(82), strict=True)]
+    base = [uniform_density(sp, 0, 2), random_density(sp, 0, 2, np.random.default_rng(82), strict=True)]
     return UtilityProcess({0: DualFiniteUtility(sp, 0, 2, [(b, zero_gamma(sp, 0)) for b in base]), 1: up.stage(1), 2: up.stage(2)})
 
 
@@ -715,11 +713,11 @@ REFUSALS = {
         "matrix shape (2, 2) does not match window length 3",
     ),
     "driving-matrix-shape": (
-        lambda sp: build_linear_driven_portfolio(DensityProcess.uniform(sp, 0, 2), [np.eye(2)], [np.zeros(3)], np.ones(4, dtype=bool)),
+        lambda sp: build_linear_driven_portfolio(uniform_density(sp, 0, 2), [np.eye(2)], [np.zeros(3)], np.ones(4, dtype=bool)),
         "matrix 0 must be 3x3",
     ),
     "driving-shift-shape": (
-        lambda sp: build_linear_driven_portfolio(DensityProcess.uniform(sp, 0, 2), [np.eye(3)], [np.zeros(2)], np.ones(4, dtype=bool)),
+        lambda sp: build_linear_driven_portfolio(uniform_density(sp, 0, 2), [np.eye(3)], [np.zeros(2)], np.ones(4, dtype=bool)),
         "shift 0 must have one entry per window time",
     ),
     "process-without-stages": (lambda sp: AdaptedWorstProcess({}), "no stages"),
