@@ -132,6 +132,9 @@ class AdaptedProcess(_Windowed):
     """Bounded adapted process on a time window: values[k, w] = X_{t_start+k}(w)."""
 
     _noun = "position"
+    # (member stack, level_restricted): the rearrangement class, kept by
+    # ``rearrange.enumerate_class`` after its first successful search
+    _arrangements: tuple[np.ndarray, bool] | None = None
 
     @classmethod
     def constant(cls, space: FiniteFilteredSpace, t_start: int, t_end: int, c: float) -> "AdaptedProcess":

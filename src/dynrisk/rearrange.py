@@ -10,7 +10,12 @@ builds once per window and caches (``FiniteFilteredSpace.arrangement_layout``:
 the probability levels and each outcome's atom links).  A process whose
 every level holds one distinct path has a class of one member, returned
 without search; otherwise the search records pool indices and the stack is
-one gather.
+one gather.  Each process is searched once: the first successful call keeps
+the stack and the level flag on the process (``_arrangements``), and every
+later call, from any harness, wraps them in a class of its own.  A class over
+the caller's cap raises the search's ``CapExceededError``, and a call that
+raises keeps nothing.  A process holds its class's size * L * M floats for
+as long as it lives; the caps bound them as they bound the search.
 
 A class keeps its members' values as one ``(size, L, M)`` stack, and each
 member is a read-only view into it, built without revalidation because the
@@ -35,6 +40,7 @@ from .processes import AdaptedProcess, DensityProcess, _pairings, pairing
 from .space import CapExceededError, ConditionalValue, DEFAULT_TOL, _atom_cuts, _probability_levels
 
 PATH_TOL = 1e-12
+_OVER_CAP = "rearrangement class exceeds cap {}"
 _EMPTY_CLASS = "empty rearrangement class: every arrangement of the paths kept by merging within PATH_TOL spreads on an atom"
 
 
@@ -91,7 +97,29 @@ def _stacked_class(X_hat: AdaptedProcess, rows: np.ndarray | list, restricted: b
 
 def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementClass:
     """All adapted arrangements of the path multiset, permuting within
-    probability levels.
+    probability levels, searched once per process.
+
+    The first call that succeeds runs ``_search`` and keeps its read-only
+    member stack and level flag on X_hat (``AdaptedProcess._arrangements``);
+    later calls read them back.  Every call returns its own class, with its
+    own ``members`` list of views into the one stack.  A kept class of more
+    than ``cap`` members raises the search's ``CapExceededError``.  A call
+    that raises keeps nothing, so a later call with a larger cap searches
+    again.  X_hat holds the size * L * M floats for as long as it lives; the
+    cap that admitted them bounds them as it bounds the search.
+    """
+    if X_hat._arrangements is None:
+        cls = _search(X_hat, cap)
+        X_hat._arrangements = (cls.values, cls.level_restricted)
+        return cls
+    values, restricted = X_hat._arrangements
+    if len(values) > cap:
+        raise CapExceededError(_OVER_CAP.format(cap))
+    return _stacked_class(X_hat, values, restricted)
+
+
+def _search(X_hat: AdaptedProcess, cap: int) -> RearrangementClass:
+    """The backtracking search behind ``enumerate_class``.
 
     Backtracking assigns paths outcome by outcome and prunes any prefix that
     breaks measurability, so the cost tracks the class size rather than the
@@ -153,7 +181,7 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
         if not all(fits(w, path) for w, path in enumerate(member)):
             raise ValueError(_EMPTY_CLASS)
         if cap < 1:
-            raise CapExceededError(f"rearrangement class exceeds cap {cap}")
+            raise CapExceededError(_OVER_CAP.format(cap))
         return _stacked_class(X_hat, [list(zip(*member))], len(levels) > 1)
 
     row = array("q", bytes(8 * M))  # the pool index placed on each outcome
@@ -166,7 +194,7 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
                 row[w] = r
                 if w == M - 1:
                     if len(found) >= limit:
-                        raise CapExceededError(f"rearrangement class exceeds cap {cap}")
+                        raise CapExceededError(_OVER_CAP.format(cap))
                     found.extend(row)
                 else:
                     counts[r] -= 1
@@ -206,7 +234,7 @@ def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> Rea
             continue
         seen.append(vals.copy())
         if len(seen) > cap:
-            raise CapExceededError(f"rearrangement class exceeds cap {cap}")
+            raise CapExceededError(_OVER_CAP.format(cap))
     return _stacked_class(X_hat, seen, len(levels) > 1)
 
 

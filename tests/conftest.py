@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynrisk import DensityProcess, FiniteFilteredSpace, dyadic_uniform
+from dynrisk import AdaptedProcess, DensityProcess, FiniteFilteredSpace, dyadic_uniform
 
 
 @pytest.fixture
@@ -28,3 +28,9 @@ def uniform_density(space, t_start, t_end):
     """Increments 1/L at each of the window's L times: a density in every class."""
     L = t_end - t_start + 1
     return DensityProcess(space, t_start, np.full((L, space.n_outcomes), 1.0 / L))
+
+
+def fresh(X):
+    """X as a new process object: ``enumerate_class`` searches its class
+    again instead of reading the class kept on X."""
+    return AdaptedProcess(X.space, X.t_start, X.values.copy())

@@ -99,7 +99,7 @@ from dynrisk.rearrange import _attains, _class_pairings
 from dynrisk.space import enumerate_stopping_events
 from dynrisk.utility import _check_relevance, _penalties
 from dynrisk.worstcase import Thm31Report, apply_matrix
-from conftest import uniform_density
+from conftest import fresh, uniform_density
 from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
 from test_space import grow_reference
 
@@ -1021,7 +1021,8 @@ def test_class_reusing_duality_harness_matches_per_call_oracle():
             continue
         u = random_coherent_utility(sp, t0, t1, g, n_scenarios=int(g.integers(1, 4)))
         rep = verify_theorem_3_1(Portfolio(members), u, tol=1e-9)
-        residual, sup, scen, combo, attain = oracle_thm31(Portfolio(members), u, 1_000_000, 1e-9)
+        # fresh copies of the members, so the oracle searches every class again
+        residual, sup, scen, combo, attain = oracle_thm31(Portfolio([fresh(X) for X in members]), u, 1_000_000, 1e-9)
         label = f"seed {seed}"
         assert bits(rep.equality_residual) == bits(residual), label
         assert rep.equality_holds == (residual <= 1e-9), label
@@ -1123,7 +1124,7 @@ def test_shared_pairing_table_matches_reference_duality_route(family):
         marg, u = inst
         label = f"{family} {k}"
         got = verify_theorem_3_1(marg, u, cap=400_000, tol=1e-9)
-        want = _verify_theorem_3_1_reference(marg, u, cap=400_000, tol=1e-9)
+        want = _verify_theorem_3_1_reference(Portfolio([fresh(X) for X in marg.members]), u, cap=400_000, tol=1e-9)
         checked += 1
         assert bits(got.equality_residual) == bits(want.equality_residual), label
         assert got.equality_holds == want.equality_holds, label
@@ -1173,7 +1174,8 @@ def test_worst_scenario_matches_per_candidate_average_risk_bitwise():
         outside = [random_density(sp, 0, t1, g) for _ in range(int(g.integers(0, 3)))]
         candidates = [a for a, _ in u.scenarios] + outside
         marg = Portfolio(members)
-        table = np.stack([average_risk(c, marg, u).values for c in candidates])
+        copies = Portfolio([fresh(X) for X in members])  # classes searched apart from the harness's
+        table = np.stack([average_risk(c, copies, u).values for c in candidates])
         best = table.max(axis=0)
         floor = best - 1e-12 * np.maximum(1.0, np.abs(best))
         single = any(bool(np.all(row >= floor)) for row in table)
@@ -1533,7 +1535,7 @@ def test_stacked_law_invariance_matches_per_member_oracle():
         X = random_adapted(sp, 0, sp.horizon, g)
         base = u.evaluate(X)
         want = all(u.evaluate(m).max_residual(base) <= 1e-9 for m in enumerate_class(X).members)
-        assert check_law_invariance(u, X, tol=1e-9) == want, f"seed {seed}"
+        assert check_law_invariance(u, fresh(X), tol=1e-9) == want, f"seed {seed}"
         seen.add(want)
     assert seen == {True, False}, "needs invariant and non-invariant cases"
 

@@ -8,8 +8,10 @@ from dynrisk import (
     AdaptedProcess,
     CapExceededError,
     DensityProcess,
+    EntropicUtility,
     FiniteFilteredSpace,
     Portfolio,
+    RobustEntropicUtility,
     average_risk,
     check_law_invariance,
     dyadic_uniform,
@@ -24,9 +26,16 @@ from dynrisk import (
     worst_portfolio_bruteforce,
     worst_scenario,
 )
-from dynrisk.random_gen import random_adapted, random_coherent_utility, random_density, random_space
+from dynrisk import rearrange
+from dynrisk.random_gen import (
+    random_adapted,
+    random_coherent_utility,
+    random_density,
+    random_space,
+    random_terminal_density,
+)
 from dynrisk.rearrange import PATH_TOL
-from conftest import uniform_density
+from conftest import fresh, uniform_density
 
 
 def members_as_set(cls):
@@ -96,6 +105,30 @@ class TestEnumerateClass:
         assert enumerate_class(one, cap=1).size == 1
         with pytest.raises(CapExceededError):
             enumerate_class(one, cap=0)
+
+    def test_a_refused_call_keeps_no_class(self):
+        # over the cap, or an empty class: nothing is kept on the process,
+        # and a later call with a larger cap searches and succeeds
+        X = spread_case()
+        with pytest.raises(CapExceededError, match="exceeds cap 431"):
+            enumerate_class(X, cap=431)
+        assert X._arrangements is None
+        assert enumerate_class(X, cap=432).values.tobytes() == enumerate_class(fresh(X)).values.tobytes()
+        assert X._arrangements is not None
+        E = empty_class_case()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="PATH_TOL"):
+                enumerate_class(E)
+        assert E._arrangements is None
+
+    def test_every_call_has_its_own_members_list(self):
+        X = spread_case()
+        first = enumerate_class(X)
+        first.members.append(first.members[0])
+        second = enumerate_class(X)
+        assert len(first.members) == 433 and second.size == len(second.members) == 432
+        assert second.values.tobytes() == first.values.tobytes()
+        assert not second.values.flags.writeable and not second.members[0].values.flags.writeable
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
@@ -188,26 +221,31 @@ def _enumerate_class_reference(X_hat, cap=100_000):
     return np.array(found, dtype=float).reshape((len(found),) + X_hat.values.shape), len(levels) > 1
 
 
-def raises_cap(enumerate_, X, cap):
+def cap_refusal(enumerate_, X, cap):
+    """The text of the ``CapExceededError`` that ``enumerate_(X, cap)`` raises, or None."""
     try:
         enumerate_(X, cap)
-    except CapExceededError:
-        return True
-    return False
+    except CapExceededError as e:
+        return str(e)
+    return None
 
 
 def assert_same_class(X, label):
-    """Stack bits, member order, level flag, and the cap at which each raises."""
+    """Stack bits, member order, level flag, and the cap at which each raises
+    with which text: on the first call, on a second call, which reads the
+    class kept on X, and on a fresh search of a copy of X."""
     want, restricted = _enumerate_class_reference(X)
-    got = enumerate_class(X)
-    assert got.values.shape == want.shape, label
-    assert got.values.tobytes() == want.tobytes(), label
-    assert got.level_restricted == restricted, label
-    assert got.size == len(got.members) == len(want), label
-    for i, m in enumerate(got.members):
-        assert m.values.tobytes() == want[i].tobytes() and m.window == X.window, label
+    for got in (enumerate_class(X), enumerate_class(X), enumerate_class(fresh(X))):
+        assert got.values.shape == want.shape, label
+        assert got.values.tobytes() == want.tobytes(), label
+        assert got.level_restricted == restricted, label
+        assert got.size == len(got.members) == len(want), label
+        for i, m in enumerate(got.members):
+            assert m.values.tobytes() == want[i].tobytes() and m.window == X.window, label
     for cap in {0, len(want) - 1, len(want)} - {-1}:
-        assert raises_cap(enumerate_class, X, cap) == raises_cap(_enumerate_class_reference, X, cap), (label, cap)
+        refusal = cap_refusal(_enumerate_class_reference, X, cap)
+        assert cap_refusal(enumerate_class, X, cap) == refusal, (label, cap)
+        assert cap_refusal(enumerate_class, fresh(X), cap) == refusal, (label, cap)
     return len(want)
 
 
@@ -468,9 +506,53 @@ def three_levels():
     return FiniteFilteredSpace([k / 36 for k in (1, 2, 3) for _ in range(6)], [[list(range(18))], [[w] for w in range(18)]])
 
 
+def enumerated(X):
+    """X, with its class searched and kept."""
+    enumerate_class(X)
+    return X
+
+
+def test_scans_under_three_utilities_search_each_marginal_once(monkeypatch):
+    """The scan workload's shape: one portfolio of three marginals scanned
+    under a dual, an entropic and a robust entropic utility, each twice.
+    Each marginal's class is searched once, and every scan reports the bits
+    of a scan of fresh copies, whose classes are searched again."""
+    sp = FiniteFilteredSpace(np.full(6, 1 / 6), [[range(6)], [[0, 1, 2], [3, 4, 5]], [[w] for w in range(6)]])
+    g = np.random.default_rng(29)
+    port = Portfolio([random_adapted(sp, 0, 2, g) for _ in range(3)])
+    utilities = (
+        random_coherent_utility(sp, 0, 2, g, n_scenarios=3),
+        EntropicUtility(sp, 1.0, 0),
+        RobustEntropicUtility(sp, 1.0, [random_terminal_density(sp, g) for _ in range(3)], 0),
+    )
+    searched = []
+    search = rearrange._search
+
+    def counted(X, cap):
+        searched.append(X)
+        return search(X, cap)
+
+    monkeypatch.setattr(rearrange, "_search", counted)
+    scans = [worst_portfolio_bruteforce(port, u) for u in utilities for _ in range(2)]
+    assert [id(X) for X in searched] == [id(X) for X in port.members]
+    assert min(c.size for c in scans[0].classes) > 1
+    copies = Portfolio([fresh(X) for X in port.members])
+    for u, got in zip(utilities, scans[::2]):
+        want = worst_portfolio_bruteforce(copies, u)
+        assert got.sup_value.values.tobytes() == want.sup_value.values.tobytes()
+        assert (got.per_atom_argmax, got.attained_uniformly) == (want.per_atom_argmax, want.attained_uniformly)
+    assert len(searched) == 6
+
+
 # refusals at the trust boundary: (a call, the exception, the message it raises)
 REFUSALS = {
     "comonotone-of-nothing": (lambda: is_comonotone(uniform_density(dyadic_uniform(1), 0, 1), []), ValueError, "empty family"),
+    # the kept class refuses with the text of a fresh search (TestEnumerateClass.test_cap_boundary)
+    "kept-class-beyond-a-smaller-cap": (
+        lambda: enumerate_class(enumerated(spread_case()), cap=431),
+        CapExceededError,
+        "rearrangement class exceeds cap 431",
+    ),
     "oracle-beyond-its-permutations": (
         lambda: enumerate_class_bruteforce(AdaptedProcess.constant(three_levels(), 0, 1, 0.0)),
         CapExceededError,

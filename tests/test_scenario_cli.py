@@ -13,7 +13,6 @@ from dynrisk import (
     DualFiniteUtility,
     ScenarioError,
     check_adapted_worst_process,
-    load_scenario,
     verify_preservation,
     verify_theorem_3_1,
 )
@@ -832,6 +831,25 @@ class TestCLI:
         code, reports = self.run_cli(tmp_path, doc)
         assert code == 0
         assert b"SKIP" in reports["pres.tsv"]
+
+
+def test_each_task_alone_writes_its_full_run_report(tmp_path):
+    """The tasks of one run share the scenario's processes, and with them the
+    rearrangement classes kept on those processes.  Each task of the bundled
+    scenario, run alone from a one-task copy of the document, writes the
+    bytes it writes in the full run."""
+    base = json.loads(BUNDLED.read_text())
+    full = tmp_path / "full"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(BUNDLED), "--out", str(full)]) == 0
+    path = tmp_path / "one.json"
+    for task in base["tasks"]:
+        name, out = task["name"], tmp_path / "alone"
+        path.write_text(json.dumps(dict(base, tasks=[task])))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", str(path), "--out", str(out)]) == 0, name
+        assert (out / f"{name}.tsv").read_bytes() == (full / f"{name}.tsv").read_bytes(), name
+    assert len(base["tasks"]) == 17
 
 
 def _mutations():

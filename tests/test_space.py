@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynrisk import (
-    AdaptedProcess,
     CapExceededError,
     ConditionalValue,
     DensityProcess,

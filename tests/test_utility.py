@@ -9,7 +9,6 @@ from dynrisk import (
     DensityProcess,
     DualFiniteUtility,
     EntropicUtility,
-    FiniteFilteredSpace,
     RobustEntropicUtility,
     StoppingTime,
     TerminalDensity,

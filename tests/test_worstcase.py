@@ -38,7 +38,7 @@ from dynrisk.random_gen import (
     random_density,
 )
 from dynrisk import processes, rearrange, utility, worstcase
-from conftest import uniform_density
+from conftest import fresh, uniform_density
 
 
 def zero_gamma(space, t):
@@ -228,8 +228,9 @@ class TestTheorem31:
         marg = Portfolio([random_adapted(four_tree, 0, 2, np.random.default_rng(50))])
         rep = verify_theorem_3_1(marg, coherent_pair(four_tree, 21))
         assert rep.comonotone_found and len(enumerated) == 1 and certified
-        for args, cert in certified:
-            old = is_comonotone(*args)  # enumerates the member's class again
+        for (a0, family, tol, cap), cert in certified:
+            # fresh copies of the members, so their classes are searched again
+            old = is_comonotone(a0, [fresh(X) for X in family], tol, cap)
             assert cert.comonotone == old.comonotone and cert.details == old.details
             assert cert.sum_residuals.tobytes() == old.sum_residuals.tobytes()
             assert [r.tobytes() for r in cert.member_residuals] == [r.tobytes() for r in old.member_residuals]
