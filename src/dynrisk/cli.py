@@ -103,7 +103,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
             return run, PASS
         a, klass = f.ref("density", "density"), f.get("class", "D")
         with f.building():  # membership rejects an unknown class
-            ok, diag = membership(a, klass, a.t_start)
+            ok, diag = membership(a, klass)
         run.row("-", f"in-{klass}", ok, None, PASS if ok else FAIL)
         if not ok:
             run.row("-", "diagnostic", diag, None, FAIL)
@@ -156,7 +156,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         t, cap, tol = f.integer("t", X.t_start), f.integer("cap", 100_000), f.number("tol", DEFAULT_TOL, least=0)
         with f.building():  # a time outside the position's window, or windows that do not fit
             mc = max_correlation(a, X, t, X.t_end, cap)
-            lap = lap_upper_bound(a, X, t, X.t_end)
+            lap = lap_upper_bound(a, X, t)
         statuses = [PASS if ok else FAIL for ok in lap.values >= mc.value.values - tol]
         _per_atom_rows(run, space, t, "psi_a", mc.value.values, lap.values, statuses)
         _per_atom_rows(run, space, t, "argmax-member", mc.argmax_index)

@@ -21,7 +21,9 @@ pairs that touch the last round's additions.  The scalar ``concatenate``
 and ``paste`` are the scan's oracle: they rebuild each reported missing
 element, each closure member and each splice that fails a check of the
 stack, and they are called at the first splice with a rejected operand, so
-that every exception is the one a splice-by-splice loop raises.
+that every exception is the one a splice-by-splice loop raises; the event
+enumerators' refusal comes from ``_Splices.events``.  ``random_adapted``
+draws the positions that the utility harnesses sample.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from .space import (
     _Splices,
     _times_to_check,
     cond_expect,
-    enumerate_events,
-    enumerate_stopping_events,
     is_stopping_event,
 )
 
@@ -166,6 +166,15 @@ class AdaptedProcess(_Windowed):
         return float(np.abs(self.values).max())
 
 
+def random_adapted(space: FiniteFilteredSpace, t_start: int, t_end: int, rng: np.random.Generator) -> AdaptedProcess:
+    """Standard normal values per atom and time: the harnesses' sampled positions."""
+    vals = np.empty((t_end - t_start + 1, space.n_outcomes))
+    for s in range(t_start, t_end + 1):
+        per_atom = rng.normal(0.0, 1.0, size=space.n_atoms(s))
+        vals[s - t_start] = per_atom[space.atom_index(s)]
+    return AdaptedProcess(space, t_start, vals)
+
+
 def mean_portfolio(members: Sequence[AdaptedProcess]) -> AdaptedProcess:
     """(1/n) sum of processes on a common window."""
     members = list(members)
@@ -270,20 +279,17 @@ def pairing(X: AdaptedProcess, a: DensityProcess, t: int, t_end: int | None = No
     return ConditionalValue(X.space, t, _pairings(X.space, X.values[X._span(t, t_end)], a.values[a._span(t, t_end, X.space)], t))
 
 
-def remaining_mass(a: DensityProcess, t: int, t_end: int | None = None) -> ConditionalValue:
-    """The pairing of the constant 1 against a: conditional mass on [t, t_end]."""
-    if t_end is None:
-        t_end = a.t_end
-    ones = AdaptedProcess.constant(a.space, t, t_end, 1.0)
-    return pairing(ones, a, t, t_end)
+def remaining_mass(a: DensityProcess, t: int) -> ConditionalValue:
+    """The pairing of the constant 1 against a: conditional mass on [t, a.t_end]."""
+    ones = AdaptedProcess.constant(a.space, t, a.t_end, 1.0)
+    return pairing(ones, a, t, a.t_end)
 
 
-def membership(a: DensityProcess, kind: str, t: int | None = None) -> tuple[bool, str | None]:
-    """Check class membership: 'A1plus', 'D', or 'De'; diagnostics name the first violation."""
+def membership(a: DensityProcess, kind: str) -> tuple[bool, str | None]:
+    """Check class membership on a's window: 'A1plus', 'D', or 'De'; diagnostics name the first violation."""
     if kind not in ("A1plus", "D", "De"):
         raise ValueError(f"unknown class {kind!r}")
-    if t is None:
-        t = a.t_start
+    t = a.t_start
     for k in range(a.length):
         s = a.t_start + k
         neg = np.where(a.values[k] < -1e-12)[0]
@@ -428,8 +434,9 @@ def _scan(items, kind: str, splices: _Splices, pairs: np.ndarray, cap: float, to
     splices, the stacked splices, whether they pass the public constructor's
     checks, and the positions that fail those checks or lie near no member
     of ``items``.  After the last block it raises where the scalar loop
-    raises: at a stopping time with too many events, past ``cap`` splices,
-    or at the first splice with an operand the public function rejects.
+    raises: at a stopping time with too many events (``splices.events``
+    raises the enumerators' refusal), past ``cap`` splices, or at the first
+    splice with an operand the public function rejects.
     """
     space, first = items[0].space, items[0]
     if kind == "m1":
@@ -474,11 +481,9 @@ def _scan(items, kind: str, splices: _Splices, pairs: np.ndarray, cap: float, to
         theta, masks = splices.points(r)
         cand, ok = build(i, j, theta, masks)
         yield lo, i, j, theta, masks, cand, ok, np.flatnonzero(~ok | ~_near_any(members, cand, tol))
-    if limit == end:  # the scalar loops' event enumeration raises at splices.over
-        if splices.over is not None and kind == "m1":
-            enumerate_events(space, int(splices.over[0]), cap=splices.cap)
-        elif splices.over is not None:
-            enumerate_stopping_events(space, StoppingTime._wrap(space, splices.over), cap=splices.cap)
+    if limit == end:  # where the scalar loops' event enumeration raises, with its message
+        if splices.over is not None:
+            splices.events(f"at t={splices.over[0]}" if kind == "m1" else "at the stopping time")
         return
     if limit == cap:
         raise CapExceededError(f"stability enumeration exceeded {cap} elements")
@@ -518,14 +523,14 @@ def stability_check(
     return StabilityReport(True, None, None, len(pairs) * splices.size, mode)
 
 
-def m1_closure(items: Sequence[TerminalDensity], cap: int = 10_000, tol: float = DEFAULT_TOL) -> list[TerminalDensity]:
+def m1_closure(items: Sequence[TerminalDensity], cap: int = 10_000) -> list[TerminalDensity]:
     """Smallest superset closed under pasting, by iterating to a fixpoint.
 
     Each round scans every pair that involves the last round's additions
     (every pair in the first round) at every time and event, with no splice
     cap, and adds a candidate when no member and no earlier addition lies
-    within tol.  Additions, and candidates failing a check of the stack, are
-    built by the public ``paste``.
+    within ``DEFAULT_TOL``.  Additions, and candidates failing a check of the
+    stack, are built by the public ``paste``.
     """
     closed = list(items)
     if not closed:
@@ -538,17 +543,17 @@ def m1_closure(items: Sequence[TerminalDensity], cap: int = 10_000, tol: float =
         n = len(closed)
         pairs = np.argwhere(np.maximum(*np.indices((n, n))) >= start)
         new: list[TerminalDensity] = []
-        for _, i, j, theta, masks, cand, ok, flagged in _scan(closed, "m1", splices, pairs, np.inf, tol):
-            fresh = flagged[~ok[flagged] | ~_near_any([x.h for x in new], cand[flagged], tol)]
+        for _, i, j, theta, masks, cand, ok, flagged in _scan(closed, "m1", splices, pairs, np.inf, DEFAULT_TOL):
+            fresh = flagged[~ok[flagged] | ~_near_any([x.h for x in new], cand[flagged], DEFAULT_TOL)]
             while fresh.size:
                 k, fresh = fresh[0], fresh[1:]
                 x = paste(closed[i[k]], closed[j[k]], int(theta[k, 0]), masks[k])
-                if not ok[k] and (_contains(closed, x, tol) or _contains(new, x, tol)):
+                if not ok[k] and (_contains(closed, x, DEFAULT_TOL) or _contains(new, x, DEFAULT_TOL)):
                     continue
                 new.append(x)
                 if n + len(new) > cap:
                     raise CapExceededError(f"pasting closure exceeded {cap} members")
-                fresh = fresh[~ok[fresh] | (np.abs(cand[fresh] - x.h).max(axis=1) > tol)]
+                fresh = fresh[~ok[fresh] | (np.abs(cand[fresh] - x.h).max(axis=1) > DEFAULT_TOL)]
         if not new:
             return closed
         closed.extend(new)

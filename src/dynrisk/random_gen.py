@@ -1,16 +1,19 @@
 """Seeded generators for spaces, processes, densities and utilities.
 
 Every function takes a numpy Generator so that instance streams are fully
-reproducible from a single integer seed.
+reproducible from a single integer seed.  ``dynrisk run`` never imports this
+module; the harnesses' own samplers, ``random_adapted`` and
+``random_conditional``, live in ``processes`` and ``space``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .processes import AdaptedProcess, DensityProcess, TerminalDensity
-from .space import ConditionalValue, FiniteFilteredSpace
-from .utility import DualFiniteUtility
+from .processes import AdaptedProcess, DensityProcess, TerminalDensity, random_adapted, remaining_mass
+from .space import ConditionalValue, FiniteFilteredSpace, random_conditional
+from .utility import DualFiniteUtility, entropic_process, normalized_scenario_process
+from .worstcase import AdaptedWorstProcess, Portfolio, build_preservation_hypotheses
 
 
 def random_space(
@@ -69,20 +72,6 @@ def random_distinct_space(
     return FiniteFilteredSpace(probs, [list(p) for p in sp.partitions])
 
 
-def random_adapted(space: FiniteFilteredSpace, t_start: int, t_end: int, rng: np.random.Generator) -> AdaptedProcess:
-    vals = np.empty((t_end - t_start + 1, space.n_outcomes))
-    for s in range(t_start, t_end + 1):
-        per_atom = rng.normal(0.0, 1.0, size=space.n_atoms(s))
-        vals[s - t_start] = per_atom[space.atom_index(s)]
-    return AdaptedProcess(space, t_start, vals)
-
-
-def random_conditional(
-    space: FiniteFilteredSpace, t: int, rng: np.random.Generator, low: float, high: float
-) -> ConditionalValue:
-    return ConditionalValue(space, t, rng.uniform(low, high, size=space.n_atoms(t)))
-
-
 def random_density(
     space: FiniteFilteredSpace,
     t_start: int,
@@ -102,9 +91,7 @@ def random_density(
     if strict:
         raw[-1] = np.maximum(raw[-1], 0.05)
     a = DensityProcess(space, t_start, raw)
-    from .processes import remaining_mass
-
-    mass = remaining_mass(a, t_start, t_end).lift()
+    mass = remaining_mass(a, t_start).lift()
     return DensityProcess(space, t_start, raw / mass[None, :])
 
 
@@ -124,25 +111,6 @@ def random_coherent_utility(
     return DualFiniteUtility(space, t_start, t_end, scen)
 
 
-def random_dual_utility(
-    space: FiniteFilteredSpace,
-    t_start: int,
-    t_end: int,
-    rng: np.random.Generator,
-    n_scenarios: int = 2,
-) -> DualFiniteUtility:
-    """Concave variant: first scenario penalty 0 keeps the normalization."""
-    scen = []
-    for i in range(n_scenarios):
-        a = random_density(space, t_start, t_end, rng)
-        if i == 0:
-            g = ConditionalValue.constant(space, t_start, 0.0)
-        else:
-            g = random_conditional(space, t_start, rng, -2.0, 0.0)
-        scen.append((a, g))
-    return DualFiniteUtility(space, t_start, t_end, scen)
-
-
 def preservation_instance(rng: np.random.Generator, variant: str):
     """Utility process, hypotheses and a certifiably valid candidate.
 
@@ -156,13 +124,6 @@ def preservation_instance(rng: np.random.Generator, variant: str):
     Returns (hyp, up, candidate); the harness reads every hypothesis from
     up's stages.
     """
-    from .utility import entropic_process, normalized_scenario_process
-    from .worstcase import (
-        AdaptedWorstProcess,
-        Portfolio,
-        build_preservation_hypotheses,
-    )
-
     nonconstant = bool(rng.random() < 0.5)
     while True:
         if nonconstant:

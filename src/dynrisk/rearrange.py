@@ -12,10 +12,10 @@ every level holds one distinct path has a class of one member, returned
 without search; otherwise the search records pool indices and the stack is
 one gather.  Each process is searched once: the first successful call keeps
 the stack and the level flag on the process (``_arrangements``), and every
-later call, from any harness, wraps them in a class of its own.  A class over
-the caller's cap raises the search's ``CapExceededError``, and a call that
-raises keeps nothing.  A process holds its class's size * L * M floats for
-as long as it lives; the caps bound them as they bound the search.
+call, that one too, from any harness, wraps them in a class of its own.  A
+class over the caller's cap raises the search's ``CapExceededError``, and a
+call that raises keeps nothing.  A process holds its class's size * L * M
+floats for as long as it lives; the caps bound them as they bound the search.
 
 A class keeps its members' values as one ``(size, L, M)`` stack, and each
 member is a read-only view into it, built without revalidation because the
@@ -29,6 +29,7 @@ same rows from the scan's dual features.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass, field
 from operator import sub
@@ -87,10 +88,15 @@ class RearrangementClass:
         return len(self.members)
 
 
-def _stacked_class(X_hat: AdaptedProcess, rows: np.ndarray | list, restricted: bool) -> RearrangementClass:
-    """A class whose members are read-only views into one stack of adapted arrangements."""
+def _stack(X_hat: AdaptedProcess, rows: np.ndarray | list) -> np.ndarray:
+    """Adapted arrangements of X_hat as one read-only (len(rows), L, M) stack."""
     values = np.asarray(rows, dtype=float).reshape((len(rows),) + X_hat.values.shape)
     values.flags.writeable = False
+    return values
+
+
+def _stacked_class(X_hat: AdaptedProcess, values: np.ndarray, restricted: bool) -> RearrangementClass:
+    """A class whose members are read-only views into the read-only stack ``values``."""
     members = [AdaptedProcess._wrap(X_hat.space, X_hat.t_start, v) for v in values]
     return RearrangementClass(X_hat, members, restricted, values)
 
@@ -100,26 +106,25 @@ def enumerate_class(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementC
     probability levels, searched once per process.
 
     The first call that succeeds runs ``_search`` and keeps its read-only
-    member stack and level flag on X_hat (``AdaptedProcess._arrangements``);
-    later calls read them back.  Every call returns its own class, with its
-    own ``members`` list of views into the one stack.  A kept class of more
-    than ``cap`` members raises the search's ``CapExceededError``.  A call
-    that raises keeps nothing, so a later call with a larger cap searches
-    again.  X_hat holds the size * L * M floats for as long as it lives; the
+    member stack and level flag on X_hat (``AdaptedProcess._arrangements``),
+    and every call, the first too, wraps them in a class of its own, with
+    its own ``members`` list of views into the one stack.  A kept class of
+    more than ``cap`` members raises the search's ``CapExceededError``.  A
+    call that raises keeps nothing, so a later call with a larger cap
+    searches again.  X_hat holds the size * L * M floats for as long as it lives; the
     cap that admitted them bounds them as it bounds the search.
     """
     if X_hat._arrangements is None:
-        cls = _search(X_hat, cap)
-        X_hat._arrangements = (cls.values, cls.level_restricted)
-        return cls
+        X_hat._arrangements = _search(X_hat, cap)
     values, restricted = X_hat._arrangements
     if len(values) > cap:
         raise CapExceededError(_OVER_CAP.format(cap))
     return _stacked_class(X_hat, values, restricted)
 
 
-def _search(X_hat: AdaptedProcess, cap: int) -> RearrangementClass:
-    """The backtracking search behind ``enumerate_class``.
+def _search(X_hat: AdaptedProcess, cap: int) -> tuple[np.ndarray, bool]:
+    """The backtracking search behind ``enumerate_class``: the class's
+    read-only member stack and whether it is level restricted.
 
     Backtracking assigns paths outcome by outcome and prunes any prefix that
     breaks measurability, so the cost tracks the class size rather than the
@@ -182,7 +187,7 @@ def _search(X_hat: AdaptedProcess, cap: int) -> RearrangementClass:
             raise ValueError(_EMPTY_CLASS)
         if cap < 1:
             raise CapExceededError(_OVER_CAP.format(cap))
-        return _stacked_class(X_hat, [list(zip(*member))], len(levels) > 1)
+        return _stack(X_hat, [list(zip(*member))]), len(levels) > 1
 
     row = array("q", bytes(8 * M))  # the pool index placed on each outcome
     found = array("q")  # the rows of the members found, back to back
@@ -206,14 +211,12 @@ def _search(X_hat: AdaptedProcess, cap: int) -> RearrangementClass:
         raise ValueError(_EMPTY_CLASS)
     # member i's value at (k, w) is entry k of path found[i * M + w]
     slots = np.frombuffer(found, dtype=np.int64).reshape(-1, 1, M) * L + np.arange(L)[:, None]
-    return _stacked_class(X_hat, np.array(paths).ravel()[slots], len(levels) > 1)
+    return _stack(X_hat, np.array(paths).ravel()[slots]), len(levels) > 1
 
 
 def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> RearrangementClass:
     """Oracle: filter every level-preserving outcome permutation for
     adaptedness and deduplicate.  Cost grows factorially; tests only."""
-    import itertools
-
     space = X_hat.space
     levels = _probability_levels(space)
     seen: list[np.ndarray] = []
@@ -235,7 +238,7 @@ def enumerate_class_bruteforce(X_hat: AdaptedProcess, cap: int = 100_000) -> Rea
         seen.append(vals.copy())
         if len(seen) > cap:
             raise CapExceededError(_OVER_CAP.format(cap))
-    return _stacked_class(X_hat, seen, len(levels) > 1)
+    return _stacked_class(X_hat, _stack(X_hat, seen), len(levels) > 1)
 
 
 def _first_near_max(table: np.ndarray) -> list[int]:
@@ -280,8 +283,8 @@ def max_correlation(
     return MaxCorrelationResult(ConditionalValue(X_hat.space, t, table.max(axis=0)), _first_near_max(table), cls)
 
 
-def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int, t_end: int | None = None) -> ConditionalValue:
-    """Assignment-problem relaxation of max_correlation, dropping adaptedness.
+def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int) -> ConditionalValue:
+    """Assignment-problem relaxation of max_correlation on [t, X_hat.t_end], dropping adaptedness.
 
     Each window-start atom matches its outcomes injectively into the global
     path multiset, maximizing the probability-weighted inner products with the
@@ -289,11 +292,9 @@ def lap_upper_bound(a: DensityProcess, X_hat: AdaptedProcess, t: int, t_end: int
     member to the atom.
     """
     from scipy.optimize import linear_sum_assignment  # on use, so importing dynrisk skips scipy.optimize
-    if t_end is None:
-        t_end = X_hat.t_end
     space = X_hat.space
-    paths = X_hat.values[X_hat._span(t, t_end)].T  # (M, L) global multiset, one per outcome
-    incs = a.values[a._span(t, t_end, space)].T  # (M, L)
+    paths = X_hat.values[X_hat._span(t, X_hat.t_end)].T  # (M, L) global multiset, one per outcome
+    incs = a.values[a._span(t, X_hat.t_end, space)].T  # (M, L)
     out = np.empty(space.n_atoms(t))
     for k, atom in enumerate(space.atoms(t)):
         idx = list(atom)

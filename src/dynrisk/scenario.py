@@ -218,7 +218,7 @@ def parse_scenario(doc: dict) -> Scenario:
         t0, increments, klass = f.integer("t_start", 0), f.matrix("increments"), f.get("class", "D")
         with f.building():  # membership rejects an unknown class
             a = DensityProcess(space, t0, increments)
-            ok, diag = membership(a, klass, t0)
+            ok, diag = membership(a, klass)
         if not ok:
             f.fail(diag)
         scn.densities[name] = a

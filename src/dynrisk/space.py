@@ -254,6 +254,11 @@ class ConditionalValue:
         return f"ConditionalValue(t={self.time}, {np.array2string(self.values, precision=6)})"
 
 
+def random_conditional(space: FiniteFilteredSpace, t: int, rng: np.random.Generator, low: float, high: float) -> ConditionalValue:
+    """Uniform values on [low, high) per time-t atom: the harnesses' sampled shifts and weights."""
+    return ConditionalValue(space, t, rng.uniform(low, high, size=space.n_atoms(t)))
+
+
 def cond_expect(space: FiniteFilteredSpace, y, t: int) -> ConditionalValue:
     """Conditional expectation of an outcome-indexed vector given time-t information.
 
@@ -416,7 +421,8 @@ class _Splices:
     highest bit.  An event is a union of the stopping time's atoms, so it is
     measurable at that time by construction, and no splice checks it again.
     The pairs end before the first row of ``thetas`` with over ``cap``
-    events, kept as ``over`` (None if there is none): the enumerators raise there.
+    events, kept as ``over`` (None if there is none): ``events`` raises there,
+    for the enumerators and for the stacked splice scan alike.
     """
 
     def __init__(self, space: FiniteFilteredSpace, thetas: np.ndarray, cap: int):
@@ -442,9 +448,10 @@ class _Splices:
         return self.thetas[k], ((r - self.offsets[k])[:, None] >> self.shifts[k] & 1).astype(bool)
 
     def events(self, where: str) -> list[np.ndarray]:
-        """Every event of a one-row index as boolean outcome masks (incl. empty and full)."""
+        """Every event of a one-row index as boolean outcome masks (incl. empty
+        and full); raises at ``over``, naming its count of events ``where``."""
         if self.over is not None:
-            raise CapExceededError(f"2^{self.n_atoms[0]} events {where} exceed cap {self.cap}")
+            raise CapExceededError(f"2^{self.n_atoms[len(self.thetas)]} events {where} exceed cap {self.cap}")
         return list(self.points(np.arange(self.size))[1])
 
 

@@ -48,8 +48,10 @@ from .processes import (
     DensityProcess,
     TerminalDensity,
     _pairings,
+    concatenate,
     membership,
     pairing,
+    random_adapted,
     remaining_mass,
 )
 from .space import (
@@ -61,6 +63,7 @@ from .space import (
     _times_to_check,
     cond_expect,
     enumerate_events,
+    random_conditional,
 )
 
 AXIOMS = ("locality", "monotonicity", "cash_invariance", "concavity", "coherence", "continuity", "relevance")
@@ -136,7 +139,7 @@ class DualFiniteUtility(UtilityBase):
         self._dead = np.isneginf(self._gamma)
         self._any_dead = bool(self._dead.any())
         for i, (inc, gamma) in enumerate(zip(self._increments, self._gamma)):
-            ok, diag = membership(DensityProcess._wrap(space, t_start, inc), "D", t_start)
+            ok, diag = membership(DensityProcess._wrap(space, t_start, inc), "D")
             if not ok:
                 raise ValueError(f"scenario {i} not a density on the window: {diag}")
             if np.any(gamma > 1e-12):
@@ -468,8 +471,6 @@ def check_axioms(
     Each sweep draws its samples in a sample-by-sample loop's order and
     evaluates their stack through the family kernel.
     """
-    from .random_gen import random_adapted, random_conditional
-
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count}")
     rng = np.random.default_rng(seed)
@@ -645,8 +646,6 @@ def time_consistency_check(
     stage's kernel runs twice: in the glue, which also gives its direct value
     phi_t(X), then in the fold.
     """
-    from .random_gen import random_adapted
-
     space = up.space
     if samples is None:
         if sample_count < 1:
@@ -709,7 +708,7 @@ def robust_entropic_process(
 
 def normalize_to_window(a: DensityProcess, t: int) -> DensityProcess:
     """Rescale the tail of a so its conditional mass on [t, a.t_end] is one."""
-    mass = remaining_mass(a, t, a.t_end)
+    mass = remaining_mass(a, t)
     if np.any(mass.values <= 1e-12):
         raise ValueError(f"no remaining mass on some atom at t={t}; cannot normalize")
     incs = np.stack([a.slice_at(s) for s in range(t, a.t_end + 1)]) / mass.lift()[None, :]
@@ -744,8 +743,6 @@ def penalty_consistency_check(up: UtilityProcess, t: int, s: int) -> PenaltyCons
     the conditioned stage-s penalty of a's tail.  Residuals are reported,
     not asserted.
     """
-    from .processes import concatenate
-
     if not (up.t_start <= t <= s <= up.t_end):
         raise ValueError("need start <= t <= s <= horizon")
     ut = up.stage(t)

@@ -16,7 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from . import parallel
-from .processes import AdaptedProcess, DensityProcess, _pairings, mean_portfolio, membership, remaining_mass
+from .processes import (
+    AdaptedProcess,
+    DensityProcess,
+    _pairings,
+    mean_portfolio,
+    membership,
+    random_adapted,
+    remaining_mass,
+    stability_check,
+)
 from .rearrange import (
     RearrangementClass,
     _attains,
@@ -692,7 +701,7 @@ def _verify_hypotheses(
     stacks = {t: up.stage(t)._increments for t in range(t0, T + 1)}
     for t, stack in stacks.items():
         for j, inc in enumerate(stack):
-            member, diag = membership(DensityProcess._wrap(space, t, inc), "De", t)
+            member, diag = membership(DensityProcess._wrap(space, t, inc), "De")
             if not member:
                 fail(f"stage {t} scenario {j} outside the positive-tail class: {diag}")
         if len(stack) != 1:
@@ -705,7 +714,6 @@ def _verify_hypotheses(
         relevance = _check_relevance(up.stage(t0))
         if not relevance.passed:
             fail(f"relevance failed: {relevance.counterexample}")
-        from .processes import stability_check
 
         base_set = [DensityProcess._wrap(space, t0, inc) for inc in stacks[t0]]
         stab = stability_check(base_set, "concatenation", cap=cap, tol=tol)
@@ -848,8 +856,6 @@ def matrix_compare(
     portfolio is dominated through A by the bar portfolio.  Only when all
     four hold is the conclusion inequality asserted.
     """
-    from .random_gen import random_adapted
-
     A = np.asarray(A, dtype=float)
     X_tilde.members[0]._span(u.t_start, u.t_end, u.space)  # tilde on u's space and window
     X_tilde.members[0]._same_window(X_bar.members[0])  # bar on tilde's

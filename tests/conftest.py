@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dynrisk import AdaptedProcess, DensityProcess, FiniteFilteredSpace, dyadic_uniform
+from dynrisk import AdaptedProcess, ConditionalValue, DensityProcess, DualFiniteUtility, FiniteFilteredSpace, dyadic_uniform
+from dynrisk.random_gen import random_conditional, random_density
 
 
 @pytest.fixture
@@ -34,3 +35,17 @@ def fresh(X):
     """X as a new process object: ``enumerate_class`` searches its class
     again instead of reading the class kept on X."""
     return AdaptedProcess(X.space, X.t_start, X.values.copy())
+
+
+def random_dual_utility(space, t_start, t_end, rng, n_scenarios=2):
+    """A concave, not coherent, dual utility: the first scenario's penalty 0
+    keeps the normalization, the others draw theirs from [-2, 0)."""
+    scen = []
+    for i in range(n_scenarios):
+        a = random_density(space, t_start, t_end, rng)
+        if i == 0:
+            g = ConditionalValue.constant(space, t_start, 0.0)
+        else:
+            g = random_conditional(space, t_start, rng, -2.0, 0.0)
+        scen.append((a, g))
+    return DualFiniteUtility(space, t_start, t_end, scen)

@@ -42,12 +42,11 @@ from dynrisk.random_gen import (
     random_adapted,
     random_coherent_utility,
     random_density,
-    random_dual_utility,
     random_space,
     random_terminal_density,
 )
 from dynrisk.rearrange import _class_pairings
-from conftest import fresh, uniform_density
+from conftest import fresh, random_dual_utility, uniform_density
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "full_verification.json"
 GOLDEN = Path(__file__).resolve().parent / "data" / "full_verification"

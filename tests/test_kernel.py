@@ -88,7 +88,6 @@ from dynrisk.random_gen import (
     random_coherent_utility,
     random_conditional,
     random_density,
-    random_dual_utility,
     random_space,
     random_terminal_density,
 )
@@ -99,7 +98,7 @@ from dynrisk.rearrange import _attains, _class_pairings
 from dynrisk.space import enumerate_stopping_events
 from dynrisk.utility import _check_relevance, _penalties
 from dynrisk.worstcase import Thm31Report, apply_matrix
-from conftest import fresh, uniform_density
+from conftest import fresh, random_dual_utility, uniform_density
 from test_acceptance import duality_instances  # noqa: F401  (the gate's 100 instances)
 from test_space import grow_reference
 

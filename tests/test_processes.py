@@ -143,15 +143,15 @@ class TestPairing:
 class TestMembership:
     def test_uniform_in_both(self, four_tree):
         a = uniform_density(four_tree, 0, 2)
-        assert membership(a, "D", 0)[0]
-        assert membership(a, "De", 0)[0]
+        assert membership(a, "D")[0]
+        assert membership(a, "De")[0]
 
     def test_concentrated_not_strict(self, four_tree):
         vals = np.zeros((3, 4))
         vals[0] = 1.0
         a = DensityProcess(four_tree, 0, vals)
-        assert membership(a, "D", 0)[0]
-        ok, diag = membership(a, "De", 0)
+        assert membership(a, "D")[0]
+        ok, diag = membership(a, "De")
         assert not ok
         assert "tail" in diag
 
@@ -163,7 +163,7 @@ class TestMembership:
     def test_wrong_mass_not_in_d(self, four_tree):
         vals = np.full((3, 4), 0.5)
         a = DensityProcess(four_tree, 0, vals)
-        ok, diag = membership(a, "D", 0)
+        ok, diag = membership(a, "D")
         assert not ok and "mass" in diag
         assert membership(a, "A1plus")[0]
 
@@ -189,7 +189,7 @@ class TestConcatenate:
         out = concatenate(a, b, StoppingTime.constant(two_uniform, 1), np.ones(2, dtype=bool))
         # the single-step tail of b is rescaled back onto a's remaining mass
         assert out.approx_eq(a, 1e-12)
-        assert membership(out, "D", 0)[0]
+        assert membership(out, "D")[0]
 
     def test_frozen_two_step(self, two_step_discrete):
         sp = two_step_discrete
@@ -198,7 +198,7 @@ class TestConcatenate:
         out = concatenate(a, b, StoppingTime.constant(sp, 1), np.ones(2, dtype=bool))
         expected = np.array([[0.2, 0.2], [0.32, 0.4], [0.48, 0.4]])
         assert np.abs(out.values - expected).max() <= 1e-12
-        assert membership(out, "D", 0)[0]
+        assert membership(out, "D")[0]
 
     def test_agrees_with_a_before_theta_and_off_event(self, four_tree):
         g = np.random.default_rng(9)
@@ -224,7 +224,7 @@ class TestConcatenate:
         picks = g.random(sp.n_atoms(s)) < 0.5
         mask = picks[sp.atom_index(s)]
         out = concatenate(a, b, theta, mask)
-        ok, diag = membership(out, "D", 0)
+        ok, diag = membership(out, "D")
         assert ok, diag
 
 
@@ -375,7 +375,7 @@ UTILITIES = {
 MISFIT_CALLS = {
     "pairing": ("density", lambda sp, a: pairing(position(sp), a, 0, 2)),
     "max_correlation": ("density", lambda sp, a: max_correlation(a, position(sp), 0, 2)),
-    "lap_upper_bound": ("density", lambda sp, a: lap_upper_bound(a, position(sp), 0, 2)),
+    "lap_upper_bound": ("density", lambda sp, a: lap_upper_bound(a, position(sp), 0)),
     "is_comonotone": (None, lambda sp, X: is_comonotone(uniform_density(sp, 0, 2), [position(sp), X])),
     **{f"evaluate[{k}]": ("position", lambda sp, X, k=k: UTILITIES[k](sp).evaluate(X)) for k in UTILITIES},
     **{f"insurance[{k}]": ("position", lambda sp, X, k=k: UTILITIES[k](sp).insurance(X)) for k in UTILITIES},

@@ -287,6 +287,26 @@ class TestCLI:
         code2, _ = self.run_cli(tmp_path, doc, ("--only", "ghost"))
         assert code2 == 2
 
+    def test_evaluate_insurance_writes_psi_rows(self, tmp_path):
+        doc = base_doc()
+        doc["utilities"]["ent1"] = {"variant": "entropic", "alpha": 0.5, "t_start": 1}
+        doc["tasks"] = [{"task": "evaluate", "name": "ins", "utility": "ent1", "position": "pos1", "insurance": True}]
+        code, reports = self.run_cli(tmp_path, doc)
+        scn = parse_scenario(doc)
+        psi = scn.utilities["ent1"].insurance(scn.processes["pos1"]).values
+        want = [f"ins\t{cli._atom_label(atom)}\tpsi\t{cli._fmt(v)}\t-\tINFO" for atom, v in zip(scn.space.atoms(1), psi)]
+        assert code == 0 and len(want) == 2
+        assert reports["ins.tsv"].decode().splitlines()[1:] == want
+
+    def test_task_fields_are_checked_when_that_task_runs(self, tmp_path, capsys):
+        # objects and task names are checked at load, each task's fields just before it computes
+        doc = json.loads(BUNDLED.read_text())
+        doc["tasks"].append({"task": "check-space", "name": "late-bad", "expcet": True})
+        code, reports = self.run_cli(tmp_path, doc)
+        assert code == 2
+        assert capsys.readouterr().err == "input error: task 'late-bad': unknown field 'expcet'\n"
+        assert "late-bad.tsv" not in reports and len(reports) == 17
+
     def test_bad_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

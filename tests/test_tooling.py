@@ -1,7 +1,8 @@
 """The repository's own tooling, run in-process: the benchmark's span tracer,
-the demos' expected outputs, the oldest supported Python's grammar and the
-program's calls, when it runs, of every public name, method and operator; and,
-in a fresh interpreter, what importing dynrisk loads."""
+the demos' expected outputs, the oldest supported Python's grammar, where
+``src/`` imports its own modules, and the program's calls, when it runs, of
+every public function, method and operator; and, in a fresh interpreter, what
+importing dynrisk and running the bundled scenario load."""
 
 import ast
 import contextlib
@@ -31,6 +32,8 @@ from conftest import uniform_density
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = sorted(p for d in ("src", "tests", "bench", "demos") for p in (ROOT / d).rglob("*.py"))
+# a fresh interpreter that imports dynrisk from this checkout
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def small_calls() -> None:
@@ -83,9 +86,36 @@ def test_import_and_default_routes_skip_scipy_optimize():
         print("scipy.optimize" in sys.modules)
         """
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def late_dynrisk_imports(path: Path) -> list[str]:
+    """``file:line`` of each import of a dynrisk module inside a function of ``path``."""
+    hits = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    ours = node.level > 0 or (node.module or "").split(".")[0] == "dynrisk"
+                elif isinstance(node, ast.Import):
+                    ours = any(alias.name.split(".")[0] == "dynrisk" for alias in node.names)
+                else:
+                    continue
+                if ours:
+                    hits.add(f"{path.name}:{node.lineno}")
+    return sorted(hits)
+
+
+def test_src_imports_its_modules_at_the_top_and_a_run_skips_random_gen(tmp_path):
+    # an import of a dynrisk module inside a function hides a module cycle; the
+    # deferred scipy.optimize imports stay, for the reason in the test above
+    assert [hit for path in sorted((ROOT / "src" / "dynrisk").glob("*.py")) for hit in late_dynrisk_imports(path)] == []
+    # the seeded generators are for demos, benchmark and tests: the program runs without them
+    code = "import sys; from dynrisk.cli import main; print(main(sys.argv[1:]), 'dynrisk.random_gen' in sys.modules)"
+    run = [str(ROOT / "demos" / "full_verification.json"), "--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", code, "run", *run], env=ENV, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -102,16 +132,19 @@ def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
-# oracles and claim checks that stay public though only the tests call them,
-# and the verdict property of one of them
+# public code that the program does not call, keyed as ``program_scope`` keys
+# it, and why it stays
 TEST_ONLY = {
-    "enumerate_class_bruteforce",
-    "penalty_consistency_check",
-    "average_risk",
-    "build_linear_driven_portfolio",
-    "verify_linear_driven_portfolio",
-    "check_law_invariance",
-    "LinearDrivenReport.passed",
+    "rearrange.enumerate_class_bruteforce": "the oracle of enumerate_class",
+    "utility.penalty_consistency_check": "a claim check that only the tests run",
+    "worstcase.average_risk": "a claim check that only the tests run",
+    "worstcase.build_linear_driven_portfolio": "a claim check that only the tests run",
+    "worstcase.verify_linear_driven_portfolio": "a claim check that only the tests run",
+    "worstcase.check_law_invariance": "a claim check that only the tests run",
+    "LinearDrivenReport.passed": "the verdict of verify_linear_driven_portfolio",
+    "lp.solve_box_lp_highs": "bench/spans.py traces it",
+    "space.enumerate_stopping_events": "bench/spans.py traces it; the splice scan's oracle in the tests",
+    "lp.maximize_dual_highs": "the HiGHS route of utility._penalties above lp.SUPPORT_LIMIT supports, which no demo or workload reaches",
 }
 OPERATORS = {
     "__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__", "__truediv__", "__lt__",
@@ -138,20 +171,30 @@ def code_of(member):
 
 @cache
 def program_scope():
-    """Name -> code object of every function in ``dynrisk.__all__`` and every
-    public method, property, classmethod and staticmethod of a public class,
-    with its arithmetic and comparison operators, whose code is in ``src/dynrisk/``."""
-    scope = {n: code_of(getattr(dr, n)) for n in dr.__all__}
-    modules = [importlib.import_module(f"dynrisk.{m.name}") for m in pkgutil.iter_modules(dr.__path__)]
-    classes = [c for m in modules for n, c in vars(m).items() if inspect.isclass(c) and c.__module__ == m.__name__ and not n.startswith("_")]
-    for cls in classes:
-        for base in cls.__mro__:
-            if base.__module__.startswith("dynrisk."):
-                for name, member in vars(base).items():
-                    if not name.startswith("_") or name in OPERATORS:
-                        scope[f"{base.__name__}.{name}"] = code_of(member)
+    """(functions, members), each name -> code object, of the code in
+    ``src/dynrisk/``: every public module-level function, keyed
+    ``module.name`` by the module that defines it, and every public method,
+    property, classmethod and staticmethod of a public class, with its
+    arithmetic and comparison operators, keyed ``Class.name``."""
+    functions, members = {}, {}
+    for info in pkgutil.iter_modules(dr.__path__):
+        module = importlib.import_module(f"dynrisk.{info.name}")
+        for n, obj in vars(module).items():
+            if n.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                functions[f"{info.name}.{n}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for base in obj.__mro__:
+                    if base.__module__.startswith("dynrisk."):
+                        for name, member in vars(base).items():
+                            if not name.startswith("_") or name in OPERATORS:
+                                members[f"{base.__name__}.{name}"] = code_of(member)
     package = Path(dr.__file__).resolve().parent
-    return {n: c for n, c in scope.items() if c is not None and Path(c.co_filename).resolve().parent == package}
+    return tuple(
+        {n: c for n, c in scope.items() if c is not None and Path(c.co_filename).resolve().parent == package}
+        for scope in (functions, members)
+    )
 
 
 @cache
@@ -192,11 +235,11 @@ def traffic():
     return frozenset(called)
 
 
-def uncalled(members):
+def uncalled(members: bool):
     """The entries of ``program_scope``, class members or functions, that the
     traffic does not call, bar ``TEST_ONLY``."""
     called = traffic()
-    return sorted(n for n, code in program_scope().items() if ("." in n) == members and code not in called and n not in TEST_ONLY)
+    return sorted(n for n, code in program_scope()[members].items() if code not in called and n not in TEST_ONLY)
 
 
 def test_every_public_name_is_used_outside_the_tests():
@@ -209,10 +252,11 @@ def test_every_public_method_is_used_outside_the_tests():
     assert uncalled(members=True) == []
 
 
-@pytest.mark.parametrize("name", sorted(TEST_ONLY))
+# a function's id is its name without its module, a member's its Class.name
+@pytest.mark.parametrize("name", sorted(TEST_ONLY), ids=lambda n: n.partition(".")[2] if n[0].islower() else n)
 def test_kept_oracle_is_public_and_used_only_by_the_tests(name):
     # the allow-list names nothing deleted, and nothing that the program came to call
-    scope = program_scope()
+    scope = {**program_scope()[0], **program_scope()[1]}
     assert name in scope and scope[name] not in traffic()
     word = name.rpartition(".")[2]
     assert any(re.search(rf"\b{word}\b", p.read_text()) for p in (ROOT / "tests").glob("test_*.py"))
