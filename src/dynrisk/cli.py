@@ -77,10 +77,28 @@ def _per_atom_rows(run: TaskRun, space, t, quantity, values, bounds=None, status
         run.row(atom, quantity, values[k], b, s)
 
 
+def _verdict(run: TaskRun, expected: bool | None) -> str:
+    """A task's status: FAIL when a row FAILs or its expectation is not met;
+    else PASS when a row PASSes or its expectation is met; else INFO.
+    ``expected`` is None for a task given no expectation."""
+    statuses = {row[-1] for row in run.rows}
+    if FAIL in statuses or expected is False:
+        return FAIL
+    return PASS if PASS in statuses or expected else INFO
+
+
 def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[TaskRun, str]:
-    """Read the task's fields, reject any it does not read, then run it."""
+    """Read the task's fields, reject any it does not read, run it and judge
+    its rows and expectation by ``_verdict``."""
     f = Fields(task, f"task {task['name']!r}", scn)
-    kind, run, space = f.get("task"), TaskRun(f.get("name")), scn.space
+    kind, run = f.get("task"), TaskRun(f.get("name"))
+    return run, _verdict(run, _compute(kind, f, run, scn, seed_override))
+
+
+def _compute(kind: str, f: Fields, run: TaskRun, scn: Scenario, seed_override: int | None) -> bool | None:
+    """Run a task of this kind, writing its rows to ``run``: -> whether its
+    expectation is met, None when it has none."""
+    space = scn.space
 
     def seed() -> int:
         declared = f.integer("seed", scn.seed)
@@ -93,21 +111,21 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "prob-sum", float(space.probs.sum()), 1.0, PASS)
         for t in range(space.horizon + 1):
             run.row("-", f"atoms-at-{t}", space.n_atoms(t), None, INFO)
-        return run, PASS
+        return None
 
     if kind == "check-membership":
         name = f.get("density")
         if isinstance(name, str) and name not in scn.densities and name in scn.terminal_densities:
             f.finish()  # a terminal density has no class to check
             run.row("-", "in-Drel", True, None, PASS)
-            return run, PASS
+            return None
         a, klass = f.ref("density", "density"), f.get("class", "D")
         with f.building():  # membership rejects an unknown class
             ok, diag = membership(a, klass)
         run.row("-", f"in-{klass}", ok, None, PASS if ok else FAIL)
         if not ok:
             run.row("-", "diagnostic", diag, None, FAIL)
-        return run, PASS if ok else FAIL
+        return None
 
     if kind == "axioms":
         u, samples = f.ref("utility", "utility"), f.integer("samples", 20, least=1)
@@ -116,7 +134,6 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         expect.finish()
         with f.building():
             rep = check_axioms(u, samples, axiom_seed, tol)
-        status = PASS if want else INFO
         for axiom, res in rep.results.items():
             if res.passed is None:
                 run.row("-", axiom, res.note, None, INFO)
@@ -124,19 +141,17 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
             row_status = INFO
             if axiom in want:
                 row_status = PASS if bool(res.passed) == want[axiom] else FAIL
-                if row_status == FAIL:
-                    status = FAIL
             run.row("-", axiom, res.passed, res.samples, row_status)
             if res.counterexample:
                 run.row("-", f"{axiom}-counterexample", res.counterexample, None, INFO)
-        return run, status
+        return None
 
     if kind == "evaluate":
         u, X, insurance = f.ref("utility", "utility"), f.ref("position", "process"), f.boolean("insurance", False)
         with f.building():  # a position whose window does not cover the utility's
             v = u.insurance(X) if insurance else u.evaluate(X)
         _per_atom_rows(run, space, u.t_start, "psi" if insurance else "phi", v.values)
-        return run, INFO
+        return None
 
     if kind == "penalty":
         u, a = f.ref("utility", "utility"), f.ref("density", "density")
@@ -147,9 +162,9 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
                 v = penalty(u, a)
         except RuntimeError as e:
             run.row("-", "error", str(e), None, FAIL)
-            return run, FAIL
+            return None
         _per_atom_rows(run, space, u.t_start, "phi#", v.values)
-        return run, INFO
+        return None
 
     if kind == "max-correlation":
         a, X = f.ref("density", "density"), f.ref("position", "process")
@@ -161,7 +176,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         _per_atom_rows(run, space, t, "psi_a", mc.value.values, lap.values, statuses)
         _per_atom_rows(run, space, t, "argmax-member", mc.argmax_index)
         run.row("-", "class-size", mc.rearrangement.size, None, INFO)
-        return run, PASS if all(s == PASS for s in statuses) else FAIL
+        return None
 
     if kind == "comonotone":
         a0, family = f.ref("density", "density"), f.refs("family", "process")
@@ -175,9 +190,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "comonotone", cert.comonotone, None, INFO)
         for d in cert.details:
             run.row("-", "detail", d, None, INFO)
-        if expect is not None:
-            return run, PASS if expect == cert.comonotone else FAIL
-        return run, INFO
+        return None if expect is None else expect == cert.comonotone
 
     if kind == "worst-scenario":
         u, candidates = f.ref("utility", "utility"), f.refs("candidates", "density")
@@ -190,7 +203,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         _per_atom_rows(run, space, u.t_start, "F-max", ws.value.values)
         _per_atom_rows(run, space, u.t_start, "choice", ws.per_atom_choice)
         run.row("-", "single-attainment", ws.single_attainment, None, INFO)
-        return run, INFO
+        return None
 
     if kind == "worst-portfolio":
         u, members = f.ref("utility", "utility"), f.refs("marginals", "process")
@@ -204,7 +217,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         _per_atom_rows(run, space, u.t_start, "argmax-tuple", wp.per_atom_argmax)
         run.row("-", "attained-uniformly", wp.attained_uniformly, None, INFO)
         run.row("-", "search-size", wp.search_size, None, INFO)
-        return run, PASS if all(s == PASS for s in statuses) else FAIL
+        return None
 
     if kind == "verify-thm31":
         u, members = f.ref("utility", "utility"), f.refs("marginals", "process")
@@ -220,7 +233,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
             run.row("-", "comonotone-attains", rep.attains, rep.attain_residual, PASS if rep.attains else FAIL)
         else:
             run.row("-", "comonotone-search", "not-applicable", None, INFO)
-        return run, PASS if rep.passed else FAIL
+        return None
 
     if kind == "verify-preservation":
         up, members = f.ref("process", "utility-process"), f.refs("stage0", "process")
@@ -236,10 +249,10 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "adapted-worst-process", rep.adapted_ok, None, INFO)
         if rep.skipped:
             run.row("-", "conclusion", "hypotheses not met", None, "SKIP")
-            return run, PASS if expect == "skip" else FAIL
         for chk in rep.stage_checks:
             run.row("-", f"stage-{chk.t}", chk.residual, tol, PASS if chk.passed else FAIL)
-        return run, PASS if rep.passed else FAIL
+        # without an expectation, the hypotheses must hold
+        return rep.skipped == (expect == "skip")
 
     if kind == "matrix-sup":
         u, X = f.ref("utility", "utility"), f.ref("position", "process")
@@ -251,7 +264,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "attained-uniformly", res.attained_uniformly, None, INFO)
         if not res.attained_uniformly:
             run.row("-", "directedness", "no single maximizer; upward directedness failed", None, INFO)
-        return run, INFO
+        return None
 
     if kind == "matrix-compare":
         u, tilde, bar = f.ref("utility", "utility"), f.refs("tilde", "process"), f.refs("bar", "process")
@@ -268,9 +281,9 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "dominance", rep.hyp_dominance, None, INFO)
         if rep.conclusion_tested:
             run.row("-", "conclusion", rep.conclusion_holds, rep.conclusion_residual, PASS if rep.conclusion_holds else FAIL)
-            return run, PASS if rep.conclusion_holds else FAIL
-        run.row("-", "conclusion", "untested (hypotheses not all met)", None, INFO)
-        return run, PASS if expect == "guard" else INFO
+        else:
+            run.row("-", "conclusion", "untested (hypotheses not all met)", None, INFO)
+        return None if expect is None else not rep.conclusion_tested
 
     if kind == "stability":
         kind2 = f.get("kind", "concatenation")
@@ -283,9 +296,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "stopping-times", rep.stopping_times, None, INFO)
         if not rep.stable:
             run.row("-", "missing", rep.context, None, INFO)
-        if expect is not None:
-            return run, PASS if expect == rep.stable else FAIL
-        return run, INFO
+        return None if expect is None else expect == rep.stable
 
     if kind == "time-consistency":
         up, samples = f.ref("process", "utility-process"), f.integer("samples", 5, least=1)
@@ -297,7 +308,7 @@ def run_task(task: dict, scn: Scenario, seed_override: int | None) -> tuple[Task
         run.row("-", "stopping-times", rep.stopping_times, None, INFO)
         for failure in rep.failures[:10]:
             run.row("-", "failure", failure, None, FAIL)
-        return run, PASS if rep.passed else FAIL
+        return None
 
     f.fail(f"unknown task kind {kind!r}")
 

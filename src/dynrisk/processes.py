@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .space import (
+    CHUNK,
     DEFAULT_TOL,
     CapExceededError,
     ConditionalValue,
@@ -375,13 +376,9 @@ def _contains(items, candidate, tol: float) -> bool:
     return any(member.approx_eq(candidate, tol) for member in items)
 
 
-# array elements per block of splices in the stacked routes; bounds their scratch arrays
-_BLOCK = 1 << 16
-
-
 def _blocks(total: int, width: int):
-    """Consecutive [lo, hi) ranges of splices, about _BLOCK elements of ``width`` each."""
-    step = max(1, _BLOCK // width)
+    """Consecutive [lo, hi) ranges of splices, about ``CHUNK`` elements of ``width`` each."""
+    step = max(1, CHUNK // width)
     return ((lo, min(lo + step, total)) for lo in range(0, total, step))
 
 

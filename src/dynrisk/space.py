@@ -28,6 +28,9 @@ DEFAULT_TOL = 1e-9
 # (outcomes, horizon) up to which the harnesses check every stopping time;
 # larger spaces get the deterministic ones only
 EXHAUSTIVE_LIMIT = (8, 3)
+# floats in the widest temporary of one block of a stacked route (the worst-portfolio
+# scan's chunks, the splice scans' blocks): under 128 KiB, glibc's default M_MMAP_THRESHOLD
+CHUNK = 2**14 - 1
 
 NEG_INF = float("-inf")
 

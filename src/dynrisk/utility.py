@@ -26,8 +26,9 @@ and ``_screen`` contracts the weight row with those factors per atom;
 ``_screen_error`` bounds how far a screened value lies from the exact one,
 and the scan re-scores exactly every tuple that could be a chunk's max.
 The time-consistency recursion (``UtilityProcess._glue`` and ``_fold``)
-stacks every (stopping time, sample) pair and calls each stage's kernel
-twice: the glue, which also gives the stage's direct value, then the fold.
+calls each stage's kernel twice: once on the samples, whose direct values
+the glue gathers along each stopping time's level sets, then in the fold,
+on every (stopping time, sample) pair stacked.
 The axiom sweeps (``check_axioms``, ``_check_relevance``),
 ``worstcase.check_law_invariance`` and ``worstcase.matrix_sup`` evaluate
 stacks of positions through the kernel.
@@ -582,24 +583,15 @@ class UtilityProcess:
         return np.array(rows).reshape(len(rows), self.t_end - t0 + 1, self.space.n_outcomes)
 
     def _glue(self, thetas: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """phi_theta(X), the sum over t of phi_t(1_{theta=t} X) glued along the level sets
-        of theta, and each stage's direct value phi_t(X), from one kernel call per stage on
-        the stack [X; X 1_{theta=t}]; with ``_fold`` a check runs each stage twice.
+        """phi_theta(X) = sum over t of 1_{theta=t} phi_t(X), the definition, and each
+        stage's direct value phi_t(X): one kernel call per stage on the samples, whose
+        values, lifted to outcomes, give each stopping time's row on its level sets.
         (K, M) stopping values x (S, L, M) slices on the last L times -> (K, S, M), and
         per t in turn (S, atoms)."""
         t0 = self.t_end + 1 - xs.shape[1]
-        out = np.zeros((len(thetas), len(xs), self.space.n_outcomes))
-        direct = []
-        for t in range(t0, self.t_end + 1):
-            level = (thetas == t)[:, None, None, :]
-            tail = xs[:, t - t0:]
-            stack = np.empty((len(thetas) + 1,) + tail.shape)
-            stack[0] = tail
-            np.multiply(tail, level, out=stack[1:])
-            vals = self.stage(t)._stacked(stack)
-            direct.append(vals[0])
-            np.copyto(out, vals[1:].take(self.space._atom_index[t], axis=-1), where=level[:, :, 0])
-        return out, direct
+        direct = [self.stage(t)._stacked(xs[:, t - t0 :]) for t in range(t0, self.t_end + 1)]
+        lifted = np.stack([d.take(self.space._atom_index[t], axis=-1) for t, d in enumerate(direct, t0)])
+        return np.take_along_axis(lifted, (thetas - t0)[:, None, :], axis=0), direct
 
     def _fold(self, t: int, thetas: np.ndarray, xs: np.ndarray, glued: np.ndarray) -> np.ndarray:
         """phi_t of each position frozen at theta and continued by its glued
@@ -643,8 +635,8 @@ def time_consistency_check(
     deterministic ones are used; the report also confirms that the glued
     stopping-time evaluation collapses to the stage value at deterministic
     times.  Every (stopping time, sample) pair is checked at once, and each
-    stage's kernel runs twice: in the glue, which also gives its direct value
-    phi_t(X), then in the fold.
+    stage's kernel runs twice: on the samples, for the direct values phi_t(X)
+    that the glue gathers, then in the fold.
     """
     space = up.space
     if samples is None:
@@ -656,7 +648,7 @@ def time_consistency_check(
         raise ValueError("samples must not be empty")
     # on exhaustive spaces the rows with min >= t are every stopping time from t, in order
     thetas, mode = _times_to_check(space, up.t_start, up.t_end)
-    # one glue, which also gives each stage's direct value, then one fold per stage
+    # each stage's direct values, glued along the level sets, then one fold per stage
     xs = up._positions(samples, up.t_start)
     glued, direct = up._glue(thetas, xs)
     first = thetas.min(axis=1)
@@ -672,7 +664,8 @@ def time_consistency_check(
         for k, idx in bad:
             failures.append(f"t={t}, theta={thetas[sel][k].tolist()}, sample {idx}: residual {res[k, idx]:.3g}")
     # stage collapse at deterministic times: the constant rows of thetas, in time order,
-    # each against the direct value at its own time
+    # each against the direct value at its own time, lifted from the pair _glue returned,
+    # so a gather that picks the wrong rows or outcomes fails here
     const = np.flatnonzero(first == thetas.max(axis=1))
     const = const[np.argsort(thetas[const, 0], kind="stable")]
     taus = thetas[const, 0]

@@ -36,6 +36,7 @@ from .rearrange import (
     path_law,
 )
 from .space import (
+    CHUNK,
     CapExceededError,
     ConditionalValue,
     DEFAULT_TOL,
@@ -182,9 +183,6 @@ class WorstCaseResult:
         sizes = [c.size for c in self.classes]
         idx = np.unravel_index(flat_index, sizes)
         return Portfolio([self.classes[i].members[int(j)] for i, j in enumerate(idx)])
-
-
-CHUNK = 2**14 - 1  # floats in a chunk's widest temporary: under 128 KiB, glibc's default M_MMAP_THRESHOLD
 
 
 def _batch_insurance(u: UtilityBase, classes: list[RearrangementClass]):
@@ -367,12 +365,6 @@ class Thm31Report:
     attain_residual: float | None
     attains: bool | None
     tol: float
-
-    @property
-    def passed(self) -> bool:
-        if not self.equality_holds:
-            return False
-        return self.attains is not False
 
 
 def verify_theorem_3_1(

@@ -637,10 +637,11 @@ def test_attains_tolerance_is_relative_above_one():
     assert bool(_attains(best - [5e-10, 5e-10, 5e-13], best)) and not _attains(best - [0.0, 0.0, 2e-12], best)
 
 
-def oracle_consistency(up, samples, tol):
+def oracle_consistency(up, samples, tol, constant=False):
     """time_consistency_check one (t, theta, sample) at a time, through
     public constructors and one stage ``evaluate`` per folded position, over
-    the stopping times of ``test_space.grow_reference``."""
+    the stopping times of ``test_space.grow_reference``, or with ``constant``
+    over the constant ones only, as the check's deterministic-only mode."""
     sp = up.space
 
     def glue(theta, X):
@@ -655,7 +656,8 @@ def oracle_consistency(up, samples, tol):
     worst, checked, failures, glued = 0.0, 0, [], {}
     for t in range(up.t_start, up.t_end + 1):
         # the recursive reference, not the level-wise enumeration the harness reads
-        for theta in (StoppingTime(sp, values) for values in grow_reference(sp, t)):
+        rows = [np.full(sp.n_outcomes, s) for s in range(t, up.t_end + 1)] if constant else grow_reference(sp, t)
+        for theta in (StoppingTime(sp, values) for values in rows):
             if theta.max_value() > up.t_end:
                 continue
             for idx, X in enumerate(samples):
@@ -711,6 +713,34 @@ def test_stacked_recursion_matches_per_check_oracle(kind):
                     assert np.array_equal(bits(got), bits(glued[theta.values.tobytes(), idx])), f"seed {seed}"
     if kind == "mixed-alpha":
         # on one-step trees the last stage is X_T itself, so only deeper trees fail
+        assert failing >= 5, "the failing reports' lists were not compared"
+
+
+@pytest.mark.parametrize("kind", ("entropic", "normalized", "mixed-alpha"))
+def test_deterministic_only_recursion_matches_per_check_oracle(kind):
+    """Beyond ``EXHAUSTIVE_LIMIT`` the check reads the constant stopping times
+    only: on dyadic_uniform(4), a 9-outcome tree and random trees of 9 to 12
+    outcomes, each report has the bits of the oracle run over those, still
+    through the masked positions of one ``evaluate`` each."""
+    nine = FiniteFilteredSpace(np.full(9, 1 / 9), [[tuple(range(9))], [(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(w,) for w in range(9)]])
+    g = np.random.default_rng([17, len(kind)])
+    trees = [dyadic_uniform(4), nine] + [random_space(g, max_outcomes=12, min_outcomes=9) for _ in range(8)]
+    failing = 0
+    for i, sp in enumerate(trees):
+        up = make_process(kind, sp, g)
+        samples = [random_adapted(sp, up.t_start, up.t_end, g) for _ in range(2)]
+        rep = time_consistency_check(up, samples=samples, tol=1e-9)
+        worst, checked, failures, glued = oracle_consistency(up, samples, 1e-9, constant=True)
+        assert rep.stopping_times == "deterministic-only", f"tree {i}"
+        assert bits(rep.max_residual) == bits(worst), f"tree {i}"
+        assert (rep.checked, rep.failures) == (checked, failures), f"tree {i}"
+        failing += bool(failures)
+        for s in range(up.t_start, up.t_end + 1):
+            theta = StoppingTime.constant(sp, s)
+            for idx, X in enumerate(samples):
+                got = up.evaluate_at_stopping(theta, X)
+                assert np.array_equal(bits(got), bits(glued[theta.values.tobytes(), idx])), f"tree {i}"
+    if kind == "mixed-alpha":
         assert failing >= 5, "the failing reports' lists were not compared"
 
 

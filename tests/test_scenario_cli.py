@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import inspect
 import io
 import json
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from dynrisk import (
+    ConditionalValue,
     DualFiniteUtility,
     ScenarioError,
     check_adapted_worst_process,
@@ -19,6 +21,8 @@ from dynrisk import (
 from dynrisk import cli
 from dynrisk.cli import main, run_task
 from dynrisk.scenario import parse_scenario
+from dynrisk.utility import UtilityBase
+from dynrisk.worstcase import StageCheck
 from test_kernel import plant_glue_defect
 from test_worstcase import plant_duality_defect
 
@@ -106,6 +110,29 @@ REPR_FIELDS = {
         0.1 + 0.2,
     ),
 }
+
+
+def bundled_alone(name, **fields):
+    """The bundled scenario with its task ``name`` alone, ``fields`` set on it."""
+    doc = json.loads(BUNDLED.read_text())
+    doc["tasks"] = [{**next(t for t in doc["tasks"] if t["name"] == name), **fields}]
+    return doc
+
+
+def plant_result(monkeypatch, owner, name, bend):
+    """Make ``owner.name`` return its real result bent by ``bend``."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: bend(real(*args)))
+
+
+def shifted(v, by):
+    return ConditionalValue(v.space, v.time, v.values + by)
+
+
+def worse_last_stage(rep):
+    last = rep.stage_checks[-1]
+    residual = last.residual + 1e-6
+    return dataclasses.replace(rep, stage_checks=rep.stage_checks[:-1] + [StageCheck(last.t, residual, residual <= 1e-9)])
 
 
 def write_doc(tmp_path, doc, name="scn.json"):
@@ -743,6 +770,61 @@ class TestCLI:
         assert code == 1 and "duality\tFAIL" in capsys.readouterr().out
         quantity, value, bound, status = next(row for row in rows if "\tequality-residual\t" in row).split("\t")[2:]
         assert (quantity, bound, status) == ("equality-residual", "1e-09", "FAIL") and abs(float(value) - 1e-6) < 1e-12
+
+    @pytest.mark.parametrize("name, expect", (("preservation", "skip"), ("matrix-compare", "guard")))
+    def test_an_expected_guard_that_does_not_fire_fails(self, tmp_path, capsys, name, expect):
+        # the hypotheses hold and the conclusion is tested, so the guard never fires
+        code, reports = self.run_cli(tmp_path, bundled_alone(name))
+        assert code == 0 and capsys.readouterr().out == f"{name}\tPASS\n"
+        rows = reports[f"{name}.tsv"]
+        code, reports = self.run_cli(tmp_path, bundled_alone(name, expect=expect))
+        assert code == 1 and capsys.readouterr().out == f"{name}\tFAIL\n"
+        assert reports[f"{name}.tsv"] == rows  # the same rows: only the verdict reads the expectation
+
+    # a defect planted behind each row that only a failing harness writes: (the bundled
+    # task, the owner and name of what its harness calls, how the plant bends that
+    # result, the report row, floats compared within 1e-12)
+    PLANTED_ROWS = {
+        # the LAP bound 1 below the max correlation
+        "psi_a": ("max-correlation", cli, "lap_upper_bound", lambda v: shifted(v, -1.0), ("{0,1,2,3}", "psi_a", 2.7, 1.9, "FAIL")),
+        # the scanned sup 0.1 below its portfolio's own value
+        "sup": (
+            "worst-portfolio",
+            cli,
+            "worst_portfolio_bruteforce",
+            lambda r: dataclasses.replace(r, sup_value=shifted(r.sup_value, -0.1)),
+            ("{0,1,2,3}", "sup", 0.7875, 0.8125, "FAIL"),
+        ),
+        # the comonotone tuple priced 1e-6 above the sup; the equality still holds
+        "comonotone-attains": ("duality", UtilityBase, "insurance", lambda v: shifted(v, 1e-6), ("-", "comonotone-attains", "false", 1e-6, "FAIL")),
+        # the last stage's certificate 1e-6 off
+        "stage-t": ("preservation", cli, "verify_preservation", worse_last_stage, ("-", "stage-2", 1e-6, 1e-9, "FAIL")),
+        # the conclusion's residual 1 + 1e-6 higher, from -1 to 1e-6
+        "conclusion": (
+            "matrix-compare",
+            cli,
+            "matrix_compare",
+            lambda r: dataclasses.replace(r, conclusion_residual=r.conclusion_residual + 1.000001, conclusion_holds=False),
+            ("-", "conclusion", "false", 1e-6, "FAIL"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PLANTED_ROWS)
+    def test_planted_defect_writes_its_fail_row(self, tmp_path, monkeypatch, capsys, case):
+        name, owner, attr, bend, want = self.PLANTED_ROWS[case]
+        code, reports = self.run_cli(tmp_path, bundled_alone(name))
+        assert code == 0 and b"FAIL" not in reports[f"{name}.tsv"]
+        capsys.readouterr()
+        plant_result(monkeypatch, owner, attr, bend)
+        code, reports = self.run_cli(tmp_path, bundled_alone(name))
+        assert code == 1 and capsys.readouterr().out == f"{name}\tFAIL\n"
+        rows = [row.split("\t")[1:] for row in reports[f"{name}.tsv"].decode().splitlines()]
+        fails = [row for row in rows if row[-1] == "FAIL"]
+        assert len(fails) == 1 and fails[0][1] == want[1], fails
+        for got, cell in zip(fails[0], want):
+            assert got == cell if isinstance(cell, str) else abs(float(got) - cell) < 1e-12, (got, cell)
+        if case == "comonotone-attains":
+            assert ["-", "equality-residual", "0", "1e-09", "PASS"] in rows
 
     # rows that only a rare path writes: (objects to declare beside base_doc()'s, the task,
     # the line its report or, on an input error, stderr must hold, the exit code)

